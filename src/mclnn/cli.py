@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -95,8 +96,6 @@ class ExperimentConfig:
         }
         if paths:
             parser["paths"] = {k: str(v) for k, v in sorted(paths.items())}
-        import io
-
         buf = io.StringIO()
         parser.write(buf)
         return buf.getvalue()
@@ -165,11 +164,6 @@ def _get(parser, section, key, cast, fallback):
         return cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-
-
-def _bool_or_value(args, name, fallback):
-    value = getattr(args, name, None)
-    return fallback if value is None else value
 
 
 def load_experiment_config(args) -> ExperimentConfig:

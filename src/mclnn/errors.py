@@ -58,12 +58,18 @@ class HeaderMismatchError(FileFormatError):
 
 
 class TrainingDivergedError(MclnnError):
-    """Training loss became non-finite."""
+    """Training loss became non-finite.
 
-    def __init__(self, epoch: int, loss: float):
+    ``batch`` is the 1-based mini-batch index within the epoch, or None when
+    the loss over a whole split (validation) diverged.
+    """
+
+    def __init__(self, epoch: int, loss: float, batch: int | None = None):
         self.epoch = epoch
+        self.batch = batch
         self.loss = loss
-        super().__init__(f"training diverged at epoch {epoch}: loss = {loss!r}")
+        where = f"epoch {epoch}" if batch is None else f"epoch {epoch}, batch {batch}"
+        super().__init__(f"training diverged at {where}: loss = {loss!r}")
 
 
 class ConfigError(ValidationError):

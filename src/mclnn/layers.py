@@ -10,11 +10,23 @@ weight matrix for that offset, gated by the layer's binary mask when one
 is present.  Applied across a block of ``t`` frames the layer emits
 ``t - 2n`` frames: output frame ``i`` summarizes input frames
 ``[i, i + 2n]`` and sits at the window's middle position ``i + n``.
+That makes the layer a 1-D temporal convolution with kernel ``2n + 1``.
 
-Gradients are computed by reverse replay of an :class:`ActivationTape`
-that caches inputs, effective weights and pre-activations per step.  The
-mask is a constant: gradients of masked weights are gated element-wise,
-so dead connections receive exactly zero gradient.
+Every forward function takes an optional leading batch axis: a
+conditional layer maps ``(B, t, l)`` to ``(B, t - 2n, e)``, the pool
+``(B, k, e)`` to ``(B, e)``, dense and softmax ``(B, d)`` to ``(B, d')``.
+An input without the batch axis is a batch of one and comes back without
+it.  A batched conditional layer runs ``2n + 1`` GEMMs of shape
+``(B * (t - 2n), l) @ (l, e)``, one per window offset, so a whole
+mini-batch costs as many matrix products as one segment.
+
+Gradients come from walking an :class:`ActivationTape` backwards; the
+tape caches each step's inputs, effective weights and pre-activations.
+Weight gradients sum over the batch, so ``backward`` returns the gradient
+of whatever the loss gradient it starts from describes (a batch mean when
+it starts from ``(p - onehot) / B``).  The mask is a constant: gradients
+of masked weights are gated element-wise, so dead connections receive
+exactly zero gradient.
 
 All accumulations run in a fixed order (window offset ``-n .. n``, tape
 order reversed), so repeated runs are bit-identical.
@@ -188,17 +200,17 @@ def effective_weights(layer: ClnnLayer) -> np.ndarray:
 class ClnnRecord:
     name: str
     layer: ClnnLayer
-    inputs: np.ndarray      # (t, l)
+    inputs: np.ndarray      # ([B,] t, l)
     effective: np.ndarray   # (2n+1, l, e) as used in the pass
-    pre: np.ndarray         # (t - 2n, e)
-    outputs: np.ndarray     # (t - 2n, e)
+    pre: np.ndarray         # ([B,] t - 2n, e)
+    outputs: np.ndarray     # ([B,] t - 2n, e)
 
 
 @dataclass
 class PoolRecord:
     name: str
-    inputs: np.ndarray      # (k, e)
-    outputs: np.ndarray     # (e,)
+    inputs: np.ndarray      # ([B,] k, e)
+    outputs: np.ndarray     # ([B,] e)
 
 
 @dataclass
@@ -207,19 +219,12 @@ class DenseRecord:
     weights: np.ndarray
     bias: np.ndarray
     activation: Activation
-    inputs: np.ndarray      # (in,)
-    pre: np.ndarray         # (out,)
-    outputs: np.ndarray     # (out,)
+    inputs: np.ndarray      # ([B,] in)
+    pre: np.ndarray         # ([B,] out)
+    outputs: np.ndarray     # ([B,] out)
 
 
-@dataclass
-class SoftmaxRecord:
-    name: str
-    inputs: np.ndarray
-    outputs: np.ndarray
-
-
-TapeRecord = ClnnRecord | PoolRecord | DenseRecord | SoftmaxRecord
+TapeRecord = ClnnRecord | PoolRecord | DenseRecord
 
 
 class ActivationTape:
@@ -231,42 +236,25 @@ class ActivationTape:
     def append(self, record: TapeRecord) -> None:
         self.records.append(record)
 
-    def replay(self) -> None:
-        """Recompute every record from its cached inputs.
-
-        Raises :class:`ContractError` if any recomputed output differs from
-        the recorded one in a single bit.
-        """
-        for rec in self.records:
-            fresh = _recompute(rec)
-            if not np.array_equal(fresh, rec.outputs):
-                raise ContractError(f"tape record {rec.name!r} does not replay bit-identically")
-
-
-def _recompute(rec: TapeRecord) -> np.ndarray:
-    if isinstance(rec, ClnnRecord):
-        pre = _block_pre(rec.effective, rec.layer.bias, rec.inputs, rec.layer.order)
-        return rec.layer.activation.apply(pre)
-    if isinstance(rec, PoolRecord):
-        return rec.inputs.mean(axis=0)
-    if isinstance(rec, DenseRecord):
-        return rec.activation.apply(rec.inputs @ rec.weights + rec.bias)
-    if isinstance(rec, SoftmaxRecord):
-        return softmax(rec.inputs)
-    raise ContractError(f"unknown tape record type {type(rec).__name__}")
-
 
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------
 
 
+def _window_rows(block: np.ndarray, d: int, t_out: int) -> np.ndarray:
+    """Frames ``d .. d + t_out - 1`` of every segment in a ``(B, t, l)`` block,
+    as one ``(B * t_out, l)`` matrix (a copy unless ``B == 1``)."""
+    return block[:, d : d + t_out].reshape(-1, block.shape[2])
+
+
 def _block_pre(effective: np.ndarray, bias: np.ndarray, block: np.ndarray, order: int) -> np.ndarray:
-    t_out = block.shape[0] - 2 * order
-    pre = np.tile(bias, (t_out, 1))
+    b, t, _ = block.shape
+    t_out = t - 2 * order
+    pre = np.tile(bias, (b * t_out, 1))
     for d in range(2 * order + 1):
-        pre += block[d : d + t_out] @ effective[d]
-    return pre
+        pre += _window_rows(block, d, t_out) @ effective[d]
+    return pre.reshape(b, t_out, -1)
 
 
 def block_forward(
@@ -279,23 +267,26 @@ def block_forward(
 
     Args:
         layer: the conditional layer.
-        block: ``(t, l)`` array of consecutive frames, ``t >= 2*order + 1``.
+        block: ``(t, l)`` array of consecutive frames, or a ``(B, t, l)``
+            batch of such blocks; ``t >= 2*order + 1``.
         tape: optional tape to record the pass on.
         name: record name used to key this layer's gradients.
 
     Returns:
-        ``(t - 2*order, e)`` array; output frame ``i`` is the window
+        ``([B,] t - 2*order, e)`` array; output frame ``i`` is the window
         response for input frames ``[i, i + 2*order]``.
     """
     block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 2 or block.shape[1] != layer.input_width:
+    if block.ndim not in (2, 3) or block.shape[-1] != layer.input_width:
         raise ShapeError.mismatch(
-            "block frames", ("t", layer.input_width), block.shape
+            "block frames", ("[B,] t", layer.input_width), block.shape
         )
-    if block.shape[0] < 2 * layer.order + 1:
-        raise InsufficientFramesError(layer.order, block.shape[0])
+    if block.shape[-2] < 2 * layer.order + 1:
+        raise InsufficientFramesError(layer.order, block.shape[-2])
     z = effective_weights(layer)
-    pre = _block_pre(z, layer.bias, block, layer.order)
+    pre = _block_pre(z, layer.bias, block.reshape(-1, *block.shape[-2:]), layer.order)
+    if block.ndim == 2:
+        pre = pre[0]
     out = layer.activation.apply(pre)
     if tape is not None:
         tape.append(ClnnRecord(name, layer, block, z, pre, out))
@@ -317,11 +308,13 @@ def global_mean_pool(
     tape: ActivationTape | None = None,
     name: str = "pool",
 ) -> np.ndarray:
-    """Per-dimension mean across the temporal axis."""
+    """Per-dimension mean across the temporal axis of a ``([B,] k, e)`` block."""
     block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 2 or block.shape[0] < 1:
-        raise ContractError(f"global_mean_pool needs a non-empty (k, e) block, got shape {block.shape}")
-    out = block.mean(axis=0)
+    if block.ndim not in (2, 3) or block.shape[-2] < 1:
+        raise ContractError(
+            f"global_mean_pool needs a non-empty ([B,] k, e) block, got shape {block.shape}"
+        )
+    out = block.mean(axis=-2)
     if tape is not None:
         tape.append(PoolRecord(name, block, out))
     return out
@@ -335,11 +328,11 @@ def dense_forward(
     tape: ActivationTape | None = None,
     name: str = "dense",
 ) -> np.ndarray:
-    """``f(x @ weights + bias)`` for a single vector ``x``."""
+    """``f(x @ weights + bias)`` for a vector ``x`` or a ``(B, in)`` batch of them."""
     x = np.asarray(x, dtype=np.float64)
     activation = activation if activation is not None else LinearActivation()
-    if x.shape != (weights.shape[0],):
-        raise ShapeError.mismatch("dense input", (weights.shape[0],), x.shape)
+    if x.ndim not in (1, 2) or x.shape[-1] != weights.shape[0]:
+        raise ShapeError.mismatch("dense input", ("[B,]", weights.shape[0]), x.shape)
     if bias.shape != (weights.shape[1],):
         raise ShapeError.mismatch("dense bias", (weights.shape[1],), bias.shape)
     pre = x @ weights + bias
@@ -349,20 +342,13 @@ def dense_forward(
     return out
 
 
-def softmax(
-    x: np.ndarray,
-    tape: ActivationTape | None = None,
-    name: str = "softmax",
-) -> np.ndarray:
-    """Probability vector via max-subtracted exponentials."""
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Probabilities along the last axis via max-subtracted exponentials."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ContractError("softmax input must be non-empty")
-    shifted = np.exp(x - x.max())
-    out = shifted / shifted.sum()
-    if tape is not None:
-        tape.append(SoftmaxRecord(name, x, out))
-    return out
+    shifted = np.exp(x - x.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -374,54 +360,58 @@ def backward(tape: ActivationTape, loss_gradient: np.ndarray) -> dict[str, np.nd
     """Reverse-mode gradients for every parameter recorded on the tape.
 
     Args:
-        tape: a completed forward pass.
+        tape: a completed forward pass, batched or not.
         loss_gradient: gradient of the loss with respect to the output of
-            the tape's final record.
+            the tape's final record, shaped like that output.
 
     Returns:
         dict mapping ``"<record name>.<weights|bias|slopes>"`` to gradient
-        arrays shaped like the parameters.  Masked weight gradients are
-        gated by the mask, so masked-out entries are exactly zero.
+        arrays shaped like the parameters, summed over the batch.  Masked
+        weight gradients are gated by the mask, so masked-out entries are
+        exactly zero.  The gradient with respect to the first record's
+        input is never needed, so it is not computed.
     """
     if not tape.records:
         raise ContractError("backward needs a tape with at least one record")
     grads: dict[str, np.ndarray] = {}
     g = np.asarray(loss_gradient, dtype=np.float64)
-    for rec in reversed(tape.records):
+    for index in range(len(tape.records) - 1, -1, -1):
+        rec = tape.records[index]
         if g.shape != rec.outputs.shape:
             raise ShapeError.mismatch(
                 f"gradient flowing into record {rec.name!r}", rec.outputs.shape, g.shape
             )
-        if isinstance(rec, SoftmaxRecord):
-            p = rec.outputs
-            g = p * (g - np.dot(g, p))
-        elif isinstance(rec, DenseRecord):
+        if isinstance(rec, DenseRecord):
             dpre = g * rec.activation.derivative(rec.pre)
-            grads[f"{rec.name}.weights"] = np.outer(rec.inputs, dpre)
-            grads[f"{rec.name}.bias"] = dpre
+            rows = dpre.reshape(-1, dpre.shape[-1])
+            grads[f"{rec.name}.weights"] = rec.inputs.reshape(-1, rec.inputs.shape[-1]).T @ rows
+            grads[f"{rec.name}.bias"] = rows.sum(axis=0)
             if isinstance(rec.activation, PRelu):
                 grads[f"{rec.name}.slopes"] = rec.activation.slope_gradient(rec.pre, g)
-            g = dpre @ rec.weights.T
+            if index:
+                g = dpre @ rec.weights.T
         elif isinstance(rec, PoolRecord):
-            k = rec.inputs.shape[0]
-            g = np.tile(g / k, (k, 1))
+            k = rec.inputs.shape[-2]
+            g = np.repeat(np.expand_dims(g / k, -2), k, axis=-2)
         elif isinstance(rec, ClnnRecord):
             layer = rec.layer
-            n = layer.order
-            t_out = rec.pre.shape[0]
-            dpre = g * layer.activation.derivative(rec.pre)
+            x = rec.inputs.reshape(-1, *rec.inputs.shape[-2:])
+            t_out = rec.pre.shape[-2]
+            dpre = (g * layer.activation.derivative(rec.pre)).reshape(-1, layer.output_width)
             dw = np.empty_like(layer.weights)
-            dx = np.zeros_like(rec.inputs)
-            for d in range(2 * n + 1):
-                dw[d] = rec.inputs[d : d + t_out].T @ dpre
-                dx[d : d + t_out] += dpre @ rec.effective[d].T
+            for d in range(2 * layer.order + 1):
+                dw[d] = _window_rows(x, d, t_out).T @ dpre
             if layer.mask is not None:
                 dw *= layer.mask.entries
             grads[f"{rec.name}.weights"] = dw
             grads[f"{rec.name}.bias"] = dpre.sum(axis=0)
             if isinstance(layer.activation, PRelu):
                 grads[f"{rec.name}.slopes"] = layer.activation.slope_gradient(rec.pre, g)
-            g = dx
+            if index:
+                dx = np.zeros_like(x)
+                for d in range(2 * layer.order + 1):
+                    dx[:, d : d + t_out] += (dpre @ rec.effective[d].T).reshape(x.shape[0], t_out, -1)
+                g = dx.reshape(rec.inputs.shape)
         else:
             raise ContractError(f"unknown tape record type {type(rec).__name__}")
     return grads

@@ -2,9 +2,11 @@
 
 A model is a stack of conditional layers (each trading 2n frames for
 temporal context), a global mean pool over the k surviving frames, one
-dense hidden layer, and a softmax output.  Masks are derived from the
-spec, never stored: a model file round-trips parameters bit-exactly and
-regenerates masks on load.
+dense hidden layer, and a softmax output.  The forward pass runs a whole
+``(B, q, l)`` batch of segments through every layer at once; one segment
+is a batch of one.  Masks are derived from the spec, never stored: a
+model file round-trips parameters bit-exactly and regenerates masks on
+load.
 """
 
 from __future__ import annotations
@@ -261,15 +263,21 @@ def build_model(spec: ModelSpec, seed: int, labels: tuple[str, ...] | None = Non
     )
 
 
-def model_forward_tape(model: TrainedModel, segment: np.ndarray) -> tuple[np.ndarray, ActivationTape]:
-    """Forward pass recording every step for the backward walk."""
-    segment = np.asarray(segment, dtype=np.float64)
-    q = segment_size(model.spec)
-    expected = (q, model.spec.feature_length)
-    if segment.shape != expected:
-        raise ContractError(f"segment shape {segment.shape}, model expects {expected}")
+def model_forward_tape(model: TrainedModel, segments: np.ndarray) -> tuple[np.ndarray, ActivationTape]:
+    """Forward pass over a ``(B, q, l)`` batch of segments, recorded for ``backward``.
+
+    Returns the ``(B, c)`` class probabilities and the tape.  The tape ends
+    at the output layer's logits, so ``backward`` starts from the loss
+    gradient with respect to the logits; softmax is not on it.
+    """
+    segments = np.asarray(segments, dtype=np.float64)
+    expected = (segment_size(model.spec), model.spec.feature_length)
+    if segments.ndim != 3 or segments.shape[0] < 1 or segments.shape[1:] != expected:
+        raise ContractError(
+            f"segment batch shape {segments.shape}, model expects (B, {expected[0]}, {expected[1]})"
+        )
     tape = ActivationTape()
-    block = segment
+    block = segments
     for i, layer in enumerate(model.clnn_layers):
         block = block_forward(layer, block, tape=tape, name=f"clnn{i}")
     pooled = global_mean_pool(block, tape=tape, name="pool")
@@ -281,14 +289,13 @@ def model_forward_tape(model: TrainedModel, segment: np.ndarray) -> tuple[np.nda
         hidden, model.output.weights, model.output.bias,
         activation=None, tape=tape, name="output",
     )
-    probs = softmax(logits, tape=tape, name="softmax")
-    return probs, tape
+    return softmax(logits), tape
 
 
 def model_forward(model: TrainedModel, segment: np.ndarray) -> np.ndarray:
-    """Class probabilities for one q x l segment."""
-    probs, _ = model_forward_tape(model, segment)
-    return probs
+    """Class probabilities for one q x l segment, run as a batch of one."""
+    probs, _ = model_forward_tape(model, np.asarray(segment)[None])
+    return probs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,26 +3,32 @@
 The optimizer is deliberately plain: mini-batch gradient descent with
 optional classical momentum, a fixed shuffle per epoch from one seeded
 generator, and validation-loss early stopping that snapshots the best
-parameters.  Every reduction runs in a fixed order, so a (seed, config,
-data) triple maps to bit-identical parameters and reports.
+parameters.  Each mini-batch is one batched forward and one ``backward``
+from the mean cross-entropy's logit gradient; validation runs in chunks of
+``batch_size`` segments and a clip's segments run in chunks of
+:data:`PREDICT_CHUNK`.  Every reduction runs in a fixed order, so a (seed,
+config, data) triple maps to bit-identical parameters and reports.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import Segment
 from .errors import ContractError, TrainingDivergedError, ValidationError
-from .layers import backward
+from .layers import ClnnRecord, PoolRecord, backward
 from .model import TrainedModel, model_forward, model_forward_tape
 
 logger = logging.getLogger(__name__)
 
 LOSS_EPS = 1e-12
+# Most segments one inference forward takes at a time; bounds the memory a
+# long clip's forward holds.
+PREDICT_CHUNK = 64
 
 __all__ = [
     "TrainConfig",
@@ -138,23 +144,51 @@ class RunReport:
         ) + "\n"
 
 
-def cross_entropy(pred: np.ndarray, target: int) -> float:
-    """-log p[target], with p floored at 1e-12."""
-    pred = np.asarray(pred, dtype=np.float64)
-    if not 0 <= target < pred.shape[0]:
-        raise ValidationError(f"target {target} out of range for {pred.shape[0]} classes")
-    return float(-np.log(max(pred[target], LOSS_EPS)))
+def _targets(pred: np.ndarray, target) -> np.ndarray:
+    """``target`` as an integer array with one class id per row of ``pred``."""
+    target = np.asarray(target)
+    c = pred.shape[-1]
+    if (
+        target.shape != pred.shape[:-1]
+        or not np.issubdtype(target.dtype, np.integer)
+        or np.any((target < 0) | (target >= c))
+    ):
+        raise ValidationError(
+            f"target {target.tolist()!r} is not one class id in [0, {c}) per row of "
+            f"predictions shaped {pred.shape}"
+        )
+    return target
 
 
-def cross_entropy_grad(pred: np.ndarray, target: int) -> np.ndarray:
-    """d loss / d pred for the clamped cross-entropy."""
+def cross_entropy(pred: np.ndarray, target) -> float | np.ndarray:
+    """-log p[target], with p floored at 1e-12.
+
+    ``pred`` is one probability vector and ``target`` an int, giving a
+    float; or ``pred`` is a ``(B, c)`` batch and ``target`` holds B class
+    ids, giving the B per-segment losses.
+    """
     pred = np.asarray(pred, dtype=np.float64)
-    if not 0 <= target < pred.shape[0]:
-        raise ValidationError(f"target {target} out of range for {pred.shape[0]} classes")
-    grad = np.zeros_like(pred)
-    if pred[target] > LOSS_EPS:
-        grad[target] = -1.0 / pred[target]
-    return grad
+    target = _targets(pred, target)
+    picked = np.take_along_axis(pred, target[..., None], axis=-1)[..., 0]
+    losses = -np.log(np.maximum(picked, LOSS_EPS))
+    return float(losses) if pred.ndim == 1 else losses
+
+
+def cross_entropy_grad(pred: np.ndarray, target) -> np.ndarray:
+    """Gradient of the mean cross-entropy with respect to the logits.
+
+    With ``pred = softmax(logits)`` over a ``(B, c)`` batch (or one
+    vector, B = 1), the gradient of ``mean(-log pred[b, target[b]])`` is
+    ``(pred - onehot(target)) / B``.  Softmax and the logarithm cancel, so
+    it stays finite and non-zero even when ``pred[target]`` underflows;
+    the 1e-12 floor of :func:`cross_entropy` only bounds the reported loss.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    target = _targets(pred, target)
+    grad = pred.copy()
+    rows = grad.reshape(-1, grad.shape[-1])
+    rows[np.arange(rows.shape[0]), target.reshape(-1)] -= 1.0
+    return grad / rows.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +196,20 @@ def cross_entropy_grad(pred: np.ndarray, target: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _segment_loss_and_grads(model: TrainedModel, segment: Segment):
-    probs, tape = model_forward_tape(model, segment.frames)
-    loss = cross_entropy(probs, segment.label)
-    grads = backward(tape, cross_entropy_grad(probs, segment.label))
-    correct = int(np.argmax(probs)) == segment.label
-    return loss, grads, correct
+def _stack(segments: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
+    """Frames as one ``(B, q, l)`` batch and labels as a length-B array."""
+    frames = np.stack([s.frames for s in segments])
+    return frames, np.array([s.label for s in segments], dtype=np.int64)
 
 
-def _dataset_loss(model: TrainedModel, segments: list[Segment]) -> tuple[float, float]:
+def _dataset_loss(model: TrainedModel, segments: list[Segment], batch_size: int) -> tuple[float, float]:
     """Mean segment loss and segment-level accuracy (no gradients)."""
     total, correct = 0.0, 0
-    for segment in segments:
-        probs = model_forward(model, segment.frames)
-        total += cross_entropy(probs, segment.label)
-        correct += int(np.argmax(probs)) == segment.label
+    for start in range(0, len(segments), batch_size):
+        frames, targets = _stack(segments[start : start + batch_size])
+        probs = model_forward_tape(model, frames)[0]
+        total += float(cross_entropy(probs, targets).sum())
+        correct += int(np.count_nonzero(np.argmax(probs, axis=1) == targets))
     n = len(segments)
     return total / n, correct / n
 
@@ -191,7 +224,9 @@ def train(
 
     The model is updated in place and also returned.  With a validation
     set, the parameters restored at the end are the best-validation-loss
-    snapshot, never anything worse.
+    snapshot, never anything worse.  The first mini-batch whose loss is
+    not finite raises :class:`TrainingDivergedError` naming its epoch and
+    batch (both counted from 1), before any update from it.
     """
     if not train_segments:
         raise ValidationError("training split is empty")
@@ -210,32 +245,33 @@ def train(
     for epoch in range(1, config.epochs + 1):
         rng.shuffle(order)
         epoch_loss, epoch_correct = 0.0, 0
-        for batch_start in range(0, len(order), config.batch_size):
+        for batch_index, batch_start in enumerate(range(0, len(order), config.batch_size), 1):
             batch = order[batch_start : batch_start + config.batch_size]
-            sums: dict[str, np.ndarray] = {k: np.zeros_like(v) for k, v in params.items()}
-            for idx in batch:
-                loss, grads, correct = _segment_loss_and_grads(model, train_segments[idx])
-                epoch_loss += loss
-                epoch_correct += correct
-                for key in sums:
-                    sums[key] += grads[key]
-            scale = 1.0 / len(batch)
+            frames, targets = _stack([train_segments[i] for i in batch])
+            probs, tape = model_forward_tape(model, frames)
+            batch_loss = float(cross_entropy(probs, targets).sum())
+            if not np.isfinite(batch_loss):
+                raise TrainingDivergedError(
+                    epoch=epoch, loss=batch_loss / len(batch), batch=batch_index
+                )
+            epoch_loss += batch_loss
+            epoch_correct += int(np.count_nonzero(np.argmax(probs, axis=1) == targets))
+            grads = backward(tape, cross_entropy_grad(probs, targets))
             for key in params:
-                grad = sums[key] * scale
                 if config.optimizer == "momentum":
                     velocity[key] *= config.momentum
-                    velocity[key] -= config.learning_rate * grad
+                    velocity[key] -= config.learning_rate * grads[key]
                     params[key] += velocity[key]
                 else:
-                    params[key] -= config.learning_rate * grad
+                    params[key] -= config.learning_rate * grads[key]
+            # free this batch's activations before the next forward allocates its own
+            del frames, tape, grads
         train_loss = epoch_loss / len(train_segments)
         train_acc = epoch_correct / len(train_segments)
-        if not np.isfinite(train_loss):
-            raise TrainingDivergedError(epoch=epoch, loss=train_loss)
 
         val_loss = val_acc = None
         if validation_segments:
-            val_loss, val_acc = _dataset_loss(model, validation_segments)
+            val_loss, val_acc = _dataset_loss(model, validation_segments, config.batch_size)
             if not np.isfinite(val_loss):
                 raise TrainingDivergedError(epoch=epoch, loss=val_loss)
         report.epochs.append(EpochStats(epoch, train_loss, train_acc, val_loss, val_acc))
@@ -270,7 +306,8 @@ def predict_clip(model: TrainedModel, segments: list[Segment]) -> tuple[int, np.
 
     Ties go to the higher mean probability across the clip's segments,
     then to the lower class id.  Segments are processed in a canonical
-    order, so the result is invariant to how the list is arranged.
+    order, in batched forwards of at most :data:`PREDICT_CHUNK` segments,
+    so the result is invariant to how the list is arranged.
     """
     if not segments:
         raise ContractError("predict_clip needs at least one segment")
@@ -278,13 +315,12 @@ def predict_clip(model: TrainedModel, segments: list[Segment]) -> tuple[int, np.
     if len(clip_ids) != 1:
         raise ContractError(f"segments from multiple clips passed together: {sorted(clip_ids)}")
     ordered = sorted(segments, key=lambda s: s.start)
-    votes = np.zeros(model.spec.class_count, dtype=np.int64)
-    prob_sum = np.zeros(model.spec.class_count)
-    for segment in ordered:
-        probs = model_forward(model, segment.frames)
-        votes[int(np.argmax(probs))] += 1
-        prob_sum += probs
-    mean_probs = prob_sum / len(ordered)
+    probs = np.concatenate([
+        model_forward_tape(model, _stack(ordered[start : start + PREDICT_CHUNK])[0])[0]
+        for start in range(0, len(ordered), PREDICT_CHUNK)
+    ])
+    votes = np.bincount(np.argmax(probs, axis=1), minlength=model.spec.class_count)
+    mean_probs = probs.sum(axis=0) / len(ordered)
     top = votes.max()
     tied = np.flatnonzero(votes == top)
     if tied.size == 1:
@@ -326,8 +362,8 @@ def evaluate(
     correct = 0
     for clip_id in sorted(labels_by_clip):
         truth = labels_by_clip[clip_id]
-        if not 0 <= truth < c:
-            raise ValidationError(f"clip {clip_id!r} label {truth} out of range for {c} classes")
+        if not isinstance(truth, (int, np.integer)) or not 0 <= truth < c:
+            raise ValidationError(f"clip {clip_id!r} label {truth!r} is not a class id in [0, {c})")
         segments = segments_by_clip[clip_id]
         if not segments:
             logger.warning("clip %r has no segments; counted as an error", clip_id)
@@ -385,18 +421,13 @@ def _nudge_kinks(model: TrainedModel, segment: np.ndarray) -> np.ndarray:
     segment[segment == 0.0] += 1e-7
     offsets = _KINK_MARGIN * np.array([3.0, -3.0, 7.0, -7.0, 13.0, -13.0])
     for _ in range(8):
-        _, tape = model_forward_tape(model, segment)
+        _, tape = model_forward_tape(model, segment[None])
         moved = False
         for record in tape.records:
-            pre = getattr(record, "pre", None)
-            bias = getattr(record.layer, "bias", None) if hasattr(record, "layer") else None
-            if pre is None:
+            if isinstance(record, PoolRecord):
                 continue
-            if bias is None:
-                bias = record.bias if hasattr(record, "bias") else None
-            if bias is None:
-                continue
-            pre2d = pre if pre.ndim == 2 else pre[None, :]
+            bias = record.layer.bias if isinstance(record, ClnnRecord) else record.bias
+            pre2d = record.pre.reshape(-1, record.pre.shape[-1])
             for j in range(pre2d.shape[1]):
                 column = pre2d[:, j]
                 if np.min(np.abs(column)) >= _KINK_MARGIN:
@@ -424,6 +455,9 @@ def grad_check(
 ) -> GradCheckReport:
     """Central-difference check of every parameter tensor.
 
+    The analytic side is the path training runs: one batched forward and
+    ``backward`` from :func:`cross_entropy_grad` at the logits.
+
     Works on a deep copy of the parameters, so the passed model is left
     untouched.  Relative error per entry is |a - n| / max(|a|, |n|, 1e-3);
     the floor keeps finite-difference noise on near-zero gradients from
@@ -432,8 +466,8 @@ def grad_check(
     snapshot = model.copy_parameters()
     try:
         segment = _nudge_kinks(model, np.asarray(segment, dtype=np.float64))
-        probs, tape = model_forward_tape(model, segment)
-        analytic = backward(tape, cross_entropy_grad(probs, target))
+        probs, tape = model_forward_tape(model, segment[None])
+        analytic = backward(tape, cross_entropy_grad(probs, [target]))
 
         params = model.parameters()
         per_tensor: dict[str, float] = {}

@@ -275,6 +275,21 @@ class TestTrainEvalPredict:
         assert rc == EXIT_IO
         assert "error:" in capsys.readouterr().err
 
+    def test_eval_unlabeled_short_clip_is_data_error(self, workspace, tmp_path, capsys):
+        from mclnn.features import FeatureMatrix, save_features
+
+        featdir = tmp_path / "features"
+        featdir.mkdir()
+        # fewer frames than the segment size (11), and no label
+        save_features(FeatureMatrix(frames=np.ones((5, 8)), clip_id="mystery__clip0"),
+                      featdir / "mystery__clip0.mclf")
+        plan = tmp_path / "plan.txt"
+        plan.write_text("mystery__clip0\ttest\n")
+        rc = main(["eval", "--model", str(workspace / "run" / "model.mcln"),
+                   "--plan", str(plan), "--features", str(featdir)])
+        assert rc == EXIT_DATA
+        assert "mystery__clip0" in capsys.readouterr().err
+
     def test_predict_labels_clips(self, workspace, capsys):
         rc = main(["predict", "--model", str(workspace / "run" / "model.mcln"),
                    str(workspace / "features" / "drums__clip5.mclf"),

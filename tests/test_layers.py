@@ -181,6 +181,54 @@ class TestBlockForward:
             block_forward(layer, np.zeros((5, 4)))
 
 
+class TestBatchAxis:
+    """A leading batch axis gives the rows the unbatched calls give."""
+
+    def test_block_forward_rows(self):
+        rng = np.random.default_rng(25)
+        mask = generate_mask(MaskSpec(feature_length=6, hidden_width=5, bandwidth=3, overlap=1))
+        layer = random_clnn_layer(rng, l=6, e=5, n=2, mask=mask, activation=PRelu(np.full(5, 0.2)))
+        blocks = rng.standard_normal((3, 9, 6))
+        out = block_forward(layer, blocks)
+        assert out.shape == (3, 5, 5)
+        for row, block in zip(out, blocks):
+            assert_allclose(row, block_forward(layer, block), rtol=0, atol=1e-12)
+
+    def test_pool_dense_softmax_rows(self):
+        rng = np.random.default_rng(26)
+        blocks = rng.standard_normal((4, 3, 5))
+        w, b = rng.standard_normal((5, 2)), rng.standard_normal(2)
+        pooled = global_mean_pool(blocks)
+        logits = dense_forward(pooled, w, b)
+        probs = softmax(logits)
+        for i, block in enumerate(blocks):
+            assert_array_equal(pooled[i], global_mean_pool(block))
+            assert_allclose(logits[i], dense_forward(pooled[i], w, b), rtol=0, atol=1e-12)
+            assert_allclose(probs[i], softmax(logits[i]), rtol=0, atol=1e-15)
+
+    def test_backward_sums_per_item_gradients(self):
+        rng = np.random.default_rng(27)
+        mask = generate_mask(MaskSpec(feature_length=5, hidden_width=4, bandwidth=2, overlap=0))
+        layer1 = random_clnn_layer(rng, l=5, e=4, n=1, mask=mask, activation=PRelu(np.full(4, 0.25)))
+        layer2 = random_clnn_layer(rng, l=4, e=3, n=1, activation=Sigmoid())
+        w, b = rng.standard_normal((3, 2)), rng.standard_normal(2)
+
+        def gradients(blocks, upstream):
+            tape = ActivationTape()
+            h = block_forward(layer1, blocks, tape=tape, name="clnn0")
+            h = block_forward(layer2, h, tape=tape, name="clnn1")
+            h = global_mean_pool(h, tape=tape)
+            dense_forward(h, w, b, tape=tape, name="out")
+            return backward(tape, upstream)
+
+        blocks, upstream = rng.standard_normal((3, 7, 5)), rng.standard_normal((3, 2))
+        batched = gradients(blocks, upstream)
+        singles = [gradients(blocks[i], upstream[i]) for i in range(3)]
+        for key, grad in batched.items():
+            assert_allclose(grad, sum(s[key] for s in singles), rtol=0, atol=1e-12, err_msg=key)
+        assert_array_equal(batched["clnn0.weights"][:, mask.entries == 0.0], 0.0)
+
+
 @settings(derandomize=True, max_examples=60)
 @given(n=st.integers(0, 5), extra=st.integers(0, 29), l=st.integers(1, 6), e=st.integers(1, 6))
 def test_shrinkage_law(n, extra, l, e):
@@ -271,34 +319,6 @@ class TestSoftmax:
             softmax(np.array([]))
 
 
-class TestTape:
-    def _run_stack(self, rng):
-        tape = ActivationTape()
-        layer1 = random_clnn_layer(
-            rng, l=5, e=4, n=1, activation=PRelu(slopes=np.full(4, 0.25)),
-            mask=generate_mask(MaskSpec(feature_length=5, hidden_width=4, bandwidth=2, overlap=0)),
-        )
-        layer2 = random_clnn_layer(rng, l=4, e=3, n=1, activation=Sigmoid())
-        block = rng.standard_normal((7, 5))
-        h = block_forward(layer1, block, tape=tape, name="clnn0")
-        h = block_forward(layer2, h, tape=tape, name="clnn1")
-        pooled = global_mean_pool(h, tape=tape)
-        w, b = rng.standard_normal((3, 2)), rng.standard_normal(2)
-        logits = dense_forward(pooled, w, b, tape=tape, name="output")
-        probs = softmax(logits, tape=tape)
-        return tape, probs
-
-    def test_replay_is_bit_identical(self):
-        tape, _ = self._run_stack(np.random.default_rng(15))
-        tape.replay()  # raises on any single-bit difference
-
-    def test_replay_detects_tampering(self):
-        tape, _ = self._run_stack(np.random.default_rng(16))
-        tape.records[1].outputs[0, 0] += 1e-9
-        with pytest.raises(ContractError, match="clnn1"):
-            tape.replay()
-
-
 class TestBackward:
     def test_zero_loss_gradient_zeroes_everything(self):
         rng = np.random.default_rng(17)
@@ -341,19 +361,18 @@ class TestBackward:
         block = rng.standard_normal((7, 4))
         target = 1
 
-        def run(tape=None):
+        def logits(tape=None):
             h = block_forward(layer1, block, tape=tape, name="clnn0")
             h = block_forward(layer2, h, tape=tape, name="clnn1")
             pooled = global_mean_pool(h, tape=tape)
-            probs = softmax(dense_forward(pooled, dense_w, dense_b, tape=tape, name="out"), tape=tape)
-            return -np.log(probs[target])
+            return dense_forward(pooled, dense_w, dense_b, tape=tape, name="out")
 
+        def run():
+            return -np.log(softmax(logits())[target])
+
+        # the tape ends at the logits; d(-log softmax)/d logits = p - onehot
         tape = ActivationTape()
-        run(tape)
-        probs = tape.records[-1].outputs
-        lg = np.zeros(2)
-        lg[target] = -1.0 / probs[target]
-        grads = backward(tape, lg)
+        grads = backward(tape, softmax(logits(tape)) - np.eye(2)[target])
 
         step = 1e-6
         tensors = {

@@ -24,6 +24,7 @@ from mclnn.model import (
     frame_plan,
     load_model,
     model_forward,
+    model_forward_tape,
     save_model,
     segment_size,
 )
@@ -213,11 +214,24 @@ class TestModelForward:
         expected = softmax(logits)
         assert_allclose(model_forward(small_model, segment), expected, rtol=0, atol=1e-12)
 
+    def test_batch_rows_equal_single_segment_forwards(self, small_model):
+        # small_spec has two masked layers; 7 is not a multiple of any chunk size
+        segments = np.random.default_rng(33).standard_normal((7, 11, 8))
+        batched, tape = model_forward_tape(small_model, segments)
+        assert batched.shape == (7, 4)
+        assert tape.records[-1].outputs.shape == (7, 4)  # the tape ends at the logits
+        for row, segment in zip(batched, segments):
+            assert_allclose(row, model_forward(small_model, segment), rtol=0, atol=1e-12)
+
     def test_wrong_segment_shape_is_contract_error(self, small_model):
         with pytest.raises(ContractError, match="segment"):
             model_forward(small_model, np.zeros((10, 8)))
         with pytest.raises(ContractError):
             model_forward(small_model, np.zeros((11, 9)))
+        with pytest.raises(ContractError, match="segment batch"):
+            model_forward_tape(small_model, np.zeros((11, 8)))
+        with pytest.raises(ContractError, match="segment batch"):
+            model_forward_tape(small_model, np.zeros((0, 11, 8)))
 
     def test_deterministic(self, small_model):
         segment = np.random.default_rng(32).standard_normal((11, 8))

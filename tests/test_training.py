@@ -13,7 +13,15 @@ from mclnn.errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from mclnn.model import LayerSpec, ModelSpec, build_model, model_forward, segment_size
+from mclnn.layers import backward, softmax
+from mclnn.model import (
+    LayerSpec,
+    ModelSpec,
+    build_model,
+    model_forward,
+    model_forward_tape,
+    segment_size,
+)
 from mclnn.training import (
     TrainConfig,
     cross_entropy,
@@ -84,15 +92,31 @@ class TestCrossEntropy:
         assert cross_entropy(np.array([0.0, 0.0, 1.0, 0.0]), 2) == 0.0
 
     def test_gradient_matches_finite_differences(self):
-        p = np.array([0.2, 0.5, 0.3])
-        g = cross_entropy_grad(p, 1)
+        # the gradient is taken with respect to the logits, through softmax
+        logits = np.array([0.3, -1.2, 0.8])
+        g = cross_entropy_grad(softmax(logits), 1)
         eps = 1e-7
         for j in range(3):
-            up, down = p.copy(), p.copy()
+            up, down = logits.copy(), logits.copy()
             up[j] += eps
             down[j] -= eps
-            numeric = (cross_entropy(up, 1) - cross_entropy(down, 1)) / (2 * eps)
+            numeric = (cross_entropy(softmax(up), 1) - cross_entropy(softmax(down), 1)) / (2 * eps)
             assert_allclose(g[j], numeric, rtol=1e-6, atol=1e-6)
+
+    def test_batch_gradient_rows_are_scaled_by_batch_size(self):
+        # the batch loss is the mean over rows, so row b's gradient is 1/B of its own
+        probs = softmax(np.random.default_rng(1).standard_normal((5, 3)))
+        targets = np.array([0, 2, 1, 1, 0])
+        rows = [cross_entropy_grad(p, t) for p, t in zip(probs, targets)]
+        assert_allclose(cross_entropy_grad(probs, targets), np.array(rows) / 5, rtol=0, atol=1e-15)
+        assert_array_equal(cross_entropy(probs, targets), [cross_entropy(p, t) for p, t in zip(probs, targets)])
+
+    def test_confidently_wrong_segment_still_gets_a_gradient(self):
+        p = softmax(np.array([0.0, 40.0, 0.0]))
+        assert p[0] < 1e-12
+        g = cross_entropy_grad(p, 0)
+        assert np.all(np.isfinite(g))
+        assert g[0] < -0.99 and g[1] > 0.99
 
 
 class TestTrain:
@@ -176,6 +200,50 @@ class TestTrain:
         assert len(report.epochs) == 1 + 4  # first epoch sets best, then patience runs out
         assert report.best_epoch == 1
 
+    def test_first_non_finite_batch_aborts_with_epoch_and_batch(self):
+        model = build_model(tiny_spec(), seed=0)
+        segments = tiny_segments(12)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError) as excinfo:
+                train(model, segments, TrainConfig(learning_rate=1e200, epochs=3, batch_size=2,
+                                                   seed=1, optimizer="sgd"))
+        error = excinfo.value
+        assert error.epoch == 1
+        assert 2 <= error.batch <= 6  # the first batch is finite; its update blows up a later one
+        assert f"epoch 1, batch {error.batch}" in str(error)
+        assert not np.isfinite(error.loss)
+
+    def test_batch_gradient_is_mean_of_per_segment_gradients(self, small_model):
+        rng = np.random.default_rng(40)
+        frames = rng.standard_normal((7, 11, 8))
+        targets = rng.integers(0, 4, size=7)
+        probs, tape = model_forward_tape(small_model, frames)
+        batched = backward(tape, cross_entropy_grad(probs, targets))
+        singles = []
+        for segment, target in zip(frames, targets):
+            p, t = model_forward_tape(small_model, segment[None])
+            singles.append(backward(t, cross_entropy_grad(p, [target])))
+        assert set(batched) == set(small_model.parameters())
+        for key, grad in batched.items():
+            mean = np.mean([g[key] for g in singles], axis=0)
+            assert_allclose(grad, mean, rtol=0, atol=1e-12, err_msg=key)
+        for i, layer in enumerate(small_model.clnn_layers):
+            dead = layer.mask.entries == 0.0
+            assert np.all(batched[f"clnn{i}.weights"][:, dead] == 0.0)
+
+    def test_validation_loss_in_chunks_matches_per_segment_loss(self, small_model):
+        rng = np.random.default_rng(41)
+        segments = [
+            Segment(frames=rng.standard_normal((11, 8)), label=i % 4, clip_id=f"c{i}", start=0)
+            for i in range(10)
+        ]
+        loss, accuracy = trn._dataset_loss(small_model, segments, batch_size=4)
+        probs = [model_forward(small_model, s.frames) for s in segments]
+        expected_loss = np.mean([cross_entropy(p, s.label) for p, s in zip(probs, segments)])
+        expected_accuracy = np.mean([np.argmax(p) == s.label for p, s in zip(probs, segments)])
+        assert_allclose(loss, expected_loss, rtol=0, atol=1e-12)
+        assert accuracy == expected_accuracy
+
     def test_masked_weights_stay_zero_through_training(self):
         model = build_model(tiny_spec(), seed=21)
         dead = model.clnn_layers[0].mask.entries == 0.0
@@ -210,12 +278,16 @@ class TestTrain:
 
 
 def constant_prediction(probs_by_clip):
-    """Patchable stand-in for model_forward keyed on the segment's content."""
+    """Patchable stand-in for the batched model_forward_tape.
 
-    def fake_forward(model, frames):
-        return np.asarray(probs_by_clip[frames[0, 0]])
+    Returns one probability row per segment of the batch, keyed on the
+    segment's first value, and no tape.
+    """
 
-    return fake_forward
+    def fake_forward_tape(model, segments):
+        return np.array([probs_by_clip[frames[0, 0]] for frames in segments], dtype=float), None
+
+    return fake_forward_tape
 
 
 class TestPredictClip:
@@ -229,7 +301,7 @@ class TestPredictClip:
 
     def test_unanimous_vote(self, small_model, monkeypatch):
         monkeypatch.setattr(
-            trn, "model_forward",
+            trn, "model_forward_tape",
             constant_prediction({1.0: [0.1, 0.2, 0.6, 0.1], 2.0: [0.0, 0.3, 0.5, 0.2]}),
         )
         segments = self._segments("c", [1.0, 2.0, 1.0])
@@ -238,14 +310,14 @@ class TestPredictClip:
         assert_allclose(mean_probs.sum(), 1.0, rtol=0, atol=1e-12)
 
     def test_single_segment_argmax(self, small_model, monkeypatch):
-        monkeypatch.setattr(trn, "model_forward", constant_prediction({5.0: [0.05, 0.9, 0.03, 0.02]}))
+        monkeypatch.setattr(trn, "model_forward_tape", constant_prediction({5.0: [0.05, 0.9, 0.03, 0.02]}))
         predicted, _ = predict_clip(small_model, self._segments("c", [5.0]))
         assert predicted == 1
 
     def test_tie_broken_by_mean_probability(self, small_model, monkeypatch):
         # two votes each for class 0 and class 1; class 0 has the higher mean
         monkeypatch.setattr(
-            trn, "model_forward",
+            trn, "model_forward_tape",
             constant_prediction({
                 1.0: [0.8, 0.1, 0.05, 0.05],
                 2.0: [0.7, 0.2, 0.05, 0.05],
@@ -259,7 +331,7 @@ class TestPredictClip:
 
     def test_full_tie_goes_to_lowest_class_id(self, small_model, monkeypatch):
         monkeypatch.setattr(
-            trn, "model_forward",
+            trn, "model_forward_tape",
             constant_prediction({
                 1.0: [0.6, 0.2, 0.1, 0.1],
                 2.0: [0.2, 0.6, 0.1, 0.1],
@@ -281,6 +353,21 @@ class TestPredictClip:
             predicted, mean_probs = predict_clip(small_model, shuffled)
             assert predicted == baseline[0]
             assert mean_probs.tobytes() == baseline[1].tobytes()
+
+    def test_chunked_clip_matches_per_segment_forward(self, small_model):
+        # more segments than one chunk holds, and not a multiple of it
+        rng = np.random.default_rng(51)
+        count = trn.PREDICT_CHUNK + 6
+        segments = [
+            Segment(frames=rng.standard_normal((11, 8)), label=0, clip_id="c", start=i)
+            for i in range(count)
+        ]
+        probs = np.array([model_forward(small_model, s.frames) for s in segments])
+        predicted, mean_probs = predict_clip(small_model, segments)
+        assert_allclose(mean_probs, probs.mean(axis=0), rtol=0, atol=1e-12)
+        votes = np.bincount(probs.argmax(axis=1), minlength=4)
+        tied = np.flatnonzero(votes == votes.max())
+        assert predicted == tied[np.argmax(probs.mean(axis=0)[tied])]
 
     def test_empty_and_mixed_clips_rejected(self, small_model):
         with pytest.raises(ContractError):
@@ -307,7 +394,7 @@ class TestEvaluate:
                 Segment(frames=frames, label=truth, clip_id=clip_id, start=0)
             ]
             labels[clip_id] = truth
-        monkeypatch.setattr(trn, "model_forward", constant_prediction(probs_by_marker))
+        monkeypatch.setattr(trn, "model_forward_tape", constant_prediction(probs_by_marker))
         return segments_by_clip, labels
 
     def test_perfect_predictor(self, small_model, monkeypatch):
@@ -376,6 +463,10 @@ class TestEvaluate:
             ]
         result = evaluate(small_model, segments, labels)
         assert_array_equal(result.confusion.sum(axis=1), np.full(4, 3))
+
+    def test_missing_label_is_validation_error(self, small_model):
+        with pytest.raises(ValidationError, match="not a class id"):
+            evaluate(small_model, {"short": []}, {"short": None})
 
     def test_mismatched_inputs_rejected(self, small_model):
         with pytest.raises(ContractError):
