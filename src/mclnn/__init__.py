@@ -41,7 +41,7 @@ from .layers import (
     block_forward,
     window_forward,
 )
-from .mask import BinaryMask, MaskSpec, apply_mask, generate_linear_indices, generate_mask
+from .mask import BinaryMask, MaskSpec, generate_linear_indices, generate_mask
 from .model import (
     PRESETS,
     LayerSpec,

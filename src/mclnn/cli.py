@@ -496,6 +496,20 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _normalized_for(model, fm):
+    """``fm`` under the model's statistics; pre-normalized input must have used them."""
+    if model.norm_stats is None:
+        return fm
+    if not fm.normalized:
+        return feat.apply_zscore(fm, model.norm_stats)
+    if fm.norm_id != model.norm_stats.stats_id:
+        raise ValidationError(
+            f"clip {fm.clip_id!r} was normalized with statistics {fm.norm_id!r}, "
+            f"the model with {model.norm_stats.stats_id!r}"
+        )
+    return fm
+
+
 def cmd_eval(args) -> int:
     model = mdl.load_model(args.model)
     all_features = _load_feature_dir(Path(args.features))
@@ -507,10 +521,7 @@ def cmd_eval(args) -> int:
     chosen = [fm for fm in all_features if fm.clip_id in clip_ids]
     if not chosen:
         raise ValidationError(f"no feature files for bucket {bucket!r} under {args.features}")
-    if model.norm_stats is not None:
-        chosen = [
-            fm if fm.normalized else feat.apply_zscore(fm, model.norm_stats) for fm in chosen
-        ]
+    chosen = [_normalized_for(model, fm) for fm in chosen]
     q = mdl.segment_size(model.spec)
     hop = args.hop or q
     by_clip = {fm.clip_id: ds.segment_clip(fm, q, hop) for fm in chosen}
@@ -536,9 +547,7 @@ def cmd_predict(args) -> int:
     hop = args.hop or q
     paths = [Path(p) for p in args.features_files]
     for path in paths:
-        fm = feat.load_features(path)
-        if model.norm_stats is not None and not fm.normalized:
-            fm = feat.apply_zscore(fm, model.norm_stats)
+        fm = _normalized_for(model, feat.load_features(path))
         if fm.label is None:
             fm = replace(fm, label=0)  # segmentation requires one; prediction ignores it
         segments = ds.segment_clip(fm, q, hop)

@@ -66,6 +66,8 @@ def read(path, magic: bytes, version: int, shapes_from_header) -> tuple[dict, li
     arrays = []
     offset = header_end
     for shape in shapes:
+        if any(d < 0 for d in shape):
+            raise HeaderMismatchError(f"{path}: declared shape {shape} has a negative dimension")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * 8
         if offset + nbytes > len(blob):

@@ -6,11 +6,11 @@ frame of a sliding window.  The output vector for a window is
     f(bias + sum_u  x[u] @ Z[u]),   u = -n .. n
 
 where ``x[u]`` is the frame at window offset ``u`` and ``Z[u]`` is the
-weight matrix for that offset, gated by the layer's binary mask when one
-is present.  Applied across a block of ``t`` frames the layer emits
-``t - 2n`` frames: output frame ``i`` summarizes input frames
-``[i, i + 2n]`` and sits at the window's middle position ``i + n``.
-That makes the layer a 1-D temporal convolution with kernel ``2n + 1``.
+weight matrix for that offset, zero wherever the layer's binary mask is
+0.  Applied across a block of ``t`` frames the layer emits ``t - 2n``
+frames: output frame ``i`` summarizes input frames ``[i, i + 2n]`` and
+sits at the window's middle position ``i + n``.  That makes the layer a
+1-D temporal convolution with kernel ``2n + 1``.
 
 Every forward function takes an optional leading batch axis: a
 conditional layer maps ``(B, t, l)`` to ``(B, t - 2n, e)``, the pool
@@ -21,12 +21,13 @@ it.  A batched conditional layer runs ``2n + 1`` GEMMs of shape
 mini-batch costs as many matrix products as one segment.
 
 Gradients come from walking an :class:`ActivationTape` backwards; the
-tape caches each step's inputs, effective weights and pre-activations.
-Weight gradients sum over the batch, so ``backward`` returns the gradient
-of whatever the loss gradient it starts from describes (a batch mean when
-it starts from ``(p - onehot) / B``).  The mask is a constant: gradients
-of masked weights are gated element-wise, so dead connections receive
-exactly zero gradient.
+tape caches each step's inputs and pre-activations.  Weight gradients sum
+over the batch, so ``backward`` returns the gradient of whatever the loss
+gradient it starts from describes (a batch mean when it starts from
+``(p - onehot) / B``).  A masked connection does not exist, so its weight
+is exactly zero: :func:`check_masked_weights` guards every way weights
+come in, ``backward`` gates masked gradients to keep them zero, and the
+forward uses the stored weights as they are.
 
 All accumulations run in a fixed order (window offset ``-n .. n``, tape
 order reversed), so repeated runs are bit-identical.
@@ -48,6 +49,7 @@ __all__ = [
     "ClnnLayer",
     "ActivationTape",
     "effective_weights",
+    "check_masked_weights",
     "window_forward",
     "block_forward",
     "global_mean_pool",
@@ -123,7 +125,7 @@ Activation = PRelu | Sigmoid | LinearActivation
 
 @dataclass
 class ClnnLayer:
-    """One conditional layer.
+    """One conditional layer; its weights are exactly zero wherever its mask is 0.
 
     Attributes:
         order: frames considered on each side of the window's middle frame.
@@ -131,7 +133,8 @@ class ClnnLayer:
             the matrix for window offset ``u = d - order``, so earlier
             frames pair with lower indices.
         bias: vector of length ``e``.
-        mask: optional ``l x e`` binary mask gating every weight matrix.
+        mask: optional ``l x e`` binary mask shared by every weight matrix;
+            construction rejects weights that are non-zero where it is 0.
         activation: :class:`PRelu`, :class:`Sigmoid` or
             :class:`LinearActivation`.
     """
@@ -155,6 +158,7 @@ class ClnnLayer:
             raise ShapeError.mismatch("bias", (w.shape[2],), self.bias.shape)
         if self.mask is not None and self.mask.entries.shape != w.shape[1:]:
             raise ShapeError.mismatch("layer mask", w.shape[1:], self.mask.entries.shape)
+        check_masked_weights(w, self.mask)
         if isinstance(self.activation, PRelu) and self.activation.slopes.shape != (w.shape[2],):
             raise ShapeError.mismatch(
                 "prelu slopes", (w.shape[2],), self.activation.slopes.shape
@@ -184,11 +188,21 @@ class DenseLayer:
             raise ShapeError.mismatch("dense bias", (self.weights.shape[1],), self.bias.shape)
 
 
+def check_masked_weights(weights: np.ndarray, mask: BinaryMask | None, what: str = "weights") -> None:
+    """Reject a ``(2n+1, l, e)`` tensor that is non-zero anywhere ``mask`` is 0."""
+    if mask is None:
+        return
+    dead = mask.entries == 0.0
+    # one matrix at a time: a whole-tensor gather would copy most of the weights
+    stray = sum(np.count_nonzero(matrix[dead]) for matrix in weights)
+    if stray:
+        raise ContractError(f"{what}: {stray} non-zero weight(s) where the mask is 0")
+
+
 def effective_weights(layer: ClnnLayer) -> np.ndarray:
-    """Weight tensor with the mask applied, or the raw tensor when unmasked."""
-    if layer.mask is None:
-        return layer.weights
-    return layer.weights * layer.mask.entries
+    """``layer.weights`` as stored: masked weights are zero already, so no mask
+    is applied.  Kept for callers that read a layer's weights by this name."""
+    return layer.weights
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +215,6 @@ class ClnnRecord:
     name: str
     layer: ClnnLayer
     inputs: np.ndarray      # ([B,] t, l)
-    effective: np.ndarray   # (2n+1, l, e) as used in the pass
     pre: np.ndarray         # ([B,] t - 2n, e)
     outputs: np.ndarray     # ([B,] t - 2n, e)
 
@@ -248,12 +261,12 @@ def _window_rows(block: np.ndarray, d: int, t_out: int) -> np.ndarray:
     return block[:, d : d + t_out].reshape(-1, block.shape[2])
 
 
-def _block_pre(effective: np.ndarray, bias: np.ndarray, block: np.ndarray, order: int) -> np.ndarray:
+def _block_pre(weights: np.ndarray, bias: np.ndarray, block: np.ndarray, order: int) -> np.ndarray:
     b, t, _ = block.shape
     t_out = t - 2 * order
     pre = np.tile(bias, (b * t_out, 1))
     for d in range(2 * order + 1):
-        pre += _window_rows(block, d, t_out) @ effective[d]
+        pre += _window_rows(block, d, t_out) @ weights[d]
     return pre.reshape(b, t_out, -1)
 
 
@@ -283,13 +296,12 @@ def block_forward(
         )
     if block.shape[-2] < 2 * layer.order + 1:
         raise InsufficientFramesError(layer.order, block.shape[-2])
-    z = effective_weights(layer)
-    pre = _block_pre(z, layer.bias, block.reshape(-1, *block.shape[-2:]), layer.order)
+    pre = _block_pre(layer.weights, layer.bias, block.reshape(-1, *block.shape[-2:]), layer.order)
     if block.ndim == 2:
         pre = pre[0]
     out = layer.activation.apply(pre)
     if tape is not None:
-        tape.append(ClnnRecord(name, layer, block, z, pre, out))
+        tape.append(ClnnRecord(name, layer, block, pre, out))
     return out
 
 
@@ -402,7 +414,7 @@ def backward(tape: ActivationTape, loss_gradient: np.ndarray) -> dict[str, np.nd
             for d in range(2 * layer.order + 1):
                 dw[d] = _window_rows(x, d, t_out).T @ dpre
             if layer.mask is not None:
-                dw *= layer.mask.entries
+                dw *= layer.mask.entries  # keeps masked weights exactly zero
             grads[f"{rec.name}.weights"] = dw
             grads[f"{rec.name}.bias"] = dpre.sum(axis=0)
             if isinstance(layer.activation, PRelu):
@@ -410,7 +422,7 @@ def backward(tape: ActivationTape, loss_gradient: np.ndarray) -> dict[str, np.nd
             if index:
                 dx = np.zeros_like(x)
                 for d in range(2 * layer.order + 1):
-                    dx[:, d : d + t_out] += (dpre @ rec.effective[d].T).reshape(x.shape[0], t_out, -1)
+                    dx[:, d : d + t_out] += (dpre @ layer.weights[d].T).reshape(x.shape[0], t_out, -1)
                 g = dx.reshape(rec.inputs.shape)
         else:
             raise ContractError(f"unknown tape record type {type(rec).__name__}")

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 
-__all__ = ["MaskSpec", "BinaryMask", "generate_linear_indices", "generate_mask", "apply_mask"]
+__all__ = ["MaskSpec", "BinaryMask", "generate_linear_indices", "generate_mask"]
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,3 @@ def generate_mask(spec: MaskSpec) -> BinaryMask:
     entries.setflags(write=False)
     return BinaryMask(entries=entries, spec=spec)
 
-
-def apply_mask(weights: np.ndarray, mask: BinaryMask) -> np.ndarray:
-    """Element-wise product of a weight matrix with the mask."""
-    weights = np.asarray(weights)
-    if weights.shape != mask.entries.shape:
-        raise ShapeError.mismatch("apply_mask", mask.entries.shape, weights.shape)
-    return weights * mask.entries

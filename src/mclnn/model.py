@@ -26,11 +26,12 @@ from .layers import (
     PRelu,
     Sigmoid,
     block_forward,
+    check_masked_weights,
     dense_forward,
     global_mean_pool,
     softmax,
 )
-from .mask import BinaryMask, MaskSpec, generate_mask
+from .mask import MaskSpec, generate_mask
 
 MODEL_MAGIC = b"MCLN"
 MODEL_VERSION = 1
@@ -196,23 +197,23 @@ class TrainedModel:
         return {k: v.copy() for k, v in self.parameters().items()}
 
     def set_parameters(self, values: dict[str, np.ndarray]) -> None:
+        """Copy ``values`` into the live tensors; a rejected call changes nothing."""
         params = self.parameters()
         if set(values) != set(params):
             raise ContractError(
                 f"parameter keys differ: {sorted(set(values) ^ set(params))}"
             )
         for key, target in params.items():
-            source = values[key]
-            if source.shape != target.shape:
-                raise ContractError(f"{key}: shape {source.shape} != {target.shape}")
-            target[...] = source
-
-    def masks(self) -> list[BinaryMask | None]:
-        return [layer.mask for layer in self.clnn_layers]
+            if values[key].shape != target.shape:
+                raise ContractError(f"{key}: shape {values[key].shape} != {target.shape}")
+        for i, layer in enumerate(self.clnn_layers):
+            check_masked_weights(values[f"clnn{i}.weights"], layer.mask, f"clnn{i}.weights")
+        for key, target in params.items():
+            target[...] = values[key]
 
 
 def build_model(spec: ModelSpec, seed: int, labels: tuple[str, ...] | None = None) -> TrainedModel:
-    """Deterministic initialization: masked band weights start (and stay) zero."""
+    """Deterministic initialization; the one mask multiply zeroes masked weights."""
     if labels is None:
         labels = tuple(str(i) for i in range(spec.class_count))
     rng = np.random.default_rng(seed)
@@ -370,33 +371,24 @@ def load_model(path) -> TrainedModel:
         return declared
 
     header, arrays = container.read(path, MODEL_MAGIC, MODEL_VERSION, shapes)
-    spec = _spec_from_header(header["spec"])
-    skeleton = build_model(spec, seed=int(header["init_seed"]), labels=tuple(header["labels"]))
-    values = {
-        entry["name"]: array
-        for entry, array in zip(header["params"], arrays[: len(header["params"])])
-    }
-    expected = skeleton.parameters()
-    if set(values) != set(expected):
-        raise HeaderMismatchError(
-            f"{path}: parameter manifest {sorted(values)} does not match "
-            f"the declared architecture {sorted(expected)}"
-        )
-    for key, array in values.items():
-        if array.shape != expected[key].shape:
-            raise HeaderMismatchError(
-                f"{path}: {key} stored as {array.shape}, architecture needs {expected[key].shape}"
+    try:
+        spec = _spec_from_header(header["spec"])
+        skeleton = build_model(spec, seed=int(header["init_seed"]), labels=tuple(header["labels"]))
+        skeleton.init_scheme = header["init_scheme"]
+        values = dict(zip((str(entry["name"]) for entry in header["params"]), arrays))
+        if header["norm"] is not None:
+            skeleton.norm_stats = NormStats(
+                mean=arrays[-2],
+                std=arrays[-1],
+                source_split=header["norm"]["source_split"],
+                stats_id=header["norm"]["stats_id"],
             )
-    skeleton.set_parameters(values)
-    skeleton.init_scheme = header["init_scheme"]
-    if header["norm"] is not None:
-        mean, std = arrays[-2], arrays[-1]
-        skeleton.norm_stats = NormStats(
-            mean=mean,
-            std=std,
-            source_split=header["norm"]["source_split"],
-            stats_id=header["norm"]["stats_id"],
-        )
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise HeaderMismatchError(f"{path}: header field missing or malformed: {exc!r}") from exc
+    try:
+        skeleton.set_parameters(values)
+    except ContractError as exc:
+        raise HeaderMismatchError(f"{path}: parameters do not fit the architecture: {exc}") from exc
     return skeleton
 
 

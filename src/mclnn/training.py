@@ -456,7 +456,8 @@ def grad_check(
     """Central-difference check of every parameter tensor.
 
     The analytic side is the path training runs: one batched forward and
-    ``backward`` from :func:`cross_entropy_grad` at the logits.
+    ``backward`` from :func:`cross_entropy_grad` at the logits.  Masked
+    weights are not parameters, so only unmasked ones are differenced.
 
     Works on a deep copy of the parameters, so the passed model is left
     untouched.  Relative error per entry is |a - n| / max(|a|, |n|, 1e-3);
@@ -470,13 +471,16 @@ def grad_check(
         analytic = backward(tape, cross_entropy_grad(probs, [target]))
 
         params = model.parameters()
+        masks = {f"clnn{i}.weights": layer.mask for i, layer in enumerate(model.clnn_layers)}
         per_tensor: dict[str, float] = {}
         for key in sorted(params):
             tensor = params[key]
             worst = 0.0
             flat = tensor.reshape(-1)
             grad_flat = analytic[key].reshape(-1)
-            for i in range(flat.size):
+            mask = masks.get(key)
+            live = np.ones(tensor.shape) if mask is None else np.broadcast_to(mask.entries, tensor.shape)
+            for i in np.flatnonzero(live):
                 original = flat[i]
                 flat[i] = original + _FD_STEP
                 up = cross_entropy(model_forward(model, segment), target)

@@ -5,15 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mclnn import container
 from mclnn.features import FeatureMatrix
 from mclnn.layers import ClnnLayer, LinearActivation, PRelu
-from mclnn.model import LayerSpec, ModelSpec, build_model
+from mclnn.model import MODEL_MAGIC, MODEL_VERSION, LayerSpec, ModelSpec, build_model
 
 
 def random_clnn_layer(rng, l, e, n, mask=None, activation=None):
+    """Random layer; with a mask, its masked weights are zeroed as the layer requires."""
+    weights = rng.standard_normal((2 * n + 1, l, e))
     return ClnnLayer(
         order=n,
-        weights=rng.standard_normal((2 * n + 1, l, e)),
+        weights=weights if mask is None else weights * mask.entries,
         bias=rng.standard_normal(e),
         mask=mask,
         activation=activation if activation is not None else LinearActivation(),
@@ -39,6 +42,23 @@ def small_spec(**overrides) -> ModelSpec:
 @pytest.fixture
 def small_model():
     return build_model(small_spec(), seed=20240811)
+
+
+def dirty_masked_weight(model):
+    """Set one masked clnn0 weight to 1.0, bypassing every check."""
+    dead = np.argwhere(model.clnn_layers[0].mask.entries == 0.0)[0]
+    model.clnn_layers[0].weights[2, dead[0], dead[1]] = 1.0
+
+
+def rewrite_model_header(path, edit):
+    """Re-write a model file after ``edit(header)`` changed its JSON header."""
+    def shapes(header):
+        norm = [(header["norm"]["length"],)] * 2 if header["norm"] else []
+        return [tuple(entry["shape"]) for entry in header["params"]] + norm
+
+    header, arrays = container.read(path, MODEL_MAGIC, MODEL_VERSION, shapes)
+    edit(header)
+    container.write(path, MODEL_MAGIC, MODEL_VERSION, header, arrays)
 
 
 # ---------------------------------------------------------------------------

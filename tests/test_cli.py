@@ -16,7 +16,10 @@ from mclnn.cli import (
     parse_layers,
 )
 from mclnn.errors import ConfigError
-from mclnn.model import LayerSpec
+from mclnn.features import NormStats, apply_zscore, load_features, save_features
+from mclnn.model import LayerSpec, load_model, save_model
+
+from conftest import dirty_masked_weight, rewrite_model_header
 
 
 def synth_audio_tree(root, rng, clips_per_class=6, samples=1200, rate=2000):
@@ -303,6 +306,78 @@ class TestTrainEvalPredict:
             values = [float(p) for p in probs.split()]
             assert len(values) == 2
             assert abs(sum(values) - 1.0) < 1e-3
+
+    def test_predict_model_with_non_zero_masked_weight_is_io_error(self, workspace, tmp_path, capsys):
+        model = load_model(workspace / "run" / "model.mcln")
+        dirty_masked_weight(model)
+        dirty = tmp_path / "dirty.mcln"
+        save_model(model, dirty)
+        rc = main(["predict", "--model", str(dirty),
+                   str(workspace / "features" / "drums__clip5.mclf")])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert "1 non-zero weight(s) where the mask is 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_model_header_without_spec_is_io_error(self, workspace, tmp_path, capsys, command):
+        model = tmp_path / "nospec.mcln"
+        model.write_bytes((workspace / "run" / "model.mcln").read_bytes())
+        rewrite_model_header(model, lambda header: header.pop("spec"))
+        features = workspace / "features"
+        if command == "predict":
+            argv = ["predict", "--model", str(model), str(features / "drums__clip5.mclf")]
+        else:
+            argv = ["eval", "--model", str(model), "--plan", str(workspace / "plan.txt"),
+                    "--features", str(features)]
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "header field missing or malformed: KeyError('spec')" in err
+        assert "Traceback" not in err
+
+    def _prenormalized(self, workspace, tmp_path, stats):
+        """drums__clip5 normalized with ``stats`` (the model's when None), alone in a dir."""
+        if stats is None:
+            stats = load_model(workspace / "run" / "model.mcln").norm_stats
+        featdir = tmp_path / "prenormalized"
+        featdir.mkdir()
+        fm = load_features(workspace / "features" / "drums__clip5.mclf")
+        save_features(apply_zscore(fm, stats), featdir / "drums__clip5.mclf")
+        return featdir
+
+    OTHER_STATS = NormStats(mean=np.zeros(8), std=np.full(8, 2.0), source_split="train",
+                            stats_id="other0000000")
+
+    def test_predict_features_normalized_with_other_statistics_is_data_error(
+        self, workspace, tmp_path, capsys
+    ):
+        featdir = self._prenormalized(workspace, tmp_path, self.OTHER_STATS)
+        rc = main(["predict", "--model", str(workspace / "run" / "model.mcln"),
+                   str(featdir / "drums__clip5.mclf")])
+        assert rc == EXIT_DATA
+        assert "'other0000000'" in capsys.readouterr().err
+
+    def test_eval_features_normalized_with_other_statistics_is_data_error(
+        self, workspace, tmp_path, capsys
+    ):
+        featdir = self._prenormalized(workspace, tmp_path, self.OTHER_STATS)
+        plan = tmp_path / "plan.txt"
+        plan.write_text("drums__clip5\ttest\n")
+        rc = main(["eval", "--model", str(workspace / "run" / "model.mcln"),
+                   "--plan", str(plan), "--features", str(featdir)])
+        assert rc == EXIT_DATA
+        assert "'other0000000'" in capsys.readouterr().err
+
+    def test_predict_accepts_features_normalized_with_the_model_statistics(
+        self, workspace, tmp_path, capsys
+    ):
+        featdir = self._prenormalized(workspace, tmp_path, None)
+        model = str(workspace / "run" / "model.mcln")
+        assert main(["predict", "--model", model, str(featdir / "drums__clip5.mclf")]) == EXIT_OK
+        assert main(["predict", "--model", model,
+                     str(workspace / "features" / "drums__clip5.mclf")]) == EXIT_OK
+        prenormalized, raw = capsys.readouterr().out.splitlines()
+        assert prenormalized == raw
 
     def test_train_fold_plan_requires_test_fold(self, workspace, tmp_path, capsys):
         fold_plan = tmp_path / "folds.txt"

@@ -1,0 +1,58 @@
+"""Binary container reader: a malformed file raises a FileFormatError, nothing else."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mclnn import container
+from mclnn.errors import FileFormatError, HeaderMismatchError
+
+MAGIC, VERSION = b"TEST", 1
+
+
+def declared(header):
+    return [tuple(shape) for shape in header["shapes"]]
+
+
+def test_round_trip():
+    arrays = [np.arange(6.0).reshape(2, 3), np.array(7.0), np.zeros((0, 4))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bin"
+        container.write(path, MAGIC, VERSION, {"shapes": [[2, 3], [], [0, 4]]}, arrays)
+        header, got = container.read(path, MAGIC, VERSION, declared)
+    assert header == {"shapes": [[2, 3], [], [0, 4]]}
+    for want, array in zip(arrays, got):
+        assert array.shape == want.shape and array.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [[-1, -2], [-1, 3], [2, -3]])
+def test_negative_dimension_is_header_mismatch(shape):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bin"
+        container.write(path, MAGIC, VERSION, {"shapes": [shape]}, [np.zeros(2)])
+        with pytest.raises(HeaderMismatchError, match="negative dimension"):
+            container.read(path, MAGIC, VERSION, declared)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    shapes=st.lists(st.lists(st.integers(-3, 4), max_size=3), max_size=3),
+    exact=st.booleans(),
+    extra=st.integers(0, 30),
+)
+def test_small_integer_shapes_load_or_raise_file_format_error(shapes, exact, extra):
+    """Payload sized to the declared shapes (when that size is valid) or arbitrary."""
+    needed = sum(int(np.prod(shape)) for shape in shapes)
+    count = needed if exact and needed >= 0 else extra
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bin"
+        container.write(path, MAGIC, VERSION, {"shapes": shapes}, [np.arange(float(count))])
+        try:
+            _, arrays = container.read(path, MAGIC, VERSION, declared)
+        except FileFormatError:
+            return
+    assert [array.shape for array in arrays] == [tuple(shape) for shape in shapes]

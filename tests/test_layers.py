@@ -71,6 +71,9 @@ class TestPrelu:
 
 
 class TestEffectiveWeights:
+    """Masked weights are zero by construction, so a layer computes with its
+    stored weights; a layer is never built with a non-zero masked weight."""
+
     def test_no_mask_returns_weights_unchanged(self):
         layer = random_clnn_layer(np.random.default_rng(0), l=3, e=4, n=1)
         assert effective_weights(layer) is layer.weights
@@ -89,6 +92,41 @@ class TestEffectiveWeights:
             for i in range(4):
                 for j in range(5):
                     assert z[d, i, j] == layer.weights[d, i, j] * board[i, j]
+
+    def test_non_zero_masked_weight_is_rejected_at_construction(self):
+        mask = generate_mask(MaskSpec(feature_length=6, hidden_width=5, bandwidth=3, overlap=1))
+        weights = np.random.default_rng(3).standard_normal((3, 6, 5)) * mask.entries
+        dead = np.argwhere(mask.entries == 0.0)
+        weights[0, dead[0][0], dead[0][1]] = 0.5
+        weights[2, dead[-1][0], dead[-1][1]] = -1e-300
+        with pytest.raises(ContractError, match=r"2 non-zero weight\(s\) where the mask is 0"):
+            ClnnLayer(order=1, weights=weights, bias=np.zeros(5), mask=mask)
+
+    def test_returns_the_stored_weights(self):
+        mask = generate_mask(MaskSpec(feature_length=6, hidden_width=5, bandwidth=3, overlap=1))
+        layer = random_clnn_layer(np.random.default_rng(4), l=6, e=5, n=2, mask=mask)
+        assert effective_weights(layer) is layer.weights
+
+    def test_forward_equals_the_remasking_forward_bit_for_bit(self):
+        # Before masked weights were zero by construction, every forward ran
+        # on ``weights * mask``; after training steps that product must still
+        # be the stored weights byte for byte, and so must the forward.
+        rng = np.random.default_rng(5)
+        mask = generate_mask(MaskSpec(feature_length=6, hidden_width=5, bandwidth=3, overlap=-1))
+        layer = random_clnn_layer(rng, l=6, e=5, n=2, mask=mask, activation=PRelu(np.full(5, 0.2)))
+        for _ in range(5):
+            tape = ActivationTape()
+            out = block_forward(layer, rng.standard_normal((4, 9, 6)), tape=tape, name="L")
+            layer.weights -= 0.1 * backward(tape, rng.standard_normal(out.shape))["L.weights"]
+        remasked = layer.weights * mask.entries
+        assert remasked.tobytes() == layer.weights.tobytes()
+
+        blocks = rng.standard_normal((3, 9, 6))
+        pre = np.tile(layer.bias, (3 * 5, 1))
+        for d in range(5):
+            pre += blocks[:, d : d + 5].reshape(-1, 6) @ remasked[d]
+        want = layer.activation.apply(pre.reshape(3, 5, 5))
+        assert block_forward(layer, blocks).tobytes() == want.tobytes()
 
 
 class TestWindowForward:
@@ -387,7 +425,12 @@ class TestBackward:
         for key, tensor in tensors.items():
             flat = tensor.reshape(-1)
             grad = grads[key].reshape(-1)
-            for i in range(flat.size):
+            # masked weights are not parameters; grad_check skips them too
+            if key == "clnn0.weights":
+                entries = np.flatnonzero(np.broadcast_to(mask.entries, tensor.shape))
+            else:
+                entries = range(flat.size)
+            for i in entries:
                 keep = flat[i]
                 flat[i] = keep + step
                 up = run()

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from mclnn.errors import ShapeError, ValidationError
-from mclnn.mask import MaskSpec, apply_mask, generate_linear_indices, generate_mask
+from mclnn.errors import ValidationError
+from mclnn.mask import MaskSpec, generate_linear_indices, generate_mask
 
 
 def oracle_indices(l, e, bw, ov):
@@ -159,29 +159,3 @@ def test_mask_matches_oracle_sampled(data):
     spec = MaskSpec(feature_length=l, hidden_width=e, bandwidth=bw, overlap=ov)
     assert_array_equal(generate_mask(spec).entries, oracle_mask(l, e, bw, ov))
 
-
-class TestApplyMask:
-    def test_identity_mask_keeps_weights(self):
-        # a full-bandwidth single-column spec is the only all-ones mask
-        mask = generate_mask(MaskSpec(feature_length=4, hidden_width=1, bandwidth=4, overlap=0))
-        assert_array_equal(mask.entries, np.ones((4, 1)))
-        w = np.array([[1.0], [2.0], [3.0], [-4.0]])
-        assert_array_equal(apply_mask(w, mask), w)
-
-    def test_hand_checked_hadamard(self):
-        mask = generate_mask(MaskSpec(feature_length=2, hidden_width=2, bandwidth=1, overlap=0))
-        assert_array_equal(mask.entries, np.array([[1.0, 0.0], [0.0, 1.0]]))
-        w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert_array_equal(apply_mask(w, mask), np.array([[1.0, 0.0], [0.0, 4.0]]))
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(3)
-        mask = generate_mask(MaskSpec(feature_length=6, hidden_width=4, bandwidth=2, overlap=1))
-        w = rng.standard_normal((6, 4))
-        once = apply_mask(w, mask)
-        assert_array_equal(apply_mask(once, mask), once)
-
-    def test_shape_mismatch_reports_both_shapes(self):
-        mask = generate_mask(MaskSpec(feature_length=4, hidden_width=3, bandwidth=2, overlap=0))
-        with pytest.raises(ShapeError, match=r"\(4, 3\).*\(3, 4\)"):
-            apply_mask(np.zeros((3, 4)), mask)

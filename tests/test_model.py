@@ -29,7 +29,7 @@ from mclnn.model import (
     segment_size,
 )
 
-from conftest import small_spec
+from conftest import dirty_masked_weight, rewrite_model_header, small_spec
 
 
 def uniform_order_spec(n, m, k, width=4, feature_length=4):
@@ -314,6 +314,40 @@ class TestSerialization:
         with pytest.raises(VersionMismatchError):
             load_model(path)
 
+    def test_non_zero_masked_weight_is_header_mismatch(self, tmp_path):
+        model = self._model_with_stats()
+        dirty_masked_weight(model)
+        path = tmp_path / "dirty.mcln"
+        save_model(model, path)
+        with pytest.raises(HeaderMismatchError, match=r"clnn0.weights: 1 non-zero weight"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("spec"),
+        lambda h: h.update(spec=[8, 6]),
+        lambda h: h["spec"].update(feature_length="wide"),
+        lambda h: h["spec"]["layers"][0].pop("order"),
+        lambda h: h["spec"].update(dense_width=0),
+        lambda h: h.pop("labels"),
+        lambda h: h.update(labels=4),
+        lambda h: h.update(labels=["only-one"]),
+        lambda h: h.pop("init_seed"),
+        lambda h: h.update(init_seed="seven"),
+        lambda h: h.update(init_seed=-1),
+        lambda h: h["params"][0].pop("name"),
+        lambda h: h["norm"].pop("stats_id"),
+    ], ids=[
+        "no-spec", "spec-list", "spec-width-text", "layer-no-order", "dense-width-0",
+        "no-labels", "labels-int", "labels-count", "no-seed", "seed-text", "seed-negative",
+        "param-no-name", "norm-no-id",
+    ])
+    def test_missing_or_malformed_header_field_is_header_mismatch(self, tmp_path, edit):
+        path = tmp_path / "model.mcln"
+        save_model(self._model_with_stats(), path)
+        rewrite_model_header(path, edit)
+        with pytest.raises(HeaderMismatchError):
+            load_model(path)
+
     def test_tampered_shape_header(self, tmp_path):
         model = self._model_with_stats()
         path = tmp_path / "model.mcln"
@@ -350,3 +384,15 @@ class TestParameters:
         bad["dense.bias"] = np.zeros(6)
         with pytest.raises(ContractError):
             small_model.set_parameters(bad)
+
+    def test_non_zero_masked_weight_is_rejected_before_any_write(self, small_model):
+        before = {k: v.tobytes() for k, v in small_model.parameters().items()}
+        values = {k: v + 1.0 for k, v in small_model.parameters().items()}
+        for layer, key in zip(small_model.clnn_layers, ("clnn0.weights", "clnn1.weights")):
+            values[key] *= layer.mask.entries
+        dead = np.argwhere(small_model.clnn_layers[1].mask.entries == 0.0)[0]
+        values["clnn1.weights"][0, dead[0], dead[1]] = 0.5
+        with pytest.raises(ContractError, match=r"clnn1.weights: 1 non-zero weight"):
+            small_model.set_parameters(values)
+        after = {k: v.tobytes() for k, v in small_model.parameters().items()}
+        assert after == before

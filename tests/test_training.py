@@ -157,6 +157,20 @@ class TestTrain:
         assert report_a.deterministic_text() == report_b.deterministic_text()
         assert report_a.epochs == report_b.epochs
 
+    def test_trained_weights_equal_remasked_weights_bit_for_bit(self):
+        # the forward used to run on ``weights * mask``; training must keep
+        # that product byte-identical to the stored weights, so dropping the
+        # multiply changes no forward, gradient or saved model
+        model = build_model(small_spec(), seed=12)
+        rng = np.random.default_rng(13)
+        segments = [
+            Segment(frames=rng.standard_normal((11, 8)), label=i % 4, clip_id=f"c{i}", start=0)
+            for i in range(12)
+        ]
+        model, _ = train(model, segments, TrainConfig(epochs=3, batch_size=5, seed=14, patience=3))
+        for layer in model.clnn_layers:
+            assert (layer.weights * layer.mask.entries).tobytes() == layer.weights.tobytes()
+
     def test_empty_training_split_rejected(self):
         model = build_model(tiny_spec(), seed=0)
         with pytest.raises(ValidationError, match="empty"):
@@ -493,6 +507,19 @@ class TestGradCheck:
         rng = np.random.default_rng(71)
         report = grad_check(small_model, rng.standard_normal((11, 8)), target=0, tolerance=1e-4)
         assert not report.passed
+
+    def test_only_unmasked_weights_are_differenced(self, small_model, monkeypatch):
+        calls = []
+        true_forward = trn.model_forward
+        monkeypatch.setattr(trn, "model_forward", lambda *a: calls.append(1) or true_forward(*a))
+        rng = np.random.default_rng(74)
+        grad_check(small_model, rng.standard_normal((11, 8)), target=1)
+        size = sum(v.size for v in small_model.parameters().values())
+        dead = sum(
+            int(np.count_nonzero(layer.mask.entries == 0.0)) * layer.weights.shape[0]
+            for layer in small_model.clnn_layers
+        )
+        assert len(calls) == 2 * (size - dead)
 
     def test_zero_input_segment_passes(self, small_model):
         report = grad_check(small_model, np.zeros((11, 8)), target=1, tolerance=1e-4)
