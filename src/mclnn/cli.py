@@ -2,7 +2,7 @@
 
 Subcommands: features extract, dataset plan, mask dump, model describe,
 train, eval, predict, gradcheck.  Configuration precedence is CLI flag >
-config file (INI) > built-in defaults; every artifact-producing run
+config file (INI) > dataclass defaults; every artifact-producing run
 writes the fully resolved config beside its outputs.
 
 Exit codes: 0 success; 1 gradcheck found a failure; 2 usage;
@@ -17,8 +17,9 @@ import configparser
 import io
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -53,18 +54,27 @@ EXIT_DIVERGED = 6
 # config file handling
 # ---------------------------------------------------------------------------
 
-_KNOWN_KEYS = {
-    "features": {"rate", "fft", "hop", "mel_bins", "chunk_seconds"},
-    "model": {
-        "feature_length", "layers", "extra_frames", "dense_width",
-        "class_count", "activation",
-    },
-    "training": {
-        "learning_rate", "batch_size", "epochs", "seed", "patience",
-        "hop", "optimizer", "momentum",
-    },
-    "paths": {"features", "plan", "out", "manifest", "classes", "model"},
+# One row per configurable value: (INI key, dataclass field, argparse dest).
+# Defaults, types and bounds belong to the dataclasses; reading, overriding
+# and writing ``resolved.ini`` all walk these rows.  Section -> (attribute
+# of ExperimentConfig, dataclass, rows).
+_SECTIONS = {
+    "features": ("features", feat.FeatureParams, (
+        ("rate", "sample_rate", "rate"),
+        ("fft", "fft_size", "fft"),
+        ("hop", "hop", "feature_hop"),
+        ("mel_bins", "mel_bins", "mel_bins"),
+        ("chunk_seconds", "chunk_seconds", "chunk_seconds"),
+    )),
+    "model": ("model_spec", mdl.ModelSpec, tuple(
+        (f.name, f.name, None) for f in fields(mdl.ModelSpec) if f.name != "allow_order_zero"
+    )),
+    "training": ("training", trn.TrainConfig, tuple(
+        (f.name, f.name, f.name) for f in fields(trn.TrainConfig)
+    )),
 }
+# [paths] records what a run read and wrote; it is never read back.
+_PATH_KEYS = {"in", "out", "features", "plan"}
 
 
 @dataclass
@@ -74,26 +84,11 @@ class ExperimentConfig:
     training: trn.TrainConfig
 
     def to_ini(self, paths: dict[str, str] | None = None) -> str:
-        parser = configparser.ConfigParser()
-        parser["features"] = {
-            "rate": str(self.features.sample_rate),
-            "fft": str(self.features.fft_size),
-            "hop": str(self.features.hop),
-            "mel_bins": str(self.features.mel_bins),
-            "chunk_seconds": str(self.features.chunk_seconds),
-        }
-        if self.model_spec is not None:
-            parser["model"] = {
-                "feature_length": str(self.model_spec.feature_length),
-                "layers": format_layers(self.model_spec.layers),
-                "extra_frames": str(self.model_spec.extra_frames),
-                "dense_width": str(self.model_spec.dense_width),
-                "class_count": str(self.model_spec.class_count),
-                "activation": self.model_spec.activation,
-            }
-        parser["training"] = {
-            k: ("" if v is None else str(v)) for k, v in self.training.to_dict().items()
-        }
+        parser = _ini()
+        for section, (attr, _, rows) in _SECTIONS.items():
+            values = getattr(self, attr)
+            if values is not None:
+                parser[section] = {key: _format(getattr(values, name)) for key, name, _ in rows}
         if paths:
             parser["paths"] = {k: str(v) for k, v in sorted(paths.items())}
         buf = io.StringIO()
@@ -101,36 +96,33 @@ class ExperimentConfig:
         return buf.getvalue()
 
 
+def _ini() -> configparser.ConfigParser:
+    # No interpolation: a '%' in a value, such as a path, is written and read as itself.
+    return configparser.ConfigParser(interpolation=None)
+
+
+def _format(value) -> str:
+    if value is None:
+        return ""
+    return format_layers(value) if isinstance(value, tuple) else str(value)
+
+
 def format_layers(layers) -> str:
-    parts = []
-    for layer in layers:
-        if layer.masked:
-            parts.append(f"{layer.width}:{layer.order}:{layer.bandwidth}:{layer.overlap}")
-        else:
-            parts.append(f"{layer.width}:{layer.order}")
-    return ", ".join(parts)
+    return ", ".join(
+        f"{s.width}:{s.order}" + (f":{s.bandwidth}:{s.overlap}" if s.masked else "")
+        for s in layers
+    )
 
 
 def parse_layers(text: str) -> tuple[mdl.LayerSpec, ...]:
     """Parse 'width:order' or 'width:order:bandwidth:overlap', comma-separated."""
     layers = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, (c.strip() for c in text.split(","))):
         parts = chunk.split(":")
         try:
-            if len(parts) == 2:
-                layers.append(mdl.LayerSpec(width=int(parts[0]), order=int(parts[1])))
-            elif len(parts) == 4:
-                layers.append(
-                    mdl.LayerSpec(
-                        width=int(parts[0]), order=int(parts[1]),
-                        bandwidth=int(parts[2]), overlap=int(parts[3]),
-                    )
-                )
-            else:
+            if len(parts) not in (2, 4):
                 raise ValueError(f"expected 2 or 4 fields, got {len(parts)}")
+            layers.append(mdl.LayerSpec(*map(int, parts)))
         except ValueError as exc:
             raise ConfigError(f"bad layer spec {chunk!r}: {exc}") from exc
     if not layers:
@@ -139,103 +131,76 @@ def parse_layers(text: str) -> tuple[mdl.LayerSpec, ...]:
 
 
 def _read_ini(path: Path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    if not path.exists():
+        raise ConfigError(f"config file {path} does not exist")
+    parser = _ini()
     try:
         with open(path) as handle:
             parser.read_file(handle)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    known = {section: {row[0] for row in rows} for section, (_, _, rows) in _SECTIONS.items()}
+    known["paths"] = _PATH_KEYS
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in known:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        unknown = set(parser[section]) - _KNOWN_KEYS[section]
+        unknown = set(parser[section]) - known[section]
         if unknown:
             raise ConfigError(f"{path}: unknown keys in [{section}]: {sorted(unknown)}")
     return parser
 
 
-def _get(parser, section, key, cast, fallback):
-    if parser is None or not parser.has_option(section, key):
-        return fallback
-    raw = parser.get(section, key)
+def _parse(section: str, key: str, raw: str, hint, default):
+    """One INI value as its field's type; empty means None, only where None is the default."""
     if raw == "":
-        return None
+        if default is None:
+            return None
+        raise ConfigError(f"[{section}] {key} is empty; only keys that default to None may be")
+    if hint == tuple[mdl.LayerSpec, ...]:
+        cast = parse_layers
+    else:  # int, float, str, or one of them | None
+        cast = next(t for t in get_args(hint) or (hint,) if t is not type(None))
     try:
         return cast(raw)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, ValidationError) as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
-def load_experiment_config(args) -> ExperimentConfig:
-    """Merge defaults, the optional INI file, preset, and CLI flags."""
-    parser = None
-    config_path = getattr(args, "config", None)
-    if config_path:
-        path = Path(config_path)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
-        parser = _read_ini(path)
-
-    fp = feat.FeatureParams(
-        sample_rate=_get(parser, "features", "rate", int, 22050),
-        fft_size=_get(parser, "features", "fft", int, 2048),
-        hop=_get(parser, "features", "hop", int, 1024),
-        mel_bins=_get(parser, "features", "mel_bins", int, 256),
-        chunk_seconds=_get(parser, "features", "chunk_seconds", float, 30.0),
-    )
-    for attr, flag in (
-        ("sample_rate", "rate"), ("fft_size", "fft"), ("hop", "feature_hop"),
-        ("mel_bins", "mel_bins"), ("chunk_seconds", "chunk_seconds"),
-    ):
-        value = getattr(args, flag, None)
+def _build(section: str, parser: configparser.ConfigParser, args):
+    """The section's dataclass; each value is flag > INI > dataclass default."""
+    _, cls, rows = _SECTIONS[section]
+    hints = get_type_hints(cls)
+    defaults = {f.name: f.default for f in fields(cls)}
+    kwargs = {}
+    for key, name, dest in rows:
+        value = getattr(args, dest, None) if dest else None
+        raw = parser.get(section, key, fallback=None)
+        if value is None and raw is not None:
+            value = _parse(section, key, raw, hints[name], defaults[name])
         if value is not None:
-            fp = replace(fp, **{attr: value})
+            kwargs[name] = value
+        elif defaults[name] is MISSING:
+            raise ConfigError(f"[{section}] section is missing {key!r}")
+    try:
+        return cls(**kwargs)
+    except ValidationError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
+
+def load_experiment_config(args) -> ExperimentConfig:
+    """Merge dataclass defaults, the optional INI file, preset, and CLI flags."""
+    config_path = getattr(args, "config", None)
+    parser = _read_ini(Path(config_path)) if config_path else _ini()
+    features = _build("features", parser, args)
     spec: mdl.ModelSpec | None = None
     preset = getattr(args, "preset", None)
     if preset is not None:
         if preset not in mdl.PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; available: {sorted(mdl.PRESETS)}")
         spec = mdl.PRESETS[preset]
-    elif parser is not None and parser.has_section("model"):
-        for key in ("feature_length", "layers", "extra_frames", "dense_width", "class_count"):
-            if not parser.has_option("model", key):
-                raise ConfigError(f"[model] section is missing {key!r}")
-        try:
-            spec = mdl.ModelSpec(
-                feature_length=parser.getint("model", "feature_length"),
-                layers=parse_layers(parser.get("model", "layers")),
-                extra_frames=parser.getint("model", "extra_frames"),
-                dense_width=parser.getint("model", "dense_width"),
-                class_count=parser.getint("model", "class_count"),
-                activation=parser.get("model", "activation", fallback="prelu"),
-            )
-        except (ValueError, ValidationError) as exc:
-            raise ConfigError(f"invalid [model] section: {exc}") from exc
-
-    tc_kwargs = dict(
-        learning_rate=_get(parser, "training", "learning_rate", float, 0.01),
-        batch_size=_get(parser, "training", "batch_size", int, 64),
-        epochs=_get(parser, "training", "epochs", int, 200),
-        seed=_get(parser, "training", "seed", int, 0),
-        patience=_get(parser, "training", "patience", int, 10),
-        hop=_get(parser, "training", "hop", int, None),
-        optimizer=_get(parser, "training", "optimizer", str, "momentum"),
-        momentum=_get(parser, "training", "momentum", float, 0.9),
-    )
-    for key, flag in (
-        ("learning_rate", "learning_rate"), ("batch_size", "batch_size"),
-        ("epochs", "epochs"), ("seed", "seed"), ("patience", "patience"),
-        ("hop", "hop"), ("optimizer", "optimizer"), ("momentum", "momentum"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            tc_kwargs[key] = value
-    try:
-        tc = trn.TrainConfig(**tc_kwargs)
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(features=fp, model_spec=spec, training=tc)
+    elif parser.has_section("model"):
+        spec = _build("model", parser, args)
+    return ExperimentConfig(features, spec, _build("training", parser, args))
 
 
 def _resolve_out(raw: str | None, command: str) -> Path:
@@ -406,7 +371,7 @@ def cmd_model_describe(args) -> int:
     if config.model_spec is None:
         raise ConfigError("model describe needs --preset or a config file with a [model] section")
     spec = config.model_spec
-    model = mdl.build_model(spec, seed=args.seed or 0)
+    model = mdl.build_model(spec, seed=config.training.seed)
     plan = mdl.frame_plan(spec)
     print(f"feature_length: {spec.feature_length}")
     print(f"layers: {format_layers(spec.layers)}")
@@ -575,8 +540,8 @@ def cmd_gradcheck(args) -> int:
             dense_width=5,
             class_count=4,
         )
-    model = mdl.build_model(spec, seed=args.seed or 0)
-    rng = np.random.default_rng((args.seed or 0) + 1)
+    model = mdl.build_model(spec, seed=config.training.seed)
+    rng = np.random.default_rng(config.training.seed + 1)
     segment = rng.standard_normal((mdl.segment_size(spec), spec.feature_length))
     target = int(rng.integers(spec.class_count))
     report = trn.grad_check(model, segment, target, tolerance=args.tolerance)

@@ -10,7 +10,8 @@ Layout (all integers little-endian):
 
 The reader takes a callback mapping the parsed header to the expected
 array shapes, so shape errors surface as header mismatches rather than
-silent misreads.
+silent misreads.  The reader owns dimension validation: every declared
+dimension must be a non-negative ``int`` (not a bool, float or string).
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ def read(path, magic: bytes, version: int, shapes_from_header) -> tuple[dict, li
     arrays = []
     offset = header_end
     for shape in shapes:
+        if not all(isinstance(d, int) and not isinstance(d, bool) for d in shape):
+            raise HeaderMismatchError(f"{path}: declared shape {shape} has a non-integer dimension")
         if any(d < 0 for d in shape):
             raise HeaderMismatchError(f"{path}: declared shape {shape} has a negative dimension")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1

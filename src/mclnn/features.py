@@ -137,6 +137,14 @@ class FeatureParams:
     mel_bins: int = 256
     chunk_seconds: float = 30.0
 
+    def __post_init__(self):
+        if self.sample_rate < 1 or self.hop < 1 or self.mel_bins < 1:
+            raise ValidationError("sample_rate, hop, and mel_bins must all be >= 1")
+        if self.fft_size < 2:
+            raise ValidationError(f"fft_size must be >= 2, got {self.fft_size}")
+        if not 0 < self.chunk_seconds < math.inf:
+            raise ValidationError(f"chunk_seconds must be finite and > 0, got {self.chunk_seconds}")
+
 
 # ---------------------------------------------------------------------------
 # signal processing
@@ -349,9 +357,9 @@ def save_features(features: FeatureMatrix, path) -> None:
 
 def load_features(path) -> FeatureMatrix:
     header, arrays = container.read(
-        path, FEATURE_MAGIC, FEATURE_VERSION, lambda h: [(int(h["t"]), int(h["l"]))]
+        path, FEATURE_MAGIC, FEATURE_VERSION, lambda h: [(h["t"], h["l"])]
     )
-    if int(header["t"]) < 1 or int(header["l"]) < 1:
+    if header["t"] < 1 or header["l"] < 1:
         raise HeaderMismatchError(f"feature file {path} declares an empty matrix")
     return FeatureMatrix(
         frames=arrays[0],

@@ -172,11 +172,16 @@ class TrainedModel:
             raise ValidationError(
                 f"{len(self.labels)} labels for {self.spec.class_count} classes"
             )
-        if self.norm_stats is not None and self.norm_stats.mean.shape[0] != self.spec.feature_length:
-            raise ValidationError(
-                f"normalization length {self.norm_stats.mean.shape[0]} "
-                f"!= feature length {self.spec.feature_length}"
-            )
+
+    def __setattr__(self, name, value):
+        # Every assignment is checked, ``model.norm_stats = stats`` included.
+        if name == "norm_stats" and value is not None:
+            if value.mean.shape[0] != self.spec.feature_length:
+                raise ValidationError(
+                    f"normalization length {value.mean.shape[0]} "
+                    f"!= feature length {self.spec.feature_length}"
+                )
+        super().__setattr__(name, value)
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Live views of every trainable tensor, in a fixed key order."""
@@ -364,9 +369,9 @@ def save_model(model: TrainedModel, path) -> None:
 
 def load_model(path) -> TrainedModel:
     def shapes(header):
-        declared = [tuple(int(d) for d in entry["shape"]) for entry in header["params"]]
+        declared = [tuple(entry["shape"]) for entry in header["params"]]
         if header["norm"] is not None:
-            n = int(header["norm"]["length"])
+            n = header["norm"]["length"]
             declared += [(n,), (n,)]
         return declared
 

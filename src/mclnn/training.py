@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -67,18 +67,6 @@ class TrainConfig:
             raise ValidationError(f"optimizer must be 'sgd' or 'momentum', got {self.optimizer!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "patience": self.patience,
-            "hop": self.hop,
-            "optimizer": self.optimizer,
-            "momentum": self.momentum,
-        }
 
 
 @dataclass(frozen=True)
@@ -234,7 +222,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
-    report = RunReport(config=config.to_dict(), class_names=model.labels)
+    report = RunReport(config=asdict(config), class_names=model.labels)
 
     best_loss = np.inf
     best_params: dict[str, np.ndarray] | None = None

@@ -1,5 +1,10 @@
 """CLI surface: subcommands, exit codes, config handling, end-to-end runs."""
 
+import argparse
+import configparser
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,12 +17,14 @@ from mclnn.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    load_experiment_config,
     main,
     parse_layers,
 )
 from mclnn.errors import ConfigError
-from mclnn.features import NormStats, apply_zscore, load_features, save_features
-from mclnn.model import LayerSpec, load_model, save_model
+from mclnn.features import FeatureParams, NormStats, apply_zscore, load_features, save_features
+from mclnn.model import PRESETS, LayerSpec, load_model, save_model
+from mclnn.training import TrainConfig
 
 from conftest import dirty_masked_weight, rewrite_model_header
 
@@ -142,6 +149,29 @@ class TestFeaturesExtract:
         audio = tmp_path / "audio"
         synth_audio_tree(audio, np.random.default_rng(9), clips_per_class=1)
         assert main(["features", "extract", "--in", str(audio)] + EXTRACT_FLAGS) == EXIT_CONFIG
+
+    def test_percent_in_out_path_is_recorded_as_itself(self, tmp_path):
+        audio = tmp_path / "audio"
+        synth_audio_tree(audio, np.random.default_rng(11), clips_per_class=1)
+        out = tmp_path / "run%1"
+        assert main(["features", "extract", "--in", str(audio), "--out", str(out)]
+                    + EXTRACT_FLAGS) == EXIT_OK
+        resolved = out / "resolved.ini"
+        assert f"out = {out}\n" in resolved.read_text()
+        config = load_experiment_config(argparse.Namespace(config=str(resolved)))
+        assert config.features.mel_bins == 8
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--mel-bins", "0"), ("--chunk-seconds", "-1"), ("--chunk-seconds", "inf"),
+    ])
+    def test_feature_value_out_of_bounds_is_config_error(self, tmp_path, capsys, flag, value):
+        audio = tmp_path / "audio"
+        synth_audio_tree(audio, np.random.default_rng(10), clips_per_class=1)
+        flags = EXTRACT_FLAGS + [flag, value]
+        rc = main(["features", "extract", "--in", str(audio), "--out", str(tmp_path / "o")] + flags)
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ConfigError: [features] ")
+        assert not list(tmp_path.glob("o/*.mclf"))
 
 
 class TestDatasetPlan:
@@ -319,6 +349,17 @@ class TestTrainEvalPredict:
         assert "1 non-zero weight(s) where the mask is 0" in err
         assert "Traceback" not in err
 
+    def test_predict_model_with_short_norm_vector_is_io_error(self, workspace, tmp_path, capsys):
+        model = load_model(workspace / "run" / "model.mcln")
+        short = NormStats(mean=np.zeros(3), std=np.ones(3), source_split="train", stats_id="s")
+        object.__setattr__(model, "norm_stats", short)  # bypasses the check
+        path = tmp_path / "short_norm.mcln"
+        save_model(model, path)
+        rc = main(["predict", "--model", str(path),
+                   str(workspace / "features" / "drums__clip5.mclf")])
+        assert rc == EXIT_IO
+        assert "normalization length 3 != feature length 8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_model_header_without_spec_is_io_error(self, workspace, tmp_path, capsys, command):
         model = tmp_path / "nospec.mcln"
@@ -434,6 +475,58 @@ class TestConfigHandling:
         out = capsys.readouterr().out
         assert "segment_size: 11" in out
         assert "frame_plan: [11, 7, 3]" in out
+
+    @pytest.mark.parametrize("artifact", ["features", "run"])
+    def test_resolved_ini_is_a_valid_config(self, workspace, artifact):
+        path = workspace / artifact / "resolved.ini"
+        text = path.read_text()
+        recorded = configparser.ConfigParser(interpolation=None)
+        recorded.read_string(text)
+        config = load_experiment_config(argparse.Namespace(config=str(path)))
+        assert config.to_ini(dict(recorded["paths"])) == text
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("### Configuration files"):]
+        example = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+        config = tmp_path / "readme.ini"
+        config.write_text(example)
+        loaded = load_experiment_config(argparse.Namespace(config=str(config)))
+        assert loaded.features == FeatureParams()
+        assert loaded.model_spec == PRESETS["table3"]
+        assert loaded.training == TrainConfig()
+        assert main(["model", "describe", "--config", str(config)]) == EXIT_OK
+
+    @pytest.mark.parametrize("text", [
+        "[features]\nrate =\n",
+        "[training]\nepochs =\n",
+        SMALL_INI.replace("dense_width = 5", "dense_width ="),
+    ], ids=["features-rate", "training-epochs", "model-dense-width"])
+    def test_empty_value_is_config_error(self, tmp_path, capsys, text):
+        config = tmp_path / "empty.ini"
+        config.write_text(text)
+        assert main(["model", "describe", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert "is empty" in err
+
+    def test_percent_in_value_is_read_as_itself(self, tmp_path, capsys):
+        config = tmp_path / "percent.ini"
+        config.write_text("[training]\noptimizer = mom%entum\n")
+        assert main(["model", "describe", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "got 'mom%entum'" in err
+
+    def test_empty_training_hop_means_segment_size(self, tmp_path):
+        config = tmp_path / "hop.ini"
+        config.write_text("[training]\nhop =\n")
+        assert load_experiment_config(argparse.Namespace(config=str(config))).training.hop is None
+
+    def test_paths_key_no_command_writes_is_rejected(self, tmp_path, capsys):
+        config = tmp_path / "paths.ini"
+        config.write_text("[paths]\nmodel = m.mcln\n")
+        assert main(["model", "describe", "--config", str(config)]) == EXIT_CONFIG
+        assert "unknown keys in [paths]: ['model']" in capsys.readouterr().err
 
     def test_parse_layers(self):
         assert parse_layers("6:2") == (LayerSpec(width=6, order=2),)

@@ -38,15 +38,37 @@ def test_negative_dimension_is_header_mismatch(shape):
             container.read(path, MAGIC, VERSION, declared)
 
 
-@settings(derandomize=True, max_examples=200)
+# a declared dimension: small integers, or JSON values that are not integers
+DIMENSIONS = st.one_of(
+    st.integers(-3, 4),
+    st.booleans(),
+    st.floats(-2.0, 4.0),
+    st.text(max_size=2),
+)
+
+
+@pytest.mark.parametrize("shape", [[5, 8.9, 6.2], [2.0, 3], [True, 2], ["2", 3], [None]])
+def test_non_integer_dimension_is_header_mismatch(shape):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bin"
+        container.write(path, MAGIC, VERSION, {"shapes": [shape]}, [np.zeros(48)])
+        with pytest.raises(HeaderMismatchError, match="non-integer dimension"):
+            container.read(path, MAGIC, VERSION, declared)
+
+
+@settings(derandomize=True, max_examples=300)
 @given(
-    shapes=st.lists(st.lists(st.integers(-3, 4), max_size=3), max_size=3),
+    shapes=st.lists(st.lists(DIMENSIONS, max_size=3), max_size=3),
     exact=st.booleans(),
     extra=st.integers(0, 30),
 )
-def test_small_integer_shapes_load_or_raise_file_format_error(shapes, exact, extra):
-    """Payload sized to the declared shapes (when that size is valid) or arbitrary."""
-    needed = sum(int(np.prod(shape)) for shape in shapes)
+def test_declared_shapes_load_or_raise_file_format_error(shapes, exact, extra):
+    """Payload sized to the declared shapes (when that size is valid) or arbitrary.
+
+    A file loads only if every declared dimension is a non-negative int.
+    """
+    integral = all(type(d) is int for shape in shapes for d in shape)
+    needed = sum(int(np.prod(shape)) for shape in shapes) if integral else -1
     count = needed if exact and needed >= 0 else extra
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.bin"
@@ -55,4 +77,5 @@ def test_small_integer_shapes_load_or_raise_file_format_error(shapes, exact, ext
             _, arrays = container.read(path, MAGIC, VERSION, declared)
         except FileFormatError:
             return
+    assert integral
     assert [array.shape for array in arrays] == [tuple(shape) for shape in shapes]

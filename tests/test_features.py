@@ -203,6 +203,20 @@ class TestExtractFeatures:
         assert fm.meta["sample_rate"] == RATE
 
 
+class TestFeatureParams:
+    @pytest.mark.parametrize("overrides", [
+        dict(sample_rate=0), dict(fft_size=1), dict(hop=0), dict(mel_bins=0),
+        dict(chunk_seconds=0.0), dict(chunk_seconds=-1.0),
+        dict(chunk_seconds=float("nan")), dict(chunk_seconds=float("inf")),
+    ])
+    def test_out_of_bounds_value_is_rejected(self, overrides):
+        with pytest.raises(ValidationError, match=next(iter(overrides))):
+            FeatureParams(**overrides)
+
+    def test_smallest_valid_values(self):
+        FeatureParams(sample_rate=1, fft_size=2, hop=1, mel_bins=1, chunk_seconds=1e-9)
+
+
 class TestZScore:
     def _train_matrices(self, rng, count=4, width=6):
         return [

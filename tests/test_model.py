@@ -360,6 +360,29 @@ class TestSerialization:
         with pytest.raises(HeaderMismatchError):
             load_model(path)
 
+    def test_non_integer_dimension_is_header_mismatch(self, tmp_path):
+        path = tmp_path / "model.mcln"
+        save_model(self._model_with_stats(), path)
+        rewrite_model_header(path, lambda h: h["params"][0].update(shape=[5, 8.9, 6.2]))
+        with pytest.raises(HeaderMismatchError, match="non-integer dimension"):
+            load_model(path)
+
+    def test_norm_length_other_than_feature_length_is_header_mismatch(self, tmp_path):
+        model = build_model(small_spec(), seed=43)
+        short = NormStats(mean=np.zeros(3), std=np.ones(3), source_split="train", stats_id="s")
+        object.__setattr__(model, "norm_stats", short)  # bypasses the check
+        path = tmp_path / "model.mcln"
+        save_model(model, path)
+        with pytest.raises(HeaderMismatchError, match="normalization length 3"):
+            load_model(path)
+
+    def test_assigned_norm_stats_are_length_checked(self):
+        model = build_model(small_spec(), seed=44)
+        short = NormStats(mean=np.zeros(3), std=np.ones(3), source_split="train", stats_id="s")
+        with pytest.raises(ValidationError, match="normalization length 3"):
+            model.norm_stats = short
+        assert model.norm_stats is None
+
 
 class TestParameters:
     def test_key_set_and_liveness(self, small_model):
