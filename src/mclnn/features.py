@@ -211,8 +211,7 @@ def stft_power(clip: AudioClip, window_size: int = 2048, hop: int = 1024) -> np.
     padded_len = (t - 1) * hop + window_size
     padded = np.zeros(padded_len, dtype=np.float64)
     padded[: samples.size] = samples
-    starts = np.arange(t) * hop
-    frames = padded[starts[:, None] + np.arange(window_size)[None, :]]
+    frames = np.lib.stride_tricks.sliding_window_view(padded, window_size)[::hop]
     spectrum = np.fft.rfft(frames * _hann(window_size), axis=1)
     return np.abs(spectrum) ** 2
 

@@ -20,14 +20,17 @@ it.  A batched conditional layer runs ``2n + 1`` GEMMs of shape
 ``(B * (t - 2n), l) @ (l, e)``, one per window offset, so a whole
 mini-batch costs as many matrix products as one segment.
 
-Gradients come from walking an :class:`ActivationTape` backwards; the
-tape caches each step's inputs and pre-activations.  Weight gradients sum
-over the batch, so ``backward`` returns the gradient of whatever the loss
-gradient it starts from describes (a batch mean when it starts from
-``(p - onehot) / B``).  A masked connection does not exist, so its weight
-is exactly zero: :func:`check_masked_weights` guards every way weights
-come in, ``backward`` gates masked gradients to keep them zero, and the
-forward uses the stored weights as they are.
+Gradients come from walking an :class:`ActivationTape` backwards.  The
+tape records each layer itself, conditional or dense, with its inputs,
+pre-activations and outputs, so ``backward`` has one branch for layers
+with parameters; only the weight GEMM and the input gradient depend on
+the layer's kind.  Weight gradients sum over the batch, so ``backward``
+returns the gradient of whatever the loss gradient it starts from
+describes (a batch mean when it starts from ``(p - onehot) / B``).  A
+masked connection does not exist, so its weight is exactly zero:
+:func:`check_masked_weights` guards every way weights come in,
+``backward`` gates masked gradients to keep them zero, and the forward
+uses the stored weights as they are.
 
 All accumulations run in a fixed order (window offset ``-n .. n``, tape
 order reversed), so repeated runs are bit-identical.
@@ -36,6 +39,7 @@ order reversed), so repeated runs are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,7 +57,6 @@ __all__ = [
     "window_forward",
     "block_forward",
     "global_mean_pool",
-    "prelu",
     "dense_forward",
     "softmax",
     "backward",
@@ -65,27 +68,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def prelu(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """Rectifier with a per-neuron negative-side slope.
-
-    Returns ``x`` where ``x > 0`` and ``slopes * x`` elsewhere; ``slopes``
-    broadcasts along the trailing axis of ``x``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    slopes = np.asarray(slopes, dtype=np.float64)
-    if x.shape[-1] != slopes.shape[-1] or slopes.ndim != 1:
-        raise ShapeError.mismatch("prelu slopes", x.shape[-1:], slopes.shape)
-    return np.where(x > 0, x, slopes * x)
-
-
 @dataclass
 class PRelu:
-    """Learnable rectifier; ``slopes`` has one entry per neuron."""
+    """Learnable rectifier: ``z`` where ``z > 0``, ``slopes * z`` elsewhere.
+
+    ``slopes`` has one entry per neuron; the owning layer checks its length.
+    """
 
     slopes: np.ndarray
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        return prelu(z, self.slopes)
+        return np.where(z > 0, z, self.slopes * z)
 
     def derivative(self, z: np.ndarray) -> np.ndarray:
         return np.where(z > 0, 1.0, self.slopes)
@@ -154,23 +147,14 @@ class ClnnLayer:
                 f"weights must have shape (2*order+1, l, e) = "
                 f"({2 * self.order + 1}, l, e), got {w.shape}"
             )
-        if self.bias.shape != (w.shape[2],):
-            raise ShapeError.mismatch("bias", (w.shape[2],), self.bias.shape)
+        _check_neuron_vectors(self, w.shape[2])
         if self.mask is not None and self.mask.entries.shape != w.shape[1:]:
             raise ShapeError.mismatch("layer mask", w.shape[1:], self.mask.entries.shape)
         check_masked_weights(w, self.mask)
-        if isinstance(self.activation, PRelu) and self.activation.slopes.shape != (w.shape[2],):
-            raise ShapeError.mismatch(
-                "prelu slopes", (w.shape[2],), self.activation.slopes.shape
-            )
 
     @property
     def input_width(self) -> int:
         return self.weights.shape[1]
-
-    @property
-    def output_width(self) -> int:
-        return self.weights.shape[2]
 
 
 @dataclass
@@ -180,12 +164,23 @@ class DenseLayer:
     weights: np.ndarray
     bias: np.ndarray
     activation: Activation = field(default_factory=LinearActivation)
+    mask: ClassVar[None] = None  # every connection exists
 
     def __post_init__(self):
         if self.weights.ndim != 2:
             raise ShapeError(f"dense weights must be 2-D, got shape {self.weights.shape}")
-        if self.bias.shape != (self.weights.shape[1],):
-            raise ShapeError.mismatch("dense bias", (self.weights.shape[1],), self.bias.shape)
+        _check_neuron_vectors(self, self.weights.shape[1])
+
+
+Layer = ClnnLayer | DenseLayer
+
+
+def _check_neuron_vectors(layer: Layer, width: int) -> None:
+    """The bias and any PReLU slopes hold one entry per output neuron."""
+    if layer.bias.shape != (width,):
+        raise ShapeError.mismatch("bias", (width,), layer.bias.shape)
+    if isinstance(layer.activation, PRelu) and layer.activation.slopes.shape != (width,):
+        raise ShapeError.mismatch("prelu slopes", (width,), layer.activation.slopes.shape)
 
 
 def check_masked_weights(weights: np.ndarray, mask: BinaryMask | None, what: str = "weights") -> None:
@@ -211,12 +206,12 @@ def effective_weights(layer: ClnnLayer) -> np.ndarray:
 
 
 @dataclass
-class ClnnRecord:
+class LayerRecord:
     name: str
-    layer: ClnnLayer
-    inputs: np.ndarray      # ([B,] t, l)
-    pre: np.ndarray         # ([B,] t - 2n, e)
-    outputs: np.ndarray     # ([B,] t - 2n, e)
+    layer: Layer
+    inputs: np.ndarray      # ([B,] t, l) conditional, ([B,] in) dense
+    pre: np.ndarray         # ([B,] t - 2n, e) conditional, ([B,] out) dense
+    outputs: np.ndarray     # shaped like pre
 
 
 @dataclass
@@ -226,18 +221,7 @@ class PoolRecord:
     outputs: np.ndarray     # ([B,] e)
 
 
-@dataclass
-class DenseRecord:
-    name: str
-    weights: np.ndarray
-    bias: np.ndarray
-    activation: Activation
-    inputs: np.ndarray      # ([B,] in)
-    pre: np.ndarray         # ([B,] out)
-    outputs: np.ndarray     # ([B,] out)
-
-
-TapeRecord = ClnnRecord | PoolRecord | DenseRecord
+TapeRecord = LayerRecord | PoolRecord
 
 
 class ActivationTape:
@@ -259,15 +243,6 @@ def _window_rows(block: np.ndarray, d: int, t_out: int) -> np.ndarray:
     """Frames ``d .. d + t_out - 1`` of every segment in a ``(B, t, l)`` block,
     as one ``(B * t_out, l)`` matrix (a copy unless ``B == 1``)."""
     return block[:, d : d + t_out].reshape(-1, block.shape[2])
-
-
-def _block_pre(weights: np.ndarray, bias: np.ndarray, block: np.ndarray, order: int) -> np.ndarray:
-    b, t, _ = block.shape
-    t_out = t - 2 * order
-    pre = np.tile(bias, (b * t_out, 1))
-    for d in range(2 * order + 1):
-        pre += _window_rows(block, d, t_out) @ weights[d]
-    return pre.reshape(b, t_out, -1)
 
 
 def block_forward(
@@ -296,12 +271,15 @@ def block_forward(
         )
     if block.shape[-2] < 2 * layer.order + 1:
         raise InsufficientFramesError(layer.order, block.shape[-2])
-    pre = _block_pre(layer.weights, layer.bias, block.reshape(-1, *block.shape[-2:]), layer.order)
-    if block.ndim == 2:
-        pre = pre[0]
+    x = block.reshape(-1, *block.shape[-2:])
+    t_out = x.shape[1] - 2 * layer.order
+    pre = np.tile(layer.bias, (x.shape[0] * t_out, 1))
+    for d in range(2 * layer.order + 1):
+        pre += _window_rows(x, d, t_out) @ layer.weights[d]
+    pre = pre.reshape(*block.shape[:-2], t_out, -1)
     out = layer.activation.apply(pre)
     if tape is not None:
-        tape.append(ClnnRecord(name, layer, block, pre, out))
+        tape.append(LayerRecord(name, layer, block, pre, out))
     return out
 
 
@@ -333,24 +311,19 @@ def global_mean_pool(
 
 
 def dense_forward(
+    layer: DenseLayer,
     x: np.ndarray,
-    weights: np.ndarray,
-    bias: np.ndarray,
-    activation: Activation | None = None,
     tape: ActivationTape | None = None,
     name: str = "dense",
 ) -> np.ndarray:
     """``f(x @ weights + bias)`` for a vector ``x`` or a ``(B, in)`` batch of them."""
     x = np.asarray(x, dtype=np.float64)
-    activation = activation if activation is not None else LinearActivation()
-    if x.ndim not in (1, 2) or x.shape[-1] != weights.shape[0]:
-        raise ShapeError.mismatch("dense input", ("[B,]", weights.shape[0]), x.shape)
-    if bias.shape != (weights.shape[1],):
-        raise ShapeError.mismatch("dense bias", (weights.shape[1],), bias.shape)
-    pre = x @ weights + bias
-    out = activation.apply(pre)
+    if x.ndim not in (1, 2) or x.shape[-1] != layer.weights.shape[0]:
+        raise ShapeError.mismatch("dense input", ("[B,]", layer.weights.shape[0]), x.shape)
+    pre = x @ layer.weights + layer.bias
+    out = layer.activation.apply(pre)
     if tape is not None:
-        tape.append(DenseRecord(name, weights, bias, activation, x, pre, out))
+        tape.append(LayerRecord(name, layer, x, pre, out))
     return out
 
 
@@ -393,37 +366,33 @@ def backward(tape: ActivationTape, loss_gradient: np.ndarray) -> dict[str, np.nd
             raise ShapeError.mismatch(
                 f"gradient flowing into record {rec.name!r}", rec.outputs.shape, g.shape
             )
-        if isinstance(rec, DenseRecord):
-            dpre = g * rec.activation.derivative(rec.pre)
-            rows = dpre.reshape(-1, dpre.shape[-1])
-            grads[f"{rec.name}.weights"] = rec.inputs.reshape(-1, rec.inputs.shape[-1]).T @ rows
-            grads[f"{rec.name}.bias"] = rows.sum(axis=0)
-            if isinstance(rec.activation, PRelu):
-                grads[f"{rec.name}.slopes"] = rec.activation.slope_gradient(rec.pre, g)
-            if index:
-                g = dpre @ rec.weights.T
-        elif isinstance(rec, PoolRecord):
+        if isinstance(rec, PoolRecord):
             k = rec.inputs.shape[-2]
             g = np.repeat(np.expand_dims(g / k, -2), k, axis=-2)
-        elif isinstance(rec, ClnnRecord):
+        elif isinstance(rec, LayerRecord):
             layer = rec.layer
-            x = rec.inputs.reshape(-1, *rec.inputs.shape[-2:])
-            t_out = rec.pre.shape[-2]
-            dpre = (g * layer.activation.derivative(rec.pre)).reshape(-1, layer.output_width)
-            dw = np.empty_like(layer.weights)
-            for d in range(2 * layer.order + 1):
-                dw[d] = _window_rows(x, d, t_out).T @ dpre
+            dpre = (g * layer.activation.derivative(rec.pre)).reshape(-1, rec.pre.shape[-1])
+            if isinstance(layer, ClnnLayer):
+                x = rec.inputs.reshape(-1, *rec.inputs.shape[-2:])
+                t_out = rec.pre.shape[-2]
+                dw = np.empty_like(layer.weights)
+                for d in range(2 * layer.order + 1):
+                    dw[d] = _window_rows(x, d, t_out).T @ dpre
+            else:
+                dw = rec.inputs.reshape(-1, rec.inputs.shape[-1]).T @ dpre
             if layer.mask is not None:
                 dw *= layer.mask.entries  # keeps masked weights exactly zero
             grads[f"{rec.name}.weights"] = dw
             grads[f"{rec.name}.bias"] = dpre.sum(axis=0)
             if isinstance(layer.activation, PRelu):
                 grads[f"{rec.name}.slopes"] = layer.activation.slope_gradient(rec.pre, g)
-            if index:
+            if index and isinstance(layer, ClnnLayer):
                 dx = np.zeros_like(x)
                 for d in range(2 * layer.order + 1):
                     dx[:, d : d + t_out] += (dpre @ layer.weights[d].T).reshape(x.shape[0], t_out, -1)
                 g = dx.reshape(rec.inputs.shape)
+            elif index:
+                g = (dpre @ layer.weights.T).reshape(rec.inputs.shape)
         else:
             raise ContractError(f"unknown tape record type {type(rec).__name__}")
     return grads

@@ -2,16 +2,21 @@
 
 A model is a stack of conditional layers (each trading 2n frames for
 temporal context), a global mean pool over the k surviving frames, one
-dense hidden layer, and a softmax output.  The forward pass runs a whole
+dense hidden layer, and a softmax output.  :meth:`TrainedModel.layers`
+names every layer with parameters in forward order (``clnn0`` ...,
+``dense``, ``output``); the forward pass, the parameter dict and the
+parameter checks all walk that one list.  The forward pass runs a whole
 ``(B, q, l)`` batch of segments through every layer at once; one segment
 is a batch of one.  Masks are derived from the spec, never stored: a
 model file round-trips parameters bit-exactly and regenerates masks on
-load.
+load.  The spec is stored as its dataclass fields and read back with
+every field required at its declared type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -19,9 +24,11 @@ from . import container
 from .errors import ContractError, HeaderMismatchError, ValidationError
 from .features import NormStats
 from .layers import (
+    Activation,
     ActivationTape,
     ClnnLayer,
     DenseLayer,
+    Layer,
     LinearActivation,
     PRelu,
     Sigmoid,
@@ -133,15 +140,12 @@ def frame_plan(spec: ModelSpec) -> list[int]:
     return plan
 
 
-_ACTIVATIONS = {"prelu", "sigmoid", "linear"}
-
-
-def _make_activation(name: str, width: int):
-    if name == "prelu":
-        return PRelu(slopes=np.full(width, INIT_SLOPE))
-    if name == "sigmoid":
-        return Sigmoid()
-    return LinearActivation()
+# activation name -> a fresh activation for a layer of the given width
+_ACTIVATIONS: dict[str, Callable[[int], Activation]] = {
+    "prelu": lambda width: PRelu(slopes=np.full(width, INIT_SLOPE)),
+    "sigmoid": lambda width: Sigmoid(),
+    "linear": lambda width: LinearActivation(),
+}
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -183,19 +187,19 @@ class TrainedModel:
                 )
         super().__setattr__(name, value)
 
+    def layers(self) -> list[tuple[str, Layer]]:
+        """``(name, layer)`` in forward order; the name keys parameters and tape records."""
+        conditional = [(f"clnn{i}", layer) for i, layer in enumerate(self.clnn_layers)]
+        return conditional + [("dense", self.dense), ("output", self.output)]
+
     def parameters(self) -> dict[str, np.ndarray]:
         """Live views of every trainable tensor, in a fixed key order."""
         params: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.clnn_layers):
-            params[f"clnn{i}.weights"] = layer.weights
-            params[f"clnn{i}.bias"] = layer.bias
+        for name, layer in self.layers():
+            params[f"{name}.weights"] = layer.weights
+            params[f"{name}.bias"] = layer.bias
             if isinstance(layer.activation, PRelu):
-                params[f"clnn{i}.slopes"] = layer.activation.slopes
-        for name, dense in (("dense", self.dense), ("output", self.output)):
-            params[f"{name}.weights"] = dense.weights
-            params[f"{name}.bias"] = dense.bias
-            if isinstance(dense.activation, PRelu):
-                params[f"{name}.slopes"] = dense.activation.slopes
+                params[f"{name}.slopes"] = layer.activation.slopes
         return params
 
     def copy_parameters(self) -> dict[str, np.ndarray]:
@@ -211,8 +215,11 @@ class TrainedModel:
         for key, target in params.items():
             if values[key].shape != target.shape:
                 raise ContractError(f"{key}: shape {values[key].shape} != {target.shape}")
-        for i, layer in enumerate(self.clnn_layers):
-            check_masked_weights(values[f"clnn{i}.weights"], layer.mask, f"clnn{i}.weights")
+            # one tensor at a time, so the check's scratch stays one tensor's size
+            if not np.isfinite(values[key]).all():
+                raise ContractError(f"{key}: non-finite value(s)")
+        for name, layer in self.layers():
+            check_masked_weights(values[f"{name}.weights"], layer.mask, f"{name}.weights")
         for key, target in params.items():
             target[...] = values[key]
 
@@ -245,14 +252,14 @@ def build_model(spec: ModelSpec, seed: int, labels: tuple[str, ...] | None = Non
                 weights=weights,
                 bias=np.zeros(e),
                 mask=mask,
-                activation=_make_activation(spec.activation, e),
+                activation=_ACTIVATIONS[spec.activation](e),
             )
         )
     last_width = spec.layers[-1].width
     dense = DenseLayer(
         weights=_glorot(rng, last_width, spec.dense_width, (last_width, spec.dense_width)),
         bias=np.zeros(spec.dense_width),
-        activation=_make_activation(spec.activation, spec.dense_width),
+        activation=_ACTIVATIONS[spec.activation](spec.dense_width),
     )
     output = DenseLayer(
         weights=_glorot(rng, spec.dense_width, spec.class_count, (spec.dense_width, spec.class_count)),
@@ -283,19 +290,15 @@ def model_forward_tape(model: TrainedModel, segments: np.ndarray) -> tuple[np.nd
             f"segment batch shape {segments.shape}, model expects (B, {expected[0]}, {expected[1]})"
         )
     tape = ActivationTape()
-    block = segments
-    for i, layer in enumerate(model.clnn_layers):
-        block = block_forward(layer, block, tape=tape, name=f"clnn{i}")
-    pooled = global_mean_pool(block, tape=tape, name="pool")
-    hidden = dense_forward(
-        pooled, model.dense.weights, model.dense.bias,
-        activation=model.dense.activation, tape=tape, name="dense",
-    )
-    logits = dense_forward(
-        hidden, model.output.weights, model.output.bias,
-        activation=None, tape=tape, name="output",
-    )
-    return softmax(logits), tape
+    named = model.layers()
+    conditional = len(model.clnn_layers)
+    x = segments
+    for name, layer in named[:conditional]:
+        x = block_forward(layer, x, tape=tape, name=name)
+    x = global_mean_pool(x, tape=tape, name="pool")
+    for name, layer in named[conditional:]:
+        x = dense_forward(layer, x, tape=tape, name=name)
+    return softmax(x), tape
 
 
 def model_forward(model: TrainedModel, segment: np.ndarray) -> np.ndarray:
@@ -309,39 +312,22 @@ def model_forward(model: TrainedModel, segment: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _spec_to_header(spec: ModelSpec) -> dict:
-    return {
-        "feature_length": spec.feature_length,
-        "layers": [
-            {"width": s.width, "order": s.order, "bandwidth": s.bandwidth, "overlap": s.overlap}
-            for s in spec.layers
-        ],
-        "extra_frames": spec.extra_frames,
-        "dense_width": spec.dense_width,
-        "class_count": spec.class_count,
-        "activation": spec.activation,
-        "allow_order_zero": spec.allow_order_zero,
-    }
+# JSON types a header value may have, by declared field type; exact types,
+# so a bool is not an int and nothing is coerced
+_HEADER_TYPES = {"int": (int,), "int | None": (int, type(None)), "bool": (bool,), "str": (str,)}
 
 
-def _spec_from_header(header: dict) -> ModelSpec:
-    return ModelSpec(
-        feature_length=int(header["feature_length"]),
-        layers=tuple(
-            LayerSpec(
-                width=int(s["width"]),
-                order=int(s["order"]),
-                bandwidth=None if s["bandwidth"] is None else int(s["bandwidth"]),
-                overlap=None if s["overlap"] is None else int(s["overlap"]),
-            )
-            for s in header["layers"]
-        ),
-        extra_frames=int(header["extra_frames"]),
-        dense_width=int(header["dense_width"]),
-        class_count=int(header["class_count"]),
-        activation=header["activation"],
-        allow_order_zero=bool(header["allow_order_zero"]),
-    )
+def _from_header(cls, header: dict):
+    """``cls`` from the ``asdict`` of one, every field present at its declared type."""
+    values = {}
+    for f in fields(cls):
+        value = header[f.name]
+        if f.name == "layers":
+            value = tuple(_from_header(LayerSpec, s) for s in value)
+        elif type(value) not in _HEADER_TYPES[f.type]:
+            raise TypeError(f"{cls.__name__}.{f.name} = {value!r} is not of type {f.type}")
+        values[f.name] = value
+    return cls(**values)
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -350,7 +336,7 @@ def save_model(model: TrainedModel, path) -> None:
     arrays = list(params.values())
     manifest = [{"name": k, "shape": list(v.shape)} for k, v in params.items()]
     header = {
-        "spec": _spec_to_header(model.spec),
+        "spec": asdict(model.spec),
         "labels": list(model.labels),
         "init_seed": model.init_seed,
         "init_scheme": model.init_scheme,
@@ -377,8 +363,11 @@ def load_model(path) -> TrainedModel:
 
     header, arrays = container.read(path, MODEL_MAGIC, MODEL_VERSION, shapes)
     try:
-        spec = _spec_from_header(header["spec"])
-        skeleton = build_model(spec, seed=int(header["init_seed"]), labels=tuple(header["labels"]))
+        spec = _from_header(ModelSpec, header["spec"])
+        seed = header["init_seed"]
+        if type(seed) is not int:
+            raise TypeError(f"init_seed = {seed!r} is not of type int")
+        skeleton = build_model(spec, seed=seed, labels=tuple(header["labels"]))
         skeleton.init_scheme = header["init_scheme"]
         values = dict(zip((str(entry["name"]) for entry in header["params"]), arrays))
         if header["norm"] is not None:

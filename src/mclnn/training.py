@@ -13,6 +13,7 @@ config, data) triple maps to bit-identical parameters and reports.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .dataset import Segment
 from .errors import ContractError, TrainingDivergedError, ValidationError
-from .layers import ClnnRecord, PoolRecord, backward
+from .layers import PoolRecord, backward
 from .model import TrainedModel, model_forward, model_forward_tape
 
 logger = logging.getLogger(__name__)
@@ -57,8 +58,8 @@ class TrainConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValidationError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValidationError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 1 or self.patience < 1:
             raise ValidationError("batch_size, epochs, and patience must all be >= 1")
         if self.hop is not None and self.hop < 1:
@@ -414,7 +415,7 @@ def _nudge_kinks(model: TrainedModel, segment: np.ndarray) -> np.ndarray:
         for record in tape.records:
             if isinstance(record, PoolRecord):
                 continue
-            bias = record.layer.bias if isinstance(record, ClnnRecord) else record.bias
+            bias = record.layer.bias
             pre2d = record.pre.reshape(-1, record.pre.shape[-1])
             for j in range(pre2d.shape[1]):
                 column = pre2d[:, j]
@@ -459,7 +460,7 @@ def grad_check(
         analytic = backward(tape, cross_entropy_grad(probs, [target]))
 
         params = model.parameters()
-        masks = {f"clnn{i}.weights": layer.mask for i, layer in enumerate(model.clnn_layers)}
+        masks = {f"{name}.weights": layer.mask for name, layer in model.layers()}
         per_tensor: dict[str, float] = {}
         for key in sorted(params):
             tensor = params[key]

@@ -360,6 +360,18 @@ class TestTrainEvalPredict:
         assert rc == EXIT_IO
         assert "normalization length 3 != feature length 8" in capsys.readouterr().err
 
+    def test_predict_model_with_nan_weight_is_io_error(self, workspace, tmp_path, capsys):
+        model = load_model(workspace / "run" / "model.mcln")
+        model.output.weights[0, 0] = np.nan
+        path = tmp_path / "nan.mcln"
+        save_model(model, path)
+        rc = main(["predict", "--model", str(path),
+                   str(workspace / "features" / "drums__clip5.mclf")])
+        assert rc == EXIT_IO
+        captured = capsys.readouterr()
+        assert "output.weights: non-finite value(s)" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_model_header_without_spec_is_io_error(self, workspace, tmp_path, capsys, command):
         model = tmp_path / "nospec.mcln"
@@ -432,6 +444,17 @@ class TestTrainEvalPredict:
                    "--plan", str(fold_plan), "--out", str(tmp_path / "run")])
         assert rc == EXIT_CONFIG
         assert "--test-fold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_train_non_finite_learning_rate_is_config_error(self, workspace, tmp_path, capsys, value):
+        config = tmp_path / "config.ini"
+        config.write_text(SMALL_INI)
+        rc = main(["train", "--config", str(config), "--learning-rate", value,
+                   "--features", str(workspace / "features"),
+                   "--plan", str(workspace / "plan.txt"), "--out", str(tmp_path / "run")])
+        assert rc == EXIT_CONFIG
+        assert "learning_rate must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.mcln").exists()
 
     def test_train_fold_plan_with_test_fold(self, workspace, tmp_path):
         fold_plan = tmp_path / "folds.txt"

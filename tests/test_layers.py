@@ -10,6 +10,7 @@ from mclnn.errors import ContractError, InsufficientFramesError, ShapeError
 from mclnn.layers import (
     ActivationTape,
     ClnnLayer,
+    DenseLayer,
     LinearActivation,
     PRelu,
     Sigmoid,
@@ -18,7 +19,6 @@ from mclnn.layers import (
     dense_forward,
     effective_weights,
     global_mean_pool,
-    prelu,
     softmax,
     window_forward,
 )
@@ -54,20 +54,24 @@ def synthetic_mask(entries: np.ndarray) -> BinaryMask:
 class TestPrelu:
     def test_definition(self):
         assert_array_equal(
-            prelu(np.array([2.0, -2.0]), np.array([0.25, 0.25])), np.array([2.0, -0.5])
+            PRelu(np.array([0.25, 0.25])).apply(np.array([2.0, -2.0])), np.array([2.0, -0.5])
         )
 
     def test_nonnegative_passthrough(self):
         x = np.array([0.0, 1.0, 5.0])
-        assert_array_equal(prelu(x, np.array([0.7, 0.7, 0.7])), x)
+        assert_array_equal(PRelu(np.array([0.7, 0.7, 0.7])).apply(x), x)
 
     def test_unit_slope_is_identity(self):
         x = np.array([-3.0, -0.5, 0.0, 2.0])
-        assert_array_equal(prelu(x, np.ones(4)), x)
+        assert_array_equal(PRelu(np.ones(4)).apply(x), x)
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            prelu(np.array([1.0, 2.0]), np.array([0.25]))
+        # one slope per neuron, checked when the layer is built
+        with pytest.raises(ShapeError, match="prelu slopes"):
+            DenseLayer(np.zeros((3, 2)), np.zeros(2), activation=PRelu(np.array([0.25])))
+        with pytest.raises(ShapeError, match="prelu slopes"):
+            ClnnLayer(order=1, weights=np.zeros((3, 3, 2)), bias=np.zeros(2),
+                      activation=PRelu(np.array([0.25])))
 
 
 class TestEffectiveWeights:
@@ -235,13 +239,13 @@ class TestBatchAxis:
     def test_pool_dense_softmax_rows(self):
         rng = np.random.default_rng(26)
         blocks = rng.standard_normal((4, 3, 5))
-        w, b = rng.standard_normal((5, 2)), rng.standard_normal(2)
+        dense = DenseLayer(rng.standard_normal((5, 2)), rng.standard_normal(2))
         pooled = global_mean_pool(blocks)
-        logits = dense_forward(pooled, w, b)
+        logits = dense_forward(dense, pooled)
         probs = softmax(logits)
         for i, block in enumerate(blocks):
             assert_array_equal(pooled[i], global_mean_pool(block))
-            assert_allclose(logits[i], dense_forward(pooled[i], w, b), rtol=0, atol=1e-12)
+            assert_allclose(logits[i], dense_forward(dense, pooled[i]), rtol=0, atol=1e-12)
             assert_allclose(probs[i], softmax(logits[i]), rtol=0, atol=1e-15)
 
     def test_backward_sums_per_item_gradients(self):
@@ -249,14 +253,14 @@ class TestBatchAxis:
         mask = generate_mask(MaskSpec(feature_length=5, hidden_width=4, bandwidth=2, overlap=0))
         layer1 = random_clnn_layer(rng, l=5, e=4, n=1, mask=mask, activation=PRelu(np.full(4, 0.25)))
         layer2 = random_clnn_layer(rng, l=4, e=3, n=1, activation=Sigmoid())
-        w, b = rng.standard_normal((3, 2)), rng.standard_normal(2)
+        dense = DenseLayer(rng.standard_normal((3, 2)), rng.standard_normal(2))
 
         def gradients(blocks, upstream):
             tape = ActivationTape()
             h = block_forward(layer1, blocks, tape=tape, name="clnn0")
             h = block_forward(layer2, h, tape=tape, name="clnn1")
             h = global_mean_pool(h, tape=tape)
-            dense_forward(h, w, b, tape=tape, name="out")
+            dense_forward(dense, h, tape=tape, name="out")
             return backward(tape, upstream)
 
         blocks, upstream = rng.standard_normal((3, 7, 5)), rng.standard_normal((3, 2))
@@ -310,11 +314,12 @@ class TestGlobalMeanPool:
 
 class TestDenseForward:
     def test_zero_parameters(self):
-        assert_array_equal(dense_forward(np.ones(3), np.zeros((3, 2)), np.zeros(2)), np.zeros(2))
+        layer = DenseLayer(np.zeros((3, 2)), np.zeros(2))
+        assert_array_equal(dense_forward(layer, np.ones(3)), np.zeros(2))
 
     def test_identity(self):
         x = np.array([1.0, -2.0, 3.0])
-        assert_array_equal(dense_forward(x, np.eye(3), np.zeros(3)), x)
+        assert_array_equal(dense_forward(DenseLayer(np.eye(3), np.zeros(3)), x), x)
 
     def test_scalar_loop_oracle(self):
         rng = np.random.default_rng(13)
@@ -322,13 +327,14 @@ class TestDenseForward:
         expected = np.array(
             [b[j] + sum(x[i] * w[i, j] for i in range(4)) for j in range(3)]
         )
-        assert_allclose(dense_forward(x, w, b), expected, rtol=0, atol=1e-12)
+        assert_allclose(dense_forward(DenseLayer(w, b), x), expected, rtol=0, atol=1e-12)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            dense_forward(np.ones(2), np.zeros((3, 2)), np.zeros(2))
+            dense_forward(DenseLayer(np.zeros((3, 2)), np.zeros(2)), np.ones(2))
+        # the bias length is the layer's to check, at construction
         with pytest.raises(ShapeError):
-            dense_forward(np.ones(3), np.zeros((3, 2)), np.zeros(3))
+            DenseLayer(np.zeros((3, 2)), np.zeros(3))
 
 
 class TestSoftmax:
@@ -395,7 +401,7 @@ class TestBackward:
             rng, l=4, e=4, n=1, mask=mask, activation=PRelu(slopes=np.full(4, 0.25))
         )
         layer2 = random_clnn_layer(rng, l=4, e=3, n=1, activation=Sigmoid())
-        dense_w, dense_b = rng.standard_normal((3, 2)), rng.standard_normal(2)
+        dense = DenseLayer(rng.standard_normal((3, 2)), rng.standard_normal(2))
         block = rng.standard_normal((7, 4))
         target = 1
 
@@ -403,7 +409,7 @@ class TestBackward:
             h = block_forward(layer1, block, tape=tape, name="clnn0")
             h = block_forward(layer2, h, tape=tape, name="clnn1")
             pooled = global_mean_pool(h, tape=tape)
-            return dense_forward(pooled, dense_w, dense_b, tape=tape, name="out")
+            return dense_forward(dense, pooled, tape=tape, name="out")
 
         def run():
             return -np.log(softmax(logits())[target])
@@ -419,8 +425,8 @@ class TestBackward:
             "clnn0.slopes": layer1.activation.slopes,
             "clnn1.weights": layer2.weights,
             "clnn1.bias": layer2.bias,
-            "out.weights": dense_w,
-            "out.bias": dense_b,
+            "out.weights": dense.weights,
+            "out.bias": dense.bias,
         }
         for key, tensor in tensors.items():
             flat = tensor.reshape(-1)
@@ -524,7 +530,6 @@ class TestOrderZeroReduction:
         )
         block = rng.standard_normal((6, 4))
         out = block_forward(layer, block)
-        per_frame = np.stack(
-            [dense_forward(frame, w, b, activation=PRelu(slopes=np.full(3, 0.25))) for frame in block]
-        )
+        dense = DenseLayer(w, b, activation=PRelu(slopes=np.full(3, 0.25)))
+        per_frame = np.stack([dense_forward(dense, frame) for frame in block])
         assert_allclose(out, per_frame, rtol=0, atol=1e-12)

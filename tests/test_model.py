@@ -206,11 +206,8 @@ class TestModelForward:
         for layer in small_model.clnn_layers:
             h = block_forward(layer, h)
         pooled = global_mean_pool(h)
-        hidden = dense_forward(
-            pooled, small_model.dense.weights, small_model.dense.bias,
-            activation=small_model.dense.activation,
-        )
-        logits = dense_forward(hidden, small_model.output.weights, small_model.output.bias)
+        hidden = dense_forward(small_model.dense, pooled)
+        logits = dense_forward(small_model.output, hidden)
         expected = softmax(logits)
         assert_allclose(model_forward(small_model, segment), expected, rtol=0, atol=1e-12)
 
@@ -336,16 +333,35 @@ class TestSerialization:
         lambda h: h.update(init_seed=-1),
         lambda h: h["params"][0].pop("name"),
         lambda h: h["norm"].pop("stats_id"),
+        # values of the wrong JSON type are rejected, never coerced
+        lambda h: h["spec"]["layers"][0].update(width=6.9),
+        lambda h: h["spec"]["layers"][0].update(bandwidth=3.0),
+        lambda h: h["spec"]["layers"][0].update(overlap=True),
+        lambda h: h["spec"].update(allow_order_zero="false"),
+        lambda h: h["spec"].update(allow_order_zero=0),
+        lambda h: h["spec"].update(class_count="4"),
+        lambda h: h.update(init_seed=2.5),
+        lambda h: h.update(init_seed=True),
     ], ids=[
         "no-spec", "spec-list", "spec-width-text", "layer-no-order", "dense-width-0",
         "no-labels", "labels-int", "labels-count", "no-seed", "seed-text", "seed-negative",
         "param-no-name", "norm-no-id",
+        "layer-width-float", "layer-bandwidth-float", "layer-overlap-bool", "order-zero-text",
+        "order-zero-int", "class-count-text", "seed-float", "seed-bool",
     ])
     def test_missing_or_malformed_header_field_is_header_mismatch(self, tmp_path, edit):
         path = tmp_path / "model.mcln"
         save_model(self._model_with_stats(), path)
         rewrite_model_header(path, edit)
         with pytest.raises(HeaderMismatchError):
+            load_model(path)
+
+    def test_nan_weight_is_header_mismatch(self, tmp_path):
+        model = self._model_with_stats()
+        model.dense.weights[1, 2] = np.nan
+        path = tmp_path / "nan.mcln"
+        save_model(model, path)
+        with pytest.raises(HeaderMismatchError, match=r"dense.weights: non-finite value"):
             load_model(path)
 
     def test_tampered_shape_header(self, tmp_path):
