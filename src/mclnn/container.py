@@ -12,6 +12,8 @@ The reader takes a callback mapping the parsed header to the expected
 array shapes, so shape errors surface as header mismatches rather than
 silent misreads.  The reader owns dimension validation: every declared
 dimension must be a non-negative ``int`` (not a bool, float or string).
+:func:`typed_fields` reads the other header fields, each at the exact JSON
+type of the dataclass field it fills.
 """
 
 from __future__ import annotations
@@ -30,6 +32,18 @@ from .errors import (
 )
 
 _FIXED = struct.Struct("<4sIQ")
+
+# JSON types a header value may have, by the declared type of the field it
+# fills; exact types, so a bool is not an int and nothing is coerced
+_HEADER_TYPES = {
+    "int": (int,),
+    "int | None": (int, type(None)),
+    "bool": (bool,),
+    "str": (str,),
+    "str | None": (str, type(None)),
+    "dict": (dict,),
+    "tuple[str, ...]": (list,),  # and every item a str
+}
 
 
 def write(path, magic: bytes, version: int, header: dict, arrays: list[np.ndarray]) -> None:
@@ -85,3 +99,25 @@ def read(path, magic: bytes, version: int, shapes_from_header) -> tuple[dict, li
             f"{path}: {len(blob) - offset} trailing bytes beyond the declared payload"
         )
     return header, arrays
+
+
+def typed_fields(header: dict, declared: dict[str, str], owner: str) -> dict:
+    """The ``declared`` fields of ``header``, each present at its exact JSON type.
+
+    ``declared`` maps a field name to the annotation of the dataclass field
+    it fills, as written in the source.
+
+    Raises:
+        KeyError: a field is missing.
+        TypeError: a field holds another JSON type.
+    """
+    values = {}
+    for name, kind in declared.items():
+        value = header[name]
+        valid = type(value) in _HEADER_TYPES[kind]
+        if valid and kind == "tuple[str, ...]":
+            valid = all(type(item) is str for item in value)
+        if not valid:
+            raise TypeError(f"{owner}.{name} = {value!r} is not of type {kind}")
+        values[name] = value
+    return values

@@ -5,22 +5,32 @@ The pipeline is: resample to a target rate, short-time power spectrum
 mel filterbank, natural log with a small floor, then per-dimension
 z-scoring with statistics fitted on the training split only.
 
+Extraction works in cache-sized passes.  The power spectrum is windowed,
+transformed and squared a block of frames at a time into one output
+array, with the same arithmetic as a single whole-clip pass, so it is
+bit-identical to it.  The filterbank is built once per ``(bins, fft_size,
+rate)`` in a process and shared read-only.  Each frequency bin feeds at
+most two triangular filters, so the mel projection multiplies each small
+group of filters only by the rows where the group is non-zero; the
+skipped entries are exact zeros, and only the order of summation differs
+from the dense product.
+
 Per-clip extraction is pure and parallelizable; statistic fitting is a
 deterministic reduction over the inputs in the order given.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
 import wave
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from . import container
 from .errors import (
@@ -39,6 +49,13 @@ WINDOW_NAME = "hann"
 
 FEATURE_MAGIC = b"MCLF"
 FEATURE_VERSION = 1
+
+# Frames per STFT pass: a 32 x 2048 windowed block and its spectrum take
+# about 1 MiB together, so each pass stays in a per-core L2 cache.
+_STFT_BLOCK = 32
+# Mel filters per banded product: small enough that a group's non-zero
+# rows are few, large enough that one matmul call per group stays cheap.
+_MEL_GROUP = 8
 
 __all__ = [
     "AudioClip",
@@ -111,6 +128,15 @@ class FeatureMatrix:
         return self.frames.shape[1]
 
 
+# a feature file's header: the frame matrix's shape, then every other
+# FeatureMatrix field, each read at the type the dataclass declares
+_FEATURE_HEADER = {
+    "t": "int",
+    "l": "int",
+    **{f.name: f.type for f in fields(FeatureMatrix) if f.name != "frames"},
+}
+
+
 @dataclass(frozen=True)
 class NormStats:
     """Per-dimension mean/std fitted on one source split."""
@@ -160,13 +186,20 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         raise ValidationError(f"target rate must be positive, got {target_rate}")
     if clip.sample_rate == target_rate:
         return clip
+    # imported here: scipy.signal dominates the package's import time, and
+    # only clips off the target rate need it
+    from scipy.signal import resample_poly
+
     ratio = Fraction(int(target_rate), int(clip.sample_rate))
     out = resample_poly(clip.samples, ratio.numerator, ratio.denominator)
     return AudioClip(samples=out, sample_rate=target_rate)
 
 
 def extract_chunk(clip: AudioClip, seconds: float = 30.0) -> AudioClip:
-    """Center crop of ``seconds``; shorter clips pass through with a warning."""
+    """Center crop of ``seconds``; shorter clips pass through with a warning.
+
+    The crop is a view of the clip's samples, not a copy.
+    """
     want = int(round(seconds * clip.sample_rate))
     have = clip.samples.size
     if have <= want:
@@ -177,7 +210,7 @@ def extract_chunk(clip: AudioClip, seconds: float = 30.0) -> AudioClip:
             )
         return clip
     start = (have - want) // 2
-    return AudioClip(samples=clip.samples[start : start + want].copy(), sample_rate=clip.sample_rate)
+    return AudioClip(samples=clip.samples[start : start + want], sample_rate=clip.sample_rate)
 
 
 def stft_frame_count(num_samples: int, window_size: int, hop: int) -> int:
@@ -212,8 +245,14 @@ def stft_power(clip: AudioClip, window_size: int = 2048, hop: int = 1024) -> np.
     padded = np.zeros(padded_len, dtype=np.float64)
     padded[: samples.size] = samples
     frames = np.lib.stride_tricks.sliding_window_view(padded, window_size)[::hop]
-    spectrum = np.fft.rfft(frames * _hann(window_size), axis=1)
-    return np.abs(spectrum) ** 2
+    window = _hann(window_size)
+    power = np.empty((t, window_size // 2 + 1), dtype=np.float64)
+    for start in range(0, t, _STFT_BLOCK):
+        block = power[start : start + _STFT_BLOCK]
+        spectrum = np.fft.rfft(frames[start : start + _STFT_BLOCK] * window, axis=1)
+        np.abs(spectrum, out=block)
+        np.square(block, out=block)
+    return power
 
 
 def hz_to_mel(hz):
@@ -224,8 +263,12 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(bins: int = 256, fft_size: int = 2048, rate: int = 22050) -> np.ndarray:
     """Triangular filters with centers equally spaced on the mel scale.
+
+    Built once per ``(bins, fft_size, rate)`` in a process; every caller
+    shares the one read-only array.
 
     Returns:
         ``(fft_size // 2 + 1, bins)`` matrix mapping power spectra to mel
@@ -240,7 +283,29 @@ def mel_filterbank(bins: int = 256, fft_size: int = 2048, rate: int = 22050) -> 
         rising = (freqs - lo) / (center - lo)
         falling = (hi - freqs) / (hi - center)
         fb[:, b] = np.maximum(0.0, np.minimum(rising, falling))
+    fb.flags.writeable = False
     return fb
+
+
+def _mel_energies(power: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
+    """``power @ filterbank``, each group of filters over its non-zero rows only.
+
+    Rows outside a group's range are zero for every filter in the group,
+    so skipping them drops only exact zeros; the result differs from the
+    dense product in summation order alone.
+    """
+    nonzero = filterbank != 0
+    used = nonzero.any(axis=0)
+    n_rows = filterbank.shape[0]
+    first = np.where(used, nonzero.argmax(axis=0), n_rows)
+    stop = np.where(used, n_rows - nonzero[::-1].argmax(axis=0), 0)
+    energies = np.zeros((power.shape[0], filterbank.shape[1]), dtype=np.float64)
+    for c0 in range(0, filterbank.shape[1], _MEL_GROUP):
+        c1 = c0 + _MEL_GROUP
+        lo, hi = first[c0:c1].min(), stop[c0:c1].max()
+        if lo < hi:
+            np.matmul(power[:, lo:hi], filterbank[lo:hi, c0:c1], out=energies[:, c0:c1])
+    return energies
 
 
 def log_mel(
@@ -257,7 +322,9 @@ def log_mel(
         raise ShapeError.mismatch(
             "power vs filterbank", ("t", filterbank.shape[0]), power.shape
         )
-    frames = np.log(power @ filterbank + LOG_FLOOR)
+    frames = _mel_energies(power, filterbank)
+    frames += LOG_FLOOR
+    np.log(frames, out=frames)
     full_meta = {"log_eps": LOG_FLOOR}
     if meta:
         full_meta.update(meta)
@@ -358,17 +425,14 @@ def load_features(path) -> FeatureMatrix:
     header, arrays = container.read(
         path, FEATURE_MAGIC, FEATURE_VERSION, lambda h: [(h["t"], h["l"])]
     )
-    if header["t"] < 1 or header["l"] < 1:
+    try:
+        values = container.typed_fields(header, _FEATURE_HEADER, "feature header")
+    except (KeyError, TypeError) as exc:
+        raise HeaderMismatchError(f"{path}: header field missing or malformed: {exc!r}") from exc
+    t, l = values.pop("t"), values.pop("l")
+    if t < 1 or l < 1:
         raise HeaderMismatchError(f"feature file {path} declares an empty matrix")
-    return FeatureMatrix(
-        frames=arrays[0],
-        clip_id=header["clip_id"],
-        label=header["label"],
-        split=header["split"],
-        normalized=header["normalized"],
-        norm_id=header["norm_id"],
-        meta=header["meta"],
-    )
+    return FeatureMatrix(frames=arrays[0], **values)
 
 
 def load_audio(path) -> AudioClip:
@@ -388,11 +452,12 @@ def load_audio(path) -> AudioClip:
         dtype = {1: np.uint8, 2: np.int16, 4: np.int32}.get(width)
         if dtype is None:
             raise ValidationError(f"{path}: unsupported PCM sample width {width}")
-        samples = np.frombuffer(raw, dtype=dtype).astype(np.float64)
+        # one pass from the PCM integers to float64; the scale is a power of
+        # two, so this equals converting first and dividing after, bit for bit
+        pcm = np.frombuffer(raw, dtype=dtype)
+        samples = np.multiply(pcm, 2.0 ** (1 - 8 * width), dtype=np.float64)
         if width == 1:
-            samples = (samples - 128.0) / 128.0
-        else:
-            samples = samples / float(2 ** (8 * width - 1))
+            samples -= 1.0  # unsigned 8-bit PCM is centred on 128
         if channels > 1:
             samples = samples.reshape(-1, channels).mean(axis=1)
         return AudioClip(samples=samples, sample_rate=rate)

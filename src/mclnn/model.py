@@ -10,7 +10,8 @@ parameter checks all walk that one list.  The forward pass runs a whole
 is a batch of one.  Masks are derived from the spec, never stored: a
 model file round-trips parameters bit-exactly and regenerates masks on
 load.  The spec is stored as its dataclass fields and read back with
-every field required at its declared type.
+every field required at its declared type, as are the labels, the init
+seed and the init scheme.
 """
 
 from __future__ import annotations
@@ -312,22 +313,19 @@ def model_forward(model: TrainedModel, segment: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# JSON types a header value may have, by declared field type; exact types,
-# so a bool is not an int and nothing is coerced
-_HEADER_TYPES = {"int": (int,), "int | None": (int, type(None)), "bool": (bool,), "str": (str,)}
-
-
 def _from_header(cls, header: dict):
     """``cls`` from the ``asdict`` of one, every field present at its declared type."""
-    values = {}
-    for f in fields(cls):
-        value = header[f.name]
-        if f.name == "layers":
-            value = tuple(_from_header(LayerSpec, s) for s in value)
-        elif type(value) not in _HEADER_TYPES[f.type]:
-            raise TypeError(f"{cls.__name__}.{f.name} = {value!r} is not of type {f.type}")
-        values[f.name] = value
+    declared = {f.name: f.type for f in fields(cls) if f.name != "layers"}
+    values = container.typed_fields(header, declared, cls.__name__)
+    if cls is ModelSpec:
+        values["layers"] = tuple(_from_header(LayerSpec, s) for s in header["layers"])
     return cls(**values)
+
+
+# the model header's own fields, read at the types TrainedModel declares
+_MODEL_HEADER = {
+    f.name: f.type for f in fields(TrainedModel) if f.name in ("labels", "init_seed", "init_scheme")
+}
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -364,11 +362,9 @@ def load_model(path) -> TrainedModel:
     header, arrays = container.read(path, MODEL_MAGIC, MODEL_VERSION, shapes)
     try:
         spec = _from_header(ModelSpec, header["spec"])
-        seed = header["init_seed"]
-        if type(seed) is not int:
-            raise TypeError(f"init_seed = {seed!r} is not of type int")
-        skeleton = build_model(spec, seed=seed, labels=tuple(header["labels"]))
-        skeleton.init_scheme = header["init_scheme"]
+        own = container.typed_fields(header, _MODEL_HEADER, "model")
+        skeleton = build_model(spec, seed=own["init_seed"], labels=tuple(own["labels"]))
+        skeleton.init_scheme = own["init_scheme"]
         values = dict(zip((str(entry["name"]) for entry in header["params"]), arrays))
         if header["norm"] is not None:
             skeleton.norm_stats = NormStats(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mclnn import container
-from mclnn.features import FeatureMatrix
+from mclnn.features import FEATURE_MAGIC, FEATURE_VERSION, FeatureMatrix
 from mclnn.layers import ClnnLayer, LinearActivation, PRelu
 from mclnn.model import MODEL_MAGIC, MODEL_VERSION, LayerSpec, ModelSpec, build_model
 
@@ -50,15 +50,24 @@ def dirty_masked_weight(model):
     model.clnn_layers[0].weights[2, dead[0], dead[1]] = 1.0
 
 
+def _rewrite_header(path, magic, version, shapes, edit):
+    header, arrays = container.read(path, magic, version, shapes)
+    edit(header)
+    container.write(path, magic, version, header, arrays)
+
+
 def rewrite_model_header(path, edit):
     """Re-write a model file after ``edit(header)`` changed its JSON header."""
     def shapes(header):
         norm = [(header["norm"]["length"],)] * 2 if header["norm"] else []
         return [tuple(entry["shape"]) for entry in header["params"]] + norm
 
-    header, arrays = container.read(path, MODEL_MAGIC, MODEL_VERSION, shapes)
-    edit(header)
-    container.write(path, MODEL_MAGIC, MODEL_VERSION, header, arrays)
+    _rewrite_header(path, MODEL_MAGIC, MODEL_VERSION, shapes, edit)
+
+
+def rewrite_feature_header(path, edit):
+    """Re-write a feature file after ``edit(header)`` changed its JSON header."""
+    _rewrite_header(path, FEATURE_MAGIC, FEATURE_VERSION, lambda h: [(h["t"], h["l"])], edit)
 
 
 # ---------------------------------------------------------------------------

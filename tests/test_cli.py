@@ -26,7 +26,7 @@ from mclnn.features import FeatureParams, NormStats, apply_zscore, load_features
 from mclnn.model import PRESETS, LayerSpec, load_model, save_model
 from mclnn.training import TrainConfig
 
-from conftest import dirty_masked_weight, rewrite_model_header
+from conftest import dirty_masked_weight, rewrite_feature_header, rewrite_model_header
 
 
 def synth_audio_tree(root, rng, clips_per_class=6, samples=1200, rate=2000):
@@ -386,6 +386,27 @@ class TestTrainEvalPredict:
         assert main(argv) == EXIT_IO
         err = capsys.readouterr().err
         assert "header field missing or malformed: KeyError('spec')" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("meta"),
+        lambda h: h.update(label="1"),
+        lambda h: h.update(label=1.5),
+        lambda h: h.update(clip_id=7),
+        lambda h: h.update(normalized="yes"),
+        lambda h: h.update(meta=["hann"]),
+    ], ids=["no-meta", "label-text", "label-float", "clip-id-int", "normalized-text", "meta-list"])
+    def test_predict_feature_header_field_missing_or_mistyped_is_io_error(
+        self, workspace, tmp_path, capsys, edit
+    ):
+        features = tmp_path / "drums__clip5.mclf"
+        features.write_bytes((workspace / "features" / "drums__clip5.mclf").read_bytes())
+        rewrite_feature_header(features, edit)
+        rc = main(["predict", "--model", str(workspace / "run" / "model.mcln"), str(features)])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: HeaderMismatchError: ") and err.count("\n") == 1
+        assert "header field missing or malformed" in err
         assert "Traceback" not in err
 
     def _prenormalized(self, workspace, tmp_path, stats):

@@ -2,12 +2,18 @@
 
 import logging
 import math
+import os
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import mclnn
+from mclnn import features
 from mclnn.errors import (
     ContractError,
     FileFormatError,
@@ -86,6 +92,7 @@ class TestChunk:
         out = extract_chunk(clip, seconds=4.0)
         assert out.samples.size == 40
         assert out.samples[0] == 30.0  # (100 - 40) // 2
+        assert np.shares_memory(out.samples, clip.samples)
 
     def test_short_clip_used_whole_with_warning(self, caplog):
         clip = AudioClip(samples=np.ones(25), sample_rate=10)
@@ -134,6 +141,21 @@ class TestStftPower:
         frame = np.concatenate([samples[4:10], np.zeros(2)])
         assert_allclose(power[1], np.abs(np.fft.rfft(frame * window)) ** 2, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("frames", [
+        1, features._STFT_BLOCK - 1, features._STFT_BLOCK, features._STFT_BLOCK + 1, 645,
+    ])
+    def test_blocked_passes_equal_the_whole_clip_formula(self, frames):
+        window, hop = 2048, 1024
+        # a partial last frame, so the zero padding is in play
+        size = window if frames == 1 else (frames - 1) * hop + window - 100
+        samples = np.random.default_rng(frames).standard_normal(size)
+        padded = np.zeros((frames - 1) * hop + window)
+        padded[:size] = samples
+        whole = np.lib.stride_tricks.sliding_window_view(padded, window)[::hop]
+        expected = np.abs(np.fft.rfft(whole * features._hann(window), axis=1)) ** 2
+        power = stft_power(AudioClip(samples=samples, sample_rate=RATE), window, hop)
+        assert_array_equal(power, expected)
+
     def test_sine_at_bin_center_has_single_dominant_bin(self):
         k = 200
         clip = sine_clip(k * RATE / 2048)
@@ -167,6 +189,13 @@ class TestMelFilterbank:
             assert active.size > 0
             assert_array_equal(np.diff(active), np.ones(active.size - 1, dtype=np.int64))
 
+    def test_built_once_per_key_and_read_only(self):
+        fb = mel_filterbank(16, 64, RATE)
+        assert mel_filterbank(16, 64, RATE) is fb
+        assert mel_filterbank(16, 128, RATE) is not fb
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+
     def test_mel_scale_round_trip(self):
         freqs = np.array([0.0, 700.0, 1000.0, 8000.0, RATE / 2.0])
         assert_allclose(mel_to_hz(hz_to_mel(freqs)), freqs, rtol=1e-12, atol=1e-9)
@@ -186,6 +215,21 @@ class TestLogMel:
         assert np.all(np.isfinite(fm.frames))
         assert fm.clip_id == "c" and fm.label == 1 and fm.split == "train"
         assert fm.meta["log_eps"] == 1e-10
+
+    @pytest.mark.parametrize("bins, fft_size", [(256, 2048), (64, 1024), (16, 64), (256, 64)])
+    def test_banded_product_equals_dense_product(self, bins, fft_size):
+        fb = mel_filterbank(bins, fft_size, RATE)
+        if (bins, fft_size) == (256, 64):
+            assert np.any(fb.sum(axis=0) == 0)  # filters narrower than a bin are empty
+        power = np.random.default_rng(bins + fft_size).random((37, fft_size // 2 + 1))
+        assert_allclose(features._mel_energies(power, fb), power @ fb, rtol=1e-12, atol=0)
+
+    def test_banded_product_handles_any_zero_pattern(self):
+        rng = np.random.default_rng(12)
+        matrix = rng.standard_normal((33, 20)) * (rng.random((33, 20)) < 0.2)
+        matrix[:, 3] = 0.0
+        power = rng.random((9, 33))
+        assert_allclose(features._mel_energies(power, matrix), power @ matrix, rtol=1e-12, atol=0)
 
     def test_power_width_mismatch(self):
         fb = mel_filterbank(16, 64, RATE)
@@ -352,8 +396,45 @@ class TestLoadAudio:
         assert clip.sample_rate == 8000
         assert_allclose(clip.samples, values / 32768.0, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("width, channels", [(1, 1), (2, 1), (4, 1), (2, 2)])
+    def test_wav_decode_equals_convert_then_divide(self, tmp_path, width, channels):
+        dtype = {1: np.uint8, 2: np.int16, 4: np.int32}[width]
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(width * 10 + channels)
+        values = rng.integers(info.min, info.max, size=999 * channels, endpoint=True, dtype=dtype)
+        values[:2] = info.min, info.max
+        path = tmp_path / "clip.wav"
+        with wave.open(str(path), "wb") as handle:
+            handle.setnchannels(channels)
+            handle.setsampwidth(width)
+            handle.setframerate(8000)
+            handle.writeframes(values.tobytes())
+        expected = values.astype(np.float64)
+        if width == 1:
+            expected = (expected - 128.0) / 128.0
+        else:
+            expected = expected / float(2 ** (8 * width - 1))
+        expected = expected.reshape(-1, channels).mean(axis=1)
+        assert_array_equal(load_audio(path).samples, expected)
+
     def test_unsupported_suffix(self, tmp_path):
         path = tmp_path / "clip.mp3"
         path.write_bytes(b"not audio")
         with pytest.raises(ValidationError):
             load_audio(path)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.signal dominates import time; only resampling needs it
+    env = dict(os.environ)
+    source = str(Path(mclnn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    code = (
+        "import mclnn, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

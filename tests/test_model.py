@@ -342,12 +342,17 @@ class TestSerialization:
         lambda h: h["spec"].update(class_count="4"),
         lambda h: h.update(init_seed=2.5),
         lambda h: h.update(init_seed=True),
+        lambda h: h.update(labels="abcd"),
+        lambda h: h.update(labels=[1, 2.5, None, True]),
+        lambda h: h.update(init_scheme=[1, 2]),
+        lambda h: h.pop("init_scheme"),
     ], ids=[
         "no-spec", "spec-list", "spec-width-text", "layer-no-order", "dense-width-0",
         "no-labels", "labels-int", "labels-count", "no-seed", "seed-text", "seed-negative",
         "param-no-name", "norm-no-id",
         "layer-width-float", "layer-bandwidth-float", "layer-overlap-bool", "order-zero-text",
         "order-zero-int", "class-count-text", "seed-float", "seed-bool",
+        "labels-text", "labels-not-strings", "init-scheme-list", "no-init-scheme",
     ])
     def test_missing_or_malformed_header_field_is_header_mismatch(self, tmp_path, edit):
         path = tmp_path / "model.mcln"
