@@ -475,8 +475,19 @@ def _normalized_for(model, fm):
     return fm
 
 
+def _segment_hop(args, q: int) -> int:
+    """``--hop`` of eval and predict: q when not given, and at least 1."""
+    if args.hop is None:
+        return q
+    if args.hop < 1:
+        raise ConfigError(f"--hop must be >= 1, got {args.hop}")
+    return args.hop
+
+
 def cmd_eval(args) -> int:
     model = mdl.load_model(args.model)
+    q = mdl.segment_size(model.spec)
+    hop = _segment_hop(args, q)
     all_features = _load_feature_dir(Path(args.features))
     plan = ds.SplitPlan.load(args.plan)
     bucket = args.bucket
@@ -487,8 +498,6 @@ def cmd_eval(args) -> int:
     if not chosen:
         raise ValidationError(f"no feature files for bucket {bucket!r} under {args.features}")
     chosen = [_normalized_for(model, fm) for fm in chosen]
-    q = mdl.segment_size(model.spec)
-    hop = args.hop or q
     by_clip = {fm.clip_id: ds.segment_clip(fm, q, hop) for fm in chosen}
     labels_by_clip = {fm.clip_id: fm.label for fm in chosen}
     result = trn.evaluate(model, by_clip, labels_by_clip)
@@ -509,7 +518,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     model = mdl.load_model(args.model)
     q = mdl.segment_size(model.spec)
-    hop = args.hop or q
+    hop = _segment_hop(args, q)
     paths = [Path(p) for p in args.features_files]
     for path in paths:
         fm = _normalized_for(model, feat.load_features(path))

@@ -8,12 +8,14 @@ z-scoring with statistics fitted on the training split only.
 Extraction works in cache-sized passes.  The power spectrum is windowed,
 transformed and squared a block of frames at a time into one output
 array, with the same arithmetic as a single whole-clip pass, so it is
-bit-identical to it.  The filterbank is built once per ``(bins, fft_size,
-rate)`` in a process and shared read-only.  Each frequency bin feeds at
-most two triangular filters, so the mel projection multiplies each small
-group of filters only by the rows where the group is non-zero; the
-skipped entries are exact zeros, and only the order of summation differs
-from the dense product.
+bit-identical to it.  The frames are a view of the samples; only a last
+frame that runs past the end is copied and zero-padded.  The filterbank
+is built once per ``(bins, fft_size, rate)`` in a process and shared
+read-only, with one warning when it has all-zero filters.  Each
+frequency bin feeds at most two triangular filters, so the mel projection
+multiplies each small group of filters only by the rows where the group
+is non-zero; the skipped entries are exact zeros, and only the order of
+summation differs from the dense product.
 
 Per-clip extraction is pure and parallelizable; statistic fitting is a
 deterministic reduction over the inputs in the order given.
@@ -241,15 +243,21 @@ def stft_power(clip: AudioClip, window_size: int = 2048, hop: int = 1024) -> np.
             f"clip has {samples.size} samples but one analysis window needs {window_size}"
         )
     t = stft_frame_count(samples.size, window_size, hop)
-    padded_len = (t - 1) * hop + window_size
-    padded = np.zeros(padded_len, dtype=np.float64)
-    padded[: samples.size] = samples
-    frames = np.lib.stride_tricks.sliding_window_view(padded, window_size)[::hop]
+    # frames inside the signal are a view of it; at most the last one runs
+    # past the end, and only that one is copied and zero-padded (``last``
+    # has no row when the last frame is full)
+    frames = np.lib.stride_tricks.sliding_window_view(samples, window_size)[::hop]
+    last = np.zeros((t - frames.shape[0], window_size), dtype=np.float64)
+    rest = samples[frames.shape[0] * hop :]
+    last[:, : rest.size] = rest
     window = _hann(window_size)
     power = np.empty((t, window_size // 2 + 1), dtype=np.float64)
     for start in range(0, t, _STFT_BLOCK):
         block = power[start : start + _STFT_BLOCK]
-        spectrum = np.fft.rfft(frames[start : start + _STFT_BLOCK] * window, axis=1)
+        chunk = frames[start : start + _STFT_BLOCK]
+        if start + _STFT_BLOCK >= t:
+            chunk = np.concatenate((chunk, last))
+        spectrum = np.fft.rfft(chunk * window, axis=1)
         np.abs(spectrum, out=block)
         np.square(block, out=block)
     return power
@@ -268,7 +276,8 @@ def mel_filterbank(bins: int = 256, fft_size: int = 2048, rate: int = 22050) -> 
     """Triangular filters with centers equally spaced on the mel scale.
 
     Built once per ``(bins, fft_size, rate)`` in a process; every caller
-    shares the one read-only array.
+    shares the one read-only array.  A filter whose band falls between two
+    FFT bins is all zero; building such a bank logs one warning.
 
     Returns:
         ``(fft_size // 2 + 1, bins)`` matrix mapping power spectra to mel
@@ -283,6 +292,14 @@ def mel_filterbank(bins: int = 256, fft_size: int = 2048, rate: int = 22050) -> 
         rising = (freqs - lo) / (center - lo)
         falling = (hi - freqs) / (hi - center)
         fb[:, b] = np.maximum(0.0, np.minimum(rising, falling))
+    empty = int(np.count_nonzero(~fb.any(axis=0)))
+    if empty:
+        logger.warning(
+            "%d of %d mel filters are empty at fft size %d and %d Hz (their bands fall "
+            "between FFT bins) and yield constant log-floor features; use a larger "
+            "--fft or fewer --mel-bins",
+            empty, bins, fft_size, rate,
+        )
     fb.flags.writeable = False
     return fb
 

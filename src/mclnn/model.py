@@ -7,11 +7,15 @@ names every layer with parameters in forward order (``clnn0`` ...,
 ``dense``, ``output``); the forward pass, the parameter dict and the
 parameter checks all walk that one list.  The forward pass runs a whole
 ``(B, q, l)`` batch of segments through every layer at once; one segment
-is a batch of one.  Masks are derived from the spec, never stored: a
-model file round-trips parameters bit-exactly and regenerates masks on
-load.  The spec is stored as its dataclass fields and read back with
-every field required at its declared type, as are the labels, the init
-seed and the init scheme.
+is a batch of one.  :func:`model_forward_run` takes overlapping segments
+as one run of frames and their offsets in it: a leading conditional
+layer runs once over the run when that makes fewer rows than the batch
+would, and both entry points share the walk from the first batched layer
+on.  Masks are derived from the spec, never stored: a model file
+round-trips parameters bit-exactly and regenerates masks on load.  The
+spec is stored as its dataclass fields and read back with every field
+required at its declared type, as are the labels, the init seed and the
+init scheme.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ __all__ = [
     "build_model",
     "model_forward",
     "model_forward_tape",
+    "model_forward_run",
     "save_model",
     "load_model",
     "PRESETS",
@@ -277,6 +282,21 @@ def build_model(spec: ModelSpec, seed: int, labels: tuple[str, ...] | None = Non
     )
 
 
+def _walk(
+    model: TrainedModel, x: np.ndarray, first: int, tape: ActivationTape | None = None
+) -> np.ndarray:
+    """Class probabilities from conditional layer ``first`` on: its input
+    ``x`` is a ``(B, frame_plan[first], width)`` batch."""
+    named = model.layers()
+    conditional = len(model.clnn_layers)
+    for name, layer in named[first:conditional]:
+        x = block_forward(layer, x, tape=tape, name=name)
+    x = global_mean_pool(x, tape=tape, name="pool")
+    for name, layer in named[conditional:]:
+        x = dense_forward(layer, x, tape=tape, name=name)
+    return softmax(x)
+
+
 def model_forward_tape(model: TrainedModel, segments: np.ndarray) -> tuple[np.ndarray, ActivationTape]:
     """Forward pass over a ``(B, q, l)`` batch of segments, recorded for ``backward``.
 
@@ -291,15 +311,46 @@ def model_forward_tape(model: TrainedModel, segments: np.ndarray) -> tuple[np.nd
             f"segment batch shape {segments.shape}, model expects (B, {expected[0]}, {expected[1]})"
         )
     tape = ActivationTape()
-    named = model.layers()
-    conditional = len(model.clnn_layers)
-    x = segments
-    for name, layer in named[:conditional]:
-        x = block_forward(layer, x, tape=tape, name=name)
-    x = global_mean_pool(x, tape=tape, name="pool")
-    for name, layer in named[conditional:]:
-        x = dense_forward(layer, x, tape=tape, name=name)
-    return softmax(x), tape
+    return _walk(model, segments, 0, tape), tape
+
+
+def model_forward_run(model: TrainedModel, frames: np.ndarray, starts) -> np.ndarray:
+    """Class probabilities for the segments ``frames[s : s + q]``, ``s`` in ``starts``.
+
+    ``frames`` is one ``(T, l)`` run of frames and row ``b`` of the
+    ``(B, c)`` result is the segment at ``starts[b]``.  A conditional layer
+    is a temporal convolution, so where segments overlap they share its
+    output rows: while running leading layer ``i`` over the whole run
+    makes fewer rows than the batch would (``T_i - 2n_i < B *
+    frame_plan[i + 1]``), it runs over the run.  The segments' windows are
+    then gathered from that layer's output and the rest runs batched, as
+    in :func:`model_forward_tape`.  Untaped: nothing here feeds ``backward``.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    starts = np.asarray(starts)
+    plan = frame_plan(model.spec)
+    if frames.ndim != 2 or frames.shape[1] != model.spec.feature_length:
+        raise ContractError(
+            f"run shape {frames.shape}, model expects (T, {model.spec.feature_length})"
+        )
+    if (
+        starts.ndim != 1
+        or starts.size < 1
+        or not np.issubdtype(starts.dtype, np.integer)
+        or starts.min() < 0
+        or starts.max() > frames.shape[0] - plan[0]
+    ):
+        raise ContractError(
+            f"segment starts must be a non-empty list of offsets in [0, {frames.shape[0] - plan[0]}]"
+        )
+    x = frames
+    first = 0
+    for name, layer in model.layers()[: len(model.clnn_layers)]:
+        if x.shape[0] - 2 * layer.order >= starts.size * plan[first + 1]:
+            break
+        x = block_forward(layer, x, name=name)
+        first += 1
+    return _walk(model, x[starts[:, None] + np.arange(plan[first])], first)
 
 
 def model_forward(model: TrainedModel, segment: np.ndarray) -> np.ndarray:

@@ -6,7 +6,10 @@ generator, and validation-loss early stopping that snapshots the best
 parameters.  Each mini-batch is one batched forward and one ``backward``
 from the mean cross-entropy's logit gradient; validation runs in chunks of
 ``batch_size`` segments and a clip's segments run in chunks of
-:data:`PREDICT_CHUNK`.  Every reduction runs in a fixed order, so a (seed,
+:data:`PREDICT_CHUNK`.  Each chunk goes to the model as one run of
+frames in which overlapping segments whose frames agree share their
+common frames, so a conditional layer can run once over the run instead
+of once per segment.  Every reduction runs in a fixed order, so a (seed,
 config, data) triple maps to bit-identical parameters and reports.
 """
 
@@ -22,7 +25,7 @@ import numpy as np
 from .dataset import Segment
 from .errors import ContractError, TrainingDivergedError, ValidationError
 from .layers import PoolRecord, backward
-from .model import TrainedModel, model_forward, model_forward_tape
+from .model import TrainedModel, model_forward, model_forward_run, model_forward_tape, segment_size
 
 logger = logging.getLogger(__name__)
 
@@ -290,22 +293,49 @@ def train(
 # ---------------------------------------------------------------------------
 
 
+def _run(segments: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
+    """Start-sorted segments as one run of frames and each segment's offset in it.
+
+    A segment whose first ``q - g`` frames equal the last ones of its
+    predecessor, ``g`` frames earlier (``0 < g < q``), adds only its last
+    ``g`` frames; any other segment adds all ``q``.  Sharing follows from
+    the frame values, not from how the frames are stored.
+    """
+    q = segments[0].frames.shape[0]
+    pieces, offsets = [segments[0].frames], [0]
+    for prev, seg in zip(segments, segments[1:]):
+        g = seg.start - prev.start
+        if 0 < g < q and np.array_equal(prev.frames[g:], seg.frames[: q - g]):
+            pieces.append(seg.frames[q - g :])
+        else:
+            pieces.append(seg.frames)
+            g = q
+        offsets.append(offsets[-1] + g)
+    return np.concatenate(pieces), np.array(offsets)
+
+
 def predict_clip(model: TrainedModel, segments: list[Segment]) -> tuple[int, np.ndarray]:
     """Majority vote over segment predictions.
 
     Ties go to the higher mean probability across the clip's segments,
     then to the lower class id.  Segments are processed in a canonical
-    order, in batched forwards of at most :data:`PREDICT_CHUNK` segments,
-    so the result is invariant to how the list is arranged.
+    order, in forwards of at most :data:`PREDICT_CHUNK` segments, so the
+    result is invariant to how the list is arranged.  Each forward is one
+    :func:`model_forward_run` over the chunk's run (see :func:`_run`);
+    every segment must be ``(q, l)`` for the model.
     """
     if not segments:
         raise ContractError("predict_clip needs at least one segment")
     clip_ids = {s.clip_id for s in segments}
     if len(clip_ids) != 1:
         raise ContractError(f"segments from multiple clips passed together: {sorted(clip_ids)}")
+    expected = (segment_size(model.spec), model.spec.feature_length)
+    shapes = {np.shape(s.frames) for s in segments} - {expected}
+    if shapes:
+        raise ContractError(f"segment frames shaped {sorted(shapes)}, model expects {expected}")
     ordered = sorted(segments, key=lambda s: s.start)
     probs = np.concatenate([
-        model_forward_tape(model, _stack(ordered[start : start + PREDICT_CHUNK])[0])[0]
+        model_forward_run(model, *_run(ordered[start : start + PREDICT_CHUNK]))
         for start in range(0, len(ordered), PREDICT_CHUNK)
     ])
     votes = np.bincount(np.argmax(probs, axis=1), minlength=model.spec.class_count)

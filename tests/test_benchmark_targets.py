@@ -41,3 +41,19 @@ def test_model_forward_tape_names_each_conditional_layer_by_keyword(monkeypatch,
     monkeypatch.setattr(mclnn.model, "block_forward", recording)
     mclnn.model.model_forward_tape(small_model, np.zeros((2, 11, 8)))
     assert names == ["clnn0", "clnn1"]
+
+
+def test_model_forward_run_names_each_conditional_layer_by_keyword(monkeypatch, small_model):
+    # shared layers run over the whole run, the rest batched; both are named
+    names = []
+    original = mclnn.model.block_forward
+
+    def recording(*args, **kwargs):
+        names.append(kwargs["name"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mclnn.model, "block_forward", recording)
+    for hop in (1, 6, 7):
+        names.clear()
+        mclnn.model.model_forward_run(small_model, np.zeros((11 + 3 * hop, 8)), np.arange(4) * hop)
+        assert names == ["clnn0", "clnn1"]

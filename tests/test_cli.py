@@ -337,6 +337,21 @@ class TestTrainEvalPredict:
             assert len(values) == 2
             assert abs(sum(values) - 1.0) < 1e-3
 
+    @pytest.mark.parametrize("hop", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_hop_below_one_is_config_error(self, workspace, capsys, command, hop):
+        model = str(workspace / "run" / "model.mcln")
+        if command == "eval":
+            argv = ["eval", "--model", model, "--plan", str(workspace / "plan.txt"),
+                    "--features", str(workspace / "features")]
+        else:
+            argv = ["predict", "--model", model, str(workspace / "features" / "drums__clip5.mclf")]
+        rc = main(argv + ["--hop", hop])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: ConfigError: --hop must be >= 1, got {hop}"]
+
     def test_predict_model_with_non_zero_masked_weight_is_io_error(self, workspace, tmp_path, capsys):
         model = load_model(workspace / "run" / "model.mcln")
         dirty_masked_weight(model)

@@ -156,6 +156,26 @@ class TestStftPower:
         power = stft_power(AudioClip(samples=samples, sample_rate=RATE), window, hop)
         assert_array_equal(power, expected)
 
+    @pytest.mark.parametrize("window, hop, size", [
+        (2048, 1024, 2048),                                   # one full frame
+        (2048, 1024, 2048 + 1),                               # one full, one partial
+        (2048, 1024, 31 * 1024 + 2048),                       # 32 full frames, one pass
+        (2048, 1024, 32 * 1024 + 2048),                       # 33 full frames
+        (2048, 1024, 31 * 1024 + 2048 + 7),                   # 32 full, partial 33rd
+        (2048, 1024, 644 * 1024 + 2048),                      # 645 full frames
+        (2048, 1024, 30 * 22050),                             # a 30 s clip, partial last
+        (8, 3, 20), (8, 3, 21), (8, 8, 24), (8, 8, 27), (8, 10, 25), (8, 10, 29),
+    ])
+    def test_tail_only_padding_equals_the_whole_padded_formula(self, window, hop, size):
+        samples = np.random.default_rng(size).standard_normal(size)
+        t = stft_frame_count(size, window, hop)
+        padded = np.zeros((t - 1) * hop + window)
+        padded[:size] = samples
+        whole = np.lib.stride_tricks.sliding_window_view(padded, window)[::hop]
+        expected = np.abs(np.fft.rfft(whole * features._hann(window), axis=1)) ** 2
+        power = stft_power(AudioClip(samples=samples, sample_rate=RATE), window, hop)
+        assert_array_equal(power, expected)
+
     def test_sine_at_bin_center_has_single_dominant_bin(self):
         k = 200
         clip = sine_clip(k * RATE / 2048)
@@ -195,6 +215,24 @@ class TestMelFilterbank:
         assert mel_filterbank(16, 128, RATE) is not fb
         with pytest.raises(ValueError):
             fb[0, 0] = 1.0
+
+    def test_empty_filters_warn_once_per_key(self, caplog):
+        features.mel_filterbank.cache_clear()
+        with caplog.at_level(logging.WARNING, logger="mclnn.features"):
+            fb = mel_filterbank(256, 1024, RATE)
+            assert mel_filterbank(256, 1024, RATE) is fb
+        assert np.count_nonzero(fb.sum(axis=0) == 0) == 5
+        messages = [r.getMessage() for r in caplog.records if r.name == "mclnn.features"]
+        assert len(messages) == 1
+        assert "5 of 256 mel filters are empty" in messages[0]
+        assert "--fft" in messages[0] and "--mel-bins" in messages[0]
+
+    def test_bank_without_empty_filters_is_silent(self, caplog):
+        features.mel_filterbank.cache_clear()
+        with caplog.at_level(logging.WARNING, logger="mclnn.features"):
+            fb = mel_filterbank(256, 2048, RATE)
+        assert np.all(fb.sum(axis=0) > 0)
+        assert [r for r in caplog.records if r.name == "mclnn.features"] == []
 
     def test_mel_scale_round_trip(self):
         freqs = np.array([0.0, 700.0, 1000.0, 8000.0, RATE / 2.0])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+
+import mclnn.model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
@@ -24,6 +26,7 @@ from mclnn.model import (
     frame_plan,
     load_model,
     model_forward,
+    model_forward_run,
     model_forward_tape,
     save_model,
     segment_size,
@@ -235,6 +238,69 @@ class TestModelForward:
         first = model_forward(small_model, segment)
         second = model_forward(small_model, segment)
         assert first.tobytes() == second.tobytes()
+
+
+class TestForwardRun:
+    """``model_forward_run``: segments cut from one run of frames."""
+
+    def _run(self, hop, count, q=11, l=8, seed=40):
+        frames = np.random.default_rng(seed).standard_normal((q + (count - 1) * hop, l))
+        starts = np.arange(count) * hop
+        return frames, starts
+
+    def _shared_layers(self, monkeypatch, model, frames, starts):
+        """Names of the layers run over the whole run (a 2-D input)."""
+        shared = []
+        original = mclnn.model.block_forward
+
+        def recording(layer, block, **kwargs):
+            if np.ndim(block) == 2:
+                shared.append(kwargs["name"])
+            return original(layer, block, **kwargs)
+
+        monkeypatch.setattr(mclnn.model, "block_forward", recording)
+        probs = model_forward_run(model, frames, starts)
+        return shared, probs
+
+    @pytest.mark.parametrize("hop, count, shared", [
+        (1, 4, ["clnn0", "clnn1"]),  # 10 < 4 * 7 rows, then 6 < 4 * 3
+        (6, 4, ["clnn0"]),           # 25 < 28, then 21 >= 12
+        (7, 4, []),                  # 28 rows equal the batch's 4 * 7
+        (1, 1, []),                  # one segment shares nothing
+    ])
+    def test_shares_a_layer_exactly_when_the_run_has_fewer_rows(
+        self, monkeypatch, small_model, hop, count, shared
+    ):
+        frames, starts = self._run(hop, count)
+        ran, probs = self._shared_layers(monkeypatch, small_model, frames, starts)
+        assert ran == shared
+        expected = np.array([model_forward(small_model, frames[s : s + 11]) for s in starts])
+        assert_allclose(probs, expected, rtol=0, atol=1e-12)
+
+    def test_without_sharing_equals_the_batched_forward_bytewise(self, small_model):
+        frames, starts = self._run(hop=7, count=9)
+        batch = np.stack([frames[s : s + 11] for s in starts])
+        expected, _ = model_forward_tape(small_model, batch)
+        assert model_forward_run(small_model, frames, starts).tobytes() == expected.tobytes()
+
+    def test_rows_follow_the_order_of_starts(self, small_model):
+        frames, starts = self._run(hop=2, count=6)
+        forward = model_forward_run(small_model, frames, starts)
+        backward = model_forward_run(small_model, frames, starts[::-1])
+        assert_allclose(backward, forward[::-1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("frames, starts", [
+        (np.zeros((20, 9)), [0]),       # wrong feature length
+        (np.zeros((2, 20, 8)), [0]),    # not one run
+        (np.zeros((20, 8)), []),        # no segment
+        (np.zeros((20, 8)), [10]),      # runs past the end
+        (np.zeros((20, 8)), [-1]),
+        (np.zeros((20, 8)), [0.0]),     # not an offset
+        (np.zeros((20, 8)), [[0]]),
+    ])
+    def test_bad_run_or_starts_is_contract_error(self, small_model, frames, starts):
+        with pytest.raises(ContractError):
+            model_forward_run(small_model, frames, starts)
 
 
 class TestSerialization:

@@ -1,18 +1,20 @@
 """Training loop, voting, evaluation, and the gradient checker."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import mclnn.training as trn
-from mclnn.dataset import Segment
+from mclnn.dataset import Segment, segment_clip
 from mclnn.errors import (
     ContractError,
     TrainingDivergedError,
     ValidationError,
 )
+from mclnn.features import FeatureMatrix
 from mclnn.layers import backward, softmax
 from mclnn.model import (
     LayerSpec,
@@ -292,20 +294,20 @@ class TestTrain:
 
 
 def constant_prediction(probs_by_clip):
-    """Patchable stand-in for the batched model_forward_tape.
+    """Patchable stand-in for model_forward_run.
 
-    Returns one probability row per segment of the batch, keyed on the
-    segment's first value, and no tape.
+    Returns one probability row per segment of the run, keyed on the
+    segment's first value.
     """
 
-    def fake_forward_tape(model, segments):
-        return np.array([probs_by_clip[frames[0, 0]] for frames in segments], dtype=float), None
+    def fake_forward_run(model, frames, starts):
+        return np.array([probs_by_clip[frames[s, 0]] for s in starts], dtype=float)
 
-    return fake_forward_tape
+    return fake_forward_run
 
 
 class TestPredictClip:
-    def _segments(self, clip_id, markers, q=5, l=4, label=0):
+    def _segments(self, clip_id, markers, q=11, l=8, label=0):
         segments = []
         for pos, marker in enumerate(markers):
             frames = np.zeros((q, l))
@@ -315,7 +317,7 @@ class TestPredictClip:
 
     def test_unanimous_vote(self, small_model, monkeypatch):
         monkeypatch.setattr(
-            trn, "model_forward_tape",
+            trn, "model_forward_run",
             constant_prediction({1.0: [0.1, 0.2, 0.6, 0.1], 2.0: [0.0, 0.3, 0.5, 0.2]}),
         )
         segments = self._segments("c", [1.0, 2.0, 1.0])
@@ -324,14 +326,14 @@ class TestPredictClip:
         assert_allclose(mean_probs.sum(), 1.0, rtol=0, atol=1e-12)
 
     def test_single_segment_argmax(self, small_model, monkeypatch):
-        monkeypatch.setattr(trn, "model_forward_tape", constant_prediction({5.0: [0.05, 0.9, 0.03, 0.02]}))
+        monkeypatch.setattr(trn, "model_forward_run", constant_prediction({5.0: [0.05, 0.9, 0.03, 0.02]}))
         predicted, _ = predict_clip(small_model, self._segments("c", [5.0]))
         assert predicted == 1
 
     def test_tie_broken_by_mean_probability(self, small_model, monkeypatch):
         # two votes each for class 0 and class 1; class 0 has the higher mean
         monkeypatch.setattr(
-            trn, "model_forward_tape",
+            trn, "model_forward_run",
             constant_prediction({
                 1.0: [0.8, 0.1, 0.05, 0.05],
                 2.0: [0.7, 0.2, 0.05, 0.05],
@@ -345,7 +347,7 @@ class TestPredictClip:
 
     def test_full_tie_goes_to_lowest_class_id(self, small_model, monkeypatch):
         monkeypatch.setattr(
-            trn, "model_forward_tape",
+            trn, "model_forward_run",
             constant_prediction({
                 1.0: [0.6, 0.2, 0.1, 0.1],
                 2.0: [0.2, 0.6, 0.1, 0.1],
@@ -394,6 +396,92 @@ class TestPredictClip:
             predict_clip(small_model, segments)
 
 
+class TestPredictClipSharing:
+    """Overlapping segments share conditional-layer rows; the answer does not change."""
+
+    Q, SHARED = 11, 7  # small_spec: q = 11, and q - 2 n_0 = 7
+
+    def _segments(self, hop, frames=1000, seed=52):
+        clip = np.random.default_rng(seed).standard_normal((frames, 8))
+        return segment_clip(FeatureMatrix(frames=clip, clip_id="c", label=0), self.Q, hop)
+
+    def _batched(self, model, segments):
+        """The path without sharing: every chunk stacked and run batched."""
+        probs = np.concatenate([
+            model_forward_tape(model, trn._stack(segments[i : i + trn.PREDICT_CHUNK])[0])[0]
+            for i in range(0, len(segments), trn.PREDICT_CHUNK)
+        ])
+        return probs.sum(axis=0) / len(segments)
+
+    def _run_lengths(self, monkeypatch):
+        lengths = []
+        original = trn.model_forward_run
+
+        def recording(model, frames, starts):
+            lengths.append(frames.shape[0])
+            return original(model, frames, starts)
+
+        monkeypatch.setattr(trn, "model_forward_run", recording)
+        return lengths
+
+    @pytest.mark.parametrize("hop", [1, 5, Q // 2, SHARED - 1, SHARED, Q - 1, Q, Q + 3])
+    def test_mean_probabilities_equal_per_segment_forwards(self, small_model, hop):
+        segments = self._segments(hop)
+        assert len(segments) > trn.PREDICT_CHUNK
+        probs = np.array([model_forward(small_model, s.frames) for s in segments])
+        predicted, mean_probs = predict_clip(small_model, segments)
+        assert_allclose(mean_probs, probs.mean(axis=0), rtol=0, atol=1e-12)
+        votes = np.bincount(probs.argmax(axis=1), minlength=4)
+        tied = np.flatnonzero(votes == votes.max())
+        assert predicted == tied[np.argmax(probs.mean(axis=0)[tied])]
+
+    @pytest.mark.parametrize("hop", [SHARED, SHARED + 1, Q, Q + 3])
+    def test_without_a_shared_layer_equals_the_batched_path_bytewise(self, small_model, hop):
+        segments = self._segments(hop)
+        _, mean_probs = predict_clip(small_model, segments)
+        assert mean_probs.tobytes() == self._batched(small_model, segments).tobytes()
+
+    def test_copied_segments_still_share(self, small_model, monkeypatch):
+        views = self._segments(hop=2, frames=60)
+        copies = [replace(s, frames=s.frames.copy()) for s in views]
+        lengths = self._run_lengths(monkeypatch)
+        from_views = predict_clip(small_model, views)[1]
+        from_copies = predict_clip(small_model, copies)[1]
+        # one run of q + 2 (B - 1) frames each time, not B * q
+        assert lengths == [self.Q + 2 * (len(views) - 1)] * 2
+        assert from_copies.tobytes() == from_views.tobytes()
+
+    def test_disagreeing_frames_are_computed_one_by_one(self, small_model, monkeypatch):
+        # overlapping starts, independent frames: nothing may be shared
+        rng = np.random.default_rng(53)
+        segments = [
+            Segment(frames=rng.standard_normal((self.Q, 8)), label=0, clip_id="c", start=2 * i)
+            for i in range(10)
+        ]
+        lengths = self._run_lengths(monkeypatch)
+        _, mean_probs = predict_clip(small_model, segments)
+        assert lengths == [10 * self.Q]
+        assert mean_probs.tobytes() == self._batched(small_model, segments).tobytes()
+
+    def test_one_disagreeing_segment_breaks_sharing_only_around_it(self, small_model, monkeypatch):
+        segments = self._segments(hop=1, frames=40)
+        changed = segments[12].frames.copy()
+        changed[5] += 1.0  # a middle frame, which both neighbours overlap
+        segments[12] = replace(segments[12], frames=changed)
+        lengths = self._run_lengths(monkeypatch)
+        _, mean_probs = predict_clip(small_model, segments)
+        # segments 12 and 13 each start a new piece of q frames
+        assert lengths == [self.Q + (len(segments) - 3) + 2 * self.Q]
+        probs = np.array([model_forward(small_model, s.frames) for s in segments])
+        assert_allclose(mean_probs, probs.mean(axis=0), rtol=0, atol=1e-12)
+
+    def test_wrong_segment_shape_is_contract_error(self, small_model):
+        segments = self._segments(hop=3, frames=30)
+        segments[1] = replace(segments[1], frames=segments[1].frames[:-1])
+        with pytest.raises(ContractError, match="model expects"):
+            predict_clip(small_model, segments)
+
+
 class TestEvaluate:
     def _fixture(self, small_model, monkeypatch, table):
         """table: clip -> (truth, marker, probs). Returns eval inputs."""
@@ -408,7 +496,7 @@ class TestEvaluate:
                 Segment(frames=frames, label=truth, clip_id=clip_id, start=0)
             ]
             labels[clip_id] = truth
-        monkeypatch.setattr(trn, "model_forward_tape", constant_prediction(probs_by_marker))
+        monkeypatch.setattr(trn, "model_forward_run", constant_prediction(probs_by_marker))
         return segments_by_clip, labels
 
     def test_perfect_predictor(self, small_model, monkeypatch):
