@@ -29,7 +29,6 @@ from . import model as mdl
 from . import training as trn
 from .errors import (
     ConfigError,
-    ContractError,
     FileFormatError,
     MclnnError,
     TrainingDivergedError,
@@ -54,25 +53,18 @@ EXIT_DIVERGED = 6
 # config file handling
 # ---------------------------------------------------------------------------
 
-# One row per configurable value: (INI key, dataclass field, argparse dest).
-# Defaults, types and bounds belong to the dataclasses; reading, overriding
-# and writing ``resolved.ini`` all walk these rows.  Section -> (attribute
-# of ExperimentConfig, dataclass, rows).
+# Section -> (attribute of ExperimentConfig, dataclass).  Each field of the
+# dataclass is one configurable value; its default, type and bounds belong to
+# the dataclass.  Reading the INI file, the flags and writing ``resolved.ini``
+# all walk the rows that ``_rows`` derives from these fields.
 _SECTIONS = {
-    "features": ("features", feat.FeatureParams, (
-        ("rate", "sample_rate", "rate"),
-        ("fft", "fft_size", "fft"),
-        ("hop", "hop", "feature_hop"),
-        ("mel_bins", "mel_bins", "mel_bins"),
-        ("chunk_seconds", "chunk_seconds", "chunk_seconds"),
-    )),
-    "model": ("model_spec", mdl.ModelSpec, tuple(
-        (f.name, f.name, None) for f in fields(mdl.ModelSpec) if f.name != "allow_order_zero"
-    )),
-    "training": ("training", trn.TrainConfig, tuple(
-        (f.name, f.name, f.name) for f in fields(trn.TrainConfig)
-    )),
+    "features": ("features", feat.FeatureParams),
+    "model": ("model_spec", mdl.ModelSpec),
+    "training": ("training", trn.TrainConfig),
 }
+# A field's INI key is its name, except for these; ModelSpec.allow_order_zero,
+# a switch for degenerate tests, has no key (``_rows`` leaves it out).
+_RENAMED = {"sample_rate": "rate", "fft_size": "fft"}
 # [paths] records what a run read and wrote; it is never read back.
 _PATH_KEYS = {"in", "out", "features", "plan"}
 
@@ -85,10 +77,11 @@ class ExperimentConfig:
 
     def to_ini(self, paths: dict[str, str] | None = None) -> str:
         parser = _ini()
-        for section, (attr, _, rows) in _SECTIONS.items():
+        for section, (attr, _) in _SECTIONS.items():
             values = getattr(self, attr)
             if values is not None:
-                parser[section] = {key: _format(getattr(values, name)) for key, name, _ in rows}
+                rows = _rows(section)
+                parser[section] = {key: _format(getattr(values, name)) for key, name, *_ in rows}
         if paths:
             parser["paths"] = {k: str(v) for k, v in sorted(paths.items())}
         buf = io.StringIO()
@@ -130,16 +123,33 @@ def parse_layers(text: str) -> tuple[mdl.LayerSpec, ...]:
     return tuple(layers)
 
 
+def _rows(section: str) -> list[tuple]:
+    """(INI key, field name, cast, default) for each configurable field of ``section``."""
+    cls = _SECTIONS[section][1]
+    hints = get_type_hints(cls)
+    return [
+        (_RENAMED.get(f.name, f.name), f.name, _cast(hints[f.name]), f.default)
+        for f in fields(cls) if f.name != "allow_order_zero"
+    ]
+
+
+def _cast(hint):
+    """The callable that reads one value of type ``hint``, from the INI file or a flag."""
+    if hint == tuple[mdl.LayerSpec, ...]:
+        return parse_layers
+    # int, float, str, or one of them | None
+    return next(t for t in get_args(hint) or (hint,) if t is not type(None))
+
+
 def _read_ini(path: Path) -> configparser.ConfigParser:
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
+    if not path.is_file():
+        raise ConfigError(f"config file {path} does not exist or is not a file")
     parser = _ini()
     try:
-        with open(path) as handle:
-            parser.read_file(handle)
+        parser.read_string(ds.read_text(path, ConfigError), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    known = {section: {row[0] for row in rows} for section, (_, _, rows) in _SECTIONS.items()}
+    known = {section: {row[0] for row in _rows(section)} for section in _SECTIONS}
     known["paths"] = _PATH_KEYS
     for section in parser.sections():
         if section not in known:
@@ -150,16 +160,12 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
     return parser
 
 
-def _parse(section: str, key: str, raw: str, hint, default):
+def _parse(section: str, key: str, raw: str, cast, default):
     """One INI value as its field's type; empty means None, only where None is the default."""
     if raw == "":
         if default is None:
             return None
         raise ConfigError(f"[{section}] {key} is empty; only keys that default to None may be")
-    if hint == tuple[mdl.LayerSpec, ...]:
-        cast = parse_layers
-    else:  # int, float, str, or one of them | None
-        cast = next(t for t in get_args(hint) or (hint,) if t is not type(None))
     try:
         return cast(raw)
     except (ValueError, ValidationError) as exc:
@@ -168,21 +174,18 @@ def _parse(section: str, key: str, raw: str, hint, default):
 
 def _build(section: str, parser: configparser.ConfigParser, args):
     """The section's dataclass; each value is flag > INI > dataclass default."""
-    _, cls, rows = _SECTIONS[section]
-    hints = get_type_hints(cls)
-    defaults = {f.name: f.default for f in fields(cls)}
     kwargs = {}
-    for key, name, dest in rows:
-        value = getattr(args, dest, None) if dest else None
+    for key, name, cast, default in _rows(section):
+        value = getattr(args, f"{section}.{key}", None)
         raw = parser.get(section, key, fallback=None)
         if value is None and raw is not None:
-            value = _parse(section, key, raw, hints[name], defaults[name])
+            value = _parse(section, key, raw, cast, default)
         if value is not None:
             kwargs[name] = value
-        elif defaults[name] is MISSING:
+        elif default is MISSING:
             raise ConfigError(f"[{section}] section is missing {key!r}")
     try:
-        return cls(**kwargs)
+        return _SECTIONS[section][1](**kwargs)
     except ValidationError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 
@@ -229,7 +232,7 @@ def _load_feature_dir(directory: Path) -> list[feat.FeatureMatrix]:
 def _read_class_names(path: str | None, class_count: int) -> tuple[str, ...]:
     if path is None:
         return tuple(str(i) for i in range(class_count))
-    names = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+    names = [line.strip() for line in ds.read_text(path).splitlines() if line.strip()]
     if len(names) != class_count:
         raise ConfigError(f"{path} lists {len(names)} classes, model expects {class_count}")
     return tuple(names)
@@ -258,13 +261,6 @@ def _split_features(all_features, plan, roles):
     if not groups[ds.TRAIN]:
         raise ValidationError("plan leaves the training split empty")
     return groups
-
-
-def _segment_all(features_list, q, hop) -> list[ds.Segment]:
-    segments: list[ds.Segment] = []
-    for fm in features_list:
-        segments.extend(ds.segment_clip(fm, q, hop))
-    return segments
 
 
 # ---------------------------------------------------------------------------
@@ -314,27 +310,24 @@ def cmd_features_extract(args) -> int:
 def cmd_dataset_plan(args) -> int:
     out_path = Path(args.out) if args.out else _resolve_out(None, "plan") / "plan.txt"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    if args.train_list or args.test_list:
-        if not (args.train_list and args.test_list):
-            raise ConfigError("--train-list and --test-list must be given together")
-        train_ids = [l.strip() for l in Path(args.train_list).read_text().splitlines() if l.strip()]
-        test_ids = [l.strip() for l in Path(args.test_list).read_text().splitlines() if l.strip()]
-        labels = None
-        if args.manifest:
-            rows = ds.load_manifest(args.manifest)
-            mapping = ds.class_mapping([c for _, c in rows])
-            labels = {clip: mapping[c] for clip, c in rows}
-        plan = ds.fixed_split(
-            train_ids, test_ids,
-            validation_fraction=args.validation_fraction,
-            seed=args.seed, labels=labels,
-        )
-    else:
-        if not args.manifest:
-            raise ConfigError("either --manifest (fold mode) or --train-list/--test-list is required")
+    if bool(args.train_list) != bool(args.test_list):
+        raise ConfigError("--train-list and --test-list must be given together")
+    clips = None
+    if args.manifest:
         rows = ds.load_manifest(args.manifest)
         mapping = ds.class_mapping([c for _, c in rows])
         clips = [(clip, mapping[c]) for clip, c in rows]
+    if args.train_list:
+        train_ids = [l.strip() for l in ds.read_text(args.train_list).splitlines() if l.strip()]
+        test_ids = [l.strip() for l in ds.read_text(args.test_list).splitlines() if l.strip()]
+        plan = ds.fixed_split(
+            train_ids, test_ids,
+            validation_fraction=args.validation_fraction,
+            seed=args.seed, labels=dict(clips) if clips else None,
+        )
+    elif clips is None:
+        raise ConfigError("either --manifest (fold mode) or --train-list/--test-list is required")
+    else:
         plan = ds.make_folds(clips, folds=args.folds, seed=args.seed)
     plan.save(out_path)
     counts = {b: len(plan.clips_in(b)) for b in plan.buckets()}
@@ -349,12 +342,7 @@ def _mask_grid_text(mask: BinaryMask) -> str:
 
 
 def cmd_mask_dump(args) -> int:
-    spec = MaskSpec(
-        feature_length=args.feature_length,
-        hidden_width=args.hidden_width,
-        bandwidth=args.bandwidth,
-        overlap=args.overlap,
-    )
+    spec = MaskSpec(args.feature_length, args.hidden_width, args.bandwidth, args.overlap)
     text = _mask_grid_text(generate_mask(spec))
     if args.out:
         out = Path(args.out)
@@ -379,10 +367,7 @@ def cmd_model_describe(args) -> int:
           f"classes: {spec.class_count}  activation: {spec.activation}")
     print(f"segment_size: {mdl.segment_size(spec)}")
     print(f"frame_plan: {plan}")
-    total = 0
-    for name, tensor in model.parameters().items():
-        total += tensor.size
-    print(f"parameters: {total}")
+    print(f"parameters: {sum(tensor.size for tensor in model.parameters().values())}")
     for i, layer in enumerate(model.clnn_layers):
         if layer.mask is None:
             print(f"layer {i}: unmasked, weights {layer.weights.shape}")
@@ -430,8 +415,8 @@ def cmd_train(args) -> int:
     }
     q = mdl.segment_size(spec)
     hop = config.training.hop or q
-    train_segments = _segment_all(normalized[ds.TRAIN], q, hop)
-    val_segments = _segment_all(normalized[ds.VALIDATION], q, hop)
+    train_segments = [s for fm in normalized[ds.TRAIN] for s in ds.segment_clip(fm, q, hop)]
+    val_segments = [s for fm in normalized[ds.VALIDATION] for s in ds.segment_clip(fm, q, hop)]
     if not train_segments:
         raise ValidationError(f"training clips yielded no segments at q={q}, hop={hop}")
 
@@ -502,10 +487,7 @@ def cmd_eval(args) -> int:
     labels_by_clip = {fm.clip_id: fm.label for fm in chosen}
     result = trn.evaluate(model, by_clip, labels_by_clip)
     print(f"clips: {len(labels_by_clip)}  accuracy: {result.clip_accuracy:.4f}")
-    header = list(model.labels) + ["none"]
-    print("true\\pred\t" + "\t".join(header))
-    for i, row in enumerate(result.confusion):
-        print(model.labels[i] + "\t" + "\t".join(str(int(v)) for v in row))
+    print("\n".join(trn.confusion_lines(result.confusion, model.labels)))
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -563,20 +545,24 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_section_flags(p: argparse.ArgumentParser, section: str, keys=None) -> None:
+    """``--<key>``, underscores as dashes, for each key of [section] (or each of ``keys``)."""
+    for key, _, cast, _ in _rows(section):
+        if keys is None or key in keys:
+            choices = trn.OPTIMIZERS if key == "optimizer" else None
+            # a choice is matched as written; argparse shows the choices as its metavar
+            p.add_argument(
+                "--" + key.replace("_", "-"), dest=f"{section}.{key}", choices=choices,
+                type=None if choices else cast, metavar=None if choices else key.upper(),
+                help=f"overrides [{section}] {key}",
+            )
+
+
+def _add_config_flags(p: argparse.ArgumentParser, keys=None) -> None:
+    """--config, --preset and the [training] flags (all, or only ``keys``)."""
     p.add_argument("--config", help="INI config file")
     p.add_argument("--preset", help="built-in architecture preset (e.g. table3)")
-    p.add_argument("--seed", type=int, default=None)
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--hop", type=int, default=None, help="segment hop (default: segment size)")
-    p.add_argument("--optimizer", choices=["sgd", "momentum"], default=None)
-    p.add_argument("--momentum", type=float, default=None)
+    _add_section_flags(p, "training", keys)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -592,12 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--in", dest="in_dir", required=True,
                            help="directory of <class>/<clip>.npz|.wav")
     p_extract.add_argument("--out", default=None)
-    p_extract.add_argument("--rate", type=int, default=None)
-    p_extract.add_argument("--fft", type=int, default=None)
-    p_extract.add_argument("--hop", dest="feature_hop", type=int, default=None)
-    p_extract.add_argument("--mel-bins", dest="mel_bins", type=int, default=None)
-    p_extract.add_argument("--chunk-seconds", dest="chunk_seconds", type=float, default=None)
     p_extract.add_argument("--config", help="INI config file")
+    _add_section_flags(p_extract, "features")
     p_extract.set_defaults(func=cmd_features_extract)
 
     p_dataset = sub.add_parser("dataset", help="splits and folds")
@@ -626,12 +608,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_model = sub.add_parser("model", help="architecture tools")
     mo_sub = p_model.add_subparsers(dest="subcommand", required=True)
     p_describe = mo_sub.add_parser("describe", help="print spec, frame plan, parameter counts")
-    _add_config_flags(p_describe)
+    _add_config_flags(p_describe, ("seed",))
     p_describe.set_defaults(func=cmd_model_describe)
 
     p_train = sub.add_parser("train", help="train a model from feature files and a plan")
     _add_config_flags(p_train)
-    _add_train_flags(p_train)
     p_train.add_argument("--features", required=True, help="directory of feature files")
     p_train.add_argument("--plan", required=True, help="split plan file")
     p_train.add_argument("--out", default=None)
@@ -656,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.set_defaults(func=cmd_predict)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    _add_config_flags(p_grad)
+    _add_config_flags(p_grad, ("seed",))
     p_grad.add_argument("--tolerance", type=float, default=1e-4)
     p_grad.set_defaults(func=cmd_gradcheck)
 
@@ -675,9 +656,7 @@ def main(argv=None) -> int:
         return _fail(exc, EXIT_CONFIG)
     except TrainingDivergedError as exc:
         return _fail(exc, EXIT_DIVERGED)
-    except FileFormatError as exc:
-        return _fail(exc, EXIT_IO)
-    except OSError as exc:
+    except (FileFormatError, OSError) as exc:
         return _fail(exc, EXIT_IO)
     except MclnnError as exc:
         return _fail(exc, EXIT_DATA)

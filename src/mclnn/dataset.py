@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FileFormatError, MclnnError, ValidationError
 from .features import FeatureMatrix
 
 logger = logging.getLogger(__name__)
@@ -31,6 +31,7 @@ __all__ = [
     "fold_buckets",
     "load_manifest",
     "class_mapping",
+    "read_text",
 ]
 
 
@@ -76,14 +77,17 @@ class SplitPlan:
     def load(cls, path) -> "SplitPlan":
         seed = None
         assignment: dict[str, str] = {}
-        for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for line_no, line in enumerate(read_text(path).splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
                 if "seed=" in line:
                     raw = line.split("seed=", 1)[1].strip()
-                    seed = None if raw == "None" else int(raw)
+                    try:
+                        seed = None if raw == "None" else int(raw)
+                    except ValueError as exc:
+                        raise ValidationError(f"{path}:{line_no}: bad seed {raw!r}") from exc
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
@@ -208,21 +212,16 @@ def fold_buckets(folds: int, test_fold: int, validation_fold: int | None = None)
             f"validation fold {validation_fold} must differ from test fold {test_fold} "
             f"and lie in 1..{folds}"
         )
-    roles = {}
-    for i in range(1, folds + 1):
-        if i == test_fold:
-            roles[f"fold{i}"] = TEST
-        elif i == validation_fold:
-            roles[f"fold{i}"] = VALIDATION
-        else:
-            roles[f"fold{i}"] = TRAIN
+    roles = {f"fold{i}": TRAIN for i in range(1, folds + 1)}
+    roles[f"fold{test_fold}"] = TEST
+    roles[f"fold{validation_fold}"] = VALIDATION
     return roles
 
 
 def load_manifest(path) -> list[tuple[str, str]]:
     """Read (clip path, class name) rows from a tab/whitespace-separated file."""
     rows: list[tuple[str, str]] = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -238,3 +237,11 @@ def load_manifest(path) -> list[tuple[str, str]]:
 def class_mapping(class_names) -> dict[str, int]:
     """Stable label ids: alphabetical order of class names."""
     return {name: i for i, name in enumerate(sorted(set(class_names)))}
+
+
+def read_text(path, error: type[MclnnError] = FileFormatError) -> str:
+    """A text input (plan, manifest, list, config) decoded as UTF-8, else ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc

@@ -42,7 +42,7 @@ class InsufficientAudioError(MclnnError):
 
 
 class FileFormatError(MclnnError):
-    """Base class for container-file load failures."""
+    """A file cannot be decoded: a container, an audio file or a text input."""
 
 
 class VersionMismatchError(FileFormatError):

@@ -28,6 +28,7 @@ import hashlib
 import logging
 import math
 import wave
+import zipfile
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -37,9 +38,11 @@ import numpy as np
 from . import container
 from .errors import (
     ContractError,
+    FileFormatError,
     HeaderMismatchError,
     InsufficientAudioError,
     ShapeError,
+    TruncatedFileError,
     ValidationError,
 )
 
@@ -456,19 +459,34 @@ def load_audio(path) -> AudioClip:
     """Read a raw sample stream: ``.npz`` (samples + rate) or PCM ``.wav``."""
     path = Path(path)
     if path.suffix == ".npz":
-        with np.load(path) as data:
-            if "samples" not in data or "rate" not in data:
-                raise ValidationError(f"{path} must contain 'samples' and 'rate' arrays")
-            return AudioClip(samples=data["samples"].astype(np.float64), sample_rate=int(data["rate"]))
+        try:
+            with np.lib.npyio.NpzFile(path) as data:
+                if "samples" not in data or "rate" not in data:
+                    raise ValidationError(f"{path} must contain 'samples' and 'rate' arrays")
+                samples, rate = data["samples"], data["rate"]
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise FileFormatError(f"{path} is not a readable .npz archive: {exc!r}") from exc
+        if not (isinstance(samples, np.ndarray) and isinstance(rate, np.ndarray)):
+            raise FileFormatError(f"{path}: 'samples' and 'rate' must be .npy members")
+        if rate.shape or rate.dtype.kind not in "iuf" or not float(rate).is_integer() or rate < 1:
+            raise ValidationError(f"{path}: 'rate' must be one positive integer, got {rate!r}")
+        if samples.dtype.kind not in "iuf":
+            raise ValidationError(f"{path}: 'samples' must be real numbers, got {samples.dtype}")
+        return AudioClip(samples=samples.astype(np.float64), sample_rate=int(rate))
     if path.suffix == ".wav":
-        with wave.open(str(path), "rb") as wav:
-            rate = wav.getframerate()
-            width = wav.getsampwidth()
-            channels = wav.getnchannels()
-            raw = wav.readframes(wav.getnframes())
+        try:
+            with wave.open(str(path), "rb") as wav:
+                rate = wav.getframerate()
+                width = wav.getsampwidth()
+                channels = wav.getnchannels()
+                raw = wav.readframes(wav.getnframes())
+        except (wave.Error, EOFError) as exc:
+            raise FileFormatError(f"{path} is not a readable .wav file: {exc!r}") from exc
         dtype = {1: np.uint8, 2: np.int16, 4: np.int32}.get(width)
         if dtype is None:
             raise ValidationError(f"{path}: unsupported PCM sample width {width}")
+        if len(raw) % (width * channels):
+            raise TruncatedFileError(f"{path}: the sample data ends inside a frame")
         # one pass from the PCM integers to float64; the scale is a power of
         # two, so this equals converting first and dividing after, bit for bit
         pcm = np.frombuffer(raw, dtype=dtype)

@@ -60,11 +60,6 @@ class MaskSpec:
                 f"overlap must be < bandwidth ({self.bandwidth}), got {self.overlap}; "
                 f"columns cannot share more positions than a band holds"
             )
-        if self.stride < 1:
-            raise ValidationError(
-                f"index stride feature_length + (bandwidth - overlap) must be >= 1, "
-                f"got {self.stride}"
-            )
 
     @property
     def stride(self) -> int:

@@ -30,6 +30,7 @@ from .model import TrainedModel, model_forward, model_forward_run, model_forward
 logger = logging.getLogger(__name__)
 
 LOSS_EPS = 1e-12
+OPTIMIZERS = ("sgd", "momentum")
 # Most segments one inference forward takes at a time; bounds the memory a
 # long clip's forward holds.
 PREDICT_CHUNK = 64
@@ -38,6 +39,7 @@ __all__ = [
     "TrainConfig",
     "EpochStats",
     "RunReport",
+    "confusion_lines",
     "cross_entropy",
     "cross_entropy_grad",
     "train",
@@ -57,7 +59,7 @@ class TrainConfig:
     seed: int = 0
     patience: int = 10
     hop: int | None = None  # None: segment hop defaults to q (non-overlapping)
-    optimizer: str = "momentum"  # "sgd" | "momentum"
+    optimizer: str = "momentum"  # one of OPTIMIZERS
     momentum: float = 0.9
 
     def __post_init__(self):
@@ -67,8 +69,9 @@ class TrainConfig:
             raise ValidationError("batch_size, epochs, and patience must all be >= 1")
         if self.hop is not None and self.hop < 1:
             raise ValidationError(f"hop must be >= 1, got {self.hop}")
-        if self.optimizer not in ("sgd", "momentum"):
-            raise ValidationError(f"optimizer must be 'sgd' or 'momentum', got {self.optimizer!r}")
+        if self.optimizer not in OPTIMIZERS:
+            names = " or ".join(map(repr, OPTIMIZERS))
+            raise ValidationError(f"optimizer must be {names}, got {self.optimizer!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
 
@@ -119,11 +122,8 @@ class RunReport:
         if self.confusion is not None:
             lines.append("")
             lines.append("[confusion]")
-            header = list(self.class_names) or [str(i) for i in range(self.confusion.shape[0])]
-            lines.append("true\\pred\t" + "\t".join(header + ["none"]))
-            for i, row in enumerate(self.confusion):
-                name = header[i] if i < len(header) else str(i)
-                lines.append(name + "\t" + "\t".join(str(int(v)) for v in row))
+            names = self.class_names or [str(i) for i in range(self.confusion.shape[0])]
+            lines += confusion_lines(self.confusion, names)
         lines.append("")
         lines.append(f"wall_clock_seconds = {self.wall_clock_seconds!r}")
         return "\n".join(lines) + "\n"
@@ -134,6 +134,13 @@ class RunReport:
             line for line in self.to_text().splitlines()
             if not line.startswith("wall_clock_seconds")
         ) + "\n"
+
+
+def confusion_lines(confusion: np.ndarray, names) -> list[str]:
+    """The ``true\\pred`` table: a row per true class, a column per class plus "none"."""
+    rows = [["true\\pred", *names, "none"]]
+    rows += [[names[i], *(str(int(v)) for v in row)] for i, row in enumerate(confusion)]
+    return ["\t".join(row) for row in rows]
 
 
 def _targets(pred: np.ndarray, target) -> np.ndarray:
@@ -340,13 +347,9 @@ def predict_clip(model: TrainedModel, segments: list[Segment]) -> tuple[int, np.
     ])
     votes = np.bincount(np.argmax(probs, axis=1), minlength=model.spec.class_count)
     mean_probs = probs.sum(axis=0) / len(ordered)
-    top = votes.max()
-    tied = np.flatnonzero(votes == top)
-    if tied.size == 1:
-        return int(tied[0]), mean_probs
-    best = tied[np.argmax(mean_probs[tied])]
-    # argmax already prefers the first (lowest id) among equal means
-    return int(best), mean_probs
+    tied = np.flatnonzero(votes == votes.max())
+    # argmax prefers the first (lowest id) among equal means
+    return int(tied[np.argmax(mean_probs[tied])]), mean_probs
 
 
 @dataclass

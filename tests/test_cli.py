@@ -2,7 +2,10 @@
 
 import argparse
 import configparser
+import io
 import re
+import wave
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +20,24 @@ from mclnn.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    ExperimentConfig,
+    build_parser,
     load_experiment_config,
     main,
     parse_layers,
 )
+from mclnn.dataset import SplitPlan, segment_clip
 from mclnn.errors import ConfigError
-from mclnn.features import FeatureParams, NormStats, apply_zscore, load_features, save_features
-from mclnn.model import PRESETS, LayerSpec, load_model, save_model
-from mclnn.training import TrainConfig
+from mclnn.features import (
+    FeatureMatrix,
+    FeatureParams,
+    NormStats,
+    apply_zscore,
+    load_features,
+    save_features,
+)
+from mclnn.model import PRESETS, LayerSpec, build_model, load_model, save_model, segment_size
+from mclnn.training import TrainConfig, confusion_lines, evaluate, predict_clip
 
 from conftest import dirty_masked_weight, rewrite_feature_header, rewrite_model_header
 
@@ -522,6 +535,10 @@ class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         assert main(["model", "describe", "--config", str(tmp_path / "no.ini")]) == EXIT_CONFIG
 
+    def test_config_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["model", "describe", "--config", str(tmp_path)]) == EXIT_CONFIG
+        assert "is not a file" in single_error(capsys.readouterr(), "ConfigError")
+
     def test_incomplete_model_section(self, tmp_path):
         config = tmp_path / "bad.ini"
         config.write_text("[model]\nfeature_length = 8\n")
@@ -630,3 +647,300 @@ class TestUsageAndGradcheck:
         monkeypatch.setattr(mclnn.training, "backward", flipped)
         assert main(["gradcheck"]) == EXIT_GRADCHECK_FAILED
         assert capsys.readouterr().out.startswith("FAIL")
+
+
+# fields whose INI key (and so flag) is not the field name
+RENAMED_KEYS = {"sample_rate": "rate", "fft_size": "fft"}
+
+
+def flag(name: str) -> str:
+    return "--" + RENAMED_KEYS.get(name, name).replace("_", "-")
+
+
+def flags(values: dict) -> list[str]:
+    return [arg for name, value in values.items() for arg in (flag(name), str(value))]
+
+
+class TestConfigFlags:
+    """Each [features] and [training] field has a flag named after its INI key."""
+
+    # a non-default value for every field
+    FEATURES = {"sample_rate": 2000, "fft_size": 64, "hop": 32, "mel_bins": 8,
+                "chunk_seconds": 0.5}
+    TRAINING = {"learning_rate": 0.03, "batch_size": 3, "epochs": 2, "seed": 5,
+                "patience": 4, "hop": 4, "optimizer": "sgd", "momentum": 0.5}
+
+    @pytest.mark.parametrize("cls, values", [(FeatureParams, FEATURES), (TrainConfig, TRAINING)])
+    def test_values_cover_every_field_and_differ_from_the_defaults(self, cls, values):
+        assert list(values) == [f.name for f in fields(cls)]
+        assert all(values[f.name] != f.default for f in fields(cls))
+
+    def _assert_resolved(self, path, section, values):
+        resolved = configparser.ConfigParser(interpolation=None)
+        resolved.read(path)
+        for name, value in values.items():
+            assert resolved[section][RENAMED_KEYS.get(name, name)] == str(value)
+
+    def test_every_feature_field_through_its_extract_flag(self, tmp_path):
+        audio = tmp_path / "audio"
+        synth_audio_tree(audio, np.random.default_rng(12), clips_per_class=1)
+        argv = ["features", "extract", "--in", str(audio), "--out", str(tmp_path / "f")]
+        argv += flags(self.FEATURES)
+        config = load_experiment_config(build_parser().parse_args(argv))
+        assert config.features == FeatureParams(**self.FEATURES)
+        assert config.training == TrainConfig()
+        assert main(argv) == EXIT_OK
+        self._assert_resolved(tmp_path / "f" / "resolved.ini", "features", self.FEATURES)
+        assert load_features(tmp_path / "f" / "drums__clip0.mclf").feature_length == 8
+
+    def test_every_training_field_through_its_train_flag(self, workspace, tmp_path):
+        config_path = tmp_path / "config.ini"
+        config_path.write_text(SMALL_INI)
+        out = tmp_path / "run"
+        argv = ["train", "--config", str(config_path), "--features", str(workspace / "features"),
+                "--plan", str(workspace / "plan.txt"), "--out", str(out)]
+        argv += flags(self.TRAINING)
+        config = load_experiment_config(build_parser().parse_args(argv))
+        assert config.training == TrainConfig(**self.TRAINING)
+        assert config.features == FeatureParams()
+        assert main(argv) == EXIT_OK
+        self._assert_resolved(out / "resolved.ini", "training", self.TRAINING)
+        report = (out / "report.txt").read_text()
+        assert all(f"\n{name} = {value!r}\n" in report for name, value in self.TRAINING.items())
+
+    @pytest.mark.parametrize("command", [["model", "describe"], ["gradcheck"]])
+    def test_describe_and_gradcheck_take_seed_and_no_other_training_flag(self, command, capsys):
+        config = load_experiment_config(build_parser().parse_args(command + ["--seed", "3"]))
+        assert config.training == TrainConfig(seed=3)
+        for name, value in self.TRAINING.items():
+            if name != "seed":
+                assert main(command + ["--preset", "table3", flag(name), str(value)]) == EXIT_USAGE
+                assert f"unrecognized arguments: {flag(name)}" in capsys.readouterr().err
+
+    def test_extract_takes_no_training_flag_and_train_no_feature_flag(self, capsys):
+        assert main(["features", "extract", "--in", "x", "--epochs", "2"]) == EXIT_USAGE
+        assert main(["train", "--features", "f", "--plan", "p", "--mel-bins", "8"]) == EXIT_USAGE
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("extra, code", [
+        (["--optimizer", "adam"], EXIT_USAGE),
+        (["--epochs", "x"], EXIT_USAGE),
+        (["--learning-rate", "fast"], EXIT_USAGE),
+        (["--batch-size", "0"], EXIT_CONFIG),
+    ])
+    def test_train_flag_exit_codes(self, workspace, tmp_path, capsys, extra, code):
+        rc = main(["train", "--preset", "table3", "--features", str(workspace / "features"),
+                   "--plan", str(workspace / "plan.txt"), "--out", str(tmp_path / "run")] + extra)
+        assert rc == code
+        err = capsys.readouterr().err
+        if code == EXIT_CONFIG:
+            assert err.splitlines() == [
+                "error: ConfigError: [training] batch_size, epochs, and patience must all be >= 1"
+            ]
+        assert not (tmp_path / "run" / "model.mcln").exists()
+
+
+def npz_bytes(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def wav_bytes(frames=50) -> bytes:
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as handle:
+        handle.setnchannels(1)
+        handle.setsampwidth(2)
+        handle.setframerate(2000)
+        handle.writeframes(np.zeros(frames, dtype=np.int16).tobytes())
+    return buf.getvalue()
+
+
+def single_error(captured, name: str) -> str:
+    """The one stderr line, which must name ``name``; stdout must be empty."""
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {name}: "), captured.err
+    return lines[0]
+
+
+class TestUndecodableInputs:
+    """A file that cannot be decoded exits 4 (3 for --config), with one error line."""
+
+    @pytest.mark.parametrize("name, content, code, error", [
+        ("clip.wav", lambda: b"RIFF\x08\x00\x00\x00WAVEjunk", EXIT_IO, "FileFormatError"),
+        ("clip.wav", lambda: b"", EXIT_IO, "FileFormatError"),
+        ("clip.wav", lambda: wav_bytes()[:-1], EXIT_IO, "TruncatedFileError"),
+        ("clip.npz", lambda: b"not a zip archive", EXIT_IO, "FileFormatError"),
+        ("clip.npz", lambda: npz_bytes(samples=np.zeros(50), rate=2000)[:200], EXIT_IO,
+         "FileFormatError"),
+        ("clip.npz", lambda: npz_bytes(samples=np.zeros(50), rate=np.array([2000, 2000])),
+         EXIT_DATA, "ValidationError"),
+        ("clip.npz", lambda: npz_bytes(samples=np.zeros(50), rate=2000.5), EXIT_DATA,
+         "ValidationError"),
+        ("clip.npz", lambda: npz_bytes(samples=np.zeros(50), rate="fast"), EXIT_DATA,
+         "ValidationError"),
+    ], ids=["wav-no-chunks", "wav-empty", "wav-partial-frame", "npz-not-zip", "npz-truncated",
+            "npz-rate-vector", "npz-rate-fraction", "npz-rate-text"])
+    def test_audio(self, tmp_path, capsys, name, content, code, error):
+        class_dir = tmp_path / "audio" / "drums"
+        class_dir.mkdir(parents=True)
+        (class_dir / name).write_bytes(content())
+        rc = main(["features", "extract", "--in", str(tmp_path / "audio"),
+                   "--out", str(tmp_path / "f")])
+        assert rc == code
+        line = single_error(capsys.readouterr(), error)
+        assert name in line
+        if error == "ValidationError":
+            assert "'rate' must be one positive integer" in line
+
+    def _train(self, workspace, tmp_path, plan=None, classes=None):
+        config = tmp_path / "config.ini"
+        config.write_text(SMALL_INI)
+        argv = ["train", "--config", str(config), "--features", str(workspace / "features"),
+                "--plan", str(plan or workspace / "plan.txt"), "--out", str(tmp_path / "run")]
+        return main(argv + (["--classes", str(classes)] if classes else []))
+
+    def test_plan_via_train_and_eval(self, workspace, tmp_path, capsys):
+        plan = tmp_path / "plan.txt"
+        plan.write_bytes((workspace / "plan.txt").read_bytes() + b"caf\xe9\ttest\n")
+        assert self._train(workspace, tmp_path, plan=plan) == EXIT_IO
+        assert "is not UTF-8 text" in single_error(capsys.readouterr(), "FileFormatError")
+        rc = main(["eval", "--model", str(workspace / "run" / "model.mcln"), "--plan", str(plan),
+                   "--features", str(workspace / "features")])
+        assert rc == EXIT_IO
+        single_error(capsys.readouterr(), "FileFormatError")
+
+    def test_plan_with_bad_seed_line_is_data_error(self, workspace, tmp_path, capsys):
+        plan = tmp_path / "plan.txt"
+        rows = (workspace / "plan.txt").read_text().splitlines()[1:]
+        plan.write_text("\n".join(["# seed=abc"] + rows) + "\n")
+        assert self._train(workspace, tmp_path, plan=plan) == EXIT_DATA
+        line = single_error(capsys.readouterr(), "ValidationError")
+        assert line.endswith(f"{plan}:1: bad seed 'abc'")
+
+    def test_classes_via_train(self, workspace, tmp_path, capsys):
+        classes = tmp_path / "classes.txt"
+        classes.write_bytes(b"drums\nfl\xfbte\n")
+        assert self._train(workspace, tmp_path, classes=classes) == EXIT_IO
+        single_error(capsys.readouterr(), "FileFormatError")
+        assert not (tmp_path / "run" / "model.mcln").exists()
+
+    def test_manifest_via_dataset_plan(self, workspace, tmp_path, capsys):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_bytes((workspace / "features" / "manifest.tsv").read_bytes() + b"\xff\n")
+        rc = main(["dataset", "plan", "--manifest", str(manifest), "--out", str(tmp_path / "p")])
+        assert rc == EXIT_IO
+        single_error(capsys.readouterr(), "FileFormatError")
+
+    @pytest.mark.parametrize("bad", ["train", "test"])
+    def test_id_lists_via_dataset_plan(self, workspace, tmp_path, capsys, bad):
+        lists = {}
+        for role in ("train", "test"):
+            lists[role] = tmp_path / f"{role}.txt"
+            data = (workspace / f"{role}.txt").read_bytes()
+            lists[role].write_bytes(data + (b"\x80\n" if role == bad else b""))
+        rc = main(["dataset", "plan", "--train-list", str(lists["train"]),
+                   "--test-list", str(lists["test"]), "--out", str(tmp_path / "p.txt")])
+        assert rc == EXIT_IO
+        assert f"{bad}.txt is not UTF-8 text" in single_error(capsys.readouterr(), "FileFormatError")
+        assert not (tmp_path / "p.txt").exists()
+
+    def test_config_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "config.ini"
+        config.write_bytes(SMALL_INI.encode() + b"; na\xefve comment\n")
+        assert main(["model", "describe", "--config", str(config)]) == EXIT_CONFIG
+        assert "is not UTF-8 text" in single_error(capsys.readouterr(), "ConfigError")
+
+
+class TestEvalPredictAgainstLibrary:
+    """eval and predict print what evaluate and predict_clip return."""
+
+    HOP = 4  # below q = 11, so segments overlap
+
+    @pytest.fixture(params=["with-stats", "without-stats"])
+    def model_path(self, request, workspace, tmp_path):
+        """An untrained model: its probabilities are far from 0 and 1, so they show the hop."""
+        trained = load_model(workspace / "run" / "model.mcln")
+        model = build_model(trained.spec, seed=2, labels=trained.labels)
+        if request.param == "with-stats":
+            model.norm_stats = trained.norm_stats
+        path = tmp_path / "model.mcln"
+        save_model(model, path)
+        return path
+
+    @staticmethod
+    def _prepared(model, fm):
+        return fm if model.norm_stats is None else apply_zscore(fm, model.norm_stats)
+
+    @pytest.mark.parametrize("hop", [None, HOP])
+    def test_eval(self, workspace, model_path, capsys, hop):
+        model = load_model(model_path)
+        q = segment_size(model.spec)
+        clips = SplitPlan.load(workspace / "plan.txt").clips_in("test")
+        fms = [self._prepared(model, load_features(workspace / "features" / f"{c}.mclf"))
+               for c in clips]
+        result = evaluate(model, {fm.clip_id: segment_clip(fm, q, hop or q) for fm in fms},
+                          {fm.clip_id: fm.label for fm in fms})
+        argv = ["eval", "--model", str(model_path), "--plan", str(workspace / "plan.txt"),
+                "--features", str(workspace / "features")]
+        assert main(argv + (["--hop", str(hop)] if hop else [])) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            f"clips: {len(clips)}  accuracy: {result.clip_accuracy:.4f}",
+            *confusion_lines(result.confusion, model.labels),
+        ]
+
+    @pytest.mark.parametrize("hop", [None, HOP])
+    def test_predict(self, workspace, model_path, capsys, hop):
+        model = load_model(model_path)
+        q = segment_size(model.spec)
+        paths = [workspace / "features" / name for name in ("drums__clip5.mclf", "flute__clip4.mclf")]
+        expected = []
+        for path in paths:
+            fm = self._prepared(model, load_features(path))
+            predicted, probs = predict_clip(model, segment_clip(fm, q, hop or q))
+            text = " ".join(f"{p:.4f}" for p in probs)
+            expected.append(f"{fm.clip_id}\t{model.labels[predicted]}\t{text}")
+        argv = ["predict", "--model", str(model_path)] + (["--hop", str(hop)] if hop else [])
+        assert main(argv + [str(p) for p in paths]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_predict_unlabeled_and_short_clips(self, workspace, model_path, tmp_path, capsys):
+        model = load_model(model_path)
+        q = segment_size(model.spec)
+        labeled = load_features(workspace / "features" / "drums__clip5.mclf")
+        unlabeled = tmp_path / "mystery.mclf"
+        save_features(FeatureMatrix(frames=labeled.frames, clip_id="mystery"), unlabeled)
+        short = tmp_path / "short.mclf"  # no clip id: the file name stands in
+        save_features(FeatureMatrix(frames=labeled.frames[: q - 1]), short)
+        predicted, probs = predict_clip(
+            model, segment_clip(self._prepared(model, labeled), q, self.HOP)
+        )
+        rc = main(["predict", "--model", str(model_path), "--hop", str(self.HOP),
+                   str(unlabeled), str(short)])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            f"mystery\t{model.labels[predicted]}\t" + " ".join(f"{p:.4f}" for p in probs),
+            "short.mclf\t<too short>\t-",
+        ]
+
+
+class TestReadmeConfiguration:
+    def _example(self) -> str:
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("### Configuration files"):]
+        return re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+
+    def test_example_is_the_defaults_and_table3(self, tmp_path):
+        config = tmp_path / "readme.ini"
+        config.write_text(self._example())
+        expected = ExperimentConfig(FeatureParams(), PRESETS["table3"], TrainConfig())
+        assert load_experiment_config(argparse.Namespace(config=str(config))) == expected
+        # every key is spelled out, as resolved.ini spells it
+        documented = configparser.ConfigParser(interpolation=None)
+        documented.read_string(self._example())
+        resolved = configparser.ConfigParser(interpolation=None)
+        resolved.read_string(expected.to_ini())
+        assert {s: dict(documented[s]) for s in documented.sections()} == {
+            s: dict(resolved[s]) for s in resolved.sections()
+        }

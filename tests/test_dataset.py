@@ -14,10 +14,11 @@ from mclnn.dataset import (
     fold_buckets,
     load_manifest,
     make_folds,
+    read_text,
     segment_clip,
     segment_count,
 )
-from mclnn.errors import ValidationError
+from mclnn.errors import ConfigError, FileFormatError, ValidationError
 from mclnn.features import FeatureMatrix
 
 
@@ -180,6 +181,26 @@ class TestSplitPlan:
         with pytest.raises(ValidationError):
             SplitPlan.load(path)
 
+    @pytest.mark.parametrize("raw", ["abc", "1.5", ""])
+    def test_bad_seed_line_rejected(self, tmp_path, raw):
+        path = tmp_path / "plan.txt"
+        path.write_text(f"# seed={raw}\nc1\ttrain\n")
+        with pytest.raises(ValidationError, match=f"plan.txt:1: bad seed {raw!r}"):
+            SplitPlan.load(path)
+
+    def test_seed_none_and_integer_read_back(self, tmp_path):
+        path = tmp_path / "plan.txt"
+        path.write_text("# seed=None\nc1\ttrain\n")
+        assert SplitPlan.load(path).seed is None
+        path.write_text("# seed=-3\nc1\ttrain\n")
+        assert SplitPlan.load(path).seed == -3
+
+    def test_undecodable_plan_rejected(self, tmp_path):
+        path = tmp_path / "plan.txt"
+        path.write_bytes(b"c1\ttr\xe4in\n")
+        with pytest.raises(FileFormatError, match="not UTF-8 text"):
+            SplitPlan.load(path)
+
     def test_unknown_clip_lookup(self):
         plan = SplitPlan(assignment={"a": "train"})
         with pytest.raises(ValidationError):
@@ -233,3 +254,23 @@ class TestManifest:
         path.write_text("just-one-field\n")
         with pytest.raises(ValidationError):
             load_manifest(path)
+
+    def test_undecodable_manifest_rejected(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_bytes(b"clips/a1\tcaf\xe9\n")
+        with pytest.raises(FileFormatError, match="manifest.tsv is not UTF-8 text"):
+            load_manifest(path)
+
+
+class TestReadText:
+    def test_utf8(self, tmp_path):
+        path = tmp_path / "list.txt"
+        path.write_bytes("café\r\nrock\n".encode())
+        assert read_text(path) == "café\nrock\n"
+
+    @pytest.mark.parametrize("error", [FileFormatError, ConfigError])
+    def test_undecodable_raises_the_given_error(self, tmp_path, error):
+        path = tmp_path / "list.txt"
+        path.write_bytes(b"\xff")
+        with pytest.raises(error, match="list.txt is not UTF-8 text"):
+            read_text(path, error) if error is ConfigError else read_text(path)

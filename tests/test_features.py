@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import wave
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +460,77 @@ class TestLoadAudio:
         path = tmp_path / "clip.mp3"
         path.write_bytes(b"not audio")
         with pytest.raises(ValidationError):
+            load_audio(path)
+
+    @pytest.mark.parametrize("rate", [8000, 8000.0, np.uint16(8000)])
+    def test_npz_rate_with_an_integer_value(self, tmp_path, rate):
+        path = tmp_path / "clip.npz"
+        np.savez(path, samples=np.ones(100), rate=rate)
+        clip = load_audio(path)
+        assert clip.sample_rate == 8000 and type(clip.sample_rate) is int
+
+    @pytest.mark.parametrize("rate", [np.array([8000]), 8000.5, 0, -8000, np.inf, np.nan, True,
+                                      "8000"])
+    def test_npz_rate_not_one_positive_integer(self, tmp_path, rate):
+        path = tmp_path / "clip.npz"
+        np.savez(path, samples=np.ones(100), rate=rate)
+        with pytest.raises(ValidationError, match="'rate' must be one positive integer"):
+            load_audio(path)
+
+    @pytest.mark.parametrize("samples", [np.array(["0.5", "1"]), np.array([1 + 2j]),
+                                         np.array([True, False])])
+    def test_npz_samples_not_real_numbers(self, tmp_path, samples):
+        path = tmp_path / "clip.npz"
+        np.savez(path, samples=samples, rate=8000)
+        with pytest.raises(ValidationError, match="'samples' must be real numbers"):
+            load_audio(path)
+
+    def test_npz_without_rate(self, tmp_path):
+        path = tmp_path / "clip.npz"
+        np.savez(path, samples=np.ones(100))
+        with pytest.raises(ValidationError, match="must contain 'samples' and 'rate'"):
+            load_audio(path)
+
+    @pytest.mark.parametrize("content", [
+        b"", b"not a zip archive", b"\x93NUMPY single array",
+    ], ids=["empty", "text", "npy-magic"])
+    def test_npz_that_is_no_archive(self, tmp_path, content):
+        path = tmp_path / "clip.npz"
+        path.write_bytes(content)
+        with pytest.raises(FileFormatError, match="is not a readable .npz archive"):
+            load_audio(path)
+
+    def test_npz_members_that_are_not_arrays(self, tmp_path):
+        path = tmp_path / "clip.npz"
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("samples", b"\x00\x01")
+            archive.writestr("rate", b"8000")
+        with pytest.raises(FileFormatError, match="must be .npy members"):
+            load_audio(path)
+
+    def test_npz_with_object_array(self, tmp_path):
+        path = tmp_path / "clip.npz"
+        np.savez(path, samples=np.array([1.0, "a"], dtype=object), rate=8000)
+        with pytest.raises(FileFormatError, match="allow_pickle"):
+            load_audio(path)
+
+    @pytest.mark.parametrize("content", [b"", b"RIFF", b"RIFF\x08\x00\x00\x00WAVEjunk"])
+    def test_wav_that_is_no_wave(self, tmp_path, content):
+        path = tmp_path / "clip.wav"
+        path.write_bytes(content)
+        with pytest.raises(FileFormatError, match="is not a readable .wav file"):
+            load_audio(path)
+
+    @pytest.mark.parametrize("cut", [1, 3])
+    def test_wav_ending_inside_a_frame(self, tmp_path, cut):
+        path = tmp_path / "clip.wav"
+        with wave.open(str(path), "wb") as handle:
+            handle.setnchannels(2)
+            handle.setsampwidth(2)
+            handle.setframerate(8000)
+            handle.writeframes(np.zeros(200, dtype=np.int16).tobytes())
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(TruncatedFileError, match="ends inside a frame"):
             load_audio(path)
 
 

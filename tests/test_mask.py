@@ -56,6 +56,13 @@ class TestMaskSpec:
         with pytest.raises(ValidationError):
             MaskSpec(feature_length=4, hidden_width=3, bandwidth=2, overlap=7)
 
+    def test_every_valid_spec_has_stride_at_least_two(self):
+        # overlap < bandwidth and feature_length >= 1 leave no stride below 2 to reject
+        for l in range(1, 13):
+            for bandwidth in range(1, l + 1):
+                for overlap in range(-2 * l, bandwidth):
+                    assert MaskSpec(l, 1, bandwidth, overlap).stride >= 2
+
 
 class TestLinearIndices:
     def test_four_by_three_band_two(self):

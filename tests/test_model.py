@@ -93,6 +93,7 @@ def test_frame_plan_consistency(orders, k):
     plan = frame_plan(spec)
     assert plan[0] == segment_size(spec)
     assert plan[-1] == k
+    assert min(plan) == k  # every layer has a frame to run on
     for drop, n in zip(np.diff(plan), orders):
         assert drop == -2 * n
 

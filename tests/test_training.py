@@ -25,7 +25,10 @@ from mclnn.model import (
     segment_size,
 )
 from mclnn.training import (
+    OPTIMIZERS,
+    RunReport,
     TrainConfig,
+    confusion_lines,
     cross_entropy,
     cross_entropy_grad,
     evaluate,
@@ -279,6 +282,12 @@ class TestTrain:
                             patience=15, optimizer=optimizer),
             )
             assert report.epochs[-1].train_loss < report.epochs[0].train_loss
+
+    def test_optimizer_names_are_one_tuple(self):
+        assert OPTIMIZERS == ("sgd", "momentum")
+        assert [TrainConfig(optimizer=name).optimizer for name in OPTIMIZERS] == list(OPTIMIZERS)
+        with pytest.raises(ValidationError, match="optimizer must be 'sgd' or 'momentum'"):
+            TrainConfig(optimizer="adam")
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -627,3 +636,22 @@ class TestGradCheck:
         assert text.startswith("PASS")
         for key in small_model.parameters():
             assert key in text
+
+
+class TestConfusionLines:
+    CONFUSION = np.array([[2, 0, 1], [0, 3, 0]], dtype=np.int64)
+
+    def test_table(self):
+        assert confusion_lines(self.CONFUSION, ("drums", "flute")) == [
+            "true\\pred\tdrums\tflute\tnone",
+            "drums\t2\t0\t1",
+            "flute\t0\t3\t0",
+        ]
+
+    @pytest.mark.parametrize("names, expected", [(("drums", "flute"), ("drums", "flute")),
+                                                 ((), ("0", "1"))])
+    def test_report_section_is_the_table(self, names, expected):
+        report = RunReport(config={}, confusion=self.CONFUSION, class_names=names)
+        text = report.to_text()
+        section = text[text.index("[confusion]\n") + len("[confusion]\n"):].split("\n\n")[0]
+        assert section.splitlines() == confusion_lines(self.CONFUSION, expected)
