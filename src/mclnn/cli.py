@@ -280,20 +280,28 @@ def cmd_features_extract(args) -> int:
     if not class_dirs:
         raise ValidationError(f"{in_dir} has no class subdirectories")
     mapping = ds.class_mapping([p.name for p in class_dirs])
-    manifest_rows = []
-    for class_dir in class_dirs:
-        label = mapping[class_dir.name]
-        audio_paths = sorted(
-            p for p in class_dir.iterdir() if p.suffix in (".npz", ".wav")
-        )
-        for audio_path in audio_paths:
-            clip = feat.load_audio(audio_path)
-            clip_id = f"{class_dir.name}__{audio_path.stem}"
-            fm = feat.extract_features(
-                clip, config.features, clip_id=clip_id, label=label
+    manifest_rows, written = [], []
+    try:
+        for class_dir in class_dirs:
+            label = mapping[class_dir.name]
+            audio_paths = sorted(
+                p for p in class_dir.iterdir() if p.suffix in (".npz", ".wav")
             )
-            feat.save_features(fm, out_dir / f"{clip_id}{FEATURE_SUFFIX}")
-            manifest_rows.append(f"{clip_id}\t{class_dir.name}")
+            for audio_path in audio_paths:
+                clip = feat.load_audio(audio_path)
+                clip_id = f"{class_dir.name}__{audio_path.stem}"
+                fm = feat.extract_features(
+                    clip, config.features, clip_id=clip_id, label=label
+                )
+                written.append(out_dir / f"{clip_id}{FEATURE_SUFFIX}")
+                feat.save_features(fm, written[-1])
+                manifest_rows.append(f"{clip_id}\t{class_dir.name}")
+    except BaseException:
+        # a run that fails part-way leaves none of its feature files behind,
+        # a file cut off while being written included
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     if not manifest_rows:
         raise ValidationError(f"no .npz or .wav clips found under {in_dir}")
     (out_dir / "manifest.tsv").write_text("\n".join(manifest_rows) + "\n")

@@ -5,6 +5,15 @@ The pipeline is: resample to a target rate, short-time power spectrum
 mel filterbank, natural log with a small floor, then per-dimension
 z-scoring with statistics fitted on the training split only.
 
+Resampling is polyphase filtering with SciPy's ``resample_poly`` filter
+and alignment, computed in NumPy as a banded product: the filter is a
+Toeplitz matrix, built once per reduced ratio ``up/down`` in a process
+and shared read-only, whose rows are windows of the samples.  Each group
+of output columns is multiplied only by the rows where its taps land, a
+block of rows at a time; windows inside the signal are views of it, and
+only the first and last blocks are copied and zero-padded.  The values
+match SciPy's up to summation order; the package never imports SciPy.
+
 Extraction works in cache-sized passes.  The power spectrum is windowed,
 transformed and squared a block of frames at a time into one output
 array, with the same arithmetic as a single whole-clip pass, so it is
@@ -61,6 +70,12 @@ _STFT_BLOCK = 32
 # Mel filters per banded product: small enough that a group's non-zero
 # rows are few, large enough that one matmul call per group stays cheap.
 _MEL_GROUP = 8
+# Resampling: outputs per row of the windowed product, rounded up to whole
+# periods of the ratio; output columns per banded product (as _MEL_GROUP);
+# rows per pass, about 256 KiB of input at the common audio ratios.
+_RESAMPLE_ROW = 256
+_RESAMPLE_GROUP = 32
+_RESAMPLE_BLOCK = 64
 
 __all__ = [
     "AudioClip",
@@ -182,21 +197,117 @@ class FeatureParams:
 # ---------------------------------------------------------------------------
 
 
-def resample(clip: AudioClip, target_rate: int) -> AudioClip:
-    """Polyphase resampling to ``target_rate`` Hz.
+@dataclass(frozen=True)
+class _ResamplePlan:
+    """The banded product that resamples by one reduced ratio ``up/down``.
 
-    A clip already at the target rate is returned unchanged.
+    Row ``r`` of the product is the window ``samples[r * stride - offset :
+    ... + width]`` and yields ``per_row`` consecutive outputs.  For each
+    group of ``_RESAMPLE_GROUP`` output columns, ``band`` holds the rows
+    of the Toeplitz matrix from ``lows[group]`` on; the rows outside
+    ``band`` are zero for every column in the group.
+    """
+
+    band: np.ndarray  # (span, per_row), read-only
+    lows: tuple[int, ...]
+    stride: int
+    offset: int
+    width: int
+
+    @property
+    def per_row(self) -> int:
+        return self.band.shape[1]
+
+
+@functools.lru_cache(maxsize=8)
+def _resample_plan(up: int, down: int) -> _ResamplePlan:
+    """Built once per reduced ``(up, down)`` in a process and shared read-only.
+
+    The filter is SciPy's ``resample_poly`` default: a Kaiser (beta = 5)
+    windowed sinc with cutoff ``1 / max(up, down)`` of Nyquist and half
+    length ``10 * max(up, down)``, scaled to DC gain 1, then by ``up``.
+    Output ``i`` is ``sum_j taps[i * down + half - j * up] * samples[j]``,
+    SciPy's alignment.
+    """
+    most = max(up, down)
+    half = 10 * most
+    cutoff = 1.0 / most
+    taps = cutoff * np.sinc(cutoff * np.arange(-half, half + 1)) * np.kaiser(2 * half + 1, 5.0)
+    taps /= taps.sum()
+    taps *= up
+    # whole periods of ``up`` outputs per row, and enough of them that a
+    # row advances at least one group's span: a group's slice of the
+    # windows is then a BLAS operand without a copy
+    periods = max(
+        -(-_RESAMPLE_ROW // up),
+        -(-((_RESAMPLE_GROUP - 1) * down + 2 * half + up) // (up * down)),
+    )
+    per_row = periods * up
+    offset = -(-half // up)
+    # output column c reads window samples ceil((c * down - half) / up) + offset
+    # through floor((c * down + half) / up) + offset
+    first = np.arange(0, per_row, _RESAMPLE_GROUP)
+    last = np.minimum(first + _RESAMPLE_GROUP, per_row) - 1
+    lows = -(-(first * down - half) // up) + offset
+    span = int(((last * down + half) // up + offset + 1 - lows).max())
+    cols = np.arange(per_row)
+    rows = lows[cols // _RESAMPLE_GROUP] + np.arange(span)[:, None]
+    index = cols * down + half + offset * up - rows * up
+    band = np.where((index >= 0) & (index <= 2 * half), taps[np.clip(index, 0, 2 * half)], 0.0)
+    band.flags.writeable = False
+    return _ResamplePlan(
+        band=band,
+        lows=tuple(int(low) for low in lows),
+        stride=periods * down,
+        offset=offset,
+        width=int(lows.max()) + span,
+    )
+
+
+def _polyphase(samples: np.ndarray, plan: _ResamplePlan, n_out: int) -> np.ndarray:
+    """The first ``n_out`` outputs of the plan's product over zero-extended samples.
+
+    Rows go ``_RESAMPLE_BLOCK`` at a time.  A block whose windows lie
+    inside the signal is a view of it; only a block that starts before
+    sample 0 or runs past the end is copied and zero-padded.
+    """
+    span = plan.band.shape[0]
+    rows = -(-n_out // plan.per_row)
+    out = np.empty((rows, plan.per_row), dtype=np.float64)
+    for r0 in range(0, rows, _RESAMPLE_BLOCK):
+        r1 = min(r0 + _RESAMPLE_BLOCK, rows)
+        a0 = r0 * plan.stride - plan.offset
+        a1 = (r1 - 1) * plan.stride - plan.offset + plan.width
+        if a0 >= 0 and a1 <= samples.size:
+            source = samples[a0:a1]
+        else:
+            source = np.zeros(a1 - a0, dtype=np.float64)
+            lo, hi = max(a0, 0), min(a1, samples.size)
+            source[lo - a0 : hi - a0] = samples[lo:hi]
+        windows = np.lib.stride_tricks.sliding_window_view(source, plan.width)[:: plan.stride]
+        for c0, low in zip(range(0, plan.per_row, _RESAMPLE_GROUP), plan.lows):
+            c1 = c0 + _RESAMPLE_GROUP
+            np.matmul(windows[:, low : low + span], plan.band[:, c0:c1], out=out[r0:r1, c0:c1])
+    return out.reshape(-1)[:n_out]
+
+
+def resample(clip: AudioClip, target_rate: int) -> AudioClip:
+    """Polyphase resampling to ``target_rate`` Hz, as SciPy's ``resample_poly``.
+
+    The output has ``ceil(len * up / down)`` samples for the reduced ratio
+    ``up/down`` of the two rates, each aligned as SciPy aligns it, with the
+    signal zero outside the clip; the values agree with SciPy's to within
+    rounding (see :func:`_resample_plan`).  A clip already at the target
+    rate is returned unchanged.
     """
     if target_rate <= 0:
         raise ValidationError(f"target rate must be positive, got {target_rate}")
     if clip.sample_rate == target_rate:
         return clip
-    # imported here: scipy.signal dominates the package's import time, and
-    # only clips off the target rate need it
-    from scipy.signal import resample_poly
-
     ratio = Fraction(int(target_rate), int(clip.sample_rate))
-    out = resample_poly(clip.samples, ratio.numerator, ratio.denominator)
+    up, down = ratio.numerator, ratio.denominator
+    n_out = -(-clip.samples.size * up // down)
+    out = _polyphase(clip.samples, _resample_plan(up, down), n_out)
     return AudioClip(samples=out, sample_rate=target_rate)
 
 

@@ -321,7 +321,10 @@ def model_forward_run(model: TrainedModel, frames: np.ndarray, starts) -> np.nda
     makes fewer rows than the batch would (``T_i - 2n_i < B *
     frame_plan[i + 1]``), it runs over the run.  The segments' windows are
     then gathered from that layer's output and the rest runs batched, as
-    in :func:`model_forward_tape`.  Untaped: nothing here feeds ``backward``.
+    in :func:`model_forward_tape`.  Segments that follow each other back to
+    back (``starts == arange(B) * q``) with no layer run over the run are a
+    reshaped view of ``frames``, not a gather.  Untaped: nothing here feeds
+    ``backward``.
     """
     frames = np.asarray(frames, dtype=np.float64)
     starts = np.asarray(starts)
@@ -347,7 +350,11 @@ def model_forward_run(model: TrainedModel, frames: np.ndarray, starts) -> np.nda
             break
         x = block_forward(layer, x, name=name)
         first += 1
-    return _walk(model, x[starts[:, None] + np.arange(plan[first])], first)
+    if first == 0 and np.array_equal(starts, np.arange(starts.size) * plan[0]):
+        batch = frames[: starts.size * plan[0]].reshape(starts.size, plan[0], -1)
+    else:
+        batch = x[starts[:, None] + np.arange(plan[first])]
+    return _walk(model, batch, first)
 
 
 def model_forward(model: TrainedModel, segment: np.ndarray) -> np.ndarray:

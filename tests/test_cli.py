@@ -794,6 +794,18 @@ class TestUndecodableInputs:
         if error == "ValidationError":
             assert "'rate' must be one positive integer" in line
 
+    def test_failed_extract_leaves_no_feature_files(self, tmp_path, capsys):
+        class_dir = tmp_path / "audio" / "drums"
+        class_dir.mkdir(parents=True)
+        (class_dir / "clip0.npz").write_bytes(npz_bytes(samples=np.zeros(1200), rate=2000))
+        (class_dir / "clip1.npz").write_bytes(b"not a zip archive")
+        out = tmp_path / "f"
+        rc = main(["features", "extract", "--in", str(tmp_path / "audio"), "--out", str(out)]
+                  + EXTRACT_FLAGS)
+        assert rc == EXIT_IO
+        assert "clip1.npz" in single_error(capsys.readouterr(), "FileFormatError")
+        assert sorted(out.iterdir()) == []
+
     def _train(self, workspace, tmp_path, plan=None, classes=None):
         config = tmp_path / "config.ini"
         config.write_text(SMALL_INI)

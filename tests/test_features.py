@@ -7,6 +7,7 @@ import subprocess
 import sys
 import wave
 import zipfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,95 @@ class TestResample:
     def test_invalid_target(self):
         with pytest.raises(ValidationError):
             resample(sine_clip(440.0), 0)
+
+
+# (source rate, target rate): the common audio rates brought to 22.05 kHz,
+# one upsampling, and uncommon rates whose reduced ratio has a large ``up``
+# (11025/22028, 3150/1) or a small ``down`` (441/20)
+SCIPY_RATIOS = [
+    (44100, RATE), (88200, RATE), (48000, RATE), (96000, RATE), (32000, RATE),
+    (16000, RATE), (11025, RATE), (8000, RATE), (RATE, 44100),
+    (44056, RATE), (7, RATE), (1000, RATE),
+]
+# max |resample - resample_poly| / max|x| over SCIPY_RATIOS and every
+# length below measured 6.7e-16: the two sum the same products in other
+# orders.  The bound leaves room for other BLAS kernels; a filter one tap
+# off moves outputs by about max|x|.
+SCIPY_TOLERANCE = 1e-13
+
+
+def _ratio(source, target):
+    ratio = Fraction(target, source)
+    return ratio.numerator, ratio.denominator
+
+
+class TestResampleMatchesScipy:
+    """``scipy.signal.resample_poly`` is the oracle; the package does not import SciPy."""
+
+    @pytest.mark.parametrize("source, target", SCIPY_RATIOS)
+    @pytest.mark.parametrize("length", ["one", "two", "shorter_than_filter", "odd", "thirty_seconds"])
+    def test_same_length_and_values(self, source, target, length):
+        from scipy.signal import resample_poly
+
+        up, down = _ratio(source, target)
+        size = {
+            "one": 1,
+            "two": 2,
+            # half the filter's reach in input samples
+            "shorter_than_filter": 10 * max(up, down) // up,
+            "odd": 1001,
+            "thirty_seconds": 30 * source,
+        }[length]
+        x = np.random.default_rng(size + source).uniform(-1.0, 1.0, size)
+        expected = resample_poly(x, up, down)
+        out = resample(AudioClip(samples=x, sample_rate=source), target)
+        assert out.sample_rate == target
+        assert out.samples.shape == expected.shape
+        assert np.abs(out.samples - expected).max() <= SCIPY_TOLERANCE * np.abs(x).max()
+
+    def test_plan_built_once_per_ratio_and_read_only(self):
+        features._resample_plan.cache_clear()
+        for source, target in [(44100, RATE), (88200, 44100), (11025, RATE), (RATE, 44100)]:
+            resample(AudioClip(samples=np.ones(500), sample_rate=source), target)
+        # 44.1 -> 22.05 and 88.2 -> 44.1 kHz are both 1/2; 11.025 -> 22.05 and
+        # 22.05 -> 44.1 kHz are both 2/1
+        assert features._resample_plan.cache_info().misses == 2
+        plan = features._resample_plan(1, 2)
+        assert features._resample_plan(1, 2) is plan
+        with pytest.raises(ValueError):
+            plan.band[0, 0] = 1.0
+
+    @pytest.mark.parametrize("source, target", SCIPY_RATIOS)
+    def test_group_slices_are_blas_operands(self, source, target):
+        # a row advances at least one group's span, so a group's slice of
+        # the sample windows has a leading dimension >= its width
+        plan = features._resample_plan(*_ratio(source, target))
+        assert plan.band.shape[0] <= plan.stride
+        assert plan.per_row % _ratio(source, target)[0] == 0
+
+
+def test_resampled_extraction_runs_without_scipy(tmp_path):
+    path = tmp_path / "clip.wav"
+    with wave.open(str(path), "wb") as handle:
+        handle.setnchannels(1)
+        handle.setsampwidth(2)
+        handle.setframerate(44100)
+        tone = np.sin(2 * np.pi * 1000.0 * np.arange(2 * 44100) / 44100)
+        handle.writeframes(np.round(tone * 16000).astype("<i2").tobytes())
+    env = dict(os.environ)
+    source = str(Path(mclnn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from mclnn import features; "
+        f"fm = features.extract_features(features.load_audio({str(path)!r})); "
+        "print(fm.frames.shape, fm.meta['sample_rate'])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == f"({stft_frame_count(2 * RATE, 2048, 1024)}, 256) {RATE}"
 
 
 class TestChunk:

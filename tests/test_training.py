@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import mclnn.model
 import mclnn.training as trn
 from mclnn.dataset import Segment, segment_clip
 from mclnn.errors import (
@@ -483,6 +484,26 @@ class TestPredictClipSharing:
         assert lengths == [self.Q + (len(segments) - 3) + 2 * self.Q]
         probs = np.array([model_forward(small_model, s.frames) for s in segments])
         assert_allclose(mean_probs, probs.mean(axis=0), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("hop, shares", [(Q, True), (Q // 2, False)])
+    def test_back_to_back_batch_is_a_view_of_the_run(self, small_model, monkeypatch, hop, shares):
+        runs, batches = [], []
+        original_run, original_walk = trn._run, mclnn.model._walk
+
+        def recording_run(segments):
+            frames, offsets = original_run(segments)
+            runs.append(frames)
+            return frames, offsets
+
+        def recording_walk(model, x, first, tape=None):
+            batches.append(x)
+            return original_walk(model, x, first, tape)
+
+        monkeypatch.setattr(trn, "_run", recording_run)
+        monkeypatch.setattr(mclnn.model, "_walk", recording_walk)
+        predict_clip(small_model, self._segments(hop, frames=200))
+        assert len(runs) == len(batches) >= 1
+        assert [np.shares_memory(b, r) for b, r in zip(batches, runs)] == [shares] * len(runs)
 
     def test_wrong_segment_shape_is_contract_error(self, small_model):
         segments = self._segments(hop=3, frames=30)
