@@ -62,8 +62,7 @@ _SECTIONS = {
     "model": ("model_spec", mdl.ModelSpec),
     "training": ("training", trn.TrainConfig),
 }
-# A field's INI key is its name, except for these; ModelSpec.allow_order_zero,
-# a switch for degenerate tests, has no key (``_rows`` leaves it out).
+# A field's INI key is its name, except for these.
 _RENAMED = {"sample_rate": "rate", "fft_size": "fft"}
 # [paths] records what a run read and wrote; it is never read back.
 _PATH_KEYS = {"in", "out", "features", "plan"}
@@ -129,7 +128,7 @@ def _rows(section: str) -> list[tuple]:
     hints = get_type_hints(cls)
     return [
         (_RENAMED.get(f.name, f.name), f.name, _cast(hints[f.name]), f.default)
-        for f in fields(cls) if f.name != "allow_order_zero"
+        for f in fields(cls)
     ]
 
 

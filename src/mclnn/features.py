@@ -27,7 +27,9 @@ is non-zero; the skipped entries are exact zeros, and only the order of
 summation differs from the dense product.
 
 Per-clip extraction is pure and parallelizable; statistic fitting is a
-deterministic reduction over the inputs in the order given.
+deterministic reduction over the inputs in the order given.  A feature
+file's header is the matrix shape and every other ``FeatureMatrix``
+field, written and read from one table.
 """
 
 from __future__ import annotations
@@ -149,12 +151,10 @@ class FeatureMatrix:
 
 
 # a feature file's header: the frame matrix's shape, then every other
-# FeatureMatrix field, each read at the type the dataclass declares
-_FEATURE_HEADER = {
-    "t": "int",
-    "l": "int",
-    **{f.name: f.type for f in fields(FeatureMatrix) if f.name != "frames"},
-}
+# FeatureMatrix field, each written by name and read at the type the
+# dataclass declares
+_FEATURE_FIELDS = {f.name: f.type for f in fields(FeatureMatrix) if f.name != "frames"}
+_FEATURE_HEADER = {"t": "int", "l": "int", **_FEATURE_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -539,16 +539,8 @@ def apply_zscore(features: FeatureMatrix, stats: NormStats | None) -> FeatureMat
 
 def save_features(features: FeatureMatrix, path) -> None:
     """Write one clip's features as a binary container."""
-    header = {
-        "t": features.frame_count,
-        "l": features.feature_length,
-        "clip_id": features.clip_id,
-        "label": features.label,
-        "split": features.split,
-        "normalized": features.normalized,
-        "norm_id": features.norm_id,
-        "meta": features.meta,
-    }
+    t, l = features.frames.shape
+    header = {"t": t, "l": l, **{name: getattr(features, name) for name in _FEATURE_FIELDS}}
     container.write(path, FEATURE_MAGIC, FEATURE_VERSION, header, [features.frames])
 
 

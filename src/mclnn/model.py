@@ -14,8 +14,10 @@ would, and both entry points share the walk from the first batched layer
 on.  Masks are derived from the spec, never stored: a model file
 round-trips parameters bit-exactly and regenerates masks on load.  The
 spec is stored as its dataclass fields and read back with every field
-required at its declared type, as are the labels, the init seed and the
-init scheme.
+required at its declared type.  The labels, init seed and init scheme,
+and the normalization block's source split and id, are listed in tables
+that both the writer and the typed reader walk, so a file holds exactly
+the fields the reader checks.
 """
 
 from __future__ import annotations
@@ -94,9 +96,6 @@ class ModelSpec:
     dense_width: int
     class_count: int
     activation: str = "prelu"
-    # order 0 turns a layer into a plain frame-wise dense map; useful only
-    # for degenerate tests, so it must be asked for explicitly.
-    allow_order_zero: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -114,12 +113,9 @@ class ModelSpec:
             raise ValidationError(
                 f"unknown activation {self.activation!r}; choose from {sorted(_ACTIVATIONS)}"
             )
-        min_order = 0 if self.allow_order_zero else 1
         for i, layer in enumerate(self.layers):
-            if layer.order < min_order:
-                raise ValidationError(
-                    f"layer {i} has order {layer.order}; orders must be >= {min_order}"
-                )
+            if layer.order < 1:
+                raise ValidationError(f"layer {i} has order {layer.order}; orders must be >= 1")
 
     def input_widths(self) -> list[int]:
         """Feature length seen by each conditional layer."""
@@ -377,10 +373,12 @@ def _from_header(cls, header: dict):
     return cls(**values)
 
 
-# the model header's own fields, read at the types TrainedModel declares
+# the model header's own fields and its norm block's, written by name and
+# read at the types TrainedModel and NormStats declare
 _MODEL_HEADER = {
     f.name: f.type for f in fields(TrainedModel) if f.name in ("labels", "init_seed", "init_scheme")
 }
+_NORM_HEADER = {f.name: f.type for f in fields(NormStats) if f.name in ("source_split", "stats_id")}
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -388,21 +386,13 @@ def save_model(model: TrainedModel, path) -> None:
     params = model.parameters()
     arrays = list(params.values())
     manifest = [{"name": k, "shape": list(v.shape)} for k, v in params.items()]
-    header = {
-        "spec": asdict(model.spec),
-        "labels": list(model.labels),
-        "init_seed": model.init_seed,
-        "init_scheme": model.init_scheme,
-        "params": manifest,
-        "norm": None,
-    }
-    if model.norm_stats is not None:
-        header["norm"] = {
-            "source_split": model.norm_stats.source_split,
-            "stats_id": model.norm_stats.stats_id,
-            "length": int(model.norm_stats.mean.shape[0]),
-        }
-        arrays += [model.norm_stats.mean, model.norm_stats.std]
+    header = {name: getattr(model, name) for name in _MODEL_HEADER}
+    header.update(spec=asdict(model.spec), params=manifest, norm=None)
+    stats = model.norm_stats
+    if stats is not None:
+        header["norm"] = {name: getattr(stats, name) for name in _NORM_HEADER}
+        header["norm"]["length"] = int(stats.mean.shape[0])
+        arrays += [stats.mean, stats.std]
     container.write(path, MODEL_MAGIC, MODEL_VERSION, header, arrays)
 
 
@@ -422,12 +412,8 @@ def load_model(path) -> TrainedModel:
         skeleton.init_scheme = own["init_scheme"]
         values = dict(zip((str(entry["name"]) for entry in header["params"]), arrays))
         if header["norm"] is not None:
-            skeleton.norm_stats = NormStats(
-                mean=arrays[-2],
-                std=arrays[-1],
-                source_split=header["norm"]["source_split"],
-                stats_id=header["norm"]["stats_id"],
-            )
+            norm = container.typed_fields(header["norm"], _NORM_HEADER, "model.norm")
+            skeleton.norm_stats = NormStats(mean=arrays[-2], std=arrays[-1], **norm)
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise HeaderMismatchError(f"{path}: header field missing or malformed: {exc!r}") from exc
     try:

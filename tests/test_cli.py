@@ -2,16 +2,23 @@
 
 import argparse
 import configparser
+import contextlib
 import io
 import re
+import tempfile
 import wave
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mclnn.features
+import mclnn.model
 import mclnn.training
+from mclnn import container
 from mclnn.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -415,6 +422,37 @@ class TestTrainEvalPredict:
         err = capsys.readouterr().err
         assert "header field missing or malformed: KeyError('spec')" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["norm"].update(stats_id=7),
+        lambda h: h["norm"].update(stats_id=None),
+        lambda h: h["norm"].update(source_split=["x"]),
+    ], ids=["stats-id-int", "stats-id-null", "source-split-list"])
+    def test_predict_model_with_mistyped_norm_field_is_io_error(
+        self, workspace, tmp_path, capsys, edit
+    ):
+        model = tmp_path / "model.mcln"
+        model.write_bytes((workspace / "run" / "model.mcln").read_bytes())
+        rewrite_model_header(model, edit)
+        rc = main(["predict", "--model", str(model),
+                   str(workspace / "features" / "drums__clip5.mclf")])
+        assert rc == EXIT_IO
+        line = single_error(capsys.readouterr(), "HeaderMismatchError")
+        assert "header field missing or malformed" in line and "model.norm." in line
+
+    def test_model_header_with_legacy_allow_order_zero_predicts_unchanged(
+        self, workspace, tmp_path, capsys
+    ):
+        # model files written before the key was dropped carry it in their spec
+        original = workspace / "run" / "model.mcln"
+        features = str(workspace / "features" / "drums__clip5.mclf")
+        assert main(["predict", "--model", str(original), features]) == EXIT_OK
+        expected = capsys.readouterr()
+        legacy = tmp_path / "legacy.mcln"
+        legacy.write_bytes(original.read_bytes())
+        rewrite_model_header(legacy, lambda h: h["spec"].update(allow_order_zero=False))
+        assert main(["predict", "--model", str(legacy), features]) == EXIT_OK
+        assert capsys.readouterr() == expected
 
     @pytest.mark.parametrize("edit", [
         lambda h: h.pop("meta"),
@@ -956,3 +994,77 @@ class TestReadmeConfiguration:
         assert {s: dict(documented[s]) for s in documented.sections()} == {
             s: dict(resolved[s]) for s in resolved.sections()
         }
+
+
+# ---------------------------------------------------------------------------
+# header contract: every field the writers write is checked on read
+# ---------------------------------------------------------------------------
+
+# a JSON value of each type a header field could be given
+_JSON_VALUES = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats(),
+    str: st.text(max_size=4),
+    list: st.lists(st.integers() | st.text(max_size=2), max_size=3),
+    dict: st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+}
+# the JSON types the reader accepts per declared type; the layers are a list
+_ACCEPTED = {**container._HEADER_TYPES, "tuple[LayerSpec, ...]": (list,)}
+
+
+def _typed_header_fields() -> list[tuple[str, tuple, str]]:
+    """(file, path to the field in its header, declared type), from the writers' tables."""
+    model = (
+        [(("spec", f.name), f.type) for f in fields(mclnn.model.ModelSpec)]
+        + [(("spec", "layers", i, f.name), f.type) for i in (0, 1) for f in fields(LayerSpec)]
+        + [((name,), kind) for name, kind in mclnn.model._MODEL_HEADER.items()]
+        + [(("norm", name), kind) for name, kind in mclnn.model._NORM_HEADER.items()]
+    )
+    feature = [((name,), kind) for name, kind in mclnn.features._FEATURE_HEADER.items()]
+    return [("model", *f) for f in model] + [("features", *f) for f in feature]
+
+
+def _mutations(kind: str):
+    """``()`` drops the field; ``(value,)`` sets a JSON value of a type ``kind`` does not accept."""
+    other = [t for t in _JSON_VALUES if t not in _ACCEPTED[kind]]
+    return st.just(()) | st.sampled_from(other).flatmap(_JSON_VALUES.get).map(lambda v: (v,))
+
+
+# every field of every table, each dropped once (the first example) and set
+# to one value of another type
+@pytest.mark.parametrize("which, path, kind", _typed_header_fields(),
+                         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(data=st.data())
+def test_missing_or_mistyped_header_field_exits_4_with_one_error_line(
+    workspace, which, path, kind, data
+):
+    mutation = data.draw(_mutations(kind), label="mutation")
+
+    def edit(header):
+        *parents, name = path
+        for key in parents:
+            header = header[key]
+        if mutation:
+            header[name] = mutation[0]
+        else:
+            del header[name]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.mcln"
+        features = Path(tmp) / "drums__clip5.mclf"
+        model.write_bytes((workspace / "run" / "model.mcln").read_bytes())
+        features.write_bytes((workspace / "features" / "drums__clip5.mclf").read_bytes())
+        if which == "model":
+            rewrite_model_header(model, edit)
+        else:
+            rewrite_feature_header(features, edit)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["predict", "--model", str(model), str(features)])
+    assert rc == EXIT_IO, err.getvalue()
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines

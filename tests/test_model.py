@@ -99,18 +99,11 @@ def test_frame_plan_consistency(orders, k):
 
 
 class TestModelSpecValidation:
-    def test_order_zero_needs_explicit_permission(self):
-        with pytest.raises(ValidationError, match="order"):
+    def test_order_zero_rejected(self):
+        with pytest.raises(ValidationError, match="layer 0 has order 0; orders must be >= 1"):
             uniform_order_spec(n=0, m=1, k=2)
-        spec = ModelSpec(
-            feature_length=4,
-            layers=(LayerSpec(4, 0),),
-            extra_frames=2,
-            dense_width=3,
-            class_count=2,
-            allow_order_zero=True,
-        )
-        assert frame_plan(spec) == [2, 2]
+        with pytest.raises(ValidationError, match="layer 1 has order 0; orders must be >= 1"):
+            small_spec(layers=(LayerSpec(6, 2), LayerSpec(6, 0)))
 
     @pytest.mark.parametrize(
         "overrides",
@@ -400,12 +393,13 @@ class TestSerialization:
         lambda h: h.update(init_seed=-1),
         lambda h: h["params"][0].pop("name"),
         lambda h: h["norm"].pop("stats_id"),
+        lambda h: h["norm"].update(stats_id=7),
+        lambda h: h["norm"].update(stats_id=None),
+        lambda h: h["norm"].update(source_split=["x"]),
         # values of the wrong JSON type are rejected, never coerced
         lambda h: h["spec"]["layers"][0].update(width=6.9),
         lambda h: h["spec"]["layers"][0].update(bandwidth=3.0),
         lambda h: h["spec"]["layers"][0].update(overlap=True),
-        lambda h: h["spec"].update(allow_order_zero="false"),
-        lambda h: h["spec"].update(allow_order_zero=0),
         lambda h: h["spec"].update(class_count="4"),
         lambda h: h.update(init_seed=2.5),
         lambda h: h.update(init_seed=True),
@@ -416,9 +410,9 @@ class TestSerialization:
     ], ids=[
         "no-spec", "spec-list", "spec-width-text", "layer-no-order", "dense-width-0",
         "no-labels", "labels-int", "labels-count", "no-seed", "seed-text", "seed-negative",
-        "param-no-name", "norm-no-id",
-        "layer-width-float", "layer-bandwidth-float", "layer-overlap-bool", "order-zero-text",
-        "order-zero-int", "class-count-text", "seed-float", "seed-bool",
+        "param-no-name", "norm-no-id", "norm-id-int", "norm-id-null", "norm-split-list",
+        "layer-width-float", "layer-bandwidth-float", "layer-overlap-bool",
+        "class-count-text", "seed-float", "seed-bool",
         "labels-text", "labels-not-strings", "init-scheme-list", "no-init-scheme",
     ])
     def test_missing_or_malformed_header_field_is_header_mismatch(self, tmp_path, edit):
