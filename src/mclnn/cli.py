@@ -219,13 +219,13 @@ def _resolve_out(raw: str | None, command: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _load_feature_dir(directory: Path) -> list[feat.FeatureMatrix]:
+def _feature_paths(directory: Path) -> list[Path]:
     if not directory.is_dir():
         raise ConfigError(f"feature directory {directory} does not exist")
     paths = sorted(directory.glob(f"*{FEATURE_SUFFIX}"))
     if not paths:
         raise ValidationError(f"no {FEATURE_SUFFIX} files under {directory}")
-    return [feat.load_features(p) for p in paths]
+    return paths
 
 
 def _read_class_names(path: str | None, class_count: int) -> tuple[str, ...]:
@@ -386,39 +386,46 @@ def cmd_model_describe(args) -> int:
     return EXIT_OK
 
 
-def _prepare_run(args, config):
-    """Shared train/eval setup: features, plan, roles, normalization, segments."""
+@dataclass
+class _TrainingData:
+    """What ``train`` reads: normalized segments, the test split's by clip."""
+
+    plan: ds.SplitPlan
+    stats: feat.NormStats
+    train_segments: list[ds.Segment]
+    val_segments: list[ds.Segment]
+    test_segments: dict[str, list[ds.Segment]]
+    test_labels: dict[str, int | None]
+
+
+def _training_data(args, config) -> _TrainingData:
+    """Load, fit, normalize and segment, each clip's frames held once.
+
+    The statistics are fitted on the training split, then every clip is
+    normalized in place, so no raw copy outlives this call; segments are
+    views of the normalized frames.
+    """
     spec = config.model_spec
     if spec is None:
         raise ConfigError("a model architecture is required: --preset or config [model] section")
-    all_features = _load_feature_dir(Path(args.features))
+    all_features = [feat.load_features(p) for p in _feature_paths(Path(args.features))]
     plan = ds.SplitPlan.load(args.plan)
     missing = [fm.clip_id for fm in all_features if fm.clip_id not in plan.assignment]
     if missing:
         raise ValidationError(
             f"{len(missing)} feature clips are not in the plan, e.g. {missing[:3]}"
         )
-    roles = _bucket_roles(plan, args)
-    groups = _split_features(all_features, plan, roles)
+    groups = _split_features(all_features, plan, _bucket_roles(plan, args))
     widths = {fm.feature_length for fm in all_features}
     if widths != {spec.feature_length}:
         raise ValidationError(
             f"feature widths {sorted(widths)} do not match model feature_length "
             f"{spec.feature_length}"
         )
-    return plan, roles, groups
-
-
-def cmd_train(args) -> int:
-    config = load_experiment_config(args)
-    spec = config.model_spec
-    out_dir = _resolve_out(args.out, "train")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    plan, roles, groups = _prepare_run(args, config)
 
     stats = feat.fit_zscore(groups[ds.TRAIN])
     normalized = {
-        role: [feat.apply_zscore(fm, stats) for fm in fms] for role, fms in groups.items()
+        role: [feat.apply_zscore_in_place(fm, stats) for fm in fms] for role, fms in groups.items()
     }
     q = mdl.segment_size(spec)
     hop = config.training.hop or q
@@ -426,16 +433,28 @@ def cmd_train(args) -> int:
     val_segments = [s for fm in normalized[ds.VALIDATION] for s in ds.segment_clip(fm, q, hop)]
     if not train_segments:
         raise ValidationError(f"training clips yielded no segments at q={q}, hop={hop}")
+    test = normalized[ds.TEST]
+    return _TrainingData(
+        plan, stats, train_segments, val_segments,
+        test_segments={fm.clip_id: ds.segment_clip(fm, q, hop) for fm in test},
+        test_labels={fm.clip_id: fm.label for fm in test},
+    )
+
+
+def cmd_train(args) -> int:
+    config = load_experiment_config(args)
+    spec = config.model_spec
+    out_dir = _resolve_out(args.out, "train")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    data = _training_data(args, config)
 
     labels = _read_class_names(args.classes, spec.class_count)
     model = mdl.build_model(spec, seed=config.training.seed, labels=labels)
-    model.norm_stats = stats
-    model, report = trn.train(model, train_segments, config.training, val_segments or None)
+    model.norm_stats = data.stats
+    model, report = trn.train(model, data.train_segments, config.training, data.val_segments or None)
 
-    if normalized[ds.TEST]:
-        by_clip = {fm.clip_id: ds.segment_clip(fm, q, hop) for fm in normalized[ds.TEST]}
-        labels_by_clip = {fm.clip_id: fm.label for fm in normalized[ds.TEST]}
-        result = trn.evaluate(model, by_clip, labels_by_clip)
+    if data.test_labels:
+        result = trn.evaluate(model, data.test_segments, data.test_labels)
         report.test_accuracy = result.clip_accuracy
         report.confusion = result.confusion
 
@@ -444,7 +463,7 @@ def cmd_train(args) -> int:
     (out_dir / "resolved.ini").write_text(config.to_ini({
         "features": str(args.features), "plan": str(args.plan), "out": str(out_dir),
     }))
-    plan.save(out_dir / "plan.txt")
+    data.plan.save(out_dir / "plan.txt")
     summary = f"trained {len(report.epochs)} epochs; best epoch {report.best_epoch}"
     if report.test_accuracy is not None:
         summary += f"; test clip accuracy {report.test_accuracy:.4f}"
@@ -454,11 +473,14 @@ def cmd_train(args) -> int:
 
 
 def _normalized_for(model, fm):
-    """``fm`` under the model's statistics; pre-normalized input must have used them."""
+    """``fm`` under the model's statistics; pre-normalized input must have used them.
+
+    ``fm`` is freshly loaded and read nowhere else, so it is normalized in place.
+    """
     if model.norm_stats is None:
         return fm
     if not fm.normalized:
-        return feat.apply_zscore(fm, model.norm_stats)
+        return feat.apply_zscore_in_place(fm, model.norm_stats)
     if fm.norm_id != model.norm_stats.stats_id:
         raise ValidationError(
             f"clip {fm.clip_id!r} was normalized with statistics {fm.norm_id!r}, "
@@ -480,16 +502,23 @@ def cmd_eval(args) -> int:
     model = mdl.load_model(args.model)
     q = mdl.segment_size(model.spec)
     hop = _segment_hop(args, q)
-    all_features = _load_feature_dir(Path(args.features))
+    # every header is read and checked; only the bucket's payloads are loaded
+    paths = _feature_paths(Path(args.features))
+    clip_of = {path: feat.read_feature_header(path)["clip_id"] for path in paths}
     plan = ds.SplitPlan.load(args.plan)
     bucket = args.bucket
     clip_ids = set(plan.clips_in(bucket))
     if not clip_ids:
-        raise ValidationError(f"plan has no clips in bucket {bucket!r}")
-    chosen = [fm for fm in all_features if fm.clip_id in clip_ids]
+        raise ValidationError(
+            f"plan has no clips in bucket {bucket!r}; the plan's buckets are "
+            f"{', '.join(plan.buckets())} (pass --bucket)"
+        )
+    chosen = [
+        _normalized_for(model, feat.load_features(path))
+        for path in paths if clip_of[path] in clip_ids
+    ]
     if not chosen:
         raise ValidationError(f"no feature files for bucket {bucket!r} under {args.features}")
-    chosen = [_normalized_for(model, fm) for fm in chosen]
     by_clip = {fm.clip_id: ds.segment_clip(fm, q, hop) for fm in chosen}
     labels_by_clip = {fm.clip_id: fm.label for fm in chosen}
     result = trn.evaluate(model, by_clip, labels_by_clip)

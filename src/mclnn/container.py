@@ -11,7 +11,9 @@ Layout (all integers little-endian):
 The reader takes a callback mapping the parsed header to the expected
 array shapes, so shape errors surface as header mismatches rather than
 silent misreads.  The reader owns dimension validation: every declared
-dimension must be a non-negative ``int`` (not a bool, float or string).
+dimension must be a non-negative ``int`` (not a bool, float or string),
+and the declared payload must fill the file exactly; both are checked
+before any payload byte is read, and :func:`read_header` stops there.
 :func:`typed_fields` reads the other header fields, each at the exact JSON
 type of the dataclass field it fills.
 """
@@ -19,6 +21,7 @@ type of the dataclass field it fills.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -55,12 +58,41 @@ def write(path, magic: bytes, version: int, header: dict, arrays: list[np.ndarra
     Path(path).write_bytes(bytes(blob))
 
 
+def read_header(path, magic: bytes, version: int, shapes_from_header) -> dict:
+    """A container's header, its declared payload checked against the file's size.
+
+    Raises every error :func:`read` raises, except for a failed payload
+    read; the payload itself is not read.
+    """
+    with open(path, "rb") as handle:
+        return _header(handle, path, magic, version, shapes_from_header)[0]
+
+
 def read(path, magic: bytes, version: int, shapes_from_header) -> tuple[dict, list[np.ndarray]]:
-    """Parse a container; ``shapes_from_header(header)`` lists expected shapes."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _FIXED.size:
+    """Parse a container; ``shapes_from_header(header)`` lists expected shapes.
+
+    Each array is allocated at its declared shape and the payload is read
+    straight into it, so the file's bytes are never held a second time.
+    """
+    with open(path, "rb") as handle:
+        header, shapes = _header(handle, path, magic, version, shapes_from_header)
+        arrays = [np.empty(shape, dtype="<f8") for shape in shapes]
+        for array in arrays:
+            if handle.readinto(array) != array.nbytes:
+                raise TruncatedFileError(f"{path}: payload ends early; the file shrank while read")
+    return header, arrays
+
+
+def _header(handle, path, magic, version, shapes_from_header) -> tuple[dict, list[tuple]]:
+    """The header and declared shapes; ``handle`` is left at the payload's start.
+
+    The declared payload must fill the rest of the file exactly.
+    """
+    size = os.fstat(handle.fileno()).st_size
+    fixed = handle.read(_FIXED.size)
+    if len(fixed) < _FIXED.size:
         raise TruncatedFileError(f"{path}: too short for a container header")
-    got_magic, got_version, header_len = _FIXED.unpack_from(blob)
+    got_magic, got_version, header_len = _FIXED.unpack(fixed)
     if got_magic != magic:
         raise FileFormatError(f"{path}: bad magic {got_magic!r}, expected {magic!r}")
     if got_version != version:
@@ -68,17 +100,16 @@ def read(path, magic: bytes, version: int, shapes_from_header) -> tuple[dict, li
             f"{path}: file version {got_version}, this build reads version {version}"
         )
     header_end = _FIXED.size + header_len
-    if len(blob) < header_end:
+    if size < header_end:
         raise TruncatedFileError(f"{path}: header runs past end of file")
     try:
-        header = json.loads(blob[_FIXED.size : header_end].decode("utf-8"))
+        header = json.loads(handle.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path}: header is not valid JSON: {exc}") from exc
     try:
         shapes = shapes_from_header(header)
     except (KeyError, TypeError, ValueError) as exc:
         raise HeaderMismatchError(f"{path}: header is missing fields: {exc}") from exc
-    arrays = []
     offset = header_end
     for shape in shapes:
         if not all(isinstance(d, int) and not isinstance(d, bool) for d in shape):
@@ -87,18 +118,16 @@ def read(path, magic: bytes, version: int, shapes_from_header) -> tuple[dict, li
             raise HeaderMismatchError(f"{path}: declared shape {shape} has a negative dimension")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * 8
-        if offset + nbytes > len(blob):
+        if offset + nbytes > size:
             raise TruncatedFileError(
                 f"{path}: payload ends early; wanted {nbytes} bytes for shape {shape}"
             )
-        flat = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        arrays.append(flat.reshape(shape).astype(np.float64))
         offset += nbytes
-    if offset != len(blob):
+    if offset != size:
         raise HeaderMismatchError(
-            f"{path}: {len(blob) - offset} trailing bytes beyond the declared payload"
+            f"{path}: {size - offset} trailing bytes beyond the declared payload"
         )
-    return header, arrays
+    return header, shapes
 
 
 def typed_fields(header: dict, declared: dict[str, str], owner: str) -> dict:

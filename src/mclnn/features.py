@@ -27,9 +27,14 @@ is non-zero; the skipped entries are exact zeros, and only the order of
 summation differs from the dense product.
 
 Per-clip extraction is pure and parallelizable; statistic fitting is a
-deterministic reduction over the inputs in the order given.  A feature
-file's header is the matrix shape and every other ``FeatureMatrix``
-field, written and read from one table.
+deterministic reduction over the inputs in the order given.  The fit is
+streamed: it holds one clip's worth of work beside the frames, and its
+values equal ``mean``/``std`` over the stacked frames bit for bit.
+``apply_zscore_in_place`` normalizes a matrix the caller no longer needs
+raw, with the values of the pure ``apply_zscore``.  A feature file's
+header is the matrix shape and every other ``FeatureMatrix`` field,
+written and read from one table; ``read_feature_header`` reads it without
+the frames.
 """
 
 from __future__ import annotations
@@ -93,8 +98,10 @@ __all__ = [
     "extract_features",
     "fit_zscore",
     "apply_zscore",
+    "apply_zscore_in_place",
     "save_features",
     "load_features",
+    "read_feature_header",
     "load_audio",
 ]
 
@@ -498,6 +505,10 @@ def fit_zscore(training_features: list[FeatureMatrix]) -> NormStats:
     must never leak from held-out data.  Standard deviations below
     ``STD_FLOOR`` are replaced by 1 so degenerate dimensions come out
     zero-centered and unscaled.
+
+    The sums are streamed a clip at a time (see :func:`_stacked_row_sum`),
+    and the values are those of ``mean``/``std`` over the stacked frames,
+    bit for bit.
     """
     if not training_features:
         raise ContractError("fit_zscore needs at least one feature matrix")
@@ -511,25 +522,76 @@ def fit_zscore(training_features: list[FeatureMatrix]) -> NormStats:
     widths = {m.feature_length for m in training_features}
     if len(widths) != 1:
         raise ShapeError(f"feature matrices disagree on width: {sorted(widths)}")
-    stacked = np.concatenate([m.frames for m in training_features], axis=0)
-    mean = stacked.mean(axis=0)
-    std = stacked.std(axis=0)
+    clips = [m.frames for m in training_features]
+    count = sum(frames.shape[0] for frames in clips)
+    mean = _stacked_row_sum(clips, np.copyto) / count
+
+    def squared_deviation(out, frames):
+        np.subtract(frames, mean, out=out)
+        np.square(out, out=out)
+
+    std = np.sqrt(_stacked_row_sum(clips, squared_deviation) / count)
     std = np.where(std < STD_FLOOR, 1.0, std)
     stats_id = hashlib.sha256(mean.tobytes() + std.tobytes()).hexdigest()[:12]
     source = "+".join(sorted(tags)) if tags else "train"
     return NormStats(mean=mean, std=std, source_split=source, stats_id=stats_id)
 
 
+def _stacked_row_sum(clips: list[np.ndarray], fill) -> np.ndarray:
+    """``np.add.reduce(np.concatenate(parts), axis=0)``, one clip's part held at a time.
+
+    ``fill(out, frames)`` writes a clip's part into ``out``.  NumPy reduces
+    a C-order matrix along axis 0 row after row, so reducing each part
+    under the running sum as its row 0 makes the same additions in the
+    same order.  A single column is reduced as one contiguous vector,
+    pairwise, so a width-1 sum holds every part at once: 8 bytes a frame.
+    """
+    width = clips[0].shape[1]
+    if width == 1:
+        stacked = np.empty((sum(frames.shape[0] for frames in clips), 1))
+        start = 0
+        for frames in clips:
+            fill(stacked[start : start + frames.shape[0]], frames)
+            start += frames.shape[0]
+        return np.add.reduce(stacked, axis=0)
+    buffer = np.empty((1 + max(frames.shape[0] for frames in clips), width))
+    above = 0  # the running sum's row, once there is one
+    for frames in clips:
+        end = above + frames.shape[0]
+        fill(buffer[above:end], frames)
+        buffer[0] = np.add.reduce(buffer[:end], axis=0)
+        above = 1
+    return buffer[0].copy()
+
+
 def apply_zscore(features: FeatureMatrix, stats: NormStats | None) -> FeatureMatrix:
     """Transform ``(x - mean) / std``; returns a new matrix."""
+    _check_zscore(features, stats)
+    frames = (features.frames - stats.mean) / stats.std
+    return replace(features, frames=frames, normalized=True, norm_id=stats.stats_id)
+
+
+def apply_zscore_in_place(features: FeatureMatrix, stats: NormStats | None) -> FeatureMatrix:
+    """:func:`apply_zscore` written over ``features.frames``: same values, no copy.
+
+    ``frames -= mean; frames /= std`` are the IEEE operations of
+    ``(frames - mean) / std``.  The raw frames are lost; the returned
+    matrix shares the array.
+    """
+    _check_zscore(features, stats)
+    frames = features.frames
+    frames -= stats.mean
+    frames /= stats.std
+    return replace(features, normalized=True, norm_id=stats.stats_id)
+
+
+def _check_zscore(features: FeatureMatrix, stats: NormStats | None) -> None:
     if stats is None:
         raise ContractError("apply_zscore called with unfitted statistics")
     if features.feature_length != stats.mean.shape[0]:
         raise ShapeError.mismatch(
             "features vs normalization stats", stats.mean.shape, (features.feature_length,)
         )
-    frames = (features.frames - stats.mean) / stats.std
-    return replace(features, frames=frames, normalized=True, norm_id=stats.stats_id)
 
 
 # ---------------------------------------------------------------------------
@@ -544,18 +606,31 @@ def save_features(features: FeatureMatrix, path) -> None:
     container.write(path, FEATURE_MAGIC, FEATURE_VERSION, header, [features.frames])
 
 
+def read_feature_header(path) -> dict:
+    """A feature file's typed header fields; its size is checked, its frames not read."""
+    header = container.read_header(path, FEATURE_MAGIC, FEATURE_VERSION, _feature_shape)
+    return _typed_feature_header(path, header)
+
+
 def load_features(path) -> FeatureMatrix:
-    header, arrays = container.read(
-        path, FEATURE_MAGIC, FEATURE_VERSION, lambda h: [(h["t"], h["l"])]
-    )
+    header, arrays = container.read(path, FEATURE_MAGIC, FEATURE_VERSION, _feature_shape)
+    values = _typed_feature_header(path, header)
+    del values["t"], values["l"]
+    return FeatureMatrix(frames=arrays[0], **values)
+
+
+def _feature_shape(header: dict) -> list[tuple]:
+    return [(header["t"], header["l"])]
+
+
+def _typed_feature_header(path, header: dict) -> dict:
     try:
         values = container.typed_fields(header, _FEATURE_HEADER, "feature header")
     except (KeyError, TypeError) as exc:
         raise HeaderMismatchError(f"{path}: header field missing or malformed: {exc!r}") from exc
-    t, l = values.pop("t"), values.pop("l")
-    if t < 1 or l < 1:
+    if values["t"] < 1 or values["l"] < 1:
         raise HeaderMismatchError(f"feature file {path} declares an empty matrix")
-    return FeatureMatrix(frames=arrays[0], **values)
+    return values
 
 
 def load_audio(path) -> AudioClip:

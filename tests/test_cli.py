@@ -6,6 +6,7 @@ import contextlib
 import io
 import re
 import tempfile
+import tracemalloc
 import wave
 from dataclasses import fields
 from pathlib import Path
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mclnn.cli
+import mclnn.dataset
 import mclnn.features
 import mclnn.model
 import mclnn.training
@@ -557,6 +560,50 @@ class TestTrainEvalPredict:
         assert rc == EXIT_OK
         assert (tmp_path / "run" / "model.mcln").exists()
 
+    def test_eval_on_fold_plan_names_the_plan_buckets(self, workspace, tmp_path, capsys):
+        fold_plan = tmp_path / "folds.txt"
+        assert main(["dataset", "plan", "--manifest",
+                     str(workspace / "features" / "manifest.tsv"),
+                     "--folds", "3", "--seed", "5", "--out", str(fold_plan)]) == EXIT_OK
+        capsys.readouterr()
+        argv = ["eval", "--model", str(workspace / "run" / "model.mcln"),
+                "--plan", str(fold_plan), "--features", str(workspace / "features")]
+        assert main(argv) == EXIT_DATA
+        line = single_error(capsys.readouterr(), "ValidationError")
+        assert line.endswith("plan has no clips in bucket 'test'; "
+                             "the plan's buckets are fold1, fold2, fold3 (pass --bucket)")
+        assert main(argv + ["--bucket", "fold1"]) == EXIT_OK
+
+    def _eval_with_one_other_file(self, workspace, tmp_path, change):
+        """eval on a copy of the features where ``change`` rewrote a train clip's bytes."""
+        featdir = tmp_path / "features"
+        featdir.mkdir()
+        for path in (workspace / "features").glob("*.mclf"):
+            (featdir / path.name).write_bytes(path.read_bytes())
+        other = featdir / "drums__clip0.mclf"
+        assert SplitPlan.load(workspace / "plan.txt").bucket("drums__clip0") != "test"
+        other.write_bytes(change(other.read_bytes()))
+        return main(["eval", "--model", str(workspace / "run" / "model.mcln"),
+                     "--plan", str(workspace / "plan.txt"), "--features", str(featdir)])
+
+    def test_eval_loads_only_its_bucket_payloads(self, workspace, tmp_path, capsys):
+        nan = np.array([np.nan]).tobytes()
+        assert self._eval_with_one_other_file(workspace, tmp_path,
+                                              lambda blob: blob[:-8] + nan) == EXIT_OK
+        assert main(["eval", "--model", str(workspace / "run" / "model.mcln"),
+                     "--plan", str(workspace / "plan.txt"),
+                     "--features", str(workspace / "features")]) == EXIT_OK
+        with_nan, clean = capsys.readouterr().out.split("clips:")[1:]
+        assert with_nan == clean
+
+    @pytest.mark.parametrize("change, error", [
+        (lambda blob: blob[:-1], "TruncatedFileError"),
+        (lambda blob: blob + bytes(8), "HeaderMismatchError"),
+    ])
+    def test_eval_checks_every_file_size(self, workspace, tmp_path, capsys, change, error):
+        assert self._eval_with_one_other_file(workspace, tmp_path, change) == EXIT_IO
+        assert "drums__clip0.mclf" in single_error(capsys.readouterr(), error)
+
 
 class TestConfigHandling:
     def test_unknown_section_rejected(self, tmp_path):
@@ -1068,3 +1115,34 @@ def test_missing_or_mistyped_header_field_exits_4_with_one_error_line(
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_training_set_up_holds_the_frames_once(tmp_path):
+    """Load, fit, normalize and segment peak at <= 1.3x the feature bytes."""
+    spec = mclnn.model.ModelSpec(
+        feature_length=64, layers=(LayerSpec(width=20, order=2, bandwidth=8, overlap=2),),
+        extra_frames=4, dense_width=8, class_count=2,
+    )
+    rng = np.random.default_rng(13)
+    featdir = tmp_path / "features"
+    featdir.mkdir()
+    feature_bytes, clips = 0, []
+    for i in range(40):
+        frames = rng.standard_normal((int(rng.integers(250, 350)), 64))
+        save_features(FeatureMatrix(frames=frames, clip_id=f"c{i:02d}", label=i % 2),
+                      featdir / f"c{i:02d}.mclf")
+        feature_bytes += frames.nbytes
+        clips.append((f"c{i:02d}", i % 2))
+    del frames
+    mclnn.dataset.make_folds(clips, folds=10, seed=0).save(tmp_path / "plan.txt")
+    args = argparse.Namespace(features=str(featdir), plan=str(tmp_path / "plan.txt"),
+                              test_fold=1, validation_fold=None)
+    config = ExperimentConfig(FeatureParams(), spec, TrainConfig())
+    tracemalloc.start()
+    try:
+        data = mclnn.cli._training_data(args, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data.train_segments) and len(data.test_labels) == 4
+    assert peak <= 1.3 * feature_bytes, peak / feature_bytes

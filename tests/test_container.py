@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclnn import container
-from mclnn.errors import FileFormatError, HeaderMismatchError
+from mclnn.errors import FileFormatError, HeaderMismatchError, TruncatedFileError
 
 MAGIC, VERSION = b"TEST", 1
 
@@ -79,3 +79,30 @@ def test_declared_shapes_load_or_raise_file_format_error(shapes, exact, extra):
             return
     assert integral
     assert [array.shape for array in arrays] == [tuple(shape) for shape in shapes]
+
+
+def test_read_returns_writeable_arrays_that_own_their_memory():
+    arrays = [np.arange(6.0).reshape(2, 3), np.array(7.0)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bin"
+        container.write(path, MAGIC, VERSION, {"shapes": [[2, 3], []]}, arrays)
+        _, got = container.read(path, MAGIC, VERSION, declared)
+    for array in got:
+        assert array.flags.writeable and array.flags.owndata and array.base is None
+        assert array.dtype == np.float64
+
+
+@pytest.mark.parametrize("cut, error, message", [
+    (-1, TruncatedFileError, "payload ends early"),
+    (8, HeaderMismatchError, "8 trailing bytes"),
+])
+def test_read_header_checks_the_declared_size_as_read_does(cut, error, message):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bin"
+        container.write(path, MAGIC, VERSION, {"shapes": [[2, 3]]}, [np.zeros((2, 3))])
+        assert container.read_header(path, MAGIC, VERSION, declared) == {"shapes": [[2, 3]]}
+        blob = path.read_bytes()
+        path.write_bytes(blob[:cut] if cut < 0 else blob + bytes(cut))
+        for reader in (container.read, container.read_header):
+            with pytest.raises(error, match=message):
+                reader(path, MAGIC, VERSION, declared)

@@ -1,10 +1,12 @@
 """Feature pipeline: resampling, power spectra, mel filterbank, z-scoring."""
 
+import hashlib
 import logging
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import wave
 import zipfile
 from fractions import Fraction
@@ -29,6 +31,7 @@ from mclnn.features import (
     FeatureMatrix,
     FeatureParams,
     apply_zscore,
+    apply_zscore_in_place,
     extract_chunk,
     extract_features,
     fit_zscore,
@@ -38,6 +41,7 @@ from mclnn.features import (
     log_mel,
     mel_filterbank,
     mel_to_hz,
+    read_feature_header,
     resample,
     save_features,
     stft_frame_count,
@@ -463,6 +467,63 @@ class TestZScore:
         repeat = fit_zscore(self._train_matrices(np.random.default_rng(7), count=2))
         assert repeat.stats_id == a.stats_id
 
+    # (clips, fewest rows, most rows, width, offset): ragged sets where the
+    # order of summation shows in the last bits
+    @pytest.mark.parametrize("count, low, high, width, offset", [
+        (12, 1, 1, 5, 0.0),       # every clip one row
+        (9, 1, 30, 1, 3.0),       # width 1
+        (1, 50, 50, 7, 0.0),      # a single clip
+        (60, 1, 40, 16, 0.0),     # many ragged clips
+        (40, 1, 25, 9, 1e6),      # large offsets
+        (30, 2, 20, 3, -1e6),
+        (25, 1, 200, 1, 1e6),     # width 1, large offset
+    ])
+    def test_streamed_fit_equals_stacked_statistics_bytewise(self, count, low, high, width, offset):
+        rng = np.random.default_rng(count * 31 + width)
+        clips = [
+            offset + rng.standard_normal((int(rng.integers(low, high + 1)), width))
+            * rng.uniform(0.1, 10.0)
+            for _ in range(count)
+        ]
+        stats = fit_zscore([FeatureMatrix(frames=c, clip_id=f"c{i}") for i, c in enumerate(clips)])
+        stacked = np.concatenate(clips, axis=0)
+        mean = stacked.mean(axis=0)
+        std = stacked.std(axis=0)
+        std = np.where(std < features.STD_FLOOR, 1.0, std)
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.std.tobytes() == std.tobytes()
+        assert stats.stats_id == hashlib.sha256(mean.tobytes() + std.tobytes()).hexdigest()[:12]
+
+    def test_fit_holds_under_three_clips_beside_the_frames(self):
+        rng = np.random.default_rng(11)
+        mats = [FeatureMatrix(frames=rng.standard_normal((300, 64)), clip_id=f"c{i}")
+                for i in range(40)]
+        clip_bytes = mats[0].frames.nbytes
+        tracemalloc.start()
+        try:
+            fit_zscore(mats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * clip_bytes, (peak, clip_bytes)
+
+    def test_in_place_gives_apply_zscore_bytes(self):
+        rng = np.random.default_rng(12)
+        mats = self._train_matrices(rng, count=3)
+        stats = fit_zscore(mats)
+        for m in mats:
+            raw = m.frames.copy()
+            pure = apply_zscore(m, stats)
+            assert m.frames.tobytes() == raw.tobytes()  # apply_zscore leaves its input as it was
+            out = apply_zscore_in_place(m, stats)
+            assert out.frames is m.frames
+            assert out.frames.tobytes() == pure.frames.tobytes()
+            assert out.normalized and out.norm_id == stats.stats_id
+        with pytest.raises(ShapeError):
+            apply_zscore_in_place(FeatureMatrix(frames=np.ones((3, 5)), clip_id="x"), stats)
+        with pytest.raises(ContractError):
+            apply_zscore_in_place(FeatureMatrix(frames=np.ones((3, 6)), clip_id="x"), None)
+
 
 class TestFeatureIO:
     def _matrix(self):
@@ -493,6 +554,24 @@ class TestFeatureIO:
         path.write_bytes(blob[:-9])
         with pytest.raises(TruncatedFileError):
             load_features(path)
+
+    def test_header_read_types_fields_without_the_frames(self, tmp_path):
+        path = tmp_path / "clip.mclf"
+        fm = self._matrix()
+        save_features(fm, path)
+        header = read_feature_header(path)
+        assert header == {"t": 7, "l": 5, "clip_id": "clip-1", "label": 3, "split": "train",
+                          "normalized": False, "norm_id": None, "meta": fm.meta}
+        # frames are not read: a non-finite payload passes the header read only
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = np.array([np.nan]).tobytes()
+        path.write_bytes(bytes(blob))
+        assert read_feature_header(path)["clip_id"] == "clip-1"
+        with pytest.raises(ValidationError, match="non-finite"):
+            load_features(path)
+        path.write_bytes(bytes(blob[:-1]))
+        with pytest.raises(TruncatedFileError):
+            read_feature_header(path)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "clip.mclf"
