@@ -10,8 +10,11 @@ parameter checks all walk that one list.  The forward pass runs a whole
 is a batch of one.  :func:`model_forward_run` takes overlapping segments
 as one run of frames and their offsets in it: a leading conditional
 layer runs once over the run when that makes fewer rows than the batch
-would, and both entry points share the walk from the first batched layer
-on.  Masks are derived from the spec, never stored: a model file
+would.  Every entry point shares the walk from the first batched layer
+on, and only :func:`model_forward_tape` records a tape.  The conditional
+layers keep their arrays in the workspace a caller passes, or in fresh
+memory: ``train`` passes one for all of its mini-batches and its
+validation.  Masks are derived from the spec, never stored: a model file
 round-trips parameters bit-exactly and regenerates masks on load.  The
 spec is stored as its dataclass fields and read back with every field
 required at its declared type.  The labels, init seed and init scheme,
@@ -39,6 +42,7 @@ from .layers import (
     LinearActivation,
     PRelu,
     Sigmoid,
+    Workspace,
     block_forward,
     check_masked_weights,
     dense_forward,
@@ -276,35 +280,49 @@ def build_model(spec: ModelSpec, seed: int, labels: tuple[str, ...] | None = Non
 
 
 def _walk(
-    model: TrainedModel, x: np.ndarray, first: int, tape: ActivationTape | None = None
+    model: TrainedModel,
+    x: np.ndarray,
+    first: int,
+    tape: ActivationTape | None = None,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Class probabilities from conditional layer ``first`` on: its input
     ``x`` is a ``(B, frame_plan[first], width)`` batch."""
     named = model.layers()
     conditional = len(model.clnn_layers)
     for name, layer in named[first:conditional]:
-        x = block_forward(layer, x, tape=tape, name=name)
+        x = block_forward(layer, x, tape=tape, name=name, workspace=workspace)
     x = global_mean_pool(x, tape=tape, name="pool")
     for name, layer in named[conditional:]:
         x = dense_forward(layer, x, tape=tape, name=name)
     return softmax(x)
 
 
-def model_forward_tape(model: TrainedModel, segments: np.ndarray) -> tuple[np.ndarray, ActivationTape]:
-    """Forward pass over a ``(B, q, l)`` batch of segments, recorded for ``backward``.
-
-    Returns the ``(B, c)`` class probabilities and the tape.  The tape ends
-    at the output layer's logits, so ``backward`` starts from the loss
-    gradient with respect to the logits; softmax is not on it.
-    """
+def _checked_segments(model: TrainedModel, segments: np.ndarray) -> np.ndarray:
+    """``segments`` as a float64 ``(B, q, l)`` batch the model takes."""
     segments = np.asarray(segments, dtype=np.float64)
     expected = (segment_size(model.spec), model.spec.feature_length)
     if segments.ndim != 3 or segments.shape[0] < 1 or segments.shape[1:] != expected:
         raise ContractError(
             f"segment batch shape {segments.shape}, model expects (B, {expected[0]}, {expected[1]})"
         )
+    return segments
+
+
+def model_forward_tape(
+    model: TrainedModel, segments: np.ndarray, workspace: Workspace | None = None
+) -> tuple[np.ndarray, ActivationTape]:
+    """Forward pass over a ``(B, q, l)`` batch of segments, recorded for ``backward``.
+
+    Returns the ``(B, c)`` class probabilities and the tape.  The tape ends
+    at the output layer's logits, so ``backward`` starts from the loss
+    gradient with respect to the logits; softmax is not on it.  The
+    conditional layers' activations live in ``workspace`` (fresh memory if
+    None), and a batch whose memory is time-major (see :mod:`mclnn.layers`)
+    reaches the first layer without a copy.
+    """
     tape = ActivationTape()
-    return _walk(model, segments, 0, tape), tape
+    return _walk(model, _checked_segments(model, segments), 0, tape, workspace), tape
 
 
 def model_forward_run(model: TrainedModel, frames: np.ndarray, starts) -> np.ndarray:
@@ -319,8 +337,9 @@ def model_forward_run(model: TrainedModel, frames: np.ndarray, starts) -> np.nda
     then gathered from that layer's output and the rest runs batched, as
     in :func:`model_forward_tape`.  Segments that follow each other back to
     back (``starts == arange(B) * q``) with no layer run over the run are a
-    reshaped view of ``frames``, not a gather.  Untaped: nothing here feeds
-    ``backward``.
+    reshaped view of ``frames``, not a gather; any other batch is gathered
+    time-major.  Untaped: nothing here feeds ``backward``, and every layer
+    takes fresh memory.
     """
     frames = np.asarray(frames, dtype=np.float64)
     starts = np.asarray(starts)
@@ -349,14 +368,23 @@ def model_forward_run(model: TrainedModel, frames: np.ndarray, starts) -> np.nda
     if first == 0 and np.array_equal(starts, np.arange(starts.size) * plan[0]):
         batch = frames[: starts.size * plan[0]].reshape(starts.size, plan[0], -1)
     else:
-        batch = x[starts[:, None] + np.arange(plan[first])]
+        batch = x[np.arange(plan[first])[:, None] + starts].transpose(1, 0, 2)
     return _walk(model, batch, first)
 
 
-def model_forward(model: TrainedModel, segment: np.ndarray) -> np.ndarray:
-    """Class probabilities for one q x l segment, run as a batch of one."""
-    probs, _ = model_forward_tape(model, np.asarray(segment)[None])
-    return probs[0]
+def model_forward(
+    model: TrainedModel, segments: np.ndarray, workspace: Workspace | None = None
+) -> np.ndarray:
+    """Class probabilities for one ``(q, l)`` segment or a ``(B, q, l)`` batch.
+
+    Untaped, like :func:`model_forward_run`: nothing here feeds
+    ``backward``.  The conditional layers work in ``workspace``, or in
+    fresh memory if None.
+    """
+    segments = np.asarray(segments)
+    if segments.ndim == 2:
+        return _walk(model, _checked_segments(model, segments[None]), 0, None, workspace)[0]
+    return _walk(model, _checked_segments(model, segments), 0, None, workspace)
 
 
 # ---------------------------------------------------------------------------

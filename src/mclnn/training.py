@@ -4,13 +4,17 @@ The optimizer is deliberately plain: mini-batch gradient descent with
 optional classical momentum, a fixed shuffle per epoch from one seeded
 generator, and validation-loss early stopping that snapshots the best
 parameters.  Each mini-batch is one batched forward and one ``backward``
-from the mean cross-entropy's logit gradient; validation runs in chunks of
-``batch_size`` segments and a clip's segments run in chunks of
-:data:`PREDICT_CHUNK`.  Each chunk goes to the model as one run of
-frames in which overlapping segments whose frames agree share their
-common frames, so a conditional layer can run once over the run instead
-of once per segment.  Every reduction runs in a fixed order, so a (seed,
-config, data) triple maps to bit-identical parameters and reports.
+from the mean cross-entropy's logit gradient.  One ``train`` call keeps a
+single :class:`~mclnn.layers.Workspace` for every mini-batch's frames,
+activations and gradients, so after the first batch a step allocates
+nothing large; the update scales each gradient in place.  Validation runs
+untaped in chunks of ``batch_size`` segments, in the same workspace, and
+a clip's segments run in chunks of :data:`PREDICT_CHUNK`.  Each chunk
+goes to the model as one run of frames in which overlapping segments
+whose frames agree share their common frames, so a conditional layer can
+run once over the run instead of once per segment.  Every reduction runs in a fixed order, so a (seed,
+config, data) triple maps to bit-identical parameters and reports at a
+fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .dataset import Segment
 from .errors import ContractError, TrainingDivergedError, ValidationError
-from .layers import PoolRecord, backward
+from .layers import PoolRecord, Workspace, backward
 from .model import TrainedModel, model_forward, model_forward_run, model_forward_tape, segment_size
 
 logger = logging.getLogger(__name__)
@@ -195,18 +199,26 @@ def cross_entropy_grad(pred: np.ndarray, target) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _stack(segments: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
-    """Frames as one ``(B, q, l)`` batch and labels as a length-B array."""
-    frames = np.stack([s.frames for s in segments])
-    return frames, np.array([s.label for s in segments], dtype=np.int64)
+def _stack(segments: list[Segment], workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Frames as one ``(B, q, l)`` batch and labels as a length-B array.
+
+    The frames are copied once, time-major (see :mod:`mclnn.layers`), into
+    ``workspace`` when one is given, so the first layer reads them in place.
+    """
+    shape = (segments[0].frames.shape[0], len(segments), segments[0].frames.shape[1])
+    out = None if workspace is None else workspace.take("segments", shape)
+    frames = np.stack([s.frames for s in segments], axis=1, out=out)
+    return frames.transpose(1, 0, 2), np.array([s.label for s in segments], dtype=np.int64)
 
 
-def _dataset_loss(model: TrainedModel, segments: list[Segment], batch_size: int) -> tuple[float, float]:
-    """Mean segment loss and segment-level accuracy (no gradients)."""
+def _dataset_loss(
+    model: TrainedModel, segments: list[Segment], batch_size: int, workspace: Workspace | None = None
+) -> tuple[float, float]:
+    """Mean segment loss and segment-level accuracy, from untaped forwards."""
     total, correct = 0.0, 0
     for start in range(0, len(segments), batch_size):
-        frames, targets = _stack(segments[start : start + batch_size])
-        probs = model_forward_tape(model, frames)[0]
+        frames, targets = _stack(segments[start : start + batch_size], workspace)
+        probs = model_forward(model, frames, workspace)
         total += float(cross_entropy(probs, targets).sum())
         correct += int(np.count_nonzero(np.argmax(probs, axis=1) == targets))
     n = len(segments)
@@ -233,6 +245,8 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    # every batch's frames, activations and gradients, validation's too, in one set of buffers
+    workspace = Workspace()
     report = RunReport(config=asdict(config), class_names=model.labels)
 
     best_loss = np.inf
@@ -246,8 +260,8 @@ def train(
         epoch_loss, epoch_correct = 0.0, 0
         for batch_index, batch_start in enumerate(range(0, len(order), config.batch_size), 1):
             batch = order[batch_start : batch_start + config.batch_size]
-            frames, targets = _stack([train_segments[i] for i in batch])
-            probs, tape = model_forward_tape(model, frames)
+            frames, targets = _stack([train_segments[i] for i in batch], workspace)
+            probs, tape = model_forward_tape(model, frames, workspace)
             batch_loss = float(cross_entropy(probs, targets).sum())
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(
@@ -255,22 +269,22 @@ def train(
                 )
             epoch_loss += batch_loss
             epoch_correct += int(np.count_nonzero(np.argmax(probs, axis=1) == targets))
-            grads = backward(tape, cross_entropy_grad(probs, targets))
+            grads = backward(tape, cross_entropy_grad(probs, targets), workspace)
             for key in params:
+                step = grads[key]
+                step *= config.learning_rate  # the gradient is not needed again
                 if config.optimizer == "momentum":
                     velocity[key] *= config.momentum
-                    velocity[key] -= config.learning_rate * grads[key]
+                    velocity[key] -= step
                     params[key] += velocity[key]
                 else:
-                    params[key] -= config.learning_rate * grads[key]
-            # free this batch's activations before the next forward allocates its own
-            del frames, tape, grads
+                    params[key] -= step
         train_loss = epoch_loss / len(train_segments)
         train_acc = epoch_correct / len(train_segments)
 
         val_loss = val_acc = None
         if validation_segments:
-            val_loss, val_acc = _dataset_loss(model, validation_segments, config.batch_size)
+            val_loss, val_acc = _dataset_loss(model, validation_segments, config.batch_size, workspace)
             if not np.isfinite(val_loss):
                 raise TrainingDivergedError(epoch=epoch, loss=val_loss)
         report.epochs.append(EpochStats(epoch, train_loss, train_acc, val_loss, val_acc))

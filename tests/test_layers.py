@@ -14,6 +14,7 @@ from mclnn.layers import (
     LinearActivation,
     PRelu,
     Sigmoid,
+    Workspace,
     backward,
     block_forward,
     dense_forward,
@@ -113,24 +114,123 @@ class TestEffectiveWeights:
 
     def test_forward_equals_the_remasking_forward_bit_for_bit(self):
         # Before masked weights were zero by construction, every forward ran
-        # on ``weights * mask``; after training steps that product must still
-        # be the stored weights byte for byte, and so must the forward.
+        # on ``weights * mask``, one batch-major window copy per offset; after
+        # training steps that product must still be the stored weights byte
+        # for byte, and the chained forward must equal that old forward.
         rng = np.random.default_rng(5)
         mask = generate_mask(MaskSpec(feature_length=6, hidden_width=5, bandwidth=3, overlap=-1))
+        mask2 = generate_mask(MaskSpec(feature_length=5, hidden_width=4, bandwidth=2, overlap=0))
         layer = random_clnn_layer(rng, l=6, e=5, n=2, mask=mask, activation=PRelu(np.full(5, 0.2)))
+        layer2 = random_clnn_layer(rng, l=5, e=4, n=1, mask=mask2, activation=PRelu(np.full(4, 0.3)))
         for _ in range(5):
             tape = ActivationTape()
-            out = block_forward(layer, rng.standard_normal((4, 9, 6)), tape=tape, name="L")
-            layer.weights -= 0.1 * backward(tape, rng.standard_normal(out.shape))["L.weights"]
+            hidden = block_forward(layer, rng.standard_normal((4, 9, 6)), tape=tape, name="L")
+            out = block_forward(layer2, hidden, tape=tape, name="L2")
+            grads = backward(tape, rng.standard_normal(out.shape))
+            layer.weights -= 0.1 * grads["L.weights"]
+            layer2.weights -= 0.1 * grads["L2.weights"]
         remasked = layer.weights * mask.entries
+        remasked2 = layer2.weights * mask2.entries
         assert remasked.tobytes() == layer.weights.tobytes()
+        assert remasked2.tobytes() == layer2.weights.tobytes()
+
+        def remasking_forward(layer, weights, blocks):
+            n, (b, t, l) = layer.order, blocks.shape
+            pre = np.tile(layer.bias, (b * (t - 2 * n), 1))
+            for d in range(2 * n + 1):
+                pre += blocks[:, d : d + t - 2 * n].reshape(-1, l) @ weights[d]
+            return layer.activation.apply(pre.reshape(b, t - 2 * n, -1))
 
         blocks = rng.standard_normal((3, 9, 6))
-        pre = np.tile(layer.bias, (3 * 5, 1))
-        for d in range(5):
-            pre += blocks[:, d : d + 5].reshape(-1, 6) @ remasked[d]
-        want = layer.activation.apply(pre.reshape(3, 5, 5))
+        want = remasking_forward(layer, remasked, blocks)
         assert block_forward(layer, blocks).tobytes() == want.tobytes()
+        want2 = remasking_forward(layer2, remasked2, want)
+        assert block_forward(layer2, block_forward(layer, blocks)).tobytes() == want2.tobytes()
+
+
+class TestTimeMajorLayout:
+    """Conditional layers keep ``(t, B, l)`` memory; callers see ``(B, t, l)``."""
+
+    def _layers(self, rng):
+        mask = generate_mask(MaskSpec(feature_length=6, hidden_width=5, bandwidth=3, overlap=1))
+        first = random_clnn_layer(rng, l=6, e=5, n=2, mask=mask, activation=PRelu(np.full(5, 0.2)))
+        second = random_clnn_layer(rng, l=5, e=3, n=1, activation=Sigmoid())
+        return first, second
+
+    def test_time_major_memory_gives_the_bytes_of_its_contiguous_copy(self):
+        rng = np.random.default_rng(60)
+        layer, _ = self._layers(rng)
+        blocks = rng.standard_normal((4, 9, 6))
+        time_major = np.ascontiguousarray(blocks.transpose(1, 0, 2)).transpose(1, 0, 2)
+        assert time_major.shape == blocks.shape and not time_major.flags.c_contiguous
+        assert block_forward(layer, time_major).tobytes() == block_forward(layer, blocks).tobytes()
+
+    def test_time_major_input_and_the_previous_output_are_read_in_place(self):
+        rng = np.random.default_rng(61)
+        first, second = self._layers(rng)
+        time_major = rng.standard_normal((9, 4, 6)).transpose(1, 0, 2)
+        tape = ActivationTape()
+        hidden = block_forward(first, time_major, tape=tape, name="a")
+        out = block_forward(second, hidden, tape=tape, name="b")
+        assert hidden.transpose(1, 0, 2).flags.c_contiguous
+        assert out.shape == (4, 3, 3) and out.transpose(1, 0, 2).flags.c_contiguous
+        assert tape.records[0].inputs.base is time_major.base
+        assert tape.records[1].inputs.base is hidden.base
+
+    def test_a_batch_major_input_is_copied_once_and_left_alone(self):
+        rng = np.random.default_rng(62)
+        layer, _ = self._layers(rng)
+        blocks = rng.standard_normal((4, 9, 6))
+        kept = blocks.copy()
+        tape = ActivationTape()
+        block_forward(layer, blocks, tape=tape, name="a")
+        assert not np.shares_memory(tape.records[0].inputs, blocks)
+        assert_array_equal(tape.records[0].inputs, blocks)
+        assert blocks.tobytes() == kept.tobytes()
+
+    def test_tape_names_are_unique(self):
+        rng = np.random.default_rng(63)
+        layer, _ = self._layers(rng)
+        tape = ActivationTape()
+        block_forward(layer, rng.standard_normal((9, 6)), tape=tape, name="a")
+        with pytest.raises(ContractError, match="already on the tape"):
+            block_forward(layer, rng.standard_normal((9, 6)), tape=tape, name="a")
+
+
+class TestWorkspace:
+    def test_a_smaller_request_is_a_prefix_of_the_same_buffer(self):
+        space = Workspace()
+        big = space.take("k", (4, 5))
+        small = space.take("k", (2, 5))
+        assert small.flags.c_contiguous and small.shape == (2, 5)
+        assert np.shares_memory(big, small)
+        assert small.__array_interface__["data"][0] == big.__array_interface__["data"][0]
+
+    def test_a_larger_request_grows_the_buffer(self):
+        space = Workspace()
+        small = space.take("k", (2, 5))
+        big = space.take("k", (3, 5))
+        assert big.shape == (3, 5) and not np.shares_memory(big, small)
+        assert np.shares_memory(space.take("k", (3, 5)), big)
+
+    def test_keys_do_not_share_memory(self):
+        space = Workspace()
+        assert not np.shares_memory(space.take("a", (3,)), space.take("b", (3,)))
+
+    def test_a_second_step_reuses_the_first_step_s_memory(self):
+        rng = np.random.default_rng(64)
+        layer = random_clnn_layer(rng, l=3, e=2, n=1, activation=PRelu(np.full(2, 0.2)))
+        space = Workspace()
+
+        def step():
+            tape = ActivationTape()
+            out = block_forward(layer, rng.standard_normal((2, 5, 3)), tape, "L", space)
+            return out, backward(tape, rng.standard_normal(out.shape), space)
+
+        out, grads = step()
+        again, regrads = step()
+        assert np.shares_memory(out, again)
+        assert all(np.shares_memory(grads[key], value) for key, value in regrads.items())
 
 
 class TestWindowForward:

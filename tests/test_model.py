@@ -217,6 +217,11 @@ class TestModelForward:
         for row, segment in zip(batched, segments):
             assert_allclose(row, model_forward(small_model, segment), rtol=0, atol=1e-12)
 
+    def test_untaped_batch_equals_the_taped_forward_bytewise(self, small_model):
+        segments = np.random.default_rng(34).standard_normal((5, 11, 8))
+        taped, _ = model_forward_tape(small_model, segments)
+        assert model_forward(small_model, segments).tobytes() == taped.tobytes()
+
     def test_wrong_segment_shape_is_contract_error(self, small_model):
         with pytest.raises(ContractError, match="segment"):
             model_forward(small_model, np.zeros((10, 8)))

@@ -16,7 +16,8 @@ from mclnn.errors import (
     ValidationError,
 )
 from mclnn.features import FeatureMatrix
-from mclnn.layers import backward, softmax
+import mclnn.layers
+from mclnn.layers import Workspace, backward, softmax
 from mclnn.model import (
     LayerSpec,
     ModelSpec,
@@ -302,6 +303,84 @@ class TestTrain:
         with pytest.raises(ValidationError):
             TrainConfig(hop=0)
 
+
+
+class TestStepBuffers:
+    """One ``train`` call reuses one workspace for every mini-batch."""
+
+    def _segments(self, count, seed):
+        rng = np.random.default_rng(seed)
+        return [
+            Segment(frames=rng.standard_normal((11, 8)), label=i % 4, clip_id=f"c{i}", start=0)
+            for i in range(count)
+        ]
+
+    def _train(self, optimizer):
+        model = build_model(small_spec(), seed=50)
+        config = TrainConfig(learning_rate=0.05, epochs=3, batch_size=2, seed=51,
+                             patience=3, optimizer=optimizer)
+        # 5 segments at batch_size 2: the last batch takes a prefix of the buffers
+        model, report = train(model, self._segments(5, 52), config, self._segments(3, 53))
+        return model.copy_parameters(), report.deterministic_text()
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_reused_buffers_leak_no_stale_values(self, monkeypatch, optimizer):
+        reused = self._train(optimizer)
+        # every buffer fresh and poisoned: a read before a write shows up
+        monkeypatch.setattr(
+            mclnn.layers.Workspace, "take", lambda self, key, shape: np.full(shape, np.nan)
+        )
+        fresh = self._train(optimizer)
+        assert reused[1] == fresh[1]
+        for key in reused[0]:
+            assert reused[0][key].tobytes() == fresh[0][key].tobytes(), key
+
+    def test_backward_on_a_larger_batch_s_buffers_equals_a_fresh_backward(self, small_model):
+        rng = np.random.default_rng(54)
+        space = Workspace()
+        probs, tape = model_forward_tape(small_model, rng.standard_normal((5, 11, 8)), space)
+        backward(tape, cross_entropy_grad(probs, [0, 1, 2, 3, 0]), space)
+        frames, targets = rng.standard_normal((3, 11, 8)), [3, 2, 1]
+        probs, tape = model_forward_tape(small_model, frames, space)
+        reused = backward(tape, cross_entropy_grad(probs, targets), space)
+        probs, tape = model_forward_tape(small_model, frames)
+        fresh = backward(tape, cross_entropy_grad(probs, targets))
+        assert set(reused) == set(fresh)
+        for key in fresh:
+            assert reused[key].tobytes() == fresh[key].tobytes(), key
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_update_in_place_is_the_textbook_step_bytewise(self, small_model, optimizer):
+        # the update scales the gradient in place instead of allocating
+        # lr * g; the IEEE operations, and so the bytes, are the same
+        segment = self._segments(1, 55)[0]
+        before = small_model.copy_parameters()
+        probs, tape = model_forward_tape(small_model, segment.frames[None])
+        grads = backward(tape, cross_entropy_grad(probs, [segment.label]))
+        if optimizer == "sgd":
+            want = {k: before[k] - 0.05 * g for k, g in grads.items()}
+        else:
+            want = {k: before[k] + (np.zeros_like(g) * 0.9 - 0.05 * g) for k, g in grads.items()}
+        config = TrainConfig(learning_rate=0.05, epochs=1, batch_size=1, seed=0, optimizer=optimizer)
+        train(small_model, [segment], config)
+        for key, value in small_model.parameters().items():
+            assert value.tobytes() == want[key].tobytes(), key
+
+    def test_validation_runs_untaped(self, monkeypatch):
+        taped = []
+        original = trn.model_forward_tape
+        monkeypatch.setattr(trn, "model_forward_tape", lambda *a: taped.append(1) or original(*a))
+        model = build_model(small_spec(), seed=56)
+        config = TrainConfig(epochs=2, batch_size=2, seed=57, patience=2)
+        train(model, self._segments(5, 58), config, self._segments(4, 59))
+        assert len(taped) == 2 * 3  # one per training batch; validation adds none
+
+    def test_batch_is_stacked_time_major(self):
+        segments = self._segments(3, 60)
+        frames, labels = trn._stack(segments, Workspace())
+        assert frames.shape == (3, 11, 8) and frames.transpose(1, 0, 2).flags.c_contiguous
+        assert_array_equal(frames, np.stack([s.frames for s in segments]))
+        assert_array_equal(labels, [0, 1, 2])
 
 def constant_prediction(probs_by_clip):
     """Patchable stand-in for model_forward_run.
