@@ -10,10 +10,13 @@ Layout (all integers little-endian):
 
 The reader takes a callback mapping the parsed header to the expected
 array shapes, so shape errors surface as header mismatches rather than
-silent misreads.  The reader owns dimension validation: every declared
-dimension must be a non-negative ``int`` (not a bool, float or string),
-and the declared payload must fill the file exactly; both are checked
-before any payload byte is read, and :func:`read_header` stops there.
+silent misreads.  The writer writes each array's payload from the
+array's own buffer and holds no copy of the file in memory; only an
+array that is not already C-ordered little-endian float64 is converted
+first.  The reader owns dimension validation: every declared dimension
+must be a non-negative ``int`` (not a bool, float or string), and the
+declared payload must fill the file exactly; both are checked before any
+payload byte is read, and :func:`read_header` stops there.
 :func:`typed_fields` reads the other header fields, each at the exact JSON
 type of the dataclass field it fills.
 """
@@ -23,7 +26,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -50,12 +52,19 @@ _HEADER_TYPES = {
 
 
 def write(path, magic: bytes, version: int, header: dict, arrays: list[np.ndarray]) -> None:
+    """Write a container, each array's payload straight from its own buffer.
+
+    Every array is converted to C-ordered ``<f8`` and the header encoded
+    before the file is opened, so a bad array or header raises with no
+    file written; an array already in that layout is not copied.
+    """
+    arrays = [np.ascontiguousarray(array, dtype="<f8") for array in arrays]
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blob = bytearray(_FIXED.pack(magic, version, len(header_bytes)))
-    blob += header_bytes
-    for array in arrays:
-        blob += np.ascontiguousarray(array, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    with open(path, "wb") as handle:
+        handle.write(_FIXED.pack(magic, version, len(header_bytes)))
+        handle.write(header_bytes)
+        for array in arrays:
+            handle.write(array.data)
 
 
 def read_header(path, magic: bytes, version: int, shapes_from_header) -> dict:

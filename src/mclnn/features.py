@@ -23,8 +23,10 @@ is built once per ``(bins, fft_size, rate)`` in a process and shared
 read-only, with one warning when it has all-zero filters.  Each
 frequency bin feeds at most two triangular filters, so the mel projection
 multiplies each small group of filters only by the rows where the group
-is non-zero; the skipped entries are exact zeros, and only the order of
-summation differs from the dense product.
+is non-zero; the groups of a bank are found once, when it is built.  The
+skipped entries are exact zeros, and only the order of summation differs
+from the dense product.  A feature file is written straight from its
+frames (see :mod:`mclnn.container`), with no copy of them.
 
 Per-clip extraction is pure and parallelizable; statistic fitting is a
 deterministic reduction over the inputs in the order given.  The fit is
@@ -392,7 +394,14 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@functools.lru_cache(maxsize=8)
+# Filterbanks kept per process, and the band groups (see ``_mel_groups``) of
+# the banks built last, by bank id; an entry holds its bank, so no other
+# array can take that id while the entry exists.
+_MEL_BANKS = 8
+_BANK_GROUPS: dict[int, tuple[np.ndarray, list[tuple[int, int, int, int]]]] = {}
+
+
+@functools.lru_cache(maxsize=_MEL_BANKS)
 def mel_filterbank(bins: int = 256, fft_size: int = 2048, rate: int = 22050) -> np.ndarray:
     """Triangular filters with centers equally spaced on the mel scale.
 
@@ -422,7 +431,30 @@ def mel_filterbank(bins: int = 256, fft_size: int = 2048, rate: int = 22050) -> 
             empty, bins, fft_size, rate,
         )
     fb.flags.writeable = False
+    _BANK_GROUPS[id(fb)] = (fb, _mel_groups(fb))
+    if len(_BANK_GROUPS) > _MEL_BANKS:
+        del _BANK_GROUPS[next(iter(_BANK_GROUPS))]
     return fb
+
+
+def _mel_groups(filterbank: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """``(c0, c1, lo, hi)`` for each group of filters with a non-zero entry.
+
+    Filters ``c0:c1`` are zero outside rows ``lo:hi``; a group of all-zero
+    filters is left out.
+    """
+    nonzero = filterbank != 0
+    used = nonzero.any(axis=0)
+    n_rows, n_filters = filterbank.shape
+    first = np.where(used, nonzero.argmax(axis=0), n_rows)
+    stop = np.where(used, n_rows - nonzero[::-1].argmax(axis=0), 0)
+    groups = []
+    for c0 in range(0, n_filters, _MEL_GROUP):
+        c1 = min(c0 + _MEL_GROUP, n_filters)
+        lo, hi = int(first[c0:c1].min()), int(stop[c0:c1].max())
+        if lo < hi:
+            groups.append((c0, c1, lo, hi))
+    return groups
 
 
 def _mel_energies(power: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
@@ -430,19 +462,15 @@ def _mel_energies(power: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
 
     Rows outside a group's range are zero for every filter in the group,
     so skipping them drops only exact zeros; the result differs from the
-    dense product in summation order alone.
+    dense product in summation order alone.  A bank from
+    :func:`mel_filterbank` uses the groups found when it was built; any
+    other matrix is scanned on each call.
     """
-    nonzero = filterbank != 0
-    used = nonzero.any(axis=0)
-    n_rows = filterbank.shape[0]
-    first = np.where(used, nonzero.argmax(axis=0), n_rows)
-    stop = np.where(used, n_rows - nonzero[::-1].argmax(axis=0), 0)
+    built = _BANK_GROUPS.get(id(filterbank))
+    groups = built[1] if built else _mel_groups(filterbank)
     energies = np.zeros((power.shape[0], filterbank.shape[1]), dtype=np.float64)
-    for c0 in range(0, filterbank.shape[1], _MEL_GROUP):
-        c1 = c0 + _MEL_GROUP
-        lo, hi = first[c0:c1].min(), stop[c0:c1].max()
-        if lo < hi:
-            np.matmul(power[:, lo:hi], filterbank[lo:hi, c0:c1], out=energies[:, c0:c1])
+    for c0, c1, lo, hi in groups:
+        np.matmul(power[:, lo:hi], filterbank[lo:hi, c0:c1], out=energies[:, c0:c1])
     return energies
 
 

@@ -1,6 +1,8 @@
-"""Binary container reader: a malformed file raises a FileFormatError, nothing else."""
+"""Binary container: the writer's exact bytes; a malformed file raises a FileFormatError, nothing else."""
 
+import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from mclnn import container
 from mclnn.errors import FileFormatError, HeaderMismatchError, TruncatedFileError
+from mclnn.features import FeatureMatrix, save_features
 
 MAGIC, VERSION = b"TEST", 1
 
@@ -106,3 +109,65 @@ def test_read_header_checks_the_declared_size_as_read_does(cut, error, message):
         for reader in (container.read, container.read_header):
             with pytest.raises(error, match=message):
                 reader(path, MAGIC, VERSION, declared)
+
+
+_VALUES = np.arange(24.0).reshape(4, 6) / 7.0
+
+
+@pytest.mark.parametrize("array", [
+    np.asfortranarray(_VALUES),
+    _VALUES[::2, 1::2],
+    _VALUES.astype(np.float32),
+    _VALUES.astype(">f8"),
+    np.array(7.5),
+    np.zeros((0, 4)),
+], ids=["f-order", "strided", "float32", "big-endian", "0-d", "empty"])
+def test_write_stores_the_c_ordered_little_endian_float64_bytes(array):
+    expected = np.ascontiguousarray(array, dtype="<f8").tobytes()
+    header = {"shapes": [list(array.shape)]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bin"
+        container.write(path, MAGIC, VERSION, header, [array])
+        blob = path.read_bytes()
+        _, (got,) = container.read(path, MAGIC, VERSION, declared)
+    assert blob.endswith(expected) and len(blob) > len(expected)
+    assert got.shape == array.shape and got.tobytes() == expected
+
+
+def test_write_lays_out_magic_version_header_and_payload():
+    header = {"shapes": [[2], []], "name": "x"}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bin"
+        container.write(path, MAGIC, 3, header, [np.array([1.0, -2.5]), np.array(0.25)])
+        blob = path.read_bytes()
+    header_json = b'{"name": "x", "shapes": [[2], []]}'
+    assert blob == (
+        b"TEST" + (3).to_bytes(4, "little") + len(header_json).to_bytes(8, "little")
+        + header_json
+        + bytes.fromhex("000000000000f03f" "00000000000004c0" "000000000000d03f")  # 1.0 -2.5 0.25
+    )
+    assert json.loads(header_json) == header
+
+
+def test_write_raises_before_opening_the_file():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bin"
+        with pytest.raises(ValueError):
+            container.write(path, MAGIC, VERSION, {"shapes": [[1]]}, [np.array(["a"])])
+        assert not path.exists()
+
+
+def test_save_features_holds_no_copy_of_the_payload():
+    frames = np.random.default_rng(4).standard_normal((645, 256))
+    fm = FeatureMatrix(frames=frames, clip_id="c", label=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.mclf"
+        save_features(fm, path)  # warm-up: imports and first-call caches
+        tracemalloc.start()
+        try:
+            save_features(fm, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes().endswith(frames.tobytes())
+    assert peak < 0.1 * frames.nbytes, (peak, frames.nbytes)

@@ -364,6 +364,43 @@ class TestLogMel:
         power = rng.random((9, 33))
         assert_allclose(features._mel_energies(power, matrix), power @ matrix, rtol=1e-12, atol=0)
 
+    def test_cached_bank_and_writeable_copy_give_identical_frames(self):
+        fb = mel_filterbank(256, 2048, RATE)
+        copy = fb.copy()
+        assert copy.flags.writeable and copy is not fb
+        power = np.random.default_rng(5).random((41, 1025))
+        assert log_mel(power, copy).frames.tobytes() == log_mel(power, fb).frames.tobytes()
+
+    def test_band_groups_are_found_once_per_bank(self, monkeypatch):
+        scans = []
+
+        def counted(filterbank):
+            scans.append(filterbank)
+            return mel_groups(filterbank)
+
+        mel_groups = features._mel_groups
+        monkeypatch.setattr(features, "_mel_groups", counted)
+        features.mel_filterbank.cache_clear()
+        clip = sine_clip(1000.0, seconds=1.0)
+        frames = {extract_features(clip).frames.tobytes() for _ in range(10)}
+        assert len(frames) == 1
+        assert len(scans) == 1 and scans[0] is mel_filterbank(256, 2048, RATE)
+        log_mel(np.ones((2, 1025)), scans[0].copy())
+        assert len(scans) == 2  # any other matrix is scanned on each call
+
+    def test_a_bank_whose_groups_were_dropped_is_scanned(self):
+        features.mel_filterbank.cache_clear()
+        first = mel_filterbank(16, 64, RATE)
+        for fft_size in range(66, 66 + 2 * features._MEL_BANKS, 2):
+            mel_filterbank(16, fft_size, RATE)
+        assert len(features._BANK_GROUPS) == features._MEL_BANKS
+        assert id(first) not in features._BANK_GROUPS
+        rebuilt = mel_filterbank(16, 64, RATE)
+        assert rebuilt is not first and id(rebuilt) in features._BANK_GROUPS
+        power = np.random.default_rng(6).random((7, 33))
+        assert (features._mel_energies(power, first).tobytes()
+                == features._mel_energies(power, rebuilt).tobytes())
+
     def test_power_width_mismatch(self):
         fb = mel_filterbank(16, 64, RATE)
         with pytest.raises(ShapeError):
