@@ -46,6 +46,7 @@ import hashlib
 import logging
 import math
 import wave
+import weakref
 import zipfile
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
@@ -394,20 +395,21 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-# Filterbanks kept per process, and the band groups (see ``_mel_groups``) of
-# the banks built last, by bank id; an entry holds its bank, so no other
-# array can take that id while the entry exists.
-_MEL_BANKS = 8
-_BANK_GROUPS: dict[int, tuple[np.ndarray, list[tuple[int, int, int, int]]]] = {}
+# The band groups (see ``_mel_groups``) of every live bank built by
+# ``mel_filterbank``, by bank id.  An entry goes when its bank is freed, so
+# it lives exactly as long as the bank, whichever cache held it.
+_BANK_GROUPS: dict[int, list[tuple[int, int, int, int]]] = {}
 
 
-@functools.lru_cache(maxsize=_MEL_BANKS)
-def mel_filterbank(bins: int = 256, fft_size: int = 2048, rate: int = 22050) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def mel_filterbank(bins: int, fft_size: int, rate: int, /) -> np.ndarray:
     """Triangular filters with centers equally spaced on the mel scale.
 
     Built once per ``(bins, fft_size, rate)`` in a process; every caller
-    shares the one read-only array.  A filter whose band falls between two
-    FFT bins is all zero; building such a bank logs one warning.
+    shares the one read-only array.  The three values are positional and
+    required, so each setting has one cache entry whatever the call looks
+    like.  A filter whose band falls between two FFT bins is all zero;
+    building such a bank logs one warning.
 
     Returns:
         ``(fft_size // 2 + 1, bins)`` matrix mapping power spectra to mel
@@ -431,9 +433,8 @@ def mel_filterbank(bins: int = 256, fft_size: int = 2048, rate: int = 22050) -> 
             empty, bins, fft_size, rate,
         )
     fb.flags.writeable = False
-    _BANK_GROUPS[id(fb)] = (fb, _mel_groups(fb))
-    if len(_BANK_GROUPS) > _MEL_BANKS:
-        del _BANK_GROUPS[next(iter(_BANK_GROUPS))]
+    _BANK_GROUPS[id(fb)] = _mel_groups(fb)
+    weakref.finalize(fb, _BANK_GROUPS.pop, id(fb), None)
     return fb
 
 
@@ -466,8 +467,9 @@ def _mel_energies(power: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
     :func:`mel_filterbank` uses the groups found when it was built; any
     other matrix is scanned on each call.
     """
-    built = _BANK_GROUPS.get(id(filterbank))
-    groups = built[1] if built else _mel_groups(filterbank)
+    groups = _BANK_GROUPS.get(id(filterbank))
+    if groups is None:
+        groups = _mel_groups(filterbank)
     energies = np.zeros((power.shape[0], filterbank.shape[1]), dtype=np.float64)
     for c0, c1, lo, hi in groups:
         np.matmul(power[:, lo:hi], filterbank[lo:hi, c0:c1], out=energies[:, c0:c1])
@@ -600,17 +602,19 @@ def apply_zscore(features: FeatureMatrix, stats: NormStats | None) -> FeatureMat
 
 
 def apply_zscore_in_place(features: FeatureMatrix, stats: NormStats | None) -> FeatureMatrix:
-    """:func:`apply_zscore` written over ``features.frames``: same values, no copy.
+    """:func:`apply_zscore` written over ``features``: same values, no copy.
 
     ``frames -= mean; frames /= std`` are the IEEE operations of
-    ``(frames - mean) / std``.  The raw frames are lost; the returned
-    matrix shares the array.
+    ``(frames - mean) / std``.  The raw frames are lost: ``features`` itself
+    is marked normalized under the statistics' id and returned.
     """
     _check_zscore(features, stats)
     frames = features.frames
     frames -= stats.mean
     frames /= stats.std
-    return replace(features, normalized=True, norm_id=stats.stats_id)
+    features.norm_id = stats.stats_id
+    features.normalized = True
+    return features
 
 
 def _check_zscore(features: FeatureMatrix, stats: NormStats | None) -> None:

@@ -24,9 +24,11 @@ Conditional layers compute on time-major ``(t, B, l)`` memory: frame
 ``i`` of every segment sits in one contiguous ``(B, l)`` slab, so the
 window rows for offset ``d`` are the contiguous view ``x[d : d + t - 2n]``
 in the forward, the weight gradient and the input gradient alike.  What
-callers see is the ``(B, t, l)`` transpose of that memory.  An input
-already laid out that way, such as the previous layer's output, is used
-as it is; any other input is copied once.
+callers see is the ``(B, t, l)`` transpose of that memory.
+:func:`stack_blocks` is the one place that lays a batch out this way:
+training, validation and prediction build their batches with it.  An
+input already laid out that way, such as the previous layer's output, is
+used as it is; any other input is copied once, by the same builder.
 
 Gradients come from walking an :class:`ActivationTape` backwards.  The
 tape records each layer itself, conditional or dense, with its inputs,
@@ -71,6 +73,7 @@ __all__ = [
     "ClnnLayer",
     "ActivationTape",
     "Workspace",
+    "stack_blocks",
     "effective_weights",
     "check_masked_weights",
     "window_forward",
@@ -321,6 +324,22 @@ def _buffers(workspace: Workspace | None) -> Workspace:
     return Workspace() if workspace is None else workspace
 
 
+def stack_blocks(blocks, workspace: Workspace | None = None, key: str = "blocks") -> np.ndarray:
+    """The ``(B, t, w)`` batch of ``B`` equally shaped ``(t, w)`` blocks.
+
+    The blocks are copied once into time-major ``(t, B, w)`` memory, taken
+    from ``workspace`` under ``key`` (fresh memory if None), and the batch
+    is the transposed view of it, which :func:`block_forward` reads in
+    place.  Blocks of different shapes raise :class:`ShapeError`.
+    """
+    shapes = {np.shape(b) for b in blocks}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 2:
+        raise ShapeError(f"a batch needs equally shaped (t, w) blocks, got shapes {sorted(shapes)}")
+    t, w = shapes.pop()
+    out = _buffers(workspace).take(key, (t, len(blocks), w))
+    return np.stack(blocks, axis=1, out=out).transpose(1, 0, 2)
+
+
 def _time_major(block: np.ndarray) -> np.ndarray:
     """The ``(t, B, w)`` transpose of a ``([B,] t, w)`` block, as a view."""
     return block.reshape(-1, *block.shape[-2:]).transpose(1, 0, 2)
@@ -349,7 +368,8 @@ def block_forward(
         layer: the conditional layer.
         block: ``(t, l)`` array of consecutive frames, or a ``(B, t, l)``
             batch of such blocks; ``t >= 2*order + 1``.  A batch whose
-            memory is time-major is read in place, any other is copied once.
+            memory is time-major is read in place; any other is copied
+            once, through :func:`stack_blocks`.
         tape: optional tape to record the pass on.
         name: record name used to key this layer's gradients and buffers.
         workspace: where the pass keeps its arrays; fresh memory if None.
@@ -369,8 +389,7 @@ def block_forward(
     space = _buffers(workspace)
     x = _time_major(block)
     if not x.flags.c_contiguous:  # one copy, so that every window below is a view
-        x, view = space.take(f"{name}.inputs", x.shape), x
-        np.copyto(x, view)
+        x = _time_major(stack_blocks(block.reshape(-1, *block.shape[-2:]), space, f"{name}.inputs"))
     t_out = x.shape[0] - 2 * layer.order
     rows = t_out * x.shape[1]
     pre = space.take(f"{name}.pre", (t_out, x.shape[1], layer.weights.shape[2]))

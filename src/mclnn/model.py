@@ -48,6 +48,7 @@ from .layers import (
     dense_forward,
     global_mean_pool,
     softmax,
+    stack_blocks,
 )
 from .mask import MaskSpec, generate_mask
 
@@ -318,8 +319,8 @@ def model_forward_tape(
     at the output layer's logits, so ``backward`` starts from the loss
     gradient with respect to the logits; softmax is not on it.  The
     conditional layers' activations live in ``workspace`` (fresh memory if
-    None), and a batch whose memory is time-major (see :mod:`mclnn.layers`)
-    reaches the first layer without a copy.
+    None), and a batch built by :func:`~mclnn.layers.stack_blocks` reaches
+    the first layer without a copy.
     """
     tape = ActivationTape()
     return _walk(model, _checked_segments(model, segments), 0, tape, workspace), tape
@@ -334,12 +335,10 @@ def model_forward_run(model: TrainedModel, frames: np.ndarray, starts) -> np.nda
     output rows: while running leading layer ``i`` over the whole run
     makes fewer rows than the batch would (``T_i - 2n_i < B *
     frame_plan[i + 1]``), it runs over the run.  The segments' windows are
-    then gathered from that layer's output and the rest runs batched, as
-    in :func:`model_forward_tape`.  Segments that follow each other back to
-    back (``starts == arange(B) * q``) with no layer run over the run are a
-    reshaped view of ``frames``, not a gather; any other batch is gathered
-    time-major.  Untaped: nothing here feeds ``backward``, and every layer
-    takes fresh memory.
+    then cut from that layer's output, or from ``frames`` when no layer
+    ran over the run, into one batch by :func:`~mclnn.layers.stack_blocks`,
+    and the rest runs batched, as in :func:`model_forward_tape`.  Untaped:
+    nothing here feeds ``backward``, and every layer takes fresh memory.
     """
     frames = np.asarray(frames, dtype=np.float64)
     starts = np.asarray(starts)
@@ -365,11 +364,7 @@ def model_forward_run(model: TrainedModel, frames: np.ndarray, starts) -> np.nda
             break
         x = block_forward(layer, x, name=name)
         first += 1
-    if first == 0 and np.array_equal(starts, np.arange(starts.size) * plan[0]):
-        batch = frames[: starts.size * plan[0]].reshape(starts.size, plan[0], -1)
-    else:
-        batch = x[np.arange(plan[first])[:, None] + starts].transpose(1, 0, 2)
-    return _walk(model, batch, first)
+    return _walk(model, stack_blocks([x[s : s + plan[first]] for s in starts]), first)
 
 
 def model_forward(

@@ -4,7 +4,9 @@ The optimizer is deliberately plain: mini-batch gradient descent with
 optional classical momentum, a fixed shuffle per epoch from one seeded
 generator, and validation-loss early stopping that snapshots the best
 parameters.  Each mini-batch is one batched forward and one ``backward``
-from the mean cross-entropy's logit gradient.  One ``train`` call keeps a
+from the mean cross-entropy's logit gradient.  Every batch, in training,
+validation and prediction alike, is laid out by
+:func:`~mclnn.layers.stack_blocks`.  One ``train`` call keeps a
 single :class:`~mclnn.layers.Workspace` for every mini-batch's frames,
 activations and gradients, so after the first batch a step allocates
 nothing large; the update scales each gradient in place.  Validation runs
@@ -28,7 +30,7 @@ import numpy as np
 
 from .dataset import Segment
 from .errors import ContractError, TrainingDivergedError, ValidationError
-from .layers import PoolRecord, Workspace, backward
+from .layers import PoolRecord, Workspace, backward, stack_blocks
 from .model import TrainedModel, model_forward, model_forward_run, model_forward_tape, segment_size
 
 logger = logging.getLogger(__name__)
@@ -200,15 +202,10 @@ def cross_entropy_grad(pred: np.ndarray, target) -> np.ndarray:
 
 
 def _stack(segments: list[Segment], workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Frames as one ``(B, q, l)`` batch and labels as a length-B array.
-
-    The frames are copied once, time-major (see :mod:`mclnn.layers`), into
-    ``workspace`` when one is given, so the first layer reads them in place.
-    """
-    shape = (segments[0].frames.shape[0], len(segments), segments[0].frames.shape[1])
-    out = None if workspace is None else workspace.take("segments", shape)
-    frames = np.stack([s.frames for s in segments], axis=1, out=out)
-    return frames.transpose(1, 0, 2), np.array([s.label for s in segments], dtype=np.int64)
+    """Frames as one ``(B, q, l)`` batch, built by :func:`~mclnn.layers.stack_blocks`
+    in ``workspace``, and labels as a length-B array."""
+    frames = stack_blocks([s.frames for s in segments], workspace, "segments")
+    return frames, np.array([s.label for s in segments], dtype=np.int64)
 
 
 def _dataset_loss(

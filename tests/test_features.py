@@ -1,5 +1,6 @@
 """Feature pipeline: resampling, power spectra, mel filterbank, z-scoring."""
 
+import gc
 import hashlib
 import logging
 import math
@@ -311,6 +312,22 @@ class TestMelFilterbank:
         with pytest.raises(ValueError):
             fb[0, 0] = 1.0
 
+    def test_every_caller_gets_one_bank_per_setting(self, monkeypatch):
+        used = []
+        original = features.log_mel
+        monkeypatch.setattr(
+            features, "log_mel", lambda power, fb, **kw: used.append(fb) or original(power, fb, **kw)
+        )
+        params = FeatureParams()
+        extract_features(sine_clip(1000.0, seconds=1.0), params)
+        bank = mel_filterbank(params.mel_bins, params.fft_size, params.sample_rate)
+        assert len(used) == 1 and used[0] is bank
+        # the setting is always spelled out in full, in order
+        with pytest.raises(TypeError):
+            mel_filterbank()
+        with pytest.raises(TypeError):
+            mel_filterbank(bins=256, fft_size=2048, rate=RATE)
+
     def test_empty_filters_warn_once_per_key(self, caplog):
         features.mel_filterbank.cache_clear()
         with caplog.at_level(logging.WARNING, logger="mclnn.features"):
@@ -388,15 +405,39 @@ class TestLogMel:
         log_mel(np.ones((2, 1025)), scans[0].copy())
         assert len(scans) == 2  # any other matrix is scanned on each call
 
-    def test_a_bank_whose_groups_were_dropped_is_scanned(self):
+    def test_a_bank_the_cache_reuses_keeps_its_groups(self, monkeypatch):
         features.mel_filterbank.cache_clear()
         first = mel_filterbank(16, 64, RATE)
-        for fft_size in range(66, 66 + 2 * features._MEL_BANKS, 2):
+        size = features.mel_filterbank.cache_info().maxsize
+        for fft_size in range(66, 66 + 2 * (size - 1), 2):
             mel_filterbank(16, fft_size, RATE)
-        assert len(features._BANK_GROUPS) == features._MEL_BANKS
-        assert id(first) not in features._BANK_GROUPS
+        assert mel_filterbank(16, 64, RATE) is first  # reused: now the most recent
+        mel_filterbank(16, 500, RATE)  # evicts the least recently used, not ``first``
+        scans = []
+        monkeypatch.setattr(features, "_mel_groups", lambda fb: scans.append(fb) or [])
+        assert mel_filterbank(16, 64, RATE) is first
+        log_mel(np.ones((2, 33)), first)
+        assert scans == []
+
+    def test_a_freed_bank_takes_its_groups_with_it(self):
+        features.mel_filterbank.cache_clear()
+        fb = mel_filterbank(16, 64, RATE)
+        key = id(fb)
+        assert key in features._BANK_GROUPS
+        features.mel_filterbank.cache_clear()
+        del fb
+        gc.collect()
+        assert key not in features._BANK_GROUPS
+
+    def test_a_bank_the_cache_evicted_gives_the_bytes_of_the_rebuilt_one(self):
+        features.mel_filterbank.cache_clear()
+        first = mel_filterbank(16, 64, RATE)
+        size = features.mel_filterbank.cache_info().maxsize
+        for fft_size in range(66, 66 + 2 * size, 2):
+            mel_filterbank(16, fft_size, RATE)
         rebuilt = mel_filterbank(16, 64, RATE)
-        assert rebuilt is not first and id(rebuilt) in features._BANK_GROUPS
+        assert rebuilt is not first
+        assert rebuilt.tobytes() == first.tobytes()
         power = np.random.default_rng(6).random((7, 33))
         assert (features._mel_energies(power, first).tobytes()
                 == features._mel_energies(power, rebuilt).tobytes())
@@ -560,6 +601,13 @@ class TestZScore:
             apply_zscore_in_place(FeatureMatrix(frames=np.ones((3, 5)), clip_id="x"), stats)
         with pytest.raises(ContractError):
             apply_zscore_in_place(FeatureMatrix(frames=np.ones((3, 6)), clip_id="x"), None)
+
+    def test_in_place_marks_the_matrix_it_was_given(self):
+        stats = fit_zscore(self._train_matrices(np.random.default_rng(13), count=2))
+        m = FeatureMatrix(frames=np.random.default_rng(14).standard_normal((5, 6)), clip_id="x")
+        out = apply_zscore_in_place(m, stats)
+        assert out is m
+        assert m.normalized and m.norm_id == stats.stats_id
 
 
 class TestFeatureIO:

@@ -21,6 +21,7 @@ from mclnn.layers import (
     effective_weights,
     global_mean_pool,
     softmax,
+    stack_blocks,
     window_forward,
 )
 from mclnn.mask import BinaryMask, MaskSpec, generate_mask
@@ -182,11 +183,13 @@ class TestTimeMajorLayout:
         layer, _ = self._layers(rng)
         blocks = rng.standard_normal((4, 9, 6))
         kept = blocks.copy()
-        tape = ActivationTape()
-        block_forward(layer, blocks, tape=tape, name="a")
+        tape, space = ActivationTape(), Workspace()
+        block_forward(layer, blocks, tape=tape, name="a", workspace=space)
         assert not np.shares_memory(tape.records[0].inputs, blocks)
         assert_array_equal(tape.records[0].inputs, blocks)
         assert blocks.tobytes() == kept.tobytes()
+        # the copy is stack_blocks' batch, kept under the record's name
+        assert np.shares_memory(tape.records[0].inputs, space.take("a.inputs", (9, 4, 6)))
 
     def test_tape_names_are_unique(self):
         rng = np.random.default_rng(63)
@@ -195,6 +198,47 @@ class TestTimeMajorLayout:
         block_forward(layer, rng.standard_normal((9, 6)), tape=tape, name="a")
         with pytest.raises(ContractError, match="already on the tape"):
             block_forward(layer, rng.standard_normal((9, 6)), tape=tape, name="a")
+
+
+class TestStackBlocks:
+    """The one builder of a batch: ``B`` blocks copied once, time-major."""
+
+    def test_values_equal_np_stack(self):
+        rng = np.random.default_rng(64)
+        source = rng.standard_normal((30, 6))
+        blocks = [source[s : s + 9] for s in (0, 4, 21, 4)]  # views, one repeated
+        batch = stack_blocks(blocks)
+        assert batch.shape == (4, 9, 6)
+        assert batch.tobytes() == np.stack(blocks).tobytes()
+        assert not np.shares_memory(batch, source)
+
+    def test_memory_is_time_major_and_read_without_a_copy(self):
+        rng = np.random.default_rng(65)
+        layer = random_clnn_layer(rng, l=6, e=5, n=2)
+        blocks = [rng.standard_normal((9, 6)) for _ in range(3)]
+        batch = stack_blocks(blocks)
+        assert batch.transpose(1, 0, 2).flags.c_contiguous
+        tape = ActivationTape()
+        out = block_forward(layer, batch, tape=tape, name="a")
+        assert tape.records[0].inputs.base is batch.base
+        assert out.tobytes() == block_forward(layer, np.stack(blocks)).tobytes()
+
+    def test_a_smaller_batch_reuses_a_prefix_of_the_workspace_buffer(self):
+        rng = np.random.default_rng(66)
+        blocks = [rng.standard_normal((5, 3)) for _ in range(4)]
+        space = Workspace()
+        big = stack_blocks(blocks, space, "k")
+        small = stack_blocks(blocks[:2], space, "k")
+        assert small.transpose(1, 0, 2).flags.c_contiguous
+        assert small.__array_interface__["data"][0] == big.__array_interface__["data"][0]
+        assert_array_equal(small, np.stack(blocks[:2]))
+        # another key is other memory
+        assert not np.shares_memory(stack_blocks(blocks, space, "other"), big)
+
+    @pytest.mark.parametrize("shapes", [[(5, 3), (4, 3)], [(5, 3), (5, 2)], [(5,), (5,)], []])
+    def test_blocks_of_other_shapes_are_a_shape_error(self, shapes):
+        with pytest.raises(ShapeError):
+            stack_blocks([np.zeros(shape) for shape in shapes])
 
 
 class TestWorkspace:

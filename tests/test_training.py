@@ -12,6 +12,7 @@ import mclnn.training as trn
 from mclnn.dataset import Segment, segment_clip
 from mclnn.errors import (
     ContractError,
+    ShapeError,
     TrainingDivergedError,
     ValidationError,
 )
@@ -382,6 +383,13 @@ class TestStepBuffers:
         assert_array_equal(frames, np.stack([s.frames for s in segments]))
         assert_array_equal(labels, [0, 1, 2])
 
+    def test_segments_of_two_shapes_are_a_shape_error(self):
+        segments = self._segments(3, 61)
+        segments[1] = replace(segments[1], frames=segments[1].frames[:-1])
+        with pytest.raises(ShapeError):
+            train(build_model(small_spec(), seed=62), segments, TrainConfig(epochs=1, batch_size=4))
+
+
 def constant_prediction(probs_by_clip):
     """Patchable stand-in for model_forward_run.
 
@@ -564,25 +572,26 @@ class TestPredictClipSharing:
         probs = np.array([model_forward(small_model, s.frames) for s in segments])
         assert_allclose(mean_probs, probs.mean(axis=0), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("hop, shares", [(Q, True), (Q // 2, False)])
-    def test_back_to_back_batch_is_a_view_of_the_run(self, small_model, monkeypatch, hop, shares):
-        runs, batches = [], []
-        original_run, original_walk = trn._run, mclnn.model._walk
+    @pytest.mark.parametrize("hop", [Q, Q // 2])
+    def test_every_batch_reaching_the_walk_is_time_major(self, small_model, monkeypatch, hop):
+        walked = []  # (taped, batch) per call
+        original = mclnn.model._walk
 
-        def recording_run(segments):
-            frames, offsets = original_run(segments)
-            runs.append(frames)
-            return frames, offsets
+        def recording(model, x, first, tape=None, workspace=None):
+            walked.append((tape is not None, x))
+            return original(model, x, first, tape, workspace)
 
-        def recording_walk(model, x, first, tape=None):
-            batches.append(x)
-            return original_walk(model, x, first, tape)
-
-        monkeypatch.setattr(trn, "_run", recording_run)
-        monkeypatch.setattr(mclnn.model, "_walk", recording_walk)
-        predict_clip(small_model, self._segments(hop, frames=200))
-        assert len(runs) == len(batches) >= 1
-        assert [np.shares_memory(b, r) for b, r in zip(batches, runs)] == [shares] * len(runs)
+        monkeypatch.setattr(mclnn.model, "_walk", recording)
+        segments = self._segments(hop, frames=400)
+        predict_clip(small_model, segments)
+        predicted = len(walked)
+        config = TrainConfig(epochs=1, batch_size=8, seed=63)
+        # 20 training segments and 10 validation segments: 3 taped batches, 2 untaped
+        train(build_model(small_spec(), seed=64), segments[:20], config, segments[20:30])
+        assert predicted >= 1
+        assert [taped for taped, _ in walked[predicted:]] == [True] * 3 + [False] * 2
+        for _, x in walked:
+            assert x.ndim == 3 and x.transpose(1, 0, 2).flags.c_contiguous
 
     def test_wrong_segment_shape_is_contract_error(self, small_model):
         segments = self._segments(hop=3, frames=30)
