@@ -284,7 +284,7 @@ def cmd_features_extract(args) -> int:
         for class_dir in class_dirs:
             label = mapping[class_dir.name]
             audio_paths = sorted(
-                p for p in class_dir.iterdir() if p.suffix in (".npz", ".wav")
+                p for p in class_dir.iterdir() if p.suffix in (".npz", ".wav", ".au")
             )
             for audio_path in audio_paths:
                 clip = feat.load_audio(audio_path)
@@ -302,7 +302,7 @@ def cmd_features_extract(args) -> int:
             path.unlink(missing_ok=True)
         raise
     if not manifest_rows:
-        raise ValidationError(f"no .npz or .wav clips found under {in_dir}")
+        raise ValidationError(f"no .npz, .wav or .au clips found under {in_dir}")
     (out_dir / "manifest.tsv").write_text("\n".join(manifest_rows) + "\n")
     (out_dir / "classes.txt").write_text(
         "\n".join(sorted(mapping, key=mapping.get)) + "\n"
@@ -612,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     f_sub = p_features.add_subparsers(dest="subcommand", required=True)
     p_extract = f_sub.add_parser("extract", help="audio dir -> per-clip feature files")
     p_extract.add_argument("--in", dest="in_dir", required=True,
-                           help="directory of <class>/<clip>.npz|.wav")
+                           help="directory of <class>/<clip>.npz|.wav|.au")
     p_extract.add_argument("--out", default=None)
     p_extract.add_argument("--config", help="INI config file")
     _add_section_flags(p_extract, "features")

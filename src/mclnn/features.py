@@ -45,6 +45,7 @@ import functools
 import hashlib
 import logging
 import math
+import struct
 import wave
 import weakref
 import zipfile
@@ -665,8 +666,15 @@ def _typed_feature_header(path, header: dict) -> dict:
     return values
 
 
+# Sun/NeXT .au: magic, data offset, data size, encoding, rate, channels, big-endian
+_AU_HEADER = struct.Struct(">4s5I")
+_AU_UNKNOWN_SIZE = 0xFFFFFFFF  # the data runs to the end of the file
+# linear PCM encodings, signed big-endian 8, 16 and 32 bit
+_AU_PCM = {2: ">i1", 3: ">i2", 5: ">i4"}
+
+
 def load_audio(path) -> AudioClip:
-    """Read a raw sample stream: ``.npz`` (samples + rate) or PCM ``.wav``."""
+    """Read a raw sample stream: ``.npz`` (samples + rate), PCM ``.wav`` or PCM ``.au``."""
     path = Path(path)
     if path.suffix == ".npz":
         try:
@@ -692,18 +700,51 @@ def load_audio(path) -> AudioClip:
                 raw = wav.readframes(wav.getnframes())
         except (wave.Error, EOFError) as exc:
             raise FileFormatError(f"{path} is not a readable .wav file: {exc!r}") from exc
-        dtype = {1: np.uint8, 2: np.int16, 4: np.int32}.get(width)
+        dtype = {1: "u1", 2: "<i2", 4: "<i4"}.get(width)
         if dtype is None:
             raise ValidationError(f"{path}: unsupported PCM sample width {width}")
-        if len(raw) % (width * channels):
-            raise TruncatedFileError(f"{path}: the sample data ends inside a frame")
-        # one pass from the PCM integers to float64; the scale is a power of
-        # two, so this equals converting first and dividing after, bit for bit
-        pcm = np.frombuffer(raw, dtype=dtype)
-        samples = np.multiply(pcm, 2.0 ** (1 - 8 * width), dtype=np.float64)
-        if width == 1:
-            samples -= 1.0  # unsigned 8-bit PCM is centred on 128
-        if channels > 1:
-            samples = samples.reshape(-1, channels).mean(axis=1)
-        return AudioClip(samples=samples, sample_rate=rate)
+        return AudioClip(samples=_pcm_samples(path, raw, dtype, channels), sample_rate=rate)
+    if path.suffix == ".au":
+        return _load_au(path)
     raise ValidationError(f"unsupported audio container {path.suffix!r} for {path}")
+
+
+def _load_au(path: Path) -> AudioClip:
+    data = path.read_bytes()
+    if len(data) < _AU_HEADER.size or not data.startswith(b".snd"):
+        raise FileFormatError(f"{path} is not a readable .au file: no 24-byte '.snd' header")
+    _, offset, size, encoding, rate, channels = _AU_HEADER.unpack_from(data)
+    if offset < _AU_HEADER.size or rate < 1 or channels < 1:
+        raise FileFormatError(
+            f"{path} is not a readable .au file: data offset {offset}, rate {rate}, "
+            f"{channels} channel(s)"
+        )
+    dtype = _AU_PCM.get(encoding)
+    if dtype is None:
+        raise ValidationError(
+            f"{path}: unsupported .au encoding {encoding} (linear PCM is 2, 3 or 5)"
+        )
+    raw = memoryview(data)[offset:]
+    if size != _AU_UNKNOWN_SIZE:
+        if len(raw) < size:
+            raise TruncatedFileError(
+                f"{path}: the header declares {size} data bytes, the file holds {len(raw)}"
+            )
+        raw = raw[:size]
+    return AudioClip(samples=_pcm_samples(path, raw, dtype, channels), sample_rate=rate)
+
+
+def _pcm_samples(path: Path, raw, dtype: str, channels: int) -> np.ndarray:
+    """Linear PCM bytes as float64 in [-1, 1), channels averaged to mono."""
+    dtype = np.dtype(dtype)
+    width = dtype.itemsize
+    if len(raw) % (width * channels):
+        raise TruncatedFileError(f"{path}: the sample data ends inside a frame")
+    # one pass from the PCM integers to float64; the scale is a power of
+    # two, so this equals converting first and dividing after, bit for bit
+    samples = np.multiply(np.frombuffer(raw, dtype=dtype), 2.0 ** (1 - 8 * width), dtype=np.float64)
+    if dtype.kind == "u":
+        samples -= 1.0  # unsigned 8-bit PCM is centred on 128
+    if channels > 1:
+        samples = samples.reshape(-1, channels).mean(axis=1)
+    return samples

@@ -53,11 +53,33 @@ just an empty workspace, so there is no second path for reuse.
 All accumulations run in a fixed order (window offset ``-n .. n``, tape
 order reversed, rows frame-major), so repeated runs are bit-identical at
 a fixed BLAS thread count.
+
+A conditional layer splits its work between two Python threads where the
+split leaves every number as it was.  The forward cuts its output rows
+into two fixed slabs; each slab runs the same per-offset GEMMs, bias add
+and activation into its own rows.  The edge depends only on the row
+count: rows before it are a multiple of 48 and each slab has at least 48
+rows (a smaller layer is one slab), because OpenBLAS computes a row the
+same way in either GEMM only then.  ``backward`` runs the weight-gradient
+GEMMs and the input-gradient sum as two tasks, since neither reads the
+other; the first record has no input gradient, so its offsets form the
+two tasks.  No GEMM's operands change.  The second thread is used when
+the process has two CPUs and BLAS is pinned to one thread (the first of
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``
+that is set is ``1``), decided once at import; otherwise the tasks run
+in order on the calling thread, since a threaded BLAS already uses the
+cores.  The result never depends on which of the two happens.  Every
+:class:`Workspace` buffer is taken on the calling thread before the
+tasks start, and the tasks call only NumPy and activation methods.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections.abc import Callable, Mapping
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -270,7 +292,8 @@ class Workspace:
     flat buffer and grows the buffer when the request does not fit, so a
     smaller request reuses a prefix of the memory a larger one left.  A
     buffer holds whatever its last user wrote: every caller writes all of
-    what it takes before reading it.
+    what it takes before reading it.  Only the thread that calls a layer
+    function takes from it; the layers' second thread never does.
     """
 
     def __init__(self):
@@ -340,6 +363,75 @@ def stack_blocks(blocks, workspace: Workspace | None = None, key: str = "blocks"
     return np.stack(blocks, axis=1, out=out).transpose(1, 0, 2)
 
 
+# ---------------------------------------------------------------------------
+# two threads
+# ---------------------------------------------------------------------------
+
+
+# the variables OpenBLAS reads its thread count from, first match wins
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# slab edges fall on multiples of this many rows, and a slab has at least this many
+_SLAB_ROWS = 48
+
+
+def _worker_count(environ: Mapping[str, str], cpus: int) -> int:
+    """2 when there are two CPUs and BLAS is pinned to one thread, else 1."""
+    setting = next((environ[name] for name in _BLAS_THREAD_VARIABLES if name in environ), None)
+    return 2 if cpus >= 2 and setting == "1" else 1
+
+
+_WORKERS = _worker_count(
+    os.environ,
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+)
+_second: ThreadPoolExecutor | None = None
+_second_lock = threading.Lock()
+
+
+def _forget_second_worker() -> None:
+    # a forked child has no thread behind the parent's executor
+    global _second
+    _second = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_second_worker)
+
+
+def _run_tasks(tasks: list[Callable[[], None]]) -> None:
+    """Run every task: the first on the calling thread, the rest on a second one.
+
+    With one worker the tasks run in order on the calling thread.  Tasks
+    write disjoint memory, so the result is the same either way.
+    """
+    if _WORKERS == 1 or len(tasks) == 1:
+        for task in tasks:
+            task()
+        return
+    global _second
+    with _second_lock:
+        if _second is None:
+            _second = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mclnn-layers")
+        futures = [_second.submit(task) for task in tasks[1:]]
+    try:
+        tasks[0]()
+    finally:
+        wait(futures)  # the other tasks' memory is the caller's again only after this
+    for future in futures:
+        future.result()
+
+
+def _slab_edge(rows: int) -> int | None:
+    """The first row of the second forward slab, or None for one slab.
+
+    The edge is the multiple of ``_SLAB_ROWS`` nearest the middle; under
+    ``2 * _SLAB_ROWS`` rows there is none.
+    """
+    if rows < 2 * _SLAB_ROWS:
+        return None
+    return (rows + _SLAB_ROWS) // (2 * _SLAB_ROWS) * _SLAB_ROWS
+
+
 def _time_major(block: np.ndarray) -> np.ndarray:
     """The ``(t, B, w)`` transpose of a ``([B,] t, w)`` block, as a view."""
     return block.reshape(-1, *block.shape[-2:]).transpose(1, 0, 2)
@@ -390,17 +482,27 @@ def block_forward(
     x = _time_major(block)
     if not x.flags.c_contiguous:  # one copy, so that every window below is a view
         x = _time_major(stack_blocks(block.reshape(-1, *block.shape[-2:]), space, f"{name}.inputs"))
-    t_out = x.shape[0] - 2 * layer.order
-    rows = t_out * x.shape[1]
-    pre = space.take(f"{name}.pre", (t_out, x.shape[1], layer.weights.shape[2]))
-    # bias + x_0 @ W_0 + x_1 @ W_1 + ..., added in that order
-    flat_pre = np.matmul(x[:t_out].reshape(rows, -1), layer.weights[0], out=pre.reshape(rows, -1))
-    flat_pre += layer.bias
-    product = space.take(f"{name}.scratch", flat_pre.shape)
-    for d in range(1, 2 * layer.order + 1):
-        np.matmul(x[d : d + t_out].reshape(rows, -1), layer.weights[d], out=product)
-        flat_pre += product
-    out = layer.activation.apply(pre, space.take(f"{name}.outputs", pre.shape))
+    t_out, segments = x.shape[0] - 2 * layer.order, x.shape[1]
+    rows = t_out * segments
+    pre = space.take(f"{name}.pre", (t_out, segments, layer.weights.shape[2]))
+    product = space.take(f"{name}.scratch", (rows, pre.shape[2]))
+    out = space.take(f"{name}.outputs", pre.shape)
+    flat_x, flat_pre, flat_out = (a.reshape(-1, a.shape[2]) for a in (x, pre, out))
+
+    def slab(r0: int, r1: int) -> Callable[[], None]:
+        def run() -> None:
+            # bias + x_0 @ W_0 + x_1 @ W_1 + ..., added in that order
+            total = np.matmul(flat_x[r0:r1], layer.weights[0], out=flat_pre[r0:r1])
+            total += layer.bias
+            for d in range(1, 2 * layer.order + 1):
+                shifted = d * segments  # offset d's rows start d frames later
+                np.matmul(flat_x[shifted + r0 : shifted + r1], layer.weights[d], out=product[r0:r1])
+                total += product[r0:r1]
+            layer.activation.apply(total, flat_out[r0:r1])
+        return run
+
+    edge = _slab_edge(rows)
+    _run_tasks([slab(0, rows)] if edge is None else [slab(0, edge), slab(edge, rows)])
     batch = block.shape[:-2]
     out = _batch_major(out, batch)
     if tape is not None:
@@ -510,16 +612,7 @@ def backward(
         dpre = layer.activation.derivative(pre, space.take(f"{name}.dpre", pre.shape))
         np.multiply(g, dpre, out=dpre)
         flat_dpre = dpre.reshape(-1, dpre.shape[-1])
-        dw = space.take(f"{name}.weights.grad", layer.weights.shape)
-        if conditional:
-            t_out = pre.shape[0]
-            for d in range(2 * layer.order + 1):
-                np.matmul(x[d : d + t_out].reshape(flat_dpre.shape[0], -1).T, flat_dpre, out=dw[d])
-        else:
-            np.matmul(x.reshape(-1, x.shape[-1]).T, flat_dpre, out=dw)
-        if layer.mask is not None:
-            dw *= layer.mask.entries  # keeps masked weights exactly zero
-        grads[f"{name}.weights"] = dw
+        dw = grads[f"{name}.weights"] = space.take(f"{name}.weights.grad", layer.weights.shape)
         grads[f"{name}.bias"] = np.sum(
             flat_dpre, axis=0, out=space.take(f"{name}.bias.grad", layer.bias.shape)
         )
@@ -528,18 +621,54 @@ def backward(
                 pre, g, space.take(f"{name}.scratch", pre.shape),
                 space.take(f"{name}.slopes.grad", layer.bias.shape),
             )
+        if conditional:
+            dx = product = None
+            if index > 0:
+                dx = space.take(f"{name}.inputs.grad", x.shape)
+                product = space.take(f"{name}.scratch", (flat_dpre.shape[0], x.shape[2]))
+            _run_tasks(_gradient_tasks(layer, x, flat_dpre, dw, dx, product))
+            if dx is None:
+                break
+            g = _batch_major(dx, rec.inputs.shape[:-2])
+            continue
+        np.matmul(x.reshape(-1, x.shape[-1]).T, flat_dpre, out=dw)
         if index == 0:
             break
-        if conditional:
-            dx = space.take(f"{name}.inputs.grad", x.shape)
-            dx[...] = 0.0
-            product = space.take(f"{name}.scratch", (flat_dpre.shape[0], x.shape[2]))
-            for d in range(2 * layer.order + 1):
-                np.matmul(flat_dpre, layer.weights[d].T, out=product)
-                dx[d : d + t_out] += product.reshape(t_out, x.shape[1], -1)
-            g = _batch_major(dx, rec.inputs.shape[:-2])
-        else:
-            g = np.matmul(
-                dpre, layer.weights.T, out=space.take(f"{name}.inputs.grad", rec.inputs.shape)
-            )
+        g = np.matmul(
+            dpre, layer.weights.T, out=space.take(f"{name}.inputs.grad", rec.inputs.shape)
+        )
     return grads
+
+
+def _gradient_tasks(
+    layer: ClnnLayer, x: np.ndarray, flat_dpre: np.ndarray, dw: np.ndarray,
+    dx: np.ndarray | None, product: np.ndarray | None,
+) -> list[Callable[[], None]]:
+    """A conditional layer's gradient GEMMs as independent tasks.
+
+    One task writes ``dw``, one GEMM per window offset; the other sums the
+    input gradient into ``dx``, offsets in order, through ``product``.
+    Without ``dx`` (the first record) the weight GEMMs' offsets are split
+    into two tasks instead.
+    """
+    t_out, rows = x.shape[0] - 2 * layer.order, flat_dpre.shape[0]
+    offsets = range(2 * layer.order + 1)
+
+    def weights(group: range) -> Callable[[], None]:
+        def run() -> None:
+            for d in group:
+                np.matmul(x[d : d + t_out].reshape(rows, -1).T, flat_dpre, out=dw[d])
+                if layer.mask is not None:
+                    dw[d] *= layer.mask.entries  # keeps masked weights exactly zero
+        return run
+
+    def inputs() -> None:
+        dx[...] = 0.0
+        for d in offsets:
+            np.matmul(flat_dpre, layer.weights[d].T, out=product)
+            dx[d : d + t_out] += product.reshape(t_out, x.shape[1], -1)
+
+    if dx is not None:
+        return [inputs, weights(offsets)]
+    half = (len(offsets) + 1) // 2
+    return [weights(group) for group in (offsets[:half], offsets[half:]) if group]

@@ -14,9 +14,12 @@ untaped in chunks of ``batch_size`` segments, in the same workspace, and
 a clip's segments run in chunks of :data:`PREDICT_CHUNK`.  Each chunk
 goes to the model as one run of frames in which overlapping segments
 whose frames agree share their common frames, so a conditional layer can
-run once over the run instead of once per segment.  Every reduction runs in a fixed order, so a (seed,
-config, data) triple maps to bit-identical parameters and reports at a
-fixed BLAS thread count.
+run once over the run instead of once per segment.  Every reduction runs
+in a fixed order, so a (seed, config, data) triple maps to bit-identical
+parameters and reports at a fixed BLAS thread count.  The conditional
+layers may split their work over two threads (see :mod:`mclnn.layers`);
+they split only where every number stays the same, so neither a
+training run nor a prediction depends on whether they do.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,15 @@ def small_spec(**overrides) -> ModelSpec:
 @pytest.fixture
 def small_model():
     return build_model(small_spec(), seed=20240811)
+
+
+def au_bytes(data: bytes, encoding=3, rate=2000, channels=1, offset=24, size=None) -> bytes:
+    """A Sun .au file: the 24-byte big-endian header, zero padding up to
+    ``offset``, then ``data``; ``size`` is the declared data size
+    (``len(data)`` if None, 0xFFFFFFFF for "to the end")."""
+    declared = len(data) if size is None else size
+    header = struct.pack(">4s5I", b".snd", offset, declared, encoding, rate, channels)
+    return header + bytes(offset - len(header)) + data
 
 
 def dirty_masked_weight(model):

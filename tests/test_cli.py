@@ -49,7 +49,12 @@ from mclnn.features import (
 from mclnn.model import PRESETS, LayerSpec, build_model, load_model, save_model, segment_size
 from mclnn.training import TrainConfig, confusion_lines, evaluate, predict_clip
 
-from conftest import dirty_masked_weight, rewrite_feature_header, rewrite_model_header
+from conftest import (
+    au_bytes,
+    dirty_masked_weight,
+    rewrite_feature_header,
+    rewrite_model_header,
+)
 
 
 def synth_audio_tree(root, rng, clips_per_class=6, samples=1200, rate=2000):
@@ -159,6 +164,33 @@ class TestFeaturesExtract:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_DATA
         assert "error: ValidationError" in capsys.readouterr().err
+
+    def test_au_clips_are_listed_and_read_as_their_wav_twins(self, tmp_path):
+        rng = np.random.default_rng(12)
+        values = np.round(rng.normal(0, 4000, 1200)).astype(np.int16)
+        audio = tmp_path / "audio"
+        for cls in ("drums", "flute"):
+            (audio / cls).mkdir(parents=True)
+        with wave.open(str(audio / "drums" / "clip.wav"), "wb") as handle:
+            handle.setnchannels(1)
+            handle.setsampwidth(2)
+            handle.setframerate(2000)
+            handle.writeframes(values.astype("<i2").tobytes())
+        (audio / "flute" / "clip.au").write_bytes(au_bytes(values.astype(">i2").tobytes()))
+        out = tmp_path / "f"
+        assert main(["features", "extract", "--in", str(audio), "--out", str(out)]
+                    + EXTRACT_FLAGS) == EXIT_OK
+        assert (out / "manifest.tsv").read_text() == "drums__clip\tdrums\nflute__clip\tflute\n"
+        wav, au = (load_features(out / f"{c}__clip.mclf") for c in ("drums", "flute"))
+        assert au.frames.tobytes() == wav.frames.tobytes()
+
+    def test_no_audio_clips_names_every_container(self, tmp_path, capsys):
+        (tmp_path / "audio" / "drums").mkdir(parents=True)
+        (tmp_path / "audio" / "drums" / "notes.txt").write_text("no audio here")
+        rc = main(["features", "extract", "--in", str(tmp_path / "audio"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DATA
+        assert "no .npz, .wav or .au clips found" in single_error(capsys.readouterr(), "ValidationError")
 
     def test_out_root_env_fallback(self, tmp_path, monkeypatch):
         audio = tmp_path / "audio"
@@ -878,6 +910,23 @@ class TestUndecodableInputs:
         assert name in line
         if error == "ValidationError":
             assert "'rate' must be one positive integer" in line
+
+    @pytest.mark.parametrize("content, code, error, words", [
+        (lambda: b".snd", EXIT_IO, "FileFormatError", "is not a readable .au file"),
+        (lambda: au_bytes(bytes(100), size=200), EXIT_IO, "TruncatedFileError", "declares 200"),
+        (lambda: au_bytes(bytes(101)), EXIT_IO, "TruncatedFileError", "ends inside a frame"),
+        (lambda: au_bytes(bytes(100), encoding=1), EXIT_DATA, "ValidationError",
+         "unsupported .au encoding 1"),
+    ], ids=["au-no-header", "au-short-data", "au-partial-frame", "au-mu-law"])
+    def test_au(self, tmp_path, capsys, content, code, error, words):
+        class_dir = tmp_path / "audio" / "drums"
+        class_dir.mkdir(parents=True)
+        (class_dir / "clip.au").write_bytes(content())
+        rc = main(["features", "extract", "--in", str(tmp_path / "audio"),
+                   "--out", str(tmp_path / "f")])
+        assert rc == code
+        line = single_error(capsys.readouterr(), error)
+        assert "clip.au" in line and words in line
 
     def test_failed_extract_leaves_no_feature_files(self, tmp_path, capsys):
         class_dir = tmp_path / "audio" / "drums"

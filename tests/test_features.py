@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import wave
 import zipfile
 from fractions import Fraction
@@ -48,6 +49,8 @@ from mclnn.features import (
     stft_frame_count,
     stft_power,
 )
+
+from conftest import au_bytes
 
 RATE = 22050
 
@@ -787,6 +790,103 @@ class TestLoadAudio:
         with pytest.raises(TruncatedFileError, match="ends inside a frame"):
             load_audio(path)
 
+
+
+class TestLoadAu:
+    """Sun/NeXT ``.au``: big-endian linear PCM, decoded as ``.wav`` is."""
+
+    @pytest.mark.parametrize("encoding, dtype, channels", [
+        (2, ">i1", 1), (3, ">i2", 1), (3, ">i2", 2), (5, ">i4", 1), (5, ">i4", 3),
+    ])
+    def test_decode_equals_convert_then_divide(self, tmp_path, encoding, dtype, channels):
+        info = np.iinfo(np.dtype(dtype))
+        values = np.random.default_rng(encoding * 10 + channels).integers(
+            info.min, info.max, size=999 * channels, endpoint=True
+        ).astype(dtype)
+        values[:2] = info.min, info.max
+        path = tmp_path / "clip.au"
+        path.write_bytes(au_bytes(values.tobytes(), encoding, rate=22050, channels=channels))
+        clip = load_audio(path)
+        expected = values.astype(np.float64) / float(2 ** (8 * values.itemsize - 1))
+        assert clip.sample_rate == 22050
+        assert_array_equal(clip.samples, expected.reshape(-1, channels).mean(axis=1))
+
+    def test_same_samples_as_the_wav_of_the_same_pcm(self, tmp_path):
+        values = np.random.default_rng(31).integers(-32768, 32767, size=2 * 500).astype(np.int16)
+        with wave.open(str(tmp_path / "clip.wav"), "wb") as handle:
+            handle.setnchannels(2)
+            handle.setsampwidth(2)
+            handle.setframerate(8000)
+            handle.writeframes(values.astype("<i2").tobytes())
+        (tmp_path / "clip.au").write_bytes(
+            au_bytes(values.astype(">i2").tobytes(), rate=8000, channels=2)
+        )
+        wav, au = load_audio(tmp_path / "clip.wav"), load_audio(tmp_path / "clip.au")
+        assert au.sample_rate == wav.sample_rate
+        assert au.samples.tobytes() == wav.samples.tobytes()
+
+    @pytest.mark.parametrize("size", [None, 0xFFFFFFFF])
+    def test_data_starts_at_the_declared_offset(self, tmp_path, size):
+        values = np.arange(-50, 50, dtype=">i2")
+        path = tmp_path / "clip.au"
+        path.write_bytes(au_bytes(values.tobytes(), offset=40, size=size))
+        assert_array_equal(load_audio(path).samples, values / 32768.0)
+
+    def test_declared_size_shorter_than_the_file_is_the_data(self, tmp_path):
+        values = np.arange(100, dtype=">i2")
+        path = tmp_path / "clip.au"
+        path.write_bytes(au_bytes(values.tobytes(), size=120) + b"trailer")
+        assert_array_equal(load_audio(path).samples, values[:60] / 32768.0)
+
+    def test_sunau_oracle(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            sunau = pytest.importorskip("sunau")
+        values = np.random.default_rng(32).integers(-32768, 32767, size=2 * 700).astype(">i2")
+        path = tmp_path / "clip.au"
+        with sunau.open(str(path), "wb") as handle:
+            handle.setnchannels(2)
+            handle.setsampwidth(2)
+            handle.setframerate(22050)
+            handle.setcomptype("NONE", "not compressed")  # sunau writes mu-law by default
+            handle.writeframes(values.tobytes())
+        with sunau.open(str(path), "rb") as handle:
+            rate, frames = handle.getframerate(), handle.readframes(handle.getnframes())
+        clip = load_audio(path)
+        expected = np.frombuffer(frames, dtype=">i2") / 32768.0
+        assert clip.sample_rate == rate == 22050
+        assert_array_equal(clip.samples, expected.reshape(-1, 2).mean(axis=1))
+
+    @pytest.mark.parametrize("encoding", [1, 4, 6, 7, 27])
+    def test_other_encodings_are_unsupported(self, tmp_path, encoding):
+        path = tmp_path / "clip.au"
+        path.write_bytes(au_bytes(bytes(96), encoding))
+        with pytest.raises(ValidationError, match=f"unsupported .au encoding {encoding}"):
+            load_audio(path)
+
+    def test_short_data_block_is_truncated(self, tmp_path):
+        path = tmp_path / "clip.au"
+        path.write_bytes(au_bytes(bytes(200), size=400))
+        with pytest.raises(TruncatedFileError, match="declares 400 data bytes"):
+            load_audio(path)
+
+    @pytest.mark.parametrize("encoding, channels, size", [(3, 1, 201), (5, 1, 202), (3, 2, 202)])
+    def test_data_ending_inside_a_frame(self, tmp_path, encoding, channels, size):
+        path = tmp_path / "clip.au"
+        path.write_bytes(au_bytes(bytes(size), encoding, channels=channels))
+        with pytest.raises(TruncatedFileError, match="ends inside a frame"):
+            load_audio(path)
+
+    @pytest.mark.parametrize("content", [
+        b"", b".snd", b"RIFF" + bytes(40),
+        au_bytes(bytes(8))[:4] + (16).to_bytes(4, "big") + au_bytes(bytes(8))[8:],
+        au_bytes(bytes(8), channels=0), au_bytes(bytes(8), rate=0),
+    ], ids=["empty", "magic-only", "wav-magic", "offset-inside-header", "no-channels", "no-rate"])
+    def test_that_is_no_au(self, tmp_path, content):
+        path = tmp_path / "clip.au"
+        path.write_bytes(content)
+        with pytest.raises(FileFormatError, match="is not a readable .au file"):
+            load_audio(path)
 
 def test_import_leaves_scipy_unloaded():
     # scipy.signal dominates import time; only resampling needs it

@@ -1,11 +1,18 @@
 """Conditional layer math against scalar-loop and finite-difference oracles."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import mclnn.layers
 from mclnn.errors import ContractError, InsufficientFramesError, ShapeError
 from mclnn.layers import (
     ActivationTape,
@@ -24,6 +31,7 @@ from mclnn.layers import (
     stack_blocks,
     window_forward,
 )
+from mclnn.layers import _run_tasks, _slab_edge, _worker_count
 from mclnn.mask import BinaryMask, MaskSpec, generate_mask
 
 from conftest import random_clnn_layer
@@ -276,6 +284,183 @@ class TestWorkspace:
         assert np.shares_memory(out, again)
         assert all(np.shares_memory(grads[key], value) for key, value in regrads.items())
 
+
+def record_task_threads(monkeypatch, workers: int) -> list[bool]:
+    """Run the layers with ``workers`` workers; the returned list gains, for
+    every task they run, whether it ran off the thread that dispatched it."""
+    monkeypatch.setattr(mclnn.layers, "_WORKERS", workers)
+    off_thread = []
+    dispatch = mclnn.layers._run_tasks
+
+    def recording(tasks):
+        caller = threading.get_ident()
+
+        def traced(task):
+            def run():
+                off_thread.append(threading.get_ident() != caller)
+                task()
+            return run
+
+        dispatch([traced(task) for task in tasks])
+
+    monkeypatch.setattr(mclnn.layers, "_run_tasks", recording)
+    return off_thread
+
+
+class TestTwoThreads:
+    @pytest.mark.parametrize("rows, edge", [
+        (18 * 64, 9 * 64), (10 * 48, 5 * 48), (96, 48), (143, 48), (144, 96), (637, 336),
+    ])
+    def test_slab_edge(self, rows, edge):
+        assert _slab_edge(rows) == edge
+
+    @pytest.mark.parametrize("rows", [0, 1, 18, 48, 95])
+    def test_fewer_than_96_rows_are_one_slab(self, rows):
+        assert _slab_edge(rows) is None
+
+    def test_slab_edge_rule_at_every_row_count(self):
+        for rows in range(96, 5000):
+            edge = _slab_edge(rows)
+            assert edge % 48 == 0 and edge >= 48 and rows - edge >= 48, rows
+            assert abs(2 * edge - rows) <= 48, rows
+
+    @pytest.mark.parametrize("environ, cpus, workers", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        ({}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": ""}, 2, 1),
+        ({"GOTO_NUM_THREADS": "1"}, 2, 2),
+        ({"OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"MKL_NUM_THREADS": "1"}, 2, 1),
+        # the first variable that is set decides
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 2, 2),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1),
+    ])
+    def test_worker_count(self, environ, cpus, workers):
+        assert _worker_count(environ, cpus) == workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tasks_run_once_and_the_second_off_thread_at_two_workers(self, monkeypatch, workers):
+        monkeypatch.setattr(mclnn.layers, "_WORKERS", workers)
+        ran = []
+        _run_tasks([lambda i=i: ran.append((i, threading.get_ident())) for i in range(2)])
+        assert sorted(i for i, _ in ran) == [0, 1]
+        threads = dict(ran)
+        assert threads[0] == threading.get_ident()
+        assert (threads[1] != threading.get_ident()) == (workers == 2)
+
+    def test_a_failing_task_raises_after_every_task_finished(self, monkeypatch):
+        monkeypatch.setattr(mclnn.layers, "_WORKERS", 2)
+        finished = threading.Event()
+
+        def fail():
+            raise ValueError("first")
+
+        def slow():
+            finished.wait(0.05)
+            finished.set()
+
+        with pytest.raises(ValueError, match="first"):
+            _run_tasks([fail, slow])
+        assert finished.is_set()
+
+        def fail_off_thread():
+            raise ValueError("second")
+
+        with pytest.raises(ValueError, match="second"):
+            _run_tasks([lambda: None, fail_off_thread])
+
+    def _step(self, layers, frames, upstream):
+        tape = ActivationTape()
+        x = frames
+        for i, layer in enumerate(layers):
+            x = block_forward(layer, x, tape, f"clnn{i}")
+        return x, backward(tape, upstream)
+
+    def test_forward_and_gradients_do_not_depend_on_the_worker_count(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        masks = [generate_mask(MaskSpec(24, 16, 6, 2)), generate_mask(MaskSpec(16, 12, 4, 1))]
+        layers = [
+            random_clnn_layer(rng, l=24, e=16, n=2, mask=masks[0],
+                              activation=PRelu(rng.uniform(0, 0.3, 16))),
+            random_clnn_layer(rng, l=16, e=12, n=1, mask=masks[1], activation=Sigmoid()),
+        ]
+        # 8 segments of 30 frames: 208 and 192 output rows, two slabs each
+        frames = rng.standard_normal((8, 30, 24))
+        upstream = rng.standard_normal((8, 24, 12))
+        results = {}
+        for workers in (1, 2):
+            off_thread = record_task_threads(monkeypatch, workers)
+            results[workers] = self._step(layers, frames, upstream)
+            assert any(off_thread) == (workers == 2) and len(off_thread) == 8
+        (out1, grads1), (out2, grads2) = results[1], results[2]
+        assert out1.tobytes() == out2.tobytes()
+        assert set(grads1) == set(grads2)
+        for key in grads1:
+            assert grads1[key].tobytes() == grads2[key].tobytes(), key
+        assert not grads2["clnn0.weights"][:, masks[0].entries == 0].any()
+
+    def test_callers_on_several_threads_get_their_own_results(self, monkeypatch):
+        # four callers share the one second thread; a task that ran twice,
+        # or wrote into another caller's buffers, changes some caller's bytes
+        monkeypatch.setattr(mclnn.layers, "_WORKERS", 2)
+        rng = np.random.default_rng(72)
+        layer = random_clnn_layer(rng, l=12, e=10, n=2, activation=PRelu(np.full(10, 0.1)))
+        inputs = [rng.standard_normal((6, 24, 12)) for _ in range(4)]
+
+        def step(frames):
+            tape = ActivationTape()
+            out = block_forward(layer, frames, tape, "L", Workspace())
+            grads = backward(tape, out.copy(), Workspace())
+            return out.tobytes(), {key: value.tobytes() for key, value in grads.items()}
+
+        serial = [step(frames) for frames in inputs]
+        results = [[] for _ in inputs]
+
+        def caller(i):
+            for _ in range(20):
+                results[i].append(step(inputs[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(inputs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, runs in enumerate(results):
+            assert len(runs) == 20 and all(run == serial[i] for run in runs), i
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_gets_its_own_second_thread(self):
+        # the parent's executor has no thread in the child; reusing it would hang
+        code = (
+            "import os, numpy as np; from mclnn import layers; layers._WORKERS = 2; "
+            "layer = layers.ClnnLayer(order=1, weights=np.ones((3, 8, 6)), bias=np.zeros(6)); "
+            "block = np.ones((8, 30, 8)); layers.block_forward(layer, block); pid = os.fork(); "
+            "os._exit(0 if layers.block_forward(layer, block).shape == (8, 28, 6) else 3) "
+            "if pid == 0 else print(os.waitpid(pid, 0)[1])"
+        )
+        env = dict(os.environ)
+        source = str(Path(mclnn.layers.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0"
+
+    def test_a_small_layer_is_one_task(self, monkeypatch):
+        off_thread = record_task_threads(monkeypatch, 2)
+        layer = random_clnn_layer(np.random.default_rng(71), l=4, e=3, n=1)
+        block_forward(layer, np.ones((2, 10, 4)))  # 16 output rows
+        assert off_thread == [False]
 
 class TestWindowForward:
     def test_zero_parameters_give_zero(self):

@@ -41,6 +41,7 @@ from mclnn.training import (
 )
 
 from conftest import small_spec
+from test_layers import record_task_threads
 
 
 def tiny_spec():
@@ -388,6 +389,53 @@ class TestStepBuffers:
         segments[1] = replace(segments[1], frames=segments[1].frames[:-1])
         with pytest.raises(ShapeError):
             train(build_model(small_spec(), seed=62), segments, TrainConfig(epochs=1, batch_size=4))
+
+
+class TestWorkerCountKeepsTheBits:
+    """table3 training and prediction give the same bytes at one and two workers."""
+
+    def test_one_table3_epoch(self, monkeypatch):
+        spec = mclnn.model.PRESETS["table3"]
+        q = segment_size(spec)
+        rng = np.random.default_rng(80)
+
+        def segments(count):
+            return [
+                Segment(frames=rng.standard_normal((q, spec.feature_length)), label=i % 10,
+                        clip_id=f"c{i}", start=0)
+                for i in range(count)
+            ]
+
+        # 100 segments at batch_size 64: a full batch, then a short one of 36
+        train_segments, validation = segments(100), segments(20)
+        config = TrainConfig(epochs=1, batch_size=64, seed=81, patience=1)
+        runs = {}
+        for workers in (1, 2):
+            off_thread = record_task_threads(monkeypatch, workers)
+            model, report = train(build_model(spec, seed=82), train_segments, config, validation)
+            assert any(off_thread) == (workers == 2)
+            runs[workers] = (model.copy_parameters(), report.deterministic_text())
+        assert runs[1][1] == runs[2][1]
+        for key, value in runs[1][0].items():
+            assert value.tobytes() == runs[2][0][key].tobytes(), key
+
+    def test_predict_clip(self, monkeypatch):
+        spec = mclnn.model.PRESETS["table3"]
+        model = build_model(spec, seed=83)
+        clip = FeatureMatrix(
+            frames=np.random.default_rng(84).standard_normal((645, spec.feature_length)),
+            clip_id="c", label=0,
+        )
+        # at hop 1 a chunk of 64 segments is one run of 89 frames, which both
+        # conditional layers cover whole: under 96 rows, one slab each
+        for hop, splits in ((1, False), (13, True), (26, True)):
+            segments = segment_clip(clip, segment_size(spec), hop)
+            probs = {}
+            for workers in (1, 2):
+                off_thread = record_task_threads(monkeypatch, workers)
+                probs[workers] = predict_clip(model, segments)[1]
+                assert any(off_thread) == (splits and workers == 2), hop
+            assert probs[1].tobytes() == probs[2].tobytes(), hop
 
 
 def constant_prediction(probs_by_clip):
