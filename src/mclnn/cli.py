@@ -237,29 +237,20 @@ def _read_class_names(path: str | None, class_count: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _bucket_roles(plan: ds.SplitPlan, args) -> dict[str, str]:
+def _bucket_roles(
+    plan: ds.SplitPlan, test_fold: int | None, validation_fold: int | None
+) -> dict[str, str]:
     """Map each plan bucket to train/validation/test."""
     buckets = plan.buckets()
     if all(b.startswith("fold") for b in buckets):
-        test_fold = getattr(args, "test_fold", None)
         if test_fold is None:
             raise ConfigError("plan uses folds; pass --test-fold")
-        return ds.fold_buckets(len(buckets), test_fold, getattr(args, "validation_fold", None))
+        return ds.fold_buckets(len(buckets), test_fold, validation_fold)
     known = {ds.TRAIN, ds.VALIDATION, ds.TEST}
     stray = set(buckets) - known
     if stray:
         raise ValidationError(f"plan buckets {sorted(stray)} are neither folds nor {sorted(known)}")
     return {b: b for b in buckets}
-
-
-def _split_features(all_features, plan, roles):
-    groups: dict[str, list[feat.FeatureMatrix]] = {ds.TRAIN: [], ds.VALIDATION: [], ds.TEST: []}
-    for fm in all_features:
-        role = roles[plan.bucket(fm.clip_id)]
-        groups[role].append(replace(fm, split=role))
-    if not groups[ds.TRAIN]:
-        raise ValidationError("plan leaves the training split empty")
-    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -386,84 +377,25 @@ def cmd_model_describe(args) -> int:
     return EXIT_OK
 
 
-@dataclass
-class _TrainingData:
-    """What ``train`` reads: normalized segments, the test split's by clip."""
-
-    plan: ds.SplitPlan
-    stats: feat.NormStats
-    train_segments: list[ds.Segment]
-    val_segments: list[ds.Segment]
-    test_segments: dict[str, list[ds.Segment]]
-    test_labels: dict[str, int | None]
-
-
-def _training_data(args, config) -> _TrainingData:
-    """Load, fit, normalize and segment, each clip's frames held once.
-
-    The statistics are fitted on the training split, then every clip is
-    normalized in place, so no raw copy outlives this call; segments are
-    views of the normalized frames.
-    """
-    spec = config.model_spec
-    if spec is None:
-        raise ConfigError("a model architecture is required: --preset or config [model] section")
-    all_features = [feat.load_features(p) for p in _feature_paths(Path(args.features))]
-    plan = ds.SplitPlan.load(args.plan)
-    missing = [fm.clip_id for fm in all_features if fm.clip_id not in plan.assignment]
-    if missing:
-        raise ValidationError(
-            f"{len(missing)} feature clips are not in the plan, e.g. {missing[:3]}"
-        )
-    groups = _split_features(all_features, plan, _bucket_roles(plan, args))
-    widths = {fm.feature_length for fm in all_features}
-    if widths != {spec.feature_length}:
-        raise ValidationError(
-            f"feature widths {sorted(widths)} do not match model feature_length "
-            f"{spec.feature_length}"
-        )
-
-    stats = feat.fit_zscore(groups[ds.TRAIN])
-    normalized = {
-        role: [feat.apply_zscore_in_place(fm, stats) for fm in fms] for role, fms in groups.items()
-    }
-    q = mdl.segment_size(spec)
-    hop = config.training.hop or q
-    train_segments = [s for fm in normalized[ds.TRAIN] for s in ds.segment_clip(fm, q, hop)]
-    val_segments = [s for fm in normalized[ds.VALIDATION] for s in ds.segment_clip(fm, q, hop)]
-    if not train_segments:
-        raise ValidationError(f"training clips yielded no segments at q={q}, hop={hop}")
-    test = normalized[ds.TEST]
-    return _TrainingData(
-        plan, stats, train_segments, val_segments,
-        test_segments={fm.clip_id: ds.segment_clip(fm, q, hop) for fm in test},
-        test_labels={fm.clip_id: fm.label for fm in test},
-    )
-
-
 def cmd_train(args) -> int:
     config = load_experiment_config(args)
     spec = config.model_spec
+    if spec is None:
+        raise ConfigError("a model architecture is required: --preset or config [model] section")
     out_dir = _resolve_out(args.out, "train")
     out_dir.mkdir(parents=True, exist_ok=True)
-    data = _training_data(args, config)
-
+    features = [feat.load_features(p) for p in _feature_paths(Path(args.features))]
+    plan = ds.SplitPlan.load(args.plan)
+    roles = _bucket_roles(plan, args.test_fold, args.validation_fold)
     labels = _read_class_names(args.classes, spec.class_count)
-    model = mdl.build_model(spec, seed=config.training.seed, labels=labels)
-    model.norm_stats = data.stats
-    model, report = trn.train(model, data.train_segments, config.training, data.val_segments or None)
-
-    if data.test_labels:
-        result = trn.evaluate(model, data.test_segments, data.test_labels)
-        report.test_accuracy = result.clip_accuracy
-        report.confusion = result.confusion
+    model, report = trn.run_experiment(features, plan, roles, spec, config.training, labels)
 
     mdl.save_model(model, out_dir / f"model{MODEL_SUFFIX}")
     (out_dir / "report.txt").write_text(report.to_text())
     (out_dir / "resolved.ini").write_text(config.to_ini({
         "features": str(args.features), "plan": str(args.plan), "out": str(out_dir),
     }))
-    data.plan.save(out_dir / "plan.txt")
+    plan.save(out_dir / "plan.txt")
     summary = f"trained {len(report.epochs)} epochs; best epoch {report.best_epoch}"
     if report.test_accuracy is not None:
         summary += f"; test clip accuracy {report.test_accuracy:.4f}"

@@ -31,10 +31,19 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import Segment
+from .dataset import TEST, TRAIN, VALIDATION, Segment, SplitPlan, segment_clip
 from .errors import ContractError, TrainingDivergedError, ValidationError
+from .features import FeatureMatrix, apply_zscore_in_place, fit_zscore
 from .layers import PoolRecord, Workspace, backward, stack_blocks
-from .model import TrainedModel, model_forward, model_forward_run, model_forward_tape, segment_size
+from .model import (
+    ModelSpec,
+    TrainedModel,
+    build_model,
+    model_forward,
+    model_forward_run,
+    model_forward_tape,
+    segment_size,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -55,6 +64,7 @@ __all__ = [
     "predict_clip",
     "evaluate",
     "EvalResult",
+    "run_experiment",
     "grad_check",
     "GradCheckReport",
 ]
@@ -310,7 +320,7 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation and the experiment runner
 # ---------------------------------------------------------------------------
 
 
@@ -415,6 +425,62 @@ def evaluate(
         confusion=confusion,
         per_clip=per_clip,
     )
+
+
+def run_experiment(
+    features: list[FeatureMatrix],
+    plan: SplitPlan,
+    roles: dict[str, str],
+    spec: ModelSpec,
+    config: TrainConfig,
+    labels: tuple[str, ...],
+) -> tuple[TrainedModel, RunReport]:
+    """One training run: split, normalize, segment, train, and vote on the test split.
+
+    ``roles`` maps each bucket of ``plan`` to train, validation or test.
+    Each clip is tagged with its role and normalized in place under the
+    training split's statistics, the model's ``norm_stats``, so it serves
+    no second run.  Segments (hop ``config.hop`` or q) are views of it; a
+    test split is voted on into the report's test accuracy and confusion.
+    """
+    missing = [fm.clip_id for fm in features if fm.clip_id not in plan.assignment]
+    if missing:
+        raise ValidationError(
+            f"{len(missing)} feature clips are not in the plan, e.g. {missing[:3]}"
+        )
+    widths = {fm.feature_length for fm in features}
+    if widths != {spec.feature_length}:
+        raise ValidationError(
+            f"feature widths {sorted(widths)} do not match model feature_length "
+            f"{spec.feature_length}"
+        )
+    groups: dict[str, list[FeatureMatrix]] = {TRAIN: [], VALIDATION: [], TEST: []}
+    for fm in features:
+        fm.split = roles[plan.bucket(fm.clip_id)]
+        groups[fm.split].append(fm)
+    if not groups[TRAIN]:
+        raise ValidationError("plan leaves the training split empty")
+
+    stats = fit_zscore(groups[TRAIN])
+    for fm in features:
+        apply_zscore_in_place(fm, stats)
+    q = segment_size(spec)
+    hop = config.hop or q
+    train_segments, val_segments = (
+        [s for fm in groups[role] for s in segment_clip(fm, q, hop)] for role in (TRAIN, VALIDATION)
+    )
+    if not train_segments:
+        raise ValidationError(f"training clips yielded no segments at q={q}, hop={hop}")
+
+    model = build_model(spec, config.seed, labels)
+    model.norm_stats = stats
+    model, report = train(model, train_segments, config, val_segments or None)
+    if groups[TEST]:
+        by_clip = {fm.clip_id: segment_clip(fm, q, hop) for fm in groups[TEST]}
+        result = evaluate(model, by_clip, {fm.clip_id: fm.label for fm in groups[TEST]})
+        report.test_accuracy = result.clip_accuracy
+        report.confusion = result.confusion
+    return model, report
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,13 @@ from mclnn.features import (
     save_features,
 )
 from mclnn.model import PRESETS, LayerSpec, build_model, load_model, save_model, segment_size
-from mclnn.training import TrainConfig, confusion_lines, evaluate, predict_clip
+from mclnn.training import (
+    TrainConfig,
+    confusion_lines,
+    evaluate,
+    predict_clip,
+    run_experiment,
+)
 
 from conftest import (
     au_bytes,
@@ -1166,8 +1172,46 @@ def test_missing_or_mistyped_header_field_exits_4_with_one_error_line(
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
-def test_training_set_up_holds_the_frames_once(tmp_path):
-    """Load, fit, normalize and segment peak at <= 1.3x the feature bytes."""
+@pytest.mark.parametrize("plan_kind", ["folds", "fixed"])
+def test_run_experiment_gives_the_train_command_bytes(workspace, tmp_path, plan_kind):
+    """The library runner on loaded clips writes what ``mclnn train`` writes."""
+    config = tmp_path / "config.ini"
+    config.write_text(SMALL_INI)
+    featdir = workspace / "features"
+    if plan_kind == "folds":
+        plan_path = tmp_path / "folds.txt"
+        assert main(["dataset", "plan", "--manifest", str(featdir / "manifest.tsv"),
+                     "--folds", "3", "--seed", "5", "--out", str(plan_path)]) == EXIT_OK
+        fold_flags, roles = ["--test-fold", "2"], mclnn.dataset.fold_buckets(3, 2)
+    else:
+        # four train clips per class, one of them carved out for validation
+        plan_path = workspace / "plan.txt"
+        fold_flags, roles = [], {b: b for b in ("train", "validation", "test")}
+    rundir = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--epochs", "3", "--features", str(featdir),
+                 "--plan", str(plan_path), "--out", str(rundir),
+                 "--classes", str(featdir / "classes.txt"), *fold_flags]) == EXIT_OK
+
+    spec = mclnn.model.ModelSpec(
+        feature_length=8, layers=parse_layers("6:2:3:1, 6:2:3:1"),
+        extra_frames=3, dense_width=5, class_count=2,
+    )
+    training = TrainConfig(learning_rate=0.05, batch_size=4, epochs=3, seed=7, patience=25)
+    features = [load_features(path) for path in sorted(featdir.glob("*.mclf"))]
+    model, report = run_experiment(
+        features, SplitPlan.load(plan_path), roles, spec, training, ("drums", "flute")
+    )
+    assert report.epochs[0].validation_loss is not None and report.confusion.sum() == 4
+    save_model(model, tmp_path / "library.mcln")
+    assert (tmp_path / "library.mcln").read_bytes() == (rundir / "model.mcln").read_bytes()
+    written = (rundir / "report.txt").read_text().splitlines()
+    assert report.deterministic_text().splitlines() == [
+        line for line in written if not line.startswith("wall_clock_seconds")
+    ]
+
+
+def test_training_set_up_holds_the_frames_once(tmp_path, monkeypatch):
+    """Load, fit, normalize and segment peak at <= 1.3x the feature bytes, up to ``train``."""
     spec = mclnn.model.ModelSpec(
         feature_length=64, layers=(LayerSpec(width=20, order=2, bandwidth=8, overlap=2),),
         extra_frames=4, dense_width=8, class_count=2,
@@ -1183,15 +1227,23 @@ def test_training_set_up_holds_the_frames_once(tmp_path):
         feature_bytes += frames.nbytes
         clips.append((f"c{i:02d}", i % 2))
     del frames
-    mclnn.dataset.make_folds(clips, folds=10, seed=0).save(tmp_path / "plan.txt")
-    args = argparse.Namespace(features=str(featdir), plan=str(tmp_path / "plan.txt"),
-                              test_fold=1, validation_fold=None)
-    config = ExperimentConfig(FeatureParams(), spec, TrainConfig())
+    plan = mclnn.dataset.make_folds(clips, folds=10, seed=0)
+    roles = mclnn.dataset.fold_buckets(10, 1)
+    train = mclnn.training.train
+    at_train = []
+
+    def train_after_set_up(model, train_segments, *args):
+        at_train.append((tracemalloc.get_traced_memory()[1], len(train_segments)))
+        return train(model, train_segments, *args)
+
+    monkeypatch.setattr(mclnn.training, "train", train_after_set_up)
+    build_model(spec, 0)  # a process's first build imports parts of NumPy; not set-up memory
     tracemalloc.start()
     try:
-        data = mclnn.cli._training_data(args, config)
-        peak = tracemalloc.get_traced_memory()[1]
+        features = [load_features(path) for path in sorted(featdir.glob("*.mclf"))]
+        _, report = run_experiment(features, plan, roles, spec, TrainConfig(epochs=1), ("a", "b"))
     finally:
         tracemalloc.stop()
-    assert len(data.train_segments) and len(data.test_labels) == 4
+    [(peak, train_segments)] = at_train
+    assert train_segments and report.confusion.sum() == 4
     assert peak <= 1.3 * feature_bytes, peak / feature_bytes
