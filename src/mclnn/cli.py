@@ -240,7 +240,7 @@ def _read_class_names(path: str | None, class_count: int) -> tuple[str, ...]:
 def _bucket_roles(
     plan: ds.SplitPlan, test_fold: int | None, validation_fold: int | None
 ) -> dict[str, str]:
-    """Map each plan bucket to train/validation/test."""
+    """Map each plan bucket to train/validation/test; only a fold plan takes the fold flags."""
     buckets = plan.buckets()
     if all(b.startswith("fold") for b in buckets):
         if test_fold is None:
@@ -250,6 +250,11 @@ def _bucket_roles(
     stray = set(buckets) - known
     if stray:
         raise ValidationError(f"plan buckets {sorted(stray)} are neither folds nor {sorted(known)}")
+    if test_fold is not None or validation_fold is not None:
+        raise ConfigError(
+            f"--test-fold and --validation-fold apply only to fold plans; this plan's "
+            f"buckets are {', '.join(buckets)}"
+        )
     return {b: b for b in buckets}
 
 
@@ -264,36 +269,41 @@ def cmd_features_extract(args) -> int:
     if not in_dir.is_dir():
         raise ConfigError(f"input directory {in_dir} does not exist")
     out_dir = _resolve_out(args.out, "features")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     class_dirs = sorted(p for p in in_dir.iterdir() if p.is_dir())
     if not class_dirs:
         raise ValidationError(f"{in_dir} has no class subdirectories")
     mapping = ds.class_mapping([p.name for p in class_dirs])
-    manifest_rows, written = [], []
-    try:
-        for class_dir in class_dirs:
-            label = mapping[class_dir.name]
-            audio_paths = sorted(
-                p for p in class_dir.iterdir() if p.suffix in (".npz", ".wav", ".au")
-            )
-            for audio_path in audio_paths:
-                clip = feat.load_audio(audio_path)
-                clip_id = f"{class_dir.name}__{audio_path.stem}"
-                fm = feat.extract_features(
-                    clip, config.features, clip_id=clip_id, label=label
+    # clip id -> (class name, audio file); a clip id names one feature file
+    inputs: dict[str, tuple[str, Path]] = {}
+    for class_dir in class_dirs:
+        for audio_path in sorted(
+            p for p in class_dir.iterdir() if p.suffix in (".npz", ".wav", ".au")
+        ):
+            clip_id = f"{class_dir.name}__{audio_path.stem}"
+            if clip_id in inputs:
+                raise ValidationError(
+                    f"{inputs[clip_id][1]} and {audio_path} would both be clip {clip_id!r}; "
+                    f"rename one"
                 )
-                written.append(out_dir / f"{clip_id}{FEATURE_SUFFIX}")
-                feat.save_features(fm, written[-1])
-                manifest_rows.append(f"{clip_id}\t{class_dir.name}")
+            inputs[clip_id] = (class_dir.name, audio_path)
+    if not inputs:
+        raise ValidationError(f"no .npz, .wav or .au clips found under {in_dir}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    try:
+        for clip_id, (name, audio_path) in inputs.items():
+            clip = feat.load_audio(audio_path)
+            fm = feat.extract_features(clip, config.features, clip_id=clip_id, label=mapping[name])
+            written.append(out_dir / f"{clip_id}{FEATURE_SUFFIX}")
+            feat.save_features(fm, written[-1])
     except BaseException:
         # a run that fails part-way leaves none of its feature files behind,
         # a file cut off while being written included
         for path in written:
             path.unlink(missing_ok=True)
         raise
-    if not manifest_rows:
-        raise ValidationError(f"no .npz, .wav or .au clips found under {in_dir}")
+    manifest_rows = [f"{clip_id}\t{name}" for clip_id, (name, _) in inputs.items()]
     (out_dir / "manifest.tsv").write_text("\n".join(manifest_rows) + "\n")
     (out_dir / "classes.txt").write_text(
         "\n".join(sorted(mapping, key=mapping.get)) + "\n"

@@ -180,6 +180,9 @@ class TrainedModel:
             raise ValidationError(
                 f"{len(self.labels)} labels for {self.spec.class_count} classes"
             )
+        repeated = sorted({label for label in self.labels if self.labels.count(label) > 1})
+        if repeated:
+            raise ValidationError(f"class labels {repeated} name more than one class")
 
     def __setattr__(self, name, value):
         # Every assignment is checked, ``model.norm_stats = stats`` included.

@@ -1,4 +1,10 @@
-"""Training loop, clip-level evaluation, and gradient checking.
+"""Training loop, clip-level evaluation, the experiment runner, and gradient checking.
+
+:func:`run_experiment` is one training run of the paper's protocol on
+loaded clips: split by the plan, fit the z-score statistics on the
+training split, normalize, segment, train, and vote per clip on the test
+split.  ``mclnn train`` reads its inputs, calls it and writes what it
+returns.
 
 The optimizer is deliberately plain: mini-batch gradient descent with
 optional classical momentum, a fixed shuffle per epoch from one seeded

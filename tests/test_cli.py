@@ -190,6 +190,23 @@ class TestFeaturesExtract:
         wav, au = (load_features(out / f"{c}__clip.mclf") for c in ("drums", "flute"))
         assert au.frames.tobytes() == wav.frames.tobytes()
 
+    @pytest.mark.parametrize("first, second", [
+        ("a/x.au", "a/x.wav"),  # one class directory, one stem
+        ("a/b__x.wav", "a__b/x.wav"),  # two classes whose <class>__<stem> agree
+    ])
+    def test_inputs_sharing_a_clip_id_are_data_error(self, tmp_path, capsys, first, second):
+        audio = tmp_path / "audio"
+        for name in (first, second, "b/y.wav"):
+            path = audio / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(au_bytes(bytes(2400)) if path.suffix == ".au" else wav_bytes(1200))
+        out = tmp_path / "f"
+        rc = main(["features", "extract", "--in", str(audio), "--out", str(out)] + EXTRACT_FLAGS)
+        assert rc == EXIT_DATA
+        line = single_error(capsys.readouterr(), "ValidationError")
+        assert str(audio / first) in line and str(audio / second) in line
+        assert not out.exists()
+
     def test_no_audio_clips_names_every_container(self, tmp_path, capsys):
         (tmp_path / "audio" / "drums").mkdir(parents=True)
         (tmp_path / "audio" / "drums" / "notes.txt").write_text("no audio here")
@@ -572,6 +589,44 @@ class TestTrainEvalPredict:
                    "--plan", str(fold_plan), "--out", str(tmp_path / "run")])
         assert rc == EXIT_CONFIG
         assert "--test-fold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--test-fold", "--validation-fold"])
+    def test_train_fixed_plan_rejects_fold_flags(self, workspace, tmp_path, capsys, flag):
+        config = tmp_path / "config.ini"
+        config.write_text(SMALL_INI)
+        rc = main(["train", "--config", str(config), flag, "1",
+                   "--features", str(workspace / "features"),
+                   "--plan", str(workspace / "plan.txt"), "--out", str(tmp_path / "run")])
+        assert rc == EXIT_CONFIG
+        assert "apply only to fold plans" in single_error(capsys.readouterr(), "ConfigError")
+        assert not (tmp_path / "run" / "model.mcln").exists()
+
+    def test_train_repeated_class_name_is_data_error_before_training(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        def no_training(*args):
+            raise AssertionError("train was called")
+
+        monkeypatch.setattr(mclnn.training, "train", no_training)
+        classes = tmp_path / "classes.txt"
+        classes.write_text("drums\ndrums\n")
+        config = tmp_path / "config.ini"
+        config.write_text(SMALL_INI)
+        rc = main(["train", "--config", str(config), "--classes", str(classes),
+                   "--features", str(workspace / "features"),
+                   "--plan", str(workspace / "plan.txt"), "--out", str(tmp_path / "run")])
+        assert rc == EXIT_DATA
+        assert "'drums'" in single_error(capsys.readouterr(), "ValidationError")
+        assert not (tmp_path / "run" / "model.mcln").exists()
+
+    def test_model_file_with_repeated_labels_is_io_error(self, workspace, tmp_path, capsys):
+        model = tmp_path / "model.mcln"
+        model.write_bytes((workspace / "run" / "model.mcln").read_bytes())
+        rewrite_model_header(model, lambda header: header.update(labels=["flute", "flute"]))
+        rc = main(["predict", "--model", str(model),
+                   str(workspace / "features" / "drums__clip5.mclf")])
+        assert rc == EXIT_IO
+        assert "'flute'" in single_error(capsys.readouterr(), "HeaderMismatchError")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_train_non_finite_learning_rate_is_config_error(self, workspace, tmp_path, capsys, value):

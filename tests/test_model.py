@@ -175,6 +175,12 @@ class TestBuildModel:
         with pytest.raises(ValidationError):
             build_model(small_spec(), seed=5, labels=("a", "b"))
 
+    def test_repeated_labels_rejected(self):
+        with pytest.raises(ValidationError, match=r"\['a'\] name more than one class"):
+            build_model(PRESETS["table3"], 0, labels=("a",) * 10)
+        with pytest.raises(ValidationError, match=r"\['x', 'y'\] name more than one class"):
+            build_model(small_spec(), seed=5, labels=("y", "x", "x", "y"))
+
 
 class TestModelForward:
     def test_zero_parameters_give_uniform(self, small_model):
@@ -393,6 +399,7 @@ class TestSerialization:
         lambda h: h.pop("labels"),
         lambda h: h.update(labels=4),
         lambda h: h.update(labels=["only-one"]),
+        lambda h: h.update(labels=["w", "x", "w", "z"]),
         lambda h: h.pop("init_seed"),
         lambda h: h.update(init_seed="seven"),
         lambda h: h.update(init_seed=-1),
@@ -414,7 +421,8 @@ class TestSerialization:
         lambda h: h.pop("init_scheme"),
     ], ids=[
         "no-spec", "spec-list", "spec-width-text", "layer-no-order", "dense-width-0",
-        "no-labels", "labels-int", "labels-count", "no-seed", "seed-text", "seed-negative",
+        "no-labels", "labels-int", "labels-count", "labels-repeated",
+        "no-seed", "seed-text", "seed-negative",
         "param-no-name", "norm-no-id", "norm-id-int", "norm-id-null", "norm-split-list",
         "layer-width-float", "layer-bandwidth-float", "layer-overlap-bool",
         "class-count-text", "seed-float", "seed-bool",
