@@ -414,23 +414,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _normalized_for(model, fm):
-    """``fm`` under the model's statistics; pre-normalized input must have used them.
-
-    ``fm`` is freshly loaded and read nowhere else, so it is normalized in place.
-    """
-    if model.norm_stats is None:
-        return fm
-    if not fm.normalized:
-        return feat.apply_zscore_in_place(fm, model.norm_stats)
-    if fm.norm_id != model.norm_stats.stats_id:
-        raise ValidationError(
-            f"clip {fm.clip_id!r} was normalized with statistics {fm.norm_id!r}, "
-            f"the model with {model.norm_stats.stats_id!r}"
-        )
-    return fm
-
-
 def _segment_hop(args, q: int) -> int:
     """``--hop`` of eval and predict: q when not given, and at least 1."""
     if args.hop is None:
@@ -455,10 +438,9 @@ def cmd_eval(args) -> int:
             f"plan has no clips in bucket {bucket!r}; the plan's buckets are "
             f"{', '.join(plan.buckets())} (pass --bucket)"
         )
-    chosen = [
-        _normalized_for(model, feat.load_features(path))
-        for path in paths if clip_of[path] in clip_ids
-    ]
+    stats = model.norm_stats
+    loaded = (feat.load_features(path) for path in paths if clip_of[path] in clip_ids)
+    chosen = [fm if stats is None else feat.apply_zscore_in_place(fm, stats) for fm in loaded]
     if not chosen:
         raise ValidationError(f"no feature files for bucket {bucket!r} under {args.features}")
     by_clip = {fm.clip_id: ds.segment_clip(fm, q, hop) for fm in chosen}
@@ -481,7 +463,9 @@ def cmd_predict(args) -> int:
     hop = _segment_hop(args, q)
     paths = [Path(p) for p in args.features_files]
     for path in paths:
-        fm = _normalized_for(model, feat.load_features(path))
+        fm = feat.load_features(path)
+        if model.norm_stats is not None:
+            feat.apply_zscore_in_place(fm, model.norm_stats)
         if fm.label is None:
             fm = replace(fm, label=0)  # segmentation requires one; prediction ignores it
         segments = ds.segment_clip(fm, q, hop)

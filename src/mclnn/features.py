@@ -33,7 +33,7 @@ deterministic reduction over the inputs in the order given.  The fit is
 streamed: it holds one clip's worth of work beside the frames, and its
 values equal ``mean``/``std`` over the stacked frames bit for bit.
 ``apply_zscore_in_place`` normalizes a matrix the caller no longer needs
-raw, with the values of the pure ``apply_zscore``.  A feature file's
+raw; ``apply_zscore`` is the same on a copy.  A feature file's
 header is the matrix shape and every other ``FeatureMatrix`` field,
 written and read from one table; ``read_feature_header`` reads it without
 the frames.
@@ -41,6 +41,7 @@ the frames.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import logging
@@ -49,7 +50,7 @@ import struct
 import wave
 import weakref
 import zipfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -533,9 +534,9 @@ def fit_zscore(training_features: list[FeatureMatrix]) -> NormStats:
     """Per-dimension mean/std over all frames of the training split.
 
     Inputs tagged as validation or test are rejected outright; statistics
-    must never leak from held-out data.  Standard deviations below
-    ``STD_FLOOR`` are replaced by 1 so degenerate dimensions come out
-    zero-centered and unscaled.
+    must never leak from held-out data.  Normalized inputs are rejected
+    too.  Standard deviations below ``STD_FLOOR`` are replaced by 1 so
+    degenerate dimensions come out zero-centered and unscaled.
 
     The sums are streamed a clip at a time (see :func:`_stacked_row_sum`),
     and the values are those of ``mean``/``std`` over the stacked frames,
@@ -549,6 +550,12 @@ def fit_zscore(training_features: list[FeatureMatrix]) -> NormStats:
         raise ValidationError(
             f"fit_zscore received features tagged {sorted(held_out)}; "
             f"statistics may only be fitted on training data"
+        )
+    normalized = next((m for m in training_features if m.normalized), None)
+    if normalized is not None:
+        raise ValidationError(
+            f"fit_zscore received clip {normalized.clip_id!r}, already normalized with "
+            f"statistics {normalized.norm_id!r}; statistics may only be fitted on raw frames"
         )
     widths = {m.feature_length for m in training_features}
     if len(widths) != 1:
@@ -596,35 +603,41 @@ def _stacked_row_sum(clips: list[np.ndarray], fill) -> np.ndarray:
 
 
 def apply_zscore(features: FeatureMatrix, stats: NormStats | None) -> FeatureMatrix:
-    """Transform ``(x - mean) / std``; returns a new matrix."""
-    _check_zscore(features, stats)
-    frames = (features.frames - stats.mean) / stats.std
-    return replace(features, frames=frames, normalized=True, norm_id=stats.stats_id)
+    """:func:`apply_zscore_in_place` on a copy; ``features`` is left as it was."""
+    out = copy.copy(features)
+    out.frames = features.frames.copy()
+    return apply_zscore_in_place(out, stats)
 
 
 def apply_zscore_in_place(features: FeatureMatrix, stats: NormStats | None) -> FeatureMatrix:
-    """:func:`apply_zscore` written over ``features``: same values, no copy.
+    """Transform ``(x - mean) / std`` over ``features``, marked normalized, and return it.
 
     ``frames -= mean; frames /= std`` are the IEEE operations of
-    ``(frames - mean) / std``.  The raw frames are lost: ``features`` itself
-    is marked normalized under the statistics' id and returned.
+    ``(frames - mean) / std``.  The raw frames are lost.  A matrix already
+    normalized under these statistics is returned untouched.
     """
-    _check_zscore(features, stats)
-    frames = features.frames
-    frames -= stats.mean
-    frames /= stats.std
-    features.norm_id = stats.stats_id
-    features.normalized = True
+    if _check_zscore(features, stats):
+        features.frames -= stats.mean
+        features.frames /= stats.std
+        features.norm_id = stats.stats_id
+        features.normalized = True
     return features
 
 
-def _check_zscore(features: FeatureMatrix, stats: NormStats | None) -> None:
+def _check_zscore(features: FeatureMatrix, stats: NormStats | None) -> bool:
+    """True if ``features`` is raw; normalized under other statistics raises."""
     if stats is None:
         raise ContractError("apply_zscore called with unfitted statistics")
     if features.feature_length != stats.mean.shape[0]:
         raise ShapeError.mismatch(
             "features vs normalization stats", stats.mean.shape, (features.feature_length,)
         )
+    if features.normalized and features.norm_id != stats.stats_id:
+        raise ValidationError(
+            f"clip {features.clip_id!r} was normalized with statistics {features.norm_id!r}, "
+            f"not {stats.stats_id!r}"
+        )
+    return not features.normalized
 
 
 # ---------------------------------------------------------------------------
