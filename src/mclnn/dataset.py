@@ -142,6 +142,7 @@ def make_folds(clips: list[tuple[str, int]], folds: int, seed: int) -> SplitPlan
     """
     if folds < 2:
         raise ValidationError(f"need at least 2 folds, got {folds}")
+    _check_seed(seed)
     by_class: dict[int, list[str]] = {}
     for clip_id, label in clips:
         by_class.setdefault(label, []).append(clip_id)
@@ -175,6 +176,7 @@ def fixed_split(
     given it is stratified per class; otherwise it is a plain seeded
     sample of the requested fraction.
     """
+    _check_seed(seed)
     overlap = set(train_ids) & set(test_ids)
     if overlap:
         raise ValidationError(f"train/test lists share {len(overlap)} clips, e.g. {sorted(overlap)[:3]}")
@@ -199,6 +201,11 @@ def fixed_split(
             for idx in sorted(int(i) for i in np.atleast_1d(picked)):
                 assignment[members[idx]] = VALIDATION
     return SplitPlan(assignment=assignment, seed=seed)
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
 def fold_buckets(folds: int, test_fold: int, validation_fold: int | None = None) -> dict[str, str]:

@@ -92,6 +92,8 @@ class TrainConfig:
             raise ValidationError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 1 or self.patience < 1:
             raise ValidationError("batch_size, epochs, and patience must all be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.hop is not None and self.hop < 1:
             raise ValidationError(f"hop must be >= 1, got {self.hop}")
         if self.optimizer not in OPTIMIZERS:
@@ -445,9 +447,12 @@ def run_experiment(
 
     ``roles`` maps each bucket of ``plan`` to train, validation or test.
     Each clip is tagged with its role and normalized in place under the
-    training split's statistics, the model's ``norm_stats``, so it serves
-    no second run.  Segments (hop ``config.hop`` or q) are views of it; a
-    test split is voted on into the report's test accuracy and confusion.
+    training split's statistics, the model's ``norm_stats``.  They are
+    fitted before any clip is normalized, and ``fit_zscore`` rejects
+    normalized clips, so a second run on the same clips raises
+    ``ValidationError`` and leaves the frames as they were.  Segments (hop
+    ``config.hop`` or q) are views of the clips; a test split is voted on
+    into the report's test accuracy and confusion.
     """
     missing = [fm.clip_id for fm in features if fm.clip_id not in plan.assignment]
     if missing:
@@ -570,8 +575,11 @@ def grad_check(
     Works on a deep copy of the parameters, so the passed model is left
     untouched.  Relative error per entry is |a - n| / max(|a|, |n|, 1e-3);
     the floor keeps finite-difference noise on near-zero gradients from
-    drowning the signal without hiding real disagreements.
+    drowning the signal without hiding real disagreements.  ``tolerance``
+    must be positive and finite.
     """
+    if not 0 < tolerance < math.inf:
+        raise ValidationError(f"tolerance must be positive and finite, got {tolerance}")
     snapshot = model.copy_parameters()
     try:
         segment = _nudge_kinks(model, np.asarray(segment, dtype=np.float64))

@@ -37,7 +37,7 @@ from mclnn.cli import (
     parse_layers,
 )
 from mclnn.dataset import SplitPlan, segment_clip
-from mclnn.errors import ConfigError
+from mclnn.errors import ConfigError, ValidationError
 from mclnn.features import (
     FeatureMatrix,
     FeatureParams,
@@ -577,6 +577,21 @@ class TestTrainEvalPredict:
         prenormalized, raw = capsys.readouterr().out.splitlines()
         assert prenormalized == raw
 
+    def test_train_on_normalized_features_is_data_error(self, workspace, tmp_path, capsys):
+        stats = load_model(workspace / "run" / "model.mcln").norm_stats
+        featdir = tmp_path / "normalized"
+        featdir.mkdir()
+        for path in sorted((workspace / "features").glob("*.mclf")):
+            save_features(apply_zscore(load_features(path), stats), featdir / path.name)
+        config = tmp_path / "config.ini"
+        config.write_text(SMALL_INI)
+        rc = main(["train", "--config", str(config), "--features", str(featdir),
+                   "--plan", str(workspace / "plan.txt"), "--out", str(tmp_path / "run")])
+        assert rc == EXIT_DATA
+        line = single_error(capsys.readouterr(), "ValidationError")
+        assert f"already normalized with statistics {stats.stats_id!r}" in line
+        assert not (tmp_path / "run" / "model.mcln").exists()
+
     def test_train_fold_plan_requires_test_fold(self, workspace, tmp_path, capsys):
         fold_plan = tmp_path / "folds.txt"
         assert main(["dataset", "plan", "--manifest",
@@ -826,6 +841,19 @@ class TestUsageAndGradcheck:
         assert main(["gradcheck"]) == EXIT_GRADCHECK_FAILED
         assert capsys.readouterr().out.startswith("FAIL")
 
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1"])
+    def test_gradcheck_tolerance_outside_zero_to_inf_is_data_error(self, capsys, tolerance):
+        assert main(["gradcheck", "--tolerance", tolerance]) == EXIT_DATA
+        line = single_error(capsys.readouterr(), "ValidationError")
+        assert "tolerance must be positive and finite" in line
+
+    @pytest.mark.parametrize("command", [["model", "describe", "--preset", "table3"],
+                                         ["gradcheck"]])
+    def test_negative_seed_is_config_error(self, capsys, command):
+        assert main(command + ["--seed", "-1"]) == EXIT_CONFIG
+        line = single_error(capsys.readouterr(), "ConfigError")
+        assert line.endswith("[training] seed must be >= 0, got -1")
+
 
 # fields whose INI key (and so flag) is not the field name
 RENAMED_KEYS = {"sample_rate": "rate", "fft_size": "fft"}
@@ -916,6 +944,33 @@ class TestConfigFlags:
                 "error: ConfigError: [training] batch_size, epochs, and patience must all be >= 1"
             ]
         assert not (tmp_path / "run" / "model.mcln").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "ini"])
+    def test_train_negative_seed_is_config_error(self, workspace, tmp_path, capsys, source):
+        config = tmp_path / "config.ini"
+        config.write_text(SMALL_INI.replace("seed = 7", "seed = -1"))
+        extra = ["--seed", "-1"] if source == "flag" else []
+        rc = main(["train", "--config", str(config), "--features", str(workspace / "features"),
+                   "--plan", str(workspace / "plan.txt"), "--out", str(tmp_path / "run")] + extra)
+        assert rc == EXIT_CONFIG
+        line = single_error(capsys.readouterr(), "ConfigError")
+        assert line.endswith("[training] seed must be >= 0, got -1")
+        assert not (tmp_path / "run" / "model.mcln").exists()
+
+    @pytest.mark.parametrize("mode", ["folds", "fixed"])
+    def test_dataset_plan_negative_seed_is_data_error(self, workspace, tmp_path, capsys, mode):
+        manifest = ["--manifest", str(workspace / "features" / "manifest.tsv")]
+        if mode == "folds":
+            extra = ["--folds", "2"]
+        else:
+            extra = ["--train-list", str(workspace / "train.txt"),
+                     "--test-list", str(workspace / "test.txt"), "--validation-fraction", "0.25"]
+        out = tmp_path / "plan.txt"
+        rc = main(["dataset", "plan", *manifest, *extra, "--seed", "-1", "--out", str(out)])
+        assert rc == EXIT_DATA
+        line = single_error(capsys.readouterr(), "ValidationError")
+        assert line.endswith("seed must be >= 0, got -1")
+        assert not out.exists()
 
 
 def npz_bytes(**arrays) -> bytes:
@@ -1263,6 +1318,23 @@ def test_run_experiment_gives_the_train_command_bytes(workspace, tmp_path, plan_
     assert report.deterministic_text().splitlines() == [
         line for line in written if not line.startswith("wall_clock_seconds")
     ]
+
+
+def test_second_run_experiment_on_the_same_clips_is_rejected(workspace):
+    """The clips are normalized by the first run; the second leaves them as they are."""
+    spec = mclnn.model.ModelSpec(
+        feature_length=8, layers=parse_layers("6:2:3:1, 6:2:3:1"),
+        extra_frames=3, dense_width=5, class_count=2,
+    )
+    features = [load_features(path) for path in sorted((workspace / "features").glob("*.mclf"))]
+    plan = SplitPlan.load(workspace / "plan.txt")
+    roles = {b: b for b in ("train", "validation", "test")}
+    training = TrainConfig(batch_size=4, epochs=1)
+    run_experiment(features, plan, roles, spec, training, ("drums", "flute"))
+    normalized = [fm.frames.tobytes() for fm in features]
+    with pytest.raises(ValidationError, match="may only be fitted on raw frames"):
+        run_experiment(features, plan, roles, spec, training, ("drums", "flute"))
+    assert [fm.frames.tobytes() for fm in features] == normalized
 
 
 def test_training_set_up_holds_the_frames_once(tmp_path, monkeypatch):

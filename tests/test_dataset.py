@@ -124,6 +124,10 @@ class TestMakeFolds:
         with pytest.raises(ValidationError):
             make_folds(clips, folds=2, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            make_folds(self._clips(4, 2), folds=2, seed=-1)
+
 
 class TestFixedSplit:
     def test_assignment_honored(self):
@@ -154,6 +158,11 @@ class TestFixedSplit:
     def test_duplicates_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
             fixed_split(["a", "a"], ["b"])
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
+    def test_negative_seed_rejected(self, fraction):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            fixed_split(["a", "b"], ["c"], validation_fraction=fraction, seed=-1)
 
     def test_deterministic(self):
         train = [f"c{i}" for i in range(30)]

@@ -612,6 +612,36 @@ class TestZScore:
         assert out is m
         assert m.normalized and m.norm_id == stats.stats_id
 
+    def test_fit_rejects_normalized_frames(self):
+        mats = self._train_matrices(np.random.default_rng(15), count=2)
+        stats = fit_zscore(mats)
+        normalized = apply_zscore(mats[1], stats)
+        with pytest.raises(ValidationError, match=rf"clip 'c1', .*{stats.stats_id}.*raw frames"):
+            fit_zscore([mats[0], normalized])
+
+    @pytest.mark.parametrize("apply", [apply_zscore, apply_zscore_in_place])
+    def test_second_application_under_the_same_statistics_changes_nothing(self, apply):
+        mats = self._train_matrices(np.random.default_rng(16), count=2)
+        stats = fit_zscore(mats)
+        once = apply(mats[0], stats)
+        expected = once.frames.tobytes()
+        twice = apply(once, stats)
+        assert twice.frames.tobytes() == expected
+        assert twice.normalized and twice.norm_id == stats.stats_id
+
+    @pytest.mark.parametrize("apply", [apply_zscore, apply_zscore_in_place])
+    def test_normalized_under_other_statistics_is_rejected(self, apply):
+        rng = np.random.default_rng(17)
+        first = fit_zscore(self._train_matrices(rng, count=2))
+        second = fit_zscore(self._train_matrices(rng, count=2))
+        m = apply_zscore(self._train_matrices(rng, count=1)[0], first)
+        before = m.frames.tobytes()
+        with pytest.raises(
+            ValidationError, match=rf"'c0' .* statistics '{first.stats_id}', not '{second.stats_id}'"
+        ):
+            apply(m, second)
+        assert m.frames.tobytes() == before and m.norm_id == first.stats_id
+
 
 class TestFeatureIO:
     def _matrix(self):

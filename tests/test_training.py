@@ -304,6 +304,8 @@ class TestTrain:
             TrainConfig(momentum=1.0)
         with pytest.raises(ValidationError):
             TrainConfig(hop=0)
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
 
 
 
@@ -785,6 +787,15 @@ class TestGradCheck:
         grad_check(small_model, rng.standard_normal((11, 8)), target=3)
         after = {k: v.tobytes() for k, v in small_model.parameters().items()}
         assert before == after
+
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, small_model, monkeypatch, tolerance):
+        calls = []
+        true_forward = trn.model_forward
+        monkeypatch.setattr(trn, "model_forward", lambda *a: calls.append(1) or true_forward(*a))
+        with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
+            grad_check(small_model, np.zeros((11, 8)), target=1, tolerance=tolerance)
+        assert calls == []
 
     def test_report_text_lists_every_tensor(self, small_model):
         rng = np.random.default_rng(73)
