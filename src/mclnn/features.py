@@ -32,8 +32,14 @@ Per-clip extraction is pure and parallelizable; statistic fitting is a
 deterministic reduction over the inputs in the order given.  The fit is
 streamed: it holds one clip's worth of work beside the frames, and its
 values equal ``mean``/``std`` over the stacked frames bit for bit.
+
+The z-score rule lives here and nowhere else.  Statistics are fitted on
+raw training frames only: ``fit_zscore`` rejects held-out and normalized
+clips.  A clip is normalized once, and a normalized clip is accepted only
+under the statistics it was normalized with: both appliers return it
+untouched under those and raise ``ValidationError`` under any others.
 ``apply_zscore_in_place`` normalizes a matrix the caller no longer needs
-raw; ``apply_zscore`` is the same on a copy.  A feature file's
+raw; ``apply_zscore`` does the same on a copy.  A feature file's
 header is the matrix shape and every other ``FeatureMatrix`` field,
 written and read from one table; ``read_feature_header`` reads it without
 the frames.
