@@ -448,11 +448,11 @@ def run_experiment(
     ``roles`` maps each bucket of ``plan`` to train, validation or test.
     Each clip is tagged with its role and normalized in place under the
     training split's statistics, the model's ``norm_stats``.  They are
-    fitted before any clip is normalized, and ``fit_zscore`` rejects
-    normalized clips, so a second run on the same clips raises
-    ``ValidationError`` and leaves the frames as they were.  Segments (hop
-    ``config.hop`` or q) are views of the clips; a test split is voted on
-    into the report's test accuracy and confusion.
+    fitted on raw training clips only, so a second run on the same clips
+    raises ``ValidationError``; a held-out clip normalized under other
+    statistics raises too.  A rejected run leaves the frames as they
+    were.  Segments (hop ``config.hop`` or q) are views of the clips; a
+    test split is voted on into the report's test accuracy and confusion.
     """
     missing = [fm.clip_id for fm in features if fm.clip_id not in plan.assignment]
     if missing:
@@ -473,7 +473,9 @@ def run_experiment(
         raise ValidationError("plan leaves the training split empty")
 
     stats = fit_zscore(groups[TRAIN])
-    for fm in features:
+    # normalized clips first: each is left as it is or raises, so a
+    # rejected run changes no frame
+    for fm in sorted(features, key=lambda fm: not fm.normalized):
         apply_zscore_in_place(fm, stats)
     q = segment_size(spec)
     hop = config.hop or q

@@ -1337,6 +1337,25 @@ def test_second_run_experiment_on_the_same_clips_is_rejected(workspace):
     assert [fm.frames.tobytes() for fm in features] == normalized
 
 
+def test_run_experiment_rejecting_a_held_out_clip_changes_no_frame(workspace):
+    spec = mclnn.model.ModelSpec(
+        feature_length=8, layers=parse_layers("6:2:3:1, 6:2:3:1"),
+        extra_frames=3, dense_width=5, class_count=2,
+    )
+    features = [load_features(path) for path in sorted((workspace / "features").glob("*.mclf"))]
+    plan = SplitPlan.load(workspace / "plan.txt")
+    # the last clip loaded is a test clip, normalized under statistics of its own
+    assert plan.bucket(features[-1].clip_id) == "test"
+    other = NormStats(mean=np.zeros(8), std=np.full(8, 2.0), source_split="train",
+                      stats_id="other0000000")
+    mclnn.features.apply_zscore_in_place(features[-1], other)
+    before = [fm.frames.tobytes() for fm in features]
+    with pytest.raises(ValidationError, match="'other0000000', not "):
+        run_experiment(features, plan, {b: b for b in ("train", "validation", "test")}, spec,
+                       TrainConfig(batch_size=4, epochs=1), ("drums", "flute"))
+    assert [fm.frames.tobytes() for fm in features] == before
+
+
 def test_training_set_up_holds_the_frames_once(tmp_path, monkeypatch):
     """Load, fit, normalize and segment peak at <= 1.3x the feature bytes, up to ``train``."""
     spec = mclnn.model.ModelSpec(
