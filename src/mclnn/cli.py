@@ -237,27 +237,6 @@ def _read_class_names(path: str | None, class_count: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _bucket_roles(
-    plan: ds.SplitPlan, test_fold: int | None, validation_fold: int | None
-) -> dict[str, str]:
-    """Map each plan bucket to train/validation/test; only a fold plan takes the fold flags."""
-    buckets = plan.buckets()
-    if all(b.startswith("fold") for b in buckets):
-        if test_fold is None:
-            raise ConfigError("plan uses folds; pass --test-fold")
-        return ds.fold_buckets(len(buckets), test_fold, validation_fold)
-    known = {ds.TRAIN, ds.VALIDATION, ds.TEST}
-    stray = set(buckets) - known
-    if stray:
-        raise ValidationError(f"plan buckets {sorted(stray)} are neither folds nor {sorted(known)}")
-    if test_fold is not None or validation_fold is not None:
-        raise ConfigError(
-            f"--test-fold and --validation-fold apply only to fold plans; this plan's "
-            f"buckets are {', '.join(buckets)}"
-        )
-    return {b: b for b in buckets}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -396,9 +375,10 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     features = [feat.load_features(p) for p in _feature_paths(Path(args.features))]
     plan = ds.SplitPlan.load(args.plan)
-    roles = _bucket_roles(plan, args.test_fold, args.validation_fold)
     labels = _read_class_names(args.classes, spec.class_count)
-    model, report = trn.run_experiment(features, plan, roles, spec, config.training, labels)
+    model, report = trn.run_experiment(
+        features, plan, spec, config.training, labels, args.test_fold, args.validation_fold
+    )
 
     mdl.save_model(model, out_dir / f"model{MODEL_SUFFIX}")
     (out_dir / "report.txt").write_text(report.to_text())

@@ -1,10 +1,12 @@
 """Training loop, clip-level evaluation, the experiment runner, and gradient checking.
 
 :func:`run_experiment` is one training run of the paper's protocol on
-loaded clips: split by the plan, fit the z-score statistics on the
-training split, normalize, segment, train, and vote per clip on the test
-split.  ``mclnn train`` reads its inputs, calls it and writes what it
-returns.
+loaded clips: give each plan bucket its role (a fold plan's from the
+test and validation fold numbers), check and split the clips, segment
+them, fit the z-score statistics on the training split, normalize in
+place, train, and vote per clip on the test split.  Every check runs
+before a frame changes.  ``mclnn train`` reads its inputs, calls it and
+writes what it returns.
 
 The optimizer is deliberately plain: mini-batch gradient descent with
 optional classical momentum, a fixed shuffle per epoch from one seeded
@@ -33,12 +35,13 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import TEST, TRAIN, VALIDATION, Segment, SplitPlan, segment_clip
-from .errors import ContractError, TrainingDivergedError, ValidationError
+from .dataset import TEST, TRAIN, VALIDATION, Segment, SplitPlan, fold_buckets, segment_clip
+from .errors import ConfigError, ContractError, TrainingDivergedError, ValidationError
 from .features import FeatureMatrix, apply_zscore_in_place, fit_zscore
 from .layers import PoolRecord, Workspace, backward, stack_blocks
 from .model import (
@@ -395,6 +398,13 @@ class EvalResult:
             raise ValidationError(f"accuracy {self.clip_accuracy} outside [0, 1]")
 
 
+def _check_label(clip_id: str, label, class_count: int) -> None:
+    if not isinstance(label, (int, np.integer)) or not 0 <= label < class_count:
+        raise ValidationError(
+            f"clip {clip_id!r} label {label!r} is not a class id in [0, {class_count})"
+        )
+
+
 def evaluate(
     model: TrainedModel,
     segments_by_clip: dict[str, list[Segment]],
@@ -416,8 +426,7 @@ def evaluate(
     correct = 0
     for clip_id in sorted(labels_by_clip):
         truth = labels_by_clip[clip_id]
-        if not isinstance(truth, (int, np.integer)) or not 0 <= truth < c:
-            raise ValidationError(f"clip {clip_id!r} label {truth!r} is not a class id in [0, {c})")
+        _check_label(clip_id, truth, c)
         segments = segments_by_clip[clip_id]
         if not segments:
             logger.warning("clip %r has no segments; counted as an error", clip_id)
@@ -435,36 +444,71 @@ def evaluate(
     )
 
 
+def _bucket_roles(
+    plan: SplitPlan, test_fold: int | None, validation_fold: int | None
+) -> dict[str, str]:
+    """Map each plan bucket to train/validation/test; only a fold plan takes the fold numbers."""
+    buckets = plan.buckets()
+    if all(b.startswith("fold") for b in buckets):
+        if test_fold is None:
+            raise ConfigError("plan uses folds; pass --test-fold")
+        folds = len(buckets)
+        if set(buckets) != {f"fold{i}" for i in range(1, folds + 1)}:
+            raise ValidationError(f"fold plan buckets {buckets} are not fold1..fold{folds}")
+        return fold_buckets(folds, test_fold, validation_fold)
+    known = {TRAIN, VALIDATION, TEST}
+    stray = set(buckets) - known
+    if stray:
+        raise ValidationError(f"plan buckets {sorted(stray)} are neither folds nor {sorted(known)}")
+    if test_fold is not None or validation_fold is not None:
+        raise ConfigError(
+            f"--test-fold and --validation-fold apply only to fold plans; this plan's "
+            f"buckets are {', '.join(buckets)}"
+        )
+    return {b: b for b in buckets}
+
+
 def run_experiment(
     features: list[FeatureMatrix],
     plan: SplitPlan,
-    roles: dict[str, str],
     spec: ModelSpec,
     config: TrainConfig,
     labels: tuple[str, ...],
+    test_fold: int | None = None,
+    validation_fold: int | None = None,
 ) -> tuple[TrainedModel, RunReport]:
-    """One training run: split, normalize, segment, train, and vote on the test split.
+    """One training run: split, segment, normalize, train, and vote on the test split.
 
-    ``roles`` maps each bucket of ``plan`` to train, validation or test.
-    Each clip is tagged with its role and normalized in place under the
-    training split's statistics, the model's ``norm_stats``.  They are
-    fitted on raw training clips only, so a second run on the same clips
-    raises ``ValidationError``; a held-out clip normalized under other
-    statistics raises too.  A rejected run leaves the frames as they
-    were.  Segments (hop ``config.hop`` or q) are views of the clips; a
-    test split is voted on into the report's test accuracy and confusion.
+    A fold plan (buckets ``fold1..foldN``) needs ``test_fold`` and takes
+    an optional ``validation_fold`` (default: the fold after the test
+    fold); a plan of train/validation/test buckets takes neither.  Every
+    clip is tagged with its role and segmented (hop ``config.hop`` or q)
+    before any frame changes, so a run rejected by the plan, the clips,
+    their labels or ``labels`` leaves the frames as they were.  Each clip
+    is then normalized in place under the training split's statistics,
+    the model's ``norm_stats``; the segments are views, so they see it.
+    The statistics are fitted on raw training clips only, so a second run
+    on the same clips raises ``ValidationError``; a held-out clip
+    normalized under other statistics raises too.  A test split is voted
+    on into the report's test accuracy and confusion.
     """
+    roles = _bucket_roles(plan, test_fold, validation_fold)
     missing = [fm.clip_id for fm in features if fm.clip_id not in plan.assignment]
     if missing:
         raise ValidationError(
             f"{len(missing)} feature clips are not in the plan, e.g. {missing[:3]}"
         )
+    repeated = sorted(c for c, n in Counter(fm.clip_id for fm in features).items() if n > 1)
+    if repeated:
+        raise ValidationError(f"feature clips {repeated[:3]} are given more than once")
     widths = {fm.feature_length for fm in features}
     if widths != {spec.feature_length}:
         raise ValidationError(
             f"feature widths {sorted(widths)} do not match model feature_length "
             f"{spec.feature_length}"
         )
+    for fm in features:
+        _check_label(fm.clip_id, fm.label, spec.class_count)
     groups: dict[str, list[FeatureMatrix]] = {TRAIN: [], VALIDATION: [], TEST: []}
     for fm in features:
         fm.split = roles[plan.bucket(fm.clip_id)]
@@ -472,24 +516,25 @@ def run_experiment(
     if not groups[TRAIN]:
         raise ValidationError("plan leaves the training split empty")
 
+    q = segment_size(spec)
+    hop = config.hop or q
+    segments = {fm.clip_id: segment_clip(fm, q, hop) for fm in features}
+    train_segments, val_segments = (
+        [s for fm in groups[role] for s in segments[fm.clip_id]] for role in (TRAIN, VALIDATION)
+    )
+    if not train_segments:
+        raise ValidationError(f"training clips yielded no segments at q={q}, hop={hop}")
+    model = build_model(spec, config.seed, labels)
+
     stats = fit_zscore(groups[TRAIN])
     # normalized clips first: each is left as it is or raises, so a
     # rejected run changes no frame
     for fm in sorted(features, key=lambda fm: not fm.normalized):
         apply_zscore_in_place(fm, stats)
-    q = segment_size(spec)
-    hop = config.hop or q
-    train_segments, val_segments = (
-        [s for fm in groups[role] for s in segment_clip(fm, q, hop)] for role in (TRAIN, VALIDATION)
-    )
-    if not train_segments:
-        raise ValidationError(f"training clips yielded no segments at q={q}, hop={hop}")
-
-    model = build_model(spec, config.seed, labels)
     model.norm_stats = stats
     model, report = train(model, train_segments, config, val_segments or None)
     if groups[TEST]:
-        by_clip = {fm.clip_id: segment_clip(fm, q, hop) for fm in groups[TEST]}
+        by_clip = {fm.clip_id: segments[fm.clip_id] for fm in groups[TEST]}
         result = evaluate(model, by_clip, {fm.clip_id: fm.label for fm in groups[TEST]})
         report.test_accuracy = result.clip_accuracy
         report.confusion = result.confusion

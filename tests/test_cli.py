@@ -668,6 +668,53 @@ class TestTrainEvalPredict:
         assert rc == EXIT_OK
         assert (tmp_path / "run" / "model.mcln").exists()
 
+    @staticmethod
+    def _fold_plan(workspace, tmp_path, capsys):
+        """A 3-fold plan over the workspace clips; its summary line is dropped."""
+        fold_plan = tmp_path / "folds.txt"
+        assert main(["dataset", "plan", "--manifest",
+                     str(workspace / "features" / "manifest.tsv"),
+                     "--folds", "3", "--seed", "5", "--out", str(fold_plan)]) == EXIT_OK
+        capsys.readouterr()
+        return fold_plan
+
+    @staticmethod
+    def _train_on_folds(tmp_path, featdir, fold_plan):
+        config = tmp_path / "config.ini"
+        config.write_text(SMALL_INI)
+        return main(["train", "--config", str(config), "--features", str(featdir),
+                     "--plan", str(fold_plan), "--out", str(tmp_path / "run"),
+                     "--test-fold", "1", "--epochs", "2"])
+
+    def test_train_unlabeled_clip_in_the_test_fold_is_data_error_before_training(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        fold_plan = self._fold_plan(workspace, tmp_path, capsys)
+        featdir = tmp_path / "features"
+        featdir.mkdir()
+        for path in (workspace / "features").glob("*.mclf"):
+            (featdir / path.name).write_bytes(path.read_bytes())
+        [unlabeled, *_] = SplitPlan.load(fold_plan).clips_in("fold1")
+        rewrite_feature_header(featdir / f"{unlabeled}.mclf", lambda h: h.update(label=None))
+        calls = []
+        monkeypatch.setattr(mclnn.training, "train", lambda *args: calls.append(args))
+        assert self._train_on_folds(tmp_path, featdir, fold_plan) == EXIT_DATA
+        line = single_error(capsys.readouterr(), "ValidationError")
+        assert f"clip {unlabeled!r} label None is not a class id" in line
+        assert calls == []
+        assert not (tmp_path / "run" / "model.mcln").exists()
+
+    @pytest.mark.parametrize("bucket", ["fold7", "foldx"])
+    def test_train_fold_plan_without_fold3_is_data_error(
+        self, workspace, tmp_path, capsys, bucket
+    ):
+        fold_plan = self._fold_plan(workspace, tmp_path, capsys)
+        fold_plan.write_text(fold_plan.read_text().replace("\tfold3\n", f"\t{bucket}\n"))
+        assert self._train_on_folds(tmp_path, workspace / "features", fold_plan) == EXIT_DATA
+        line = single_error(capsys.readouterr(), "ValidationError")
+        assert f"['fold1', 'fold2', '{bucket}'] are not fold1..fold3" in line
+        assert not (tmp_path / "run" / "model.mcln").exists()
+
     def test_eval_on_fold_plan_names_the_plan_buckets(self, workspace, tmp_path, capsys):
         fold_plan = tmp_path / "folds.txt"
         assert main(["dataset", "plan", "--manifest",
@@ -1292,11 +1339,11 @@ def test_run_experiment_gives_the_train_command_bytes(workspace, tmp_path, plan_
         plan_path = tmp_path / "folds.txt"
         assert main(["dataset", "plan", "--manifest", str(featdir / "manifest.tsv"),
                      "--folds", "3", "--seed", "5", "--out", str(plan_path)]) == EXIT_OK
-        fold_flags, roles = ["--test-fold", "2"], mclnn.dataset.fold_buckets(3, 2)
+        fold_flags, folds = ["--test-fold", "2"], {"test_fold": 2}
     else:
         # four train clips per class, one of them carved out for validation
         plan_path = workspace / "plan.txt"
-        fold_flags, roles = [], {b: b for b in ("train", "validation", "test")}
+        fold_flags, folds = [], {}
     rundir = tmp_path / "run"
     assert main(["train", "--config", str(config), "--epochs", "3", "--features", str(featdir),
                  "--plan", str(plan_path), "--out", str(rundir),
@@ -1309,7 +1356,7 @@ def test_run_experiment_gives_the_train_command_bytes(workspace, tmp_path, plan_
     training = TrainConfig(learning_rate=0.05, batch_size=4, epochs=3, seed=7, patience=25)
     features = [load_features(path) for path in sorted(featdir.glob("*.mclf"))]
     model, report = run_experiment(
-        features, SplitPlan.load(plan_path), roles, spec, training, ("drums", "flute")
+        features, SplitPlan.load(plan_path), spec, training, ("drums", "flute"), **folds
     )
     assert report.epochs[0].validation_loss is not None and report.confusion.sum() == 4
     save_model(model, tmp_path / "library.mcln")
@@ -1328,12 +1375,11 @@ def test_second_run_experiment_on_the_same_clips_is_rejected(workspace):
     )
     features = [load_features(path) for path in sorted((workspace / "features").glob("*.mclf"))]
     plan = SplitPlan.load(workspace / "plan.txt")
-    roles = {b: b for b in ("train", "validation", "test")}
     training = TrainConfig(batch_size=4, epochs=1)
-    run_experiment(features, plan, roles, spec, training, ("drums", "flute"))
+    run_experiment(features, plan, spec, training, ("drums", "flute"))
     normalized = [fm.frames.tobytes() for fm in features]
     with pytest.raises(ValidationError, match="may only be fitted on raw frames"):
-        run_experiment(features, plan, roles, spec, training, ("drums", "flute"))
+        run_experiment(features, plan, spec, training, ("drums", "flute"))
     assert [fm.frames.tobytes() for fm in features] == normalized
 
 
@@ -1351,9 +1397,33 @@ def test_run_experiment_rejecting_a_held_out_clip_changes_no_frame(workspace):
     mclnn.features.apply_zscore_in_place(features[-1], other)
     before = [fm.frames.tobytes() for fm in features]
     with pytest.raises(ValidationError, match="'other0000000', not "):
-        run_experiment(features, plan, {b: b for b in ("train", "validation", "test")}, spec,
-                       TrainConfig(batch_size=4, epochs=1), ("drums", "flute"))
+        run_experiment(features, plan, spec, TrainConfig(batch_size=4, epochs=1),
+                       ("drums", "flute"))
     assert [fm.frames.tobytes() for fm in features] == before
+
+
+@pytest.mark.parametrize("case", ["repeated-labels", "label-out-of-range", "clip-twice"])
+def test_run_experiment_rejected_before_training_changes_no_frame(workspace, monkeypatch, case):
+    spec = mclnn.model.ModelSpec(
+        feature_length=8, layers=parse_layers("6:2:3:1, 6:2:3:1"),
+        extra_frames=3, dense_width=5, class_count=2,
+    )
+    features = [load_features(path) for path in sorted((workspace / "features").glob("*.mclf"))]
+    labels, match = ("drums", "flute"), None
+    if case == "repeated-labels":
+        labels, match = ("drums", "drums"), "class labels \\['drums'\\] name more than one class"
+    elif case == "label-out-of-range":
+        features[0].label, match = 2, "label 2 is not a class id in \\[0, 2\\)"
+    else:
+        features.append(load_features(workspace / "features" / "drums__clip0.mclf"))
+        match = "feature clips \\['drums__clip0'\\] are given more than once"
+    before = [fm.frames.tobytes() for fm in features]
+    monkeypatch.setattr(mclnn.training, "train", lambda *args: pytest.fail("train was called"))
+    with pytest.raises(ValidationError, match=match):
+        run_experiment(features, SplitPlan.load(workspace / "plan.txt"), spec,
+                       TrainConfig(batch_size=4, epochs=1), labels)
+    assert [fm.frames.tobytes() for fm in features] == before
+    assert not any(fm.normalized for fm in features)
 
 
 def test_training_set_up_holds_the_frames_once(tmp_path, monkeypatch):
@@ -1374,7 +1444,6 @@ def test_training_set_up_holds_the_frames_once(tmp_path, monkeypatch):
         clips.append((f"c{i:02d}", i % 2))
     del frames
     plan = mclnn.dataset.make_folds(clips, folds=10, seed=0)
-    roles = mclnn.dataset.fold_buckets(10, 1)
     train = mclnn.training.train
     at_train = []
 
@@ -1387,7 +1456,8 @@ def test_training_set_up_holds_the_frames_once(tmp_path, monkeypatch):
     tracemalloc.start()
     try:
         features = [load_features(path) for path in sorted(featdir.glob("*.mclf"))]
-        _, report = run_experiment(features, plan, roles, spec, TrainConfig(epochs=1), ("a", "b"))
+        _, report = run_experiment(features, plan, spec, TrainConfig(epochs=1), ("a", "b"),
+                                   test_fold=1)
     finally:
         tracemalloc.stop()
     [(peak, train_segments)] = at_train
