@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Segment:
     """q consecutive frames of one clip, carrying the clip's label."""
 

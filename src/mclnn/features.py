@@ -117,7 +117,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AudioClip:
     """Uncompressed mono samples plus their rate in Hz."""
 
@@ -137,7 +137,7 @@ class AudioClip:
         return self.samples.size / self.sample_rate
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureMatrix:
     """Per-clip time x frequency feature frames with provenance."""
 
@@ -175,7 +175,7 @@ _FEATURE_FIELDS = {f.name: f.type for f in fields(FeatureMatrix) if f.name != "f
 _FEATURE_HEADER = {"t": "int", "l": "int", **_FEATURE_FIELDS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormStats:
     """Per-dimension mean/std fitted on one source split."""
 
@@ -215,7 +215,7 @@ class FeatureParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _ResamplePlan:
     """The banded product that resamples by one reduced ratio ``up/down``.
 

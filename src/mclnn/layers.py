@@ -116,7 +116,7 @@ __all__ = [
 _ONE_BITS = np.float64(1.0).view(np.int64)
 
 
-@dataclass
+@dataclass(eq=False)
 class PRelu:
     """Learnable rectifier: ``z`` where ``z > 0``, ``slopes * z`` elsewhere.
 
@@ -196,7 +196,7 @@ Activation = PRelu | Sigmoid | LinearActivation
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ClnnLayer:
     """One conditional layer; its weights are exactly zero wherever its mask is 0.
 
@@ -237,7 +237,7 @@ class ClnnLayer:
         return self.weights.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseLayer:
     """Per-vector fully connected layer ``y = f(x @ weights + bias)``."""
 
@@ -307,7 +307,7 @@ class Workspace:
         return flat[:size].reshape(shape)
 
 
-@dataclass
+@dataclass(eq=False)
 class LayerRecord:
     name: str
     layer: Layer
@@ -316,7 +316,7 @@ class LayerRecord:
     outputs: np.ndarray     # shaped like pre
 
 
-@dataclass
+@dataclass(eq=False)
 class PoolRecord:
     name: str
     inputs: np.ndarray      # ([B,] k, e)

@@ -67,7 +67,7 @@ class MaskSpec:
         return self.feature_length + (self.bandwidth - self.overlap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryMask:
     """An ``l x e`` 0/1 matrix together with the :class:`MaskSpec` behind it.
 

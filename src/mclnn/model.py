@@ -118,9 +118,16 @@ class ModelSpec:
             raise ValidationError(
                 f"unknown activation {self.activation!r}; choose from {sorted(_ACTIVATIONS)}"
             )
-        for i, layer in enumerate(self.layers):
+        for i, (layer, l_in) in enumerate(zip(self.layers, self.input_widths())):
             if layer.order < 1:
                 raise ValidationError(f"layer {i} has order {layer.order}; orders must be >= 1")
+            if layer.masked:
+                # the spec of the mask build_model derives: a band that cannot fit
+                # its input fails here, where the spec is read, not at build time
+                try:
+                    MaskSpec(l_in, layer.width, layer.bandwidth, layer.overlap)
+                except ValidationError as exc:
+                    raise ValidationError(f"layer {i}: {exc}") from exc
 
     def input_widths(self) -> list[int]:
         """Feature length seen by each conditional layer."""
@@ -157,7 +164,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-limit, limit, size=shape)
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainedModel:
     """Architecture plus every parameter tensor and data-side statistics.
 

@@ -115,7 +115,7 @@ class EpochStats:
     validation_accuracy: float | None
 
 
-@dataclass
+@dataclass(eq=False)
 class RunReport:
     config: dict
     epochs: list[EpochStats] = field(default_factory=list)
@@ -387,7 +387,7 @@ def predict_clip(model: TrainedModel, segments: list[Segment]) -> tuple[int, np.
     return int(tied[np.argmax(mean_probs[tied])]), mean_probs
 
 
-@dataclass
+@dataclass(eq=False)
 class EvalResult:
     clip_accuracy: float
     confusion: np.ndarray  # c x (c+1); last column: clips with no segments

@@ -715,6 +715,36 @@ class TestTrainEvalPredict:
         assert f"['fold1', 'fold2', '{bucket}'] are not fold1..fold3" in line
         assert not (tmp_path / "run" / "model.mcln").exists()
 
+    @pytest.mark.parametrize("command", [["model", "describe"], ["train"]])
+    @pytest.mark.parametrize("layers", ["6:2:9:1", "6:2:3:3"], ids=["wide-band", "overlap"])
+    def test_mask_band_that_cannot_fit_is_config_error(
+        self, workspace, tmp_path, capsys, monkeypatch, command, layers
+    ):
+        config = tmp_path / "config.ini"
+        config.write_text(SMALL_INI.replace("layers = 6:2:3:1, 6:2:3:1", f"layers = {layers}"))
+        loaded = []
+        monkeypatch.setattr(mclnn.features, "load_features", lambda path: loaded.append(path))
+        argv = [*command, "--config", str(config)]
+        if command == ["train"]:
+            argv += ["--features", str(workspace / "features"),
+                     "--plan", str(workspace / "plan.txt"), "--out", str(tmp_path / "run")]
+        assert main(argv) == EXIT_CONFIG
+        line = single_error(capsys.readouterr(), "ConfigError")
+        assert line.startswith("error: ConfigError: [model] layer 0: ")
+        assert loaded == []
+
+    def test_model_file_with_a_mask_band_that_cannot_fit_is_io_error(
+        self, workspace, tmp_path, capsys
+    ):
+        model = tmp_path / "model.mcln"
+        model.write_bytes((workspace / "run" / "model.mcln").read_bytes())
+        rewrite_model_header(model, lambda h: h["spec"]["layers"][1].update(bandwidth=9))
+        rc = main(["predict", "--model", str(model),
+                   str(workspace / "features" / "drums__clip5.mclf")])
+        assert rc == EXIT_IO
+        line = single_error(capsys.readouterr(), "HeaderMismatchError")
+        assert "layer 1: bandwidth must satisfy" in line
+
     def test_eval_on_fold_plan_names_the_plan_buckets(self, workspace, tmp_path, capsys):
         fold_plan = tmp_path / "folds.txt"
         assert main(["dataset", "plan", "--manifest",

@@ -145,15 +145,14 @@ class TestBuildModel:
         assert not np.array_equal(a.clnn_layers[0].weights, b.clnn_layers[0].weights)
 
     def test_bandwidth_exceeding_input_width_propagates(self):
-        spec = ModelSpec(
-            feature_length=4,
-            layers=(LayerSpec(width=3, order=1, bandwidth=5, overlap=0),),
-            extra_frames=2,
-            dense_width=3,
-            class_count=2,
-        )
         with pytest.raises(ValidationError, match="bandwidth"):
-            build_model(spec, seed=0)
+            ModelSpec(
+                feature_length=4,
+                layers=(LayerSpec(width=3, order=1, bandwidth=5, overlap=0),),
+                extra_frames=2,
+                dense_width=3,
+                class_count=2,
+            )
 
     def test_masked_entries_start_at_zero(self):
         model = build_model(small_spec(), seed=3)
@@ -514,3 +513,44 @@ class TestParameters:
             small_model.set_parameters(values)
         after = {k: v.tobytes() for k, v in small_model.parameters().items()}
         assert after == before
+
+
+def test_types_holding_arrays_compare_by_identity():
+    """``in`` and ``index`` find the object itself; array fields are never compared."""
+    from mclnn.dataset import Segment
+    from mclnn.features import AudioClip, FeatureMatrix
+    from mclnn.mask import MaskSpec, generate_mask
+    from mclnn.training import EvalResult, RunReport
+
+    def pair(make):
+        return make(), make()
+
+    def tape_records():
+        model = build_model(small_spec(), seed=0)
+        _, tape = model_forward_tape(model, np.ones((1, segment_size(model.spec), 8)))
+        return tape.records
+
+    records = pair(tape_records)
+    models = pair(lambda: build_model(small_spec(), seed=0))
+    pairs = {
+        "AudioClip": pair(lambda: AudioClip(np.zeros(4), 8000)),
+        "FeatureMatrix": pair(lambda: FeatureMatrix(np.zeros((3, 2)), clip_id="c")),
+        "NormStats": pair(lambda: NormStats(np.zeros(2), np.ones(2), "train", "s")),
+        "Segment": pair(lambda: Segment(np.zeros((2, 2)), 0, "c", 0)),
+        "BinaryMask": pair(lambda: generate_mask(MaskSpec(4, 3, 2, 1))),
+        "PRelu": (models[0].dense.activation, models[1].dense.activation),
+        "ClnnLayer": (models[0].clnn_layers[0], models[1].clnn_layers[0]),
+        "DenseLayer": (models[0].dense, models[1].dense),
+        "LayerRecord": (records[0][0], records[1][0]),
+        "PoolRecord": next(
+            (a, b) for a, b in zip(*records) if type(a).__name__ == "PoolRecord"
+        ),
+        "TrainedModel": models,
+        "RunReport": pair(lambda: RunReport(config={}, confusion=np.zeros((2, 3)))),
+        "EvalResult": pair(lambda: EvalResult(1.0, np.zeros((2, 3)), {})),
+    }
+    for name, (first, second) in pairs.items():
+        assert type(first).__name__ == name
+        both = [first, second]
+        assert both.index(second) == 1 and second in both, name
+        assert first not in [second] and first != second, name
