@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from mclnn.dataset import Segment
 from mclnn.errors import (
     ContractError,
     FileFormatError,
@@ -16,8 +17,9 @@ from mclnn.errors import (
     ValidationError,
     VersionMismatchError,
 )
-from mclnn.features import NormStats
-from mclnn.layers import block_forward, dense_forward, global_mean_pool, softmax
+from mclnn.features import AudioClip, FeatureMatrix, NormStats
+from mclnn.layers import PoolRecord, block_forward, dense_forward, global_mean_pool, softmax
+from mclnn.mask import MaskSpec, generate_mask
 from mclnn.model import (
     PRESETS,
     LayerSpec,
@@ -31,6 +33,7 @@ from mclnn.model import (
     save_model,
     segment_size,
 )
+from mclnn.training import EvalResult, RunReport
 
 from conftest import dirty_masked_weight, rewrite_model_header, small_spec
 
@@ -517,11 +520,6 @@ class TestParameters:
 
 def test_types_holding_arrays_compare_by_identity():
     """``in`` and ``index`` find the object itself; array fields are never compared."""
-    from mclnn.dataset import Segment
-    from mclnn.features import AudioClip, FeatureMatrix
-    from mclnn.mask import MaskSpec, generate_mask
-    from mclnn.training import EvalResult, RunReport
-
     def pair(make):
         return make(), make()
 
@@ -542,9 +540,7 @@ def test_types_holding_arrays_compare_by_identity():
         "ClnnLayer": (models[0].clnn_layers[0], models[1].clnn_layers[0]),
         "DenseLayer": (models[0].dense, models[1].dense),
         "LayerRecord": (records[0][0], records[1][0]),
-        "PoolRecord": next(
-            (a, b) for a, b in zip(*records) if type(a).__name__ == "PoolRecord"
-        ),
+        "PoolRecord": next((a, b) for a, b in zip(*records) if isinstance(a, PoolRecord)),
         "TrainedModel": models,
         "RunReport": pair(lambda: RunReport(config={}, confusion=np.zeros((2, 3)))),
         "EvalResult": pair(lambda: EvalResult(1.0, np.zeros((2, 3)), {})),
