@@ -373,9 +373,15 @@ def cmd_train(args) -> int:
         raise ConfigError("a model architecture is required: --preset or config [model] section")
     out_dir = _resolve_out(args.out, "train")
     out_dir.mkdir(parents=True, exist_ok=True)
-    features = [feat.load_features(p) for p in _feature_paths(Path(args.features))]
+    # the plan and the flags are checked before any feature file is read, and
+    # every header before any payload
     plan = ds.SplitPlan.load(args.plan)
     labels = _read_class_names(args.classes, spec.class_count)
+    trn.bucket_roles(plan, args.test_fold, args.validation_fold)
+    paths = _feature_paths(Path(args.features))
+    for path in paths:
+        feat.read_feature_header(path)
+    features = [feat.load_features(path) for path in paths]
     model, report = trn.run_experiment(
         features, plan, spec, config.training, labels, args.test_fold, args.validation_fold
     )

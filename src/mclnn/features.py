@@ -17,9 +17,13 @@ match SciPy's up to summation order; the package never imports SciPy.
 Extraction works in cache-sized passes.  The power spectrum is windowed,
 transformed and squared a block of frames at a time into one output
 array, with the same arithmetic as a single whole-clip pass, so it is
-bit-identical to it.  The frames are a view of the samples; only a last
-frame that runs past the end is copied and zero-padded.  The filterbank
-is built once per ``(bins, fft_size, rate)`` in a process and shared
+bit-identical to it.  The blocks go in two contiguous groups, which the
+layers' task runner (see :mod:`mclnn.layers`) runs on two threads when
+it has two workers; NumPy's ``rfft`` releases the GIL, and each block's
+operands are the same on either thread, so the worker count never
+changes a bit.  The frames are a view of the samples; only a last frame
+that runs past the end is copied and zero-padded.  The filterbank is
+built once per ``(bins, fft_size, rate)`` in a process and shared
 read-only, with one warning when it has all-zero filters.  Each
 frequency bin feeds at most two triangular filters, so the mel projection
 multiplies each small group of filters only by the rows where the group
@@ -28,10 +32,12 @@ skipped entries are exact zeros, and only the order of summation differs
 from the dense product.  A feature file is written straight from its
 frames (see :mod:`mclnn.container`), with no copy of them.
 
-Per-clip extraction is pure and parallelizable; statistic fitting is a
-deterministic reduction over the inputs in the order given.  The fit is
-streamed: it holds one clip's worth of work beside the frames, and its
-values equal ``mean``/``std`` over the stacked frames bit for bit.
+Per-clip extraction is pure; its only parallel work is the power
+spectrum's two block groups, and clips are extracted one after another.
+Statistic fitting is a deterministic reduction over the inputs in the
+order given.  The fit is streamed: it holds one clip's worth of work
+beside the frames, and its values equal ``mean``/``std`` over the
+stacked frames bit for bit.
 
 The z-score rule lives here and nowhere else.  Statistics are fitted on
 raw training frames only: ``fit_zscore`` rejects held-out and normalized
@@ -56,13 +62,14 @@ import struct
 import wave
 import weakref
 import zipfile
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import container
+from . import container, layers
 from .errors import (
     ContractError,
     FileFormatError,
@@ -384,14 +391,24 @@ def stft_power(clip: AudioClip, window_size: int = 2048, hop: int = 1024) -> np.
     last[:, : rest.size] = rest
     window = _hann(window_size)
     power = np.empty((t, window_size // 2 + 1), dtype=np.float64)
-    for start in range(0, t, _STFT_BLOCK):
-        block = power[start : start + _STFT_BLOCK]
-        chunk = frames[start : start + _STFT_BLOCK]
-        if start + _STFT_BLOCK >= t:
-            chunk = np.concatenate((chunk, last))
-        spectrum = np.fft.rfft(chunk * window, axis=1)
-        np.abs(spectrum, out=block)
-        np.square(block, out=block)
+
+    def blocks(first: int, stop: int) -> Callable[[], None]:
+        def run() -> None:
+            for start in range(first, stop, _STFT_BLOCK):
+                block = power[start : start + _STFT_BLOCK]
+                chunk = frames[start : start + _STFT_BLOCK]
+                if start + _STFT_BLOCK >= t:
+                    chunk = np.concatenate((chunk, last))
+                spectrum = np.fft.rfft(chunk * window, axis=1)
+                np.abs(spectrum, out=block)
+                np.square(block, out=block)
+        return run
+
+    # two contiguous groups of whole blocks, split at the block edge nearest
+    # the middle; a clip of one block is one task
+    edge = (t + _STFT_BLOCK) // (2 * _STFT_BLOCK) * _STFT_BLOCK
+    # looked up on each call, so a replaced runner is the one used
+    layers._run_tasks([blocks(0, t)] if t <= _STFT_BLOCK else [blocks(0, edge), blocks(edge, t)])
     return power
 
 
@@ -557,12 +574,7 @@ def fit_zscore(training_features: list[FeatureMatrix]) -> NormStats:
             f"fit_zscore received features tagged {sorted(held_out)}; "
             f"statistics may only be fitted on training data"
         )
-    normalized = next((m for m in training_features if m.normalized), None)
-    if normalized is not None:
-        raise ValidationError(
-            f"fit_zscore received clip {normalized.clip_id!r}, already normalized with "
-            f"statistics {normalized.norm_id!r}; statistics may only be fitted on raw frames"
-        )
+    _check_raw(training_features)
     widths = {m.feature_length for m in training_features}
     if len(widths) != 1:
         raise ShapeError(f"feature matrices disagree on width: {sorted(widths)}")
@@ -579,6 +591,16 @@ def fit_zscore(training_features: list[FeatureMatrix]) -> NormStats:
     stats_id = hashlib.sha256(mean.tobytes() + std.tobytes()).hexdigest()[:12]
     source = "+".join(sorted(tags)) if tags else "train"
     return NormStats(mean=mean, std=std, source_split=source, stats_id=stats_id)
+
+
+def _check_raw(training_features: list[FeatureMatrix]) -> None:
+    """Raise ``ValidationError`` naming the first normalized clip, if any."""
+    normalized = next((m for m in training_features if m.normalized), None)
+    if normalized is not None:
+        raise ValidationError(
+            f"fit_zscore received clip {normalized.clip_id!r}, already normalized with "
+            f"statistics {normalized.norm_id!r}; statistics may only be fitted on raw frames"
+        )
 
 
 def _stacked_row_sum(clips: list[np.ndarray], fill) -> np.ndarray:

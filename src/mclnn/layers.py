@@ -71,6 +71,10 @@ in order on the calling thread, since a threaded BLAS already uses the
 cores.  The result never depends on which of the two happens.  Every
 :class:`Workspace` buffer is taken on the calling thread before the
 tasks start, and the tasks call only NumPy and activation methods.
+
+The same runner, :func:`_run_tasks`, has one other user:
+:func:`mclnn.features.stft_power` runs its two groups of spectrum blocks
+through it, under the same worker rule.
 """
 
 from __future__ import annotations

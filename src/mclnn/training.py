@@ -3,10 +3,11 @@
 :func:`run_experiment` is one training run of the paper's protocol on
 loaded clips: give each plan bucket its role (a fold plan's from the
 test and validation fold numbers), check and split the clips, segment
-them, fit the z-score statistics on the training split, normalize in
-place, train, and vote per clip on the test split.  Every check runs
-before a frame changes.  ``mclnn train`` reads its inputs, calls it and
-writes what it returns.
+them, build the model, tag each clip with its role, fit the z-score
+statistics on the training split, normalize in place, train, and vote
+per clip on the test split.  Every check runs before a frame changes,
+and every check but the held-out clips' statistics before a tag does.
+``mclnn train`` reads its inputs, calls it and writes what it returns.
 
 The optimizer is deliberately plain: mini-batch gradient descent with
 optional classical momentum, a fixed shuffle per epoch from one seeded
@@ -42,7 +43,7 @@ import numpy as np
 
 from .dataset import TEST, TRAIN, VALIDATION, Segment, SplitPlan, fold_buckets, segment_clip
 from .errors import ConfigError, ContractError, TrainingDivergedError, ValidationError
-from .features import FeatureMatrix, apply_zscore_in_place, fit_zscore
+from .features import FeatureMatrix, _check_raw, apply_zscore_in_place, fit_zscore
 from .layers import PoolRecord, Workspace, backward, stack_blocks
 from .model import (
     ModelSpec,
@@ -74,6 +75,7 @@ __all__ = [
     "evaluate",
     "EvalResult",
     "run_experiment",
+    "bucket_roles",
     "grad_check",
     "GradCheckReport",
 ]
@@ -444,7 +446,7 @@ def evaluate(
     )
 
 
-def _bucket_roles(
+def bucket_roles(
     plan: SplitPlan, test_fold: int | None, validation_fold: int | None
 ) -> dict[str, str]:
     """Map each plan bucket to train/validation/test; only a fold plan takes the fold numbers."""
@@ -482,17 +484,19 @@ def run_experiment(
     A fold plan (buckets ``fold1..foldN``) needs ``test_fold`` and takes
     an optional ``validation_fold`` (default: the fold after the test
     fold); a plan of train/validation/test buckets takes neither.  Every
-    clip is tagged with its role and segmented (hop ``config.hop`` or q)
-    before any frame changes, so a run rejected by the plan, the clips,
-    their labels or ``labels`` leaves the frames as they were.  Each clip
-    is then normalized in place under the training split's statistics,
+    clip is segmented (hop ``config.hop`` or q) and the model is built
+    before any clip's ``split`` tag or frame changes, so a run rejected by
+    the plan, the clips, their labels, ``labels`` or a normalized training
+    clip leaves the clips as they were.  Each clip is then tagged with its
+    role and normalized in place under the training split's statistics,
     the model's ``norm_stats``; the segments are views, so they see it.
     The statistics are fitted on raw training clips only, so a second run
-    on the same clips raises ``ValidationError``; a held-out clip
-    normalized under other statistics raises too.  A test split is voted
-    on into the report's test accuracy and confusion.
+    on the same clips raises ``ValidationError``.  A held-out clip
+    normalized under other statistics raises too, after the tags are set
+    (the statistics come first) but before any frame changes.  A test
+    split is voted on into the report's test accuracy and confusion.
     """
-    roles = _bucket_roles(plan, test_fold, validation_fold)
+    roles = bucket_roles(plan, test_fold, validation_fold)
     missing = [fm.clip_id for fm in features if fm.clip_id not in plan.assignment]
     if missing:
         raise ValidationError(
@@ -511,8 +515,7 @@ def run_experiment(
         _check_label(fm.clip_id, fm.label, spec.class_count)
     groups: dict[str, list[FeatureMatrix]] = {TRAIN: [], VALIDATION: [], TEST: []}
     for fm in features:
-        fm.split = roles[plan.bucket(fm.clip_id)]
-        groups[fm.split].append(fm)
+        groups[roles[plan.bucket(fm.clip_id)]].append(fm)
     if not groups[TRAIN]:
         raise ValidationError("plan leaves the training split empty")
 
@@ -525,7 +528,12 @@ def run_experiment(
     if not train_segments:
         raise ValidationError(f"training clips yielded no segments at q={q}, hop={hop}")
     model = build_model(spec, config.seed, labels)
+    _check_raw(groups[TRAIN])
 
+    # the tags go on last: fit_zscore rejects a clip still tagged held out
+    for role, clips in groups.items():
+        for fm in clips:
+            fm.split = role
     stats = fit_zscore(groups[TRAIN])
     # normalized clips first: each is left as it is or raises, so a
     # rejected run changes no frame

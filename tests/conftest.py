@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import struct
+import threading
 
 import numpy as np
 import pytest
 
+import mclnn.layers
 from mclnn import container
 from mclnn.features import FEATURE_MAGIC, FEATURE_VERSION, FeatureMatrix
 from mclnn.layers import ClnnLayer, LinearActivation, PRelu
@@ -44,6 +46,29 @@ def small_spec(**overrides) -> ModelSpec:
 @pytest.fixture
 def small_model():
     return build_model(small_spec(), seed=20240811)
+
+
+def record_task_threads(monkeypatch, workers: int) -> list[bool]:
+    """Run the layers and the STFT with ``workers`` workers; the returned list
+    gains, for every task they run, whether it ran off the thread that
+    dispatched it."""
+    monkeypatch.setattr(mclnn.layers, "_WORKERS", workers)
+    off_thread = []
+    dispatch = mclnn.layers._run_tasks
+
+    def recording(tasks):
+        caller = threading.get_ident()
+
+        def traced(task):
+            def run():
+                off_thread.append(threading.get_ident() != caller)
+                task()
+            return run
+
+        dispatch([traced(task) for task in tasks])
+
+    monkeypatch.setattr(mclnn.layers, "_run_tasks", recording)
+    return off_thread
 
 
 def au_bytes(data: bytes, encoding=3, rate=2000, channels=1, offset=24, size=None) -> bytes:

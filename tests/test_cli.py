@@ -605,6 +605,49 @@ class TestTrainEvalPredict:
         assert rc == EXIT_CONFIG
         assert "--test-fold" in capsys.readouterr().err
 
+    def test_train_checks_the_plan_before_any_feature_file(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        # a truncated unrelated file beside the clips: the plan's error wins
+        fold_plan = self._fold_plan(workspace, tmp_path, capsys)
+        featdir = tmp_path / "features"
+        featdir.mkdir()
+        for path in (workspace / "features").glob("*.mclf"):
+            (featdir / path.name).write_bytes(path.read_bytes())
+        (featdir / "zz__unrelated.mclf").write_bytes(
+            (workspace / "features" / "drums__clip0.mclf").read_bytes()[:100]
+        )
+        reads = []
+        monkeypatch.setattr(mclnn.features, "read_feature_header", reads.append)
+        monkeypatch.setattr(mclnn.features, "load_features", reads.append)
+        config = tmp_path / "config.ini"
+        config.write_text(SMALL_INI)
+        rc = main(["train", "--config", str(config), "--features", str(featdir),
+                   "--plan", str(fold_plan), "--out", str(tmp_path / "run")])
+        assert rc == EXIT_CONFIG
+        assert "--test-fold" in single_error(capsys.readouterr(), "ConfigError")
+        assert reads == []
+
+    def test_train_reads_every_header_before_any_payload(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        featdir = tmp_path / "features"
+        featdir.mkdir()
+        for path in (workspace / "features").glob("*.mclf"):
+            (featdir / path.name).write_bytes(path.read_bytes())
+        (featdir / "zz__unrelated.mclf").write_bytes(
+            (workspace / "features" / "drums__clip0.mclf").read_bytes()[:100]
+        )
+        loads = []
+        monkeypatch.setattr(mclnn.features, "load_features", loads.append)
+        config = tmp_path / "config.ini"
+        config.write_text(SMALL_INI)
+        rc = main(["train", "--config", str(config), "--features", str(featdir),
+                   "--plan", str(workspace / "plan.txt"), "--out", str(tmp_path / "run")])
+        assert rc == EXIT_IO
+        assert "zz__unrelated.mclf" in single_error(capsys.readouterr(), "TruncatedFileError")
+        assert loads == []
+
     @pytest.mark.parametrize("flag", ["--test-fold", "--validation-fold"])
     def test_train_fixed_plan_rejects_fold_flags(self, workspace, tmp_path, capsys, flag):
         config = tmp_path / "config.ini"
@@ -1454,6 +1497,30 @@ def test_run_experiment_rejected_before_training_changes_no_frame(workspace, mon
                        TrainConfig(batch_size=4, epochs=1), labels)
     assert [fm.frames.tobytes() for fm in features] == before
     assert not any(fm.normalized for fm in features)
+
+
+@pytest.mark.parametrize("case", ["repeated-labels", "normalized-training-clip"])
+def test_run_experiment_rejected_before_tagging_leaves_every_split(workspace, monkeypatch, case):
+    features = [load_features(path) for path in sorted((workspace / "features").glob("*.mclf"))]
+    plan = SplitPlan.load(workspace / "plan.txt")
+    spec = mclnn.model.ModelSpec(
+        feature_length=8, layers=parse_layers("6:2:3:1, 6:2:3:1"),
+        extra_frames=3, dense_width=5, class_count=10,
+    )
+    labels, match = ("a",) * 10, "class labels \\['a'\\] name more than one class"
+    if case == "normalized-training-clip":
+        labels, match = tuple("abcdefghij"), "may only be fitted on raw frames"
+        [trained] = [fm for fm in features if plan.bucket(fm.clip_id) == "train"][:1]
+        other = NormStats(mean=np.zeros(8), std=np.full(8, 2.0), source_split="train",
+                          stats_id="other0000000")
+        mclnn.features.apply_zscore_in_place(trained, other)
+    splits = [fm.split for fm in features]
+    frames = [fm.frames.tobytes() for fm in features]
+    monkeypatch.setattr(mclnn.training, "train", lambda *args: pytest.fail("train was called"))
+    with pytest.raises(ValidationError, match=match):
+        run_experiment(features, plan, spec, TrainConfig(batch_size=4, epochs=1), labels)
+    assert [fm.split for fm in features] == splits
+    assert [fm.frames.tobytes() for fm in features] == frames
 
 
 def test_training_set_up_holds_the_frames_once(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import wave
@@ -50,9 +51,18 @@ from mclnn.features import (
     stft_power,
 )
 
-from conftest import au_bytes
+from conftest import au_bytes, record_task_threads
 
 RATE = 22050
+
+
+def stft_tasks(frames, workers):
+    """Whether each task of a ``frames``-frame ``stft_power`` runs off the calling
+    thread, sorted: one task up to one block, else one group of blocks on each
+    of two threads."""
+    if frames <= features._STFT_BLOCK:
+        return [False]
+    return [False, workers == 2]
 
 
 def sine_clip(freq, seconds=2.0, rate=RATE):
@@ -240,10 +250,12 @@ class TestStftPower:
         frame = np.concatenate([samples[4:10], np.zeros(2)])
         assert_allclose(power[1], np.abs(np.fft.rfft(frame * window)) ** 2, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("frames", [
         1, features._STFT_BLOCK - 1, features._STFT_BLOCK, features._STFT_BLOCK + 1, 645,
     ])
-    def test_blocked_passes_equal_the_whole_clip_formula(self, frames):
+    def test_blocked_passes_equal_the_whole_clip_formula(self, monkeypatch, frames, workers):
+        off_thread = record_task_threads(monkeypatch, workers)
         window, hop = 2048, 1024
         # a partial last frame, so the zero padding is in play
         size = window if frames == 1 else (frames - 1) * hop + window - 100
@@ -254,7 +266,9 @@ class TestStftPower:
         expected = np.abs(np.fft.rfft(whole * features._hann(window), axis=1)) ** 2
         power = stft_power(AudioClip(samples=samples, sample_rate=RATE), window, hop)
         assert_array_equal(power, expected)
+        assert sorted(off_thread) == stft_tasks(frames, workers)
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("window, hop, size", [
         (2048, 1024, 2048),                                   # one full frame
         (2048, 1024, 2048 + 1),                               # one full, one partial
@@ -265,7 +279,10 @@ class TestStftPower:
         (2048, 1024, 30 * 22050),                             # a 30 s clip, partial last
         (8, 3, 20), (8, 3, 21), (8, 8, 24), (8, 8, 27), (8, 10, 25), (8, 10, 29),
     ])
-    def test_tail_only_padding_equals_the_whole_padded_formula(self, window, hop, size):
+    def test_tail_only_padding_equals_the_whole_padded_formula(
+        self, monkeypatch, window, hop, size, workers
+    ):
+        off_thread = record_task_threads(monkeypatch, workers)
         samples = np.random.default_rng(size).standard_normal(size)
         t = stft_frame_count(size, window, hop)
         padded = np.zeros((t - 1) * hop + window)
@@ -274,6 +291,53 @@ class TestStftPower:
         expected = np.abs(np.fft.rfft(whole * features._hann(window), axis=1)) ** 2
         power = stft_power(AudioClip(samples=samples, sample_rate=RATE), window, hop)
         assert_array_equal(power, expected)
+        assert sorted(off_thread) == stft_tasks(t, workers)
+
+    def test_callers_on_several_threads_get_their_own_spectra(self, monkeypatch):
+        # four callers share the one second thread; a group that ran twice,
+        # or wrote into another caller's array, changes some caller's bytes
+        monkeypatch.setattr(mclnn.layers, "_WORKERS", 2)
+        rng = np.random.default_rng(73)
+        clips = [AudioClip(samples=rng.standard_normal(80 * 256 + 7 * i), sample_rate=RATE)
+                 for i in range(4)]
+        serial = [stft_power(clip, 512, 256).tobytes() for clip in clips]
+        results = [[] for _ in clips]
+
+        def caller(i):
+            for _ in range(20):
+                results[i].append(stft_power(clips[i], 512, 256).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(clips))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, runs in enumerate(results):
+            assert len(runs) == 20 and all(run == serial[i] for run in runs), i
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_extracts_after_its_parent_used_the_second_thread(self):
+        # the parent's executor has no thread in the child; reusing it would hang
+        code = (
+            "import os, numpy as np; from mclnn import features, layers; layers._WORKERS = 2; "
+            "clip = features.AudioClip(samples=np.ones(40 * 1024 + 2048), sample_rate=22050); "
+            "features.stft_power(clip); pid = os.fork(); "
+            "os._exit(0 if features.extract_features(clip).frames.shape == (41, 256) else 3) "
+            "if pid == 0 else print(os.waitpid(pid, 0)[1])"
+        )
+        env = dict(os.environ)
+        source = str(Path(mclnn.features.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0"
 
     def test_sine_at_bin_center_has_single_dominant_bin(self):
         k = 200

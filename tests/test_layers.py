@@ -34,7 +34,7 @@ from mclnn.layers import (
 from mclnn.layers import _run_tasks, _slab_edge, _worker_count
 from mclnn.mask import BinaryMask, MaskSpec, generate_mask
 
-from conftest import random_clnn_layer
+from conftest import random_clnn_layer, record_task_threads
 
 
 def scalar_window_oracle(weights, bias, window):
@@ -283,28 +283,6 @@ class TestWorkspace:
         again, regrads = step()
         assert np.shares_memory(out, again)
         assert all(np.shares_memory(grads[key], value) for key, value in regrads.items())
-
-
-def record_task_threads(monkeypatch, workers: int) -> list[bool]:
-    """Run the layers with ``workers`` workers; the returned list gains, for
-    every task they run, whether it ran off the thread that dispatched it."""
-    monkeypatch.setattr(mclnn.layers, "_WORKERS", workers)
-    off_thread = []
-    dispatch = mclnn.layers._run_tasks
-
-    def recording(tasks):
-        caller = threading.get_ident()
-
-        def traced(task):
-            def run():
-                off_thread.append(threading.get_ident() != caller)
-                task()
-            return run
-
-        dispatch([traced(task) for task in tasks])
-
-    monkeypatch.setattr(mclnn.layers, "_run_tasks", recording)
-    return off_thread
 
 
 class TestTwoThreads:
