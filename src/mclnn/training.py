@@ -530,7 +530,8 @@ def run_experiment(
     model = build_model(spec, config.seed, labels)
     _check_raw(groups[TRAIN])
 
-    # the tags go on last: fit_zscore rejects a clip still tagged held out
+    # tagged before the fit: a training clip may carry a held-out tag from
+    # its file, which fit_zscore rejects
     for role, clips in groups.items():
         for fm in clips:
             fm.split = role

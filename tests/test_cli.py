@@ -605,11 +605,9 @@ class TestTrainEvalPredict:
         assert rc == EXIT_CONFIG
         assert "--test-fold" in capsys.readouterr().err
 
-    def test_train_checks_the_plan_before_any_feature_file(
-        self, workspace, tmp_path, capsys, monkeypatch
-    ):
-        # a truncated unrelated file beside the clips: the plan's error wins
-        fold_plan = self._fold_plan(workspace, tmp_path, capsys)
+    @staticmethod
+    def _features_with_a_truncated_file(workspace, tmp_path):
+        """A copy of the workspace features beside a truncated unrelated ``.mclf``."""
         featdir = tmp_path / "features"
         featdir.mkdir()
         for path in (workspace / "features").glob("*.mclf"):
@@ -617,6 +615,14 @@ class TestTrainEvalPredict:
         (featdir / "zz__unrelated.mclf").write_bytes(
             (workspace / "features" / "drums__clip0.mclf").read_bytes()[:100]
         )
+        return featdir
+
+    def test_train_checks_the_plan_before_any_feature_file(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        # a truncated unrelated file beside the clips: the plan's error wins
+        fold_plan = self._fold_plan(workspace, tmp_path, capsys)
+        featdir = self._features_with_a_truncated_file(workspace, tmp_path)
         reads = []
         monkeypatch.setattr(mclnn.features, "read_feature_header", reads.append)
         monkeypatch.setattr(mclnn.features, "load_features", reads.append)
@@ -631,13 +637,7 @@ class TestTrainEvalPredict:
     def test_train_reads_every_header_before_any_payload(
         self, workspace, tmp_path, capsys, monkeypatch
     ):
-        featdir = tmp_path / "features"
-        featdir.mkdir()
-        for path in (workspace / "features").glob("*.mclf"):
-            (featdir / path.name).write_bytes(path.read_bytes())
-        (featdir / "zz__unrelated.mclf").write_bytes(
-            (workspace / "features" / "drums__clip0.mclf").read_bytes()[:100]
-        )
+        featdir = self._features_with_a_truncated_file(workspace, tmp_path)
         loads = []
         monkeypatch.setattr(mclnn.features, "load_features", loads.append)
         config = tmp_path / "config.ini"
