@@ -409,6 +409,13 @@ def _segment_hop(args, q: int) -> int:
     return args.hop
 
 
+def _checked(model: mdl.TrainedModel, fm: feat.FeatureMatrix) -> feat.FeatureMatrix:
+    """``fm``; a clip normalized under other statistics than the model's raises."""
+    if model.norm_stats is not None:
+        feat._check_zscore(fm, model.norm_stats)
+    return fm
+
+
 def cmd_eval(args) -> int:
     model = mdl.load_model(args.model)
     q = mdl.segment_size(model.spec)
@@ -424,9 +431,8 @@ def cmd_eval(args) -> int:
             f"plan has no clips in bucket {bucket!r}; the plan's buckets are "
             f"{', '.join(plan.buckets())} (pass --bucket)"
         )
-    stats = model.norm_stats
     loaded = (feat.load_features(path) for path in paths if clip_of[path] in clip_ids)
-    chosen = [fm if stats is None else feat.apply_zscore_in_place(fm, stats) for fm in loaded]
+    chosen = [_checked(model, fm) for fm in loaded]
     if not chosen:
         raise ValidationError(f"no feature files for bucket {bucket!r} under {args.features}")
     by_clip = {fm.clip_id: ds.segment_clip(fm, q, hop) for fm in chosen}
@@ -449,9 +455,7 @@ def cmd_predict(args) -> int:
     hop = _segment_hop(args, q)
     paths = [Path(p) for p in args.features_files]
     for path in paths:
-        fm = feat.load_features(path)
-        if model.norm_stats is not None:
-            feat.apply_zscore_in_place(fm, model.norm_stats)
+        fm = _checked(model, feat.load_features(path))
         if fm.label is None:
             fm = replace(fm, label=0)  # segmentation requires one; prediction ignores it
         segments = ds.segment_clip(fm, q, hop)

@@ -37,12 +37,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Segment:
-    """q consecutive frames of one clip, carrying the clip's label."""
+    """q consecutive frames of one clip, carrying the clip's label and normalized flag."""
 
     frames: np.ndarray
     label: int
     clip_id: str
     start: int
+    normalized: bool = False
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,7 @@ def segment_clip(features: FeatureMatrix, q: int, hop: int) -> list[Segment]:
             label=features.label,
             clip_id=features.clip_id,
             start=start,
+            normalized=features.normalized,
         )
         for start in range(0, t - q + 1, hop)
     ]

@@ -42,10 +42,10 @@ stacked frames bit for bit.
 The z-score rule lives here and nowhere else.  Statistics are fitted on
 raw training frames only: ``fit_zscore`` rejects held-out and normalized
 clips.  A clip is normalized once, and a normalized clip is accepted only
-under the statistics it was normalized with: both appliers return it
-untouched under those and raise ``ValidationError`` under any others.
-``apply_zscore_in_place`` normalizes a matrix the caller no longer needs
-raw; ``apply_zscore`` does the same on a copy.  A feature file's
+under the statistics it was normalized with; under any others it raises
+``ValidationError``.  ``apply_zscore`` normalizes a copy;
+training and prediction normalize the batches they copy from raw clips,
+with the same operations, so a caller's clips stay raw.  A feature file's
 header is the matrix shape and every other ``FeatureMatrix`` field,
 written and read from one table; ``read_feature_header`` reads it without
 the frames.
@@ -116,7 +116,6 @@ __all__ = [
     "extract_features",
     "fit_zscore",
     "apply_zscore",
-    "apply_zscore_in_place",
     "save_features",
     "load_features",
     "read_feature_header",
@@ -565,8 +564,6 @@ def fit_zscore(training_features: list[FeatureMatrix]) -> NormStats:
     and the values are those of ``mean``/``std`` over the stacked frames,
     bit for bit.
     """
-    if not training_features:
-        raise ContractError("fit_zscore needs at least one feature matrix")
     tags = {m.split for m in training_features if m.split is not None}
     held_out = tags & _HELD_OUT_SPLITS
     if held_out:
@@ -574,7 +571,20 @@ def fit_zscore(training_features: list[FeatureMatrix]) -> NormStats:
             f"fit_zscore received features tagged {sorted(held_out)}; "
             f"statistics may only be fitted on training data"
         )
-    _check_raw(training_features)
+    return _fit_zscore(training_features, "+".join(sorted(tags)) if tags else "train")
+
+
+def _fit_zscore(training_features: list[FeatureMatrix], source: str = "train") -> NormStats:
+    """:func:`fit_zscore` without reading the clips' ``split`` tags, for a
+    caller whose plan decides which clips train."""
+    if not training_features:
+        raise ContractError("fit_zscore needs at least one feature matrix")
+    normalized = next((m for m in training_features if m.normalized), None)
+    if normalized is not None:
+        raise ValidationError(
+            f"fit_zscore received clip {normalized.clip_id!r}, already normalized with "
+            f"statistics {normalized.norm_id!r}; statistics may only be fitted on raw frames"
+        )
     widths = {m.feature_length for m in training_features}
     if len(widths) != 1:
         raise ShapeError(f"feature matrices disagree on width: {sorted(widths)}")
@@ -589,18 +599,7 @@ def fit_zscore(training_features: list[FeatureMatrix]) -> NormStats:
     std = np.sqrt(_stacked_row_sum(clips, squared_deviation) / count)
     std = np.where(std < STD_FLOOR, 1.0, std)
     stats_id = hashlib.sha256(mean.tobytes() + std.tobytes()).hexdigest()[:12]
-    source = "+".join(sorted(tags)) if tags else "train"
     return NormStats(mean=mean, std=std, source_split=source, stats_id=stats_id)
-
-
-def _check_raw(training_features: list[FeatureMatrix]) -> None:
-    """Raise ``ValidationError`` naming the first normalized clip, if any."""
-    normalized = next((m for m in training_features if m.normalized), None)
-    if normalized is not None:
-        raise ValidationError(
-            f"fit_zscore received clip {normalized.clip_id!r}, already normalized with "
-            f"statistics {normalized.norm_id!r}; statistics may only be fitted on raw frames"
-        )
 
 
 def _stacked_row_sum(clips: list[np.ndarray], fill) -> np.ndarray:
@@ -631,25 +630,19 @@ def _stacked_row_sum(clips: list[np.ndarray], fill) -> np.ndarray:
 
 
 def apply_zscore(features: FeatureMatrix, stats: NormStats | None) -> FeatureMatrix:
-    """:func:`apply_zscore_in_place` on a copy; ``features`` is left as it was."""
+    """A copy of ``features`` normalized under ``stats``, or as it is if it already was."""
     out = copy.copy(features)
     out.frames = features.frames.copy()
-    return apply_zscore_in_place(out, stats)
-
-
-def apply_zscore_in_place(features: FeatureMatrix, stats: NormStats | None) -> FeatureMatrix:
-    """Transform ``(x - mean) / std`` over ``features``, marked normalized, and return it.
-
-    ``frames -= mean; frames /= std`` are the IEEE operations of
-    ``(frames - mean) / std``.  The raw frames are lost.  A matrix already
-    normalized under these statistics is returned untouched.
-    """
     if _check_zscore(features, stats):
-        features.frames -= stats.mean
-        features.frames /= stats.std
-        features.norm_id = stats.stats_id
-        features.normalized = True
-    return features
+        _zscore(out.frames, stats)
+        out.norm_id, out.normalized = stats.stats_id, True
+    return out
+
+
+def _zscore(frames: np.ndarray, stats: NormStats, where=True) -> None:
+    """``(frames - mean) / std`` in place, as ``frames -= mean; frames /= std``, where ``where``."""
+    np.subtract(frames, stats.mean, out=frames, where=where)
+    np.divide(frames, stats.std, out=frames, where=where)
 
 
 def _check_zscore(features: FeatureMatrix, stats: NormStats | None) -> bool:

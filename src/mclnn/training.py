@@ -3,11 +3,11 @@
 :func:`run_experiment` is one training run of the paper's protocol on
 loaded clips: give each plan bucket its role (a fold plan's from the
 test and validation fold numbers), check and split the clips, segment
-them, build the model, tag each clip with its role, fit the z-score
-statistics on the training split, normalize in place, train, and vote
-per clip on the test split.  Every check runs before a frame changes,
-and every check but the held-out clips' statistics before a tag does.
-``mclnn train`` reads its inputs, calls it and writes what it returns.
+them, build the model, fit the z-score statistics on the training split,
+check every clip against them, train, and vote per clip on the test
+split.  It writes nothing onto the clips, so one loaded list serves any
+number of runs.  ``mclnn train`` reads its inputs, calls it and writes
+what it returns.
 
 The optimizer is deliberately plain: mini-batch gradient descent with
 optional classical momentum, a fixed shuffle per epoch from one seeded
@@ -43,7 +43,7 @@ import numpy as np
 
 from .dataset import TEST, TRAIN, VALIDATION, Segment, SplitPlan, fold_buckets, segment_clip
 from .errors import ConfigError, ContractError, TrainingDivergedError, ValidationError
-from .features import FeatureMatrix, _check_raw, apply_zscore_in_place, fit_zscore
+from .features import FeatureMatrix, NormStats, _check_zscore, _fit_zscore, _zscore
 from .layers import PoolRecord, Workspace, backward, stack_blocks
 from .model import (
     ModelSpec,
@@ -227,10 +227,16 @@ def cross_entropy_grad(pred: np.ndarray, target) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _stack(segments: list[Segment], workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _stack(
+    segments: list[Segment], workspace: Workspace | None = None, stats: NormStats | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Frames as one ``(B, q, l)`` batch, built by :func:`~mclnn.layers.stack_blocks`
-    in ``workspace``, and labels as a length-B array."""
+    in ``workspace``, and labels as a length-B array.  With ``stats``, the
+    rows of raw segments are normalized in the batch, never in the clips."""
     frames = stack_blocks([s.frames for s in segments], workspace, "segments")
+    raw = np.array([not s.normalized for s in segments])
+    if stats is not None and raw.any():
+        _zscore(frames, stats, True if raw.all() else raw[:, None, None])
     return frames, np.array([s.label for s in segments], dtype=np.int64)
 
 
@@ -240,7 +246,7 @@ def _dataset_loss(
     """Mean segment loss and segment-level accuracy, from untaped forwards."""
     total, correct = 0.0, 0
     for start in range(0, len(segments), batch_size):
-        frames, targets = _stack(segments[start : start + batch_size], workspace)
+        frames, targets = _stack(segments[start : start + batch_size], workspace, model.norm_stats)
         probs = model_forward(model, frames, workspace)
         total += float(cross_entropy(probs, targets).sum())
         correct += int(np.count_nonzero(np.argmax(probs, axis=1) == targets))
@@ -283,7 +289,7 @@ def train(
         epoch_loss, epoch_correct = 0.0, 0
         for batch_index, batch_start in enumerate(range(0, len(order), config.batch_size), 1):
             batch = order[batch_start : batch_start + config.batch_size]
-            frames, targets = _stack([train_segments[i] for i in batch], workspace)
+            frames, targets = _stack([train_segments[i] for i in batch], workspace, model.norm_stats)
             probs, tape = model_forward_tape(model, frames, workspace)
             batch_loss = float(cross_entropy(probs, targets).sum())
             if not np.isfinite(batch_loss):
@@ -337,8 +343,8 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def _run(segments: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
-    """Start-sorted segments as one run of frames and each segment's offset in it.
+def _run(segments: list[Segment], stats: NormStats | None) -> tuple[np.ndarray, np.ndarray]:
+    """Start-sorted segments as one run of frames, z-scored if ``stats``, and their offsets.
 
     A segment whose first ``q - g`` frames equal the last ones of its
     predecessor, ``g`` frames earlier (``0 < g < q``), adds only its last
@@ -355,7 +361,10 @@ def _run(segments: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
             pieces.append(seg.frames)
             g = q
         offsets.append(offsets[-1] + g)
-    return np.concatenate(pieces), np.array(offsets)
+    run = np.concatenate(pieces)  # a fresh array
+    if stats is not None:
+        _zscore(run, stats)
+    return run, np.array(offsets)
 
 
 def predict_clip(model: TrainedModel, segments: list[Segment]) -> tuple[int, np.ndarray]:
@@ -365,7 +374,8 @@ def predict_clip(model: TrainedModel, segments: list[Segment]) -> tuple[int, np.
     then to the lower class id.  Segments are processed in a canonical
     order, in forwards of at most :data:`PREDICT_CHUNK` segments, so the
     result is invariant to how the list is arranged.  Each forward is one
-    :func:`model_forward_run` over the chunk's run (see :func:`_run`);
+    :func:`model_forward_run` over the chunk's run (see :func:`_run`),
+    normalized under the model's ``norm_stats`` if the clip is raw;
     every segment must be ``(q, l)`` for the model.
     """
     if not segments:
@@ -373,13 +383,16 @@ def predict_clip(model: TrainedModel, segments: list[Segment]) -> tuple[int, np.
     clip_ids = {s.clip_id for s in segments}
     if len(clip_ids) != 1:
         raise ContractError(f"segments from multiple clips passed together: {sorted(clip_ids)}")
+    if len({s.normalized for s in segments}) != 1:
+        raise ContractError(f"clip {segments[0].clip_id!r} mixes raw and normalized segments")
     expected = (segment_size(model.spec), model.spec.feature_length)
     shapes = {np.shape(s.frames) for s in segments} - {expected}
     if shapes:
         raise ContractError(f"segment frames shaped {sorted(shapes)}, model expects {expected}")
     ordered = sorted(segments, key=lambda s: s.start)
+    stats = None if segments[0].normalized else model.norm_stats
     probs = np.concatenate([
-        model_forward_run(model, *_run(ordered[start : start + PREDICT_CHUNK]))
+        model_forward_run(model, *_run(ordered[start : start + PREDICT_CHUNK], stats))
         for start in range(0, len(ordered), PREDICT_CHUNK)
     ])
     votes = np.bincount(np.argmax(probs, axis=1), minlength=model.spec.class_count)
@@ -483,18 +496,15 @@ def run_experiment(
 
     A fold plan (buckets ``fold1..foldN``) needs ``test_fold`` and takes
     an optional ``validation_fold`` (default: the fold after the test
-    fold); a plan of train/validation/test buckets takes neither.  Every
-    clip is segmented (hop ``config.hop`` or q) and the model is built
-    before any clip's ``split`` tag or frame changes, so a run rejected by
-    the plan, the clips, their labels, ``labels`` or a normalized training
-    clip leaves the clips as they were.  Each clip is then tagged with its
-    role and normalized in place under the training split's statistics,
-    the model's ``norm_stats``; the segments are views, so they see it.
-    The statistics are fitted on raw training clips only, so a second run
-    on the same clips raises ``ValidationError``.  A held-out clip
-    normalized under other statistics raises too, after the tags are set
-    (the statistics come first) but before any frame changes.  A test
-    split is voted on into the report's test accuracy and confusion.
+    fold); a plan of train/validation/test buckets takes neither.  The
+    plan gives each clip its role; a clip's ``split`` tag is not read.
+    Every clip is segmented (hop ``config.hop`` or q), and the model's
+    ``norm_stats`` are fitted on the training clips, which must be raw.
+    A clip normalized under other statistics raises ``ValidationError``
+    before training.  Batches are normalized as they are built, so the
+    clips are left as given and a second run on them gives the same
+    bytes.  A test split is voted on into the report's test accuracy and
+    confusion.
     """
     roles = bucket_roles(plan, test_fold, validation_fold)
     missing = [fm.clip_id for fm in features if fm.clip_id not in plan.assignment]
@@ -528,19 +538,9 @@ def run_experiment(
     if not train_segments:
         raise ValidationError(f"training clips yielded no segments at q={q}, hop={hop}")
     model = build_model(spec, config.seed, labels)
-    _check_raw(groups[TRAIN])
-
-    # tagged before the fit: a training clip may carry a held-out tag from
-    # its file, which fit_zscore rejects
-    for role, clips in groups.items():
-        for fm in clips:
-            fm.split = role
-    stats = fit_zscore(groups[TRAIN])
-    # normalized clips first: each is left as it is or raises, so a
-    # rejected run changes no frame
-    for fm in sorted(features, key=lambda fm: not fm.normalized):
-        apply_zscore_in_place(fm, stats)
-    model.norm_stats = stats
+    model.norm_stats = _fit_zscore(groups[TRAIN])
+    for fm in features:
+        _check_zscore(fm, model.norm_stats)
     model, report = train(model, train_segments, config, val_segments or None)
     if groups[TEST]:
         by_clip = {fm.clip_id: segments[fm.clip_id] for fm in groups[TEST]}

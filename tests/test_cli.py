@@ -8,7 +8,7 @@ import re
 import tempfile
 import tracemalloc
 import wave
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -1240,20 +1240,22 @@ class TestEvalPredictAgainstLibrary:
 
     HOP = 4  # below q = 11, so segments overlap
 
-    @pytest.fixture(params=["with-stats", "without-stats"])
+    # with-stats: the library gets copies normalized under the model's
+    # statistics; raw-with-stats: the raw clips, which the model normalizes
+    @pytest.fixture(params=["with-stats", "without-stats", "raw-with-stats"])
     def model_path(self, request, workspace, tmp_path):
         """An untrained model: its probabilities are far from 0 and 1, so they show the hop."""
         trained = load_model(workspace / "run" / "model.mcln")
         model = build_model(trained.spec, seed=2, labels=trained.labels)
-        if request.param == "with-stats":
+        if request.param != "without-stats":
             model.norm_stats = trained.norm_stats
+        self.raw_clips = request.param != "with-stats"
         path = tmp_path / "model.mcln"
         save_model(model, path)
         return path
 
-    @staticmethod
-    def _prepared(model, fm):
-        return fm if model.norm_stats is None else apply_zscore(fm, model.norm_stats)
+    def _prepared(self, model, fm):
+        return fm if self.raw_clips else apply_zscore(fm, model.norm_stats)
 
     @pytest.mark.parametrize("hop", [None, HOP])
     def test_eval(self, workspace, model_path, capsys, hop):
@@ -1262,8 +1264,10 @@ class TestEvalPredictAgainstLibrary:
         clips = SplitPlan.load(workspace / "plan.txt").clips_in("test")
         fms = [self._prepared(model, load_features(workspace / "features" / f"{c}.mclf"))
                for c in clips]
+        before = [fm.frames.tobytes() for fm in fms]
         result = evaluate(model, {fm.clip_id: segment_clip(fm, q, hop or q) for fm in fms},
                           {fm.clip_id: fm.label for fm in fms})
+        assert [fm.frames.tobytes() for fm in fms] == before
         argv = ["eval", "--model", str(model_path), "--plan", str(workspace / "plan.txt"),
                 "--features", str(workspace / "features")]
         assert main(argv + (["--hop", str(hop)] if hop else [])) == EXIT_OK
@@ -1280,7 +1284,9 @@ class TestEvalPredictAgainstLibrary:
         expected = []
         for path in paths:
             fm = self._prepared(model, load_features(path))
+            before = fm.frames.tobytes()
             predicted, probs = predict_clip(model, segment_clip(fm, q, hop or q))
+            assert fm.frames.tobytes() == before
             text = " ".join(f"{p:.4f}" for p in probs)
             expected.append(f"{fm.clip_id}\t{model.labels[predicted]}\t{text}")
         argv = ["predict", "--model", str(model_path)] + (["--hop", str(hop)] if hop else [])
@@ -1440,20 +1446,84 @@ def test_run_experiment_gives_the_train_command_bytes(workspace, tmp_path, plan_
     ]
 
 
-def test_second_run_experiment_on_the_same_clips_is_rejected(workspace):
-    """The clips are normalized by the first run; the second leaves them as they are."""
-    spec = mclnn.model.ModelSpec(
-        feature_length=8, layers=parse_layers("6:2:3:1, 6:2:3:1"),
-        extra_frames=3, dense_width=5, class_count=2,
-    )
+def _clip_state(features):
+    """What a run must leave as it was: every clip's frames and fields."""
+    return [(fm.frames.tobytes(), fm.clip_id, fm.label, fm.split, fm.normalized, fm.norm_id,
+             fm.meta) for fm in features]
+
+
+def test_runs_on_one_loaded_list_match_train_and_leave_the_clips_alone(workspace, tmp_path):
+    """Fold 1, fold 2 and fold 1 again on one list: each model file is
+    ``mclnn train``'s, and no run changes a clip."""
+    featdir = workspace / "features"
+    plan_path = tmp_path / "folds.txt"
+    assert main(["dataset", "plan", "--manifest", str(featdir / "manifest.tsv"), "--folds", "3",
+                 "--out", str(plan_path)]) == EXIT_OK
+    config = load_experiment_config(argparse.Namespace(config=str(workspace / "config.ini")))
+    training = replace(config.training, epochs=3)
+    expected = {}
+    for fold in (1, 2):
+        out = tmp_path / f"cli{fold}"
+        assert main(["train", "--config", str(workspace / "config.ini"), "--epochs", "3",
+                     "--features", str(featdir), "--plan", str(plan_path), "--out", str(out),
+                     "--classes", str(featdir / "classes.txt"),
+                     "--test-fold", str(fold)]) == EXIT_OK
+        expected[fold] = ((out / "model.mcln").read_bytes(),
+                          (out / "report.txt").read_text().split("wall_clock_seconds")[0])
+    features = [load_features(path) for path in sorted(featdir.glob("*.mclf"))]
+    before = _clip_state(features)
+    plan = SplitPlan.load(plan_path)
+    for fold in (1, 2, 1):
+        model, report = run_experiment(features, plan, config.model_spec, training,
+                                       ("drums", "flute"), test_fold=fold)
+        save_model(model, tmp_path / "model.mcln")
+        assert (tmp_path / "model.mcln").read_bytes() == expected[fold][0]
+        assert report.to_text().split("wall_clock_seconds")[0] == expected[fold][1]
+        assert _clip_state(features) == before
+
+
+def test_held_out_clips_normalized_under_the_run_statistics_give_the_raw_run(workspace, tmp_path):
+    """A validation batch of raw and normalized segments, and a normalized
+    test clip, give the bytes of the run on raw clips."""
     features = [load_features(path) for path in sorted((workspace / "features").glob("*.mclf"))]
     plan = SplitPlan.load(workspace / "plan.txt")
-    training = TrainConfig(batch_size=4, epochs=1)
-    run_experiment(features, plan, spec, training, ("drums", "flute"))
-    normalized = [fm.frames.tobytes() for fm in features]
-    with pytest.raises(ValidationError, match="may only be fitted on raw frames"):
-        run_experiment(features, plan, spec, training, ("drums", "flute"))
-    assert [fm.frames.tobytes() for fm in features] == normalized
+    config = load_experiment_config(argparse.Namespace(config=str(workspace / "config.ini")))
+    training = replace(config.training, epochs=3)
+    raw_model, raw_report = run_experiment(features, plan, config.model_spec, training,
+                                           ("drums", "flute"))
+    save_model(raw_model, tmp_path / "raw.mcln")
+    stats = raw_model.norm_stats
+    held_out = {bucket: [i for i, fm in enumerate(features) if plan.bucket(fm.clip_id) == bucket]
+                for bucket in ("validation", "test")}
+    # two segments a clip at q = 11 and batches of 4: the first validation
+    # batch holds the first two validation clips, one of them normalized
+    assert len(held_out["validation"]) >= 2 and training.batch_size == 4
+    for i in (held_out["validation"][0], held_out["test"][0]):
+        features[i] = apply_zscore(features[i], stats)
+    model, report = run_experiment(features, plan, config.model_spec, training,
+                                   ("drums", "flute"))
+    save_model(model, tmp_path / "mixed.mcln")
+    assert (tmp_path / "mixed.mcln").read_bytes() == (tmp_path / "raw.mcln").read_bytes()
+    assert report.deterministic_text() == raw_report.deterministic_text()
+
+
+def test_stale_split_tags_in_the_files_do_not_change_the_run(workspace, tmp_path):
+    """The plan gives the roles: files tagged with other roles train the model untagged files do."""
+    featdir = tmp_path / "tagged"
+    featdir.mkdir()
+    plan = SplitPlan.load(workspace / "plan.txt")
+    stale = {"train": "test", "validation": "train", "test": "validation"}
+    for path in sorted((workspace / "features").glob("*.mclf")):
+        fm = load_features(path)
+        assert fm.split is None
+        fm.split = stale[plan.bucket(fm.clip_id)]
+        save_features(fm, featdir / path.name)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(workspace / "config.ini"), "--features", str(featdir),
+                 "--plan", str(workspace / "plan.txt"), "--out", str(out),
+                 "--classes", str(workspace / "features" / "classes.txt")]) == EXIT_OK
+    assert (out / "model.mcln").read_bytes() == (workspace / "run" / "model.mcln").read_bytes()
+    assert load_model(out / "model.mcln").norm_stats.source_split == "train"
 
 
 def test_run_experiment_rejecting_a_held_out_clip_changes_no_frame(workspace):
@@ -1467,12 +1537,12 @@ def test_run_experiment_rejecting_a_held_out_clip_changes_no_frame(workspace):
     assert plan.bucket(features[-1].clip_id) == "test"
     other = NormStats(mean=np.zeros(8), std=np.full(8, 2.0), source_split="train",
                       stats_id="other0000000")
-    mclnn.features.apply_zscore_in_place(features[-1], other)
-    before = [fm.frames.tobytes() for fm in features]
+    features[-1] = apply_zscore(features[-1], other)
+    before = _clip_state(features)
     with pytest.raises(ValidationError, match="'other0000000', not "):
         run_experiment(features, plan, spec, TrainConfig(batch_size=4, epochs=1),
                        ("drums", "flute"))
-    assert [fm.frames.tobytes() for fm in features] == before
+    assert _clip_state(features) == before
 
 
 @pytest.mark.parametrize("case", ["repeated-labels", "label-out-of-range", "clip-twice"])
@@ -1510,10 +1580,10 @@ def test_run_experiment_rejected_before_tagging_leaves_every_split(workspace, mo
     labels, match = ("a",) * 10, "class labels \\['a'\\] name more than one class"
     if case == "normalized-training-clip":
         labels, match = tuple("abcdefghij"), "may only be fitted on raw frames"
-        [trained] = [fm for fm in features if plan.bucket(fm.clip_id) == "train"][:1]
+        [trained] = [i for i, fm in enumerate(features) if plan.bucket(fm.clip_id) == "train"][:1]
         other = NormStats(mean=np.zeros(8), std=np.full(8, 2.0), source_split="train",
                           stats_id="other0000000")
-        mclnn.features.apply_zscore_in_place(trained, other)
+        features[trained] = apply_zscore(features[trained], other)
     splits = [fm.split for fm in features]
     frames = [fm.frames.tobytes() for fm in features]
     monkeypatch.setattr(mclnn.training, "train", lambda *args: pytest.fail("train was called"))

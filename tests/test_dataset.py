@@ -55,6 +55,13 @@ class TestSegmentClip:
         for seg in segments:
             np.testing.assert_array_equal(seg.frames, fm.frames[seg.start : seg.start + 10])
 
+    def test_segments_carry_whether_their_clip_is_normalized(self):
+        raw = clip_features(30)
+        normalized = FeatureMatrix(frames=raw.frames, clip_id="clip", label=1, normalized=True,
+                                   norm_id="s")
+        assert not any(s.normalized for s in segment_clip(raw, q=10, hop=5))
+        assert all(s.normalized for s in segment_clip(normalized, q=10, hop=5))
+
     def test_unlabelled_clip_rejected(self):
         fm = FeatureMatrix(frames=np.ones((30, 4)), clip_id="c")
         with pytest.raises(ValidationError):

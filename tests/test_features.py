@@ -34,7 +34,6 @@ from mclnn.features import (
     FeatureMatrix,
     FeatureParams,
     apply_zscore,
-    apply_zscore_in_place,
     extract_chunk,
     extract_features,
     fit_zscore,
@@ -652,29 +651,40 @@ class TestZScore:
             tracemalloc.stop()
         assert peak < 3 * clip_bytes, (peak, clip_bytes)
 
-    def test_in_place_gives_apply_zscore_bytes(self):
+    def test_apply_zscore_gives_the_formula_bytes_on_a_copy(self):
         rng = np.random.default_rng(12)
         mats = self._train_matrices(rng, count=3)
         stats = fit_zscore(mats)
         for m in mats:
             raw = m.frames.copy()
-            pure = apply_zscore(m, stats)
+            out = apply_zscore(m, stats)
             assert m.frames.tobytes() == raw.tobytes()  # apply_zscore leaves its input as it was
-            out = apply_zscore_in_place(m, stats)
-            assert out.frames is m.frames
-            assert out.frames.tobytes() == pure.frames.tobytes()
+            assert out is not m and not np.shares_memory(out.frames, m.frames)
+            assert out.frames.tobytes() == ((raw - stats.mean) / stats.std).tobytes()
             assert out.normalized and out.norm_id == stats.stats_id
-        with pytest.raises(ShapeError):
-            apply_zscore_in_place(FeatureMatrix(frames=np.ones((3, 5)), clip_id="x"), stats)
-        with pytest.raises(ContractError):
-            apply_zscore_in_place(FeatureMatrix(frames=np.ones((3, 6)), clip_id="x"), None)
+            assert not m.normalized and m.norm_id is None
 
-    def test_in_place_marks_the_matrix_it_was_given(self):
-        stats = fit_zscore(self._train_matrices(np.random.default_rng(13), count=2))
-        m = FeatureMatrix(frames=np.random.default_rng(14).standard_normal((5, 6)), clip_id="x")
-        out = apply_zscore_in_place(m, stats)
-        assert out is m
-        assert m.normalized and m.norm_id == stats.stats_id
+    def test_masked_rows_of_a_batch_take_the_formula_bytes_and_the_rest_stay(self):
+        rng = np.random.default_rng(13)
+        stats = fit_zscore(self._train_matrices(rng, count=2))
+        # a time-major buffer seen as (B, t, w), as the layers' batches are
+        batch = rng.standard_normal((5, 4, 6)).transpose(1, 0, 2)
+        raw = batch.copy()
+        chosen = np.array([True, False, True, True])
+        features._zscore(batch, stats, chosen[:, None, None])
+        assert batch[chosen].tobytes() == ((raw[chosen] - stats.mean) / stats.std).tobytes()
+        assert batch[~chosen].tobytes() == raw[~chosen].tobytes()
+
+    def test_private_fit_ignores_split_tags(self):
+        mats = self._train_matrices(np.random.default_rng(14), count=3)
+        stats = fit_zscore(mats)
+        tagged = [FeatureMatrix(frames=m.frames, clip_id=m.clip_id, split="test") for m in mats]
+        with pytest.raises(ValidationError, match="tagged \\['test'\\]"):
+            fit_zscore(tagged)
+        fitted = features._fit_zscore(tagged)
+        assert fitted.mean.tobytes() == stats.mean.tobytes()
+        assert fitted.std.tobytes() == stats.std.tobytes()
+        assert fitted.stats_id == stats.stats_id and fitted.source_split == "train"
 
     def test_fit_rejects_normalized_frames(self):
         mats = self._train_matrices(np.random.default_rng(15), count=2)
@@ -683,18 +693,16 @@ class TestZScore:
         with pytest.raises(ValidationError, match=rf"clip 'c1', .*{stats.stats_id}.*raw frames"):
             fit_zscore([mats[0], normalized])
 
-    @pytest.mark.parametrize("apply", [apply_zscore, apply_zscore_in_place])
-    def test_second_application_under_the_same_statistics_changes_nothing(self, apply):
+    def test_second_application_under_the_same_statistics_changes_nothing(self):
         mats = self._train_matrices(np.random.default_rng(16), count=2)
         stats = fit_zscore(mats)
-        once = apply(mats[0], stats)
+        once = apply_zscore(mats[0], stats)
         expected = once.frames.tobytes()
-        twice = apply(once, stats)
+        twice = apply_zscore(once, stats)
         assert twice.frames.tobytes() == expected
         assert twice.normalized and twice.norm_id == stats.stats_id
 
-    @pytest.mark.parametrize("apply", [apply_zscore, apply_zscore_in_place])
-    def test_normalized_under_other_statistics_is_rejected(self, apply):
+    def test_normalized_under_other_statistics_is_rejected(self):
         rng = np.random.default_rng(17)
         first = fit_zscore(self._train_matrices(rng, count=2))
         second = fit_zscore(self._train_matrices(rng, count=2))
@@ -703,7 +711,7 @@ class TestZScore:
         with pytest.raises(
             ValidationError, match=rf"'c0' .* statistics '{first.stats_id}', not '{second.stats_id}'"
         ):
-            apply(m, second)
+            apply_zscore(m, second)
         assert m.frames.tobytes() == before and m.norm_id == first.stats_id
 
 

@@ -16,7 +16,7 @@ from mclnn.errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from mclnn.features import FeatureMatrix
+from mclnn.features import FeatureMatrix, NormStats, apply_zscore
 import mclnn.layers
 from mclnn.layers import Workspace, backward, softmax
 from mclnn.model import (
@@ -386,6 +386,35 @@ class TestStepBuffers:
         assert_array_equal(frames, np.stack([s.frames for s in segments]))
         assert_array_equal(labels, [0, 1, 2])
 
+    def test_batch_normalizes_the_raw_segments_only(self):
+        rng = np.random.default_rng(63)
+        stats = NormStats(mean=rng.standard_normal(8), std=rng.uniform(0.5, 2.0, 8),
+                          source_split="train", stats_id="s63")
+        segments = [replace(s, normalized=i % 3 == 1) for i, s in enumerate(self._segments(5, 64))]
+        before = [s.frames.tobytes() for s in segments]
+        frames, _ = trn._stack(segments, Workspace(), stats)
+        for row, s in zip(frames, segments):
+            want = s.frames if s.normalized else (s.frames - stats.mean) / stats.std
+            assert row.tobytes() == want.tobytes()
+        assert [s.frames.tobytes() for s in segments] == before
+
+    def test_raw_clips_train_as_their_normalized_copies(self):
+        rng = np.random.default_rng(65)
+        clips = [FeatureMatrix(frames=rng.standard_normal((30, 8)) * 3.0 + 1.0, clip_id=f"c{i}",
+                               label=i % 4) for i in range(6)]
+        stats = NormStats(mean=np.full(8, 1.0), std=np.full(8, 3.0), source_split="train",
+                          stats_id="s65")
+        runs = []
+        for prepared in (clips, [apply_zscore(fm, stats) for fm in clips]):
+            segments = [s for fm in prepared for s in segment_clip(fm, 11, 5)]
+            model = build_model(small_spec(), seed=66)
+            model.norm_stats = stats
+            config = TrainConfig(learning_rate=0.05, epochs=2, batch_size=4, seed=67, patience=2)
+            model, report = train(model, segments[:-6], config, segments[-6:])
+            runs.append(({k: v.tobytes() for k, v in model.copy_parameters().items()},
+                         report.deterministic_text()))
+        assert runs[0] == runs[1]
+
     def test_segments_of_two_shapes_are_a_shape_error(self):
         segments = self._segments(3, 61)
         segments[1] = replace(segments[1], frames=segments[1].frames[:-1])
@@ -541,6 +570,26 @@ class TestPredictClip:
         ]
         with pytest.raises(ContractError, match="multiple clips"):
             predict_clip(small_model, segments)
+
+    def test_a_clip_mixing_raw_and_normalized_segments_is_rejected(self, small_model):
+        segments = self._segments("c", [1.0, 2.0])
+        segments[1] = replace(segments[1], normalized=True)
+        with pytest.raises(ContractError, match="mixes raw and normalized"):
+            predict_clip(small_model, segments)
+
+    @pytest.mark.parametrize("hop", [1, 11])
+    def test_raw_clip_predicts_as_its_normalized_copy(self, small_model, hop):
+        rng = np.random.default_rng(68)
+        clip = FeatureMatrix(frames=rng.standard_normal((90, 8)) * 2.0 - 1.0, clip_id="c", label=0)
+        small_model.norm_stats = NormStats(mean=np.full(8, -1.0), std=np.full(8, 2.0),
+                                           source_split="train", stats_id="s68")
+        before = clip.frames.tobytes()
+        raw = predict_clip(small_model, segment_clip(clip, 11, hop))
+        normalized = predict_clip(
+            small_model, segment_clip(apply_zscore(clip, small_model.norm_stats), 11, hop)
+        )
+        assert raw[0] == normalized[0] and raw[1].tobytes() == normalized[1].tobytes()
+        assert clip.frames.tobytes() == before
 
 
 class TestPredictClipSharing:
