@@ -37,7 +37,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Segment:
-    """q consecutive frames of one clip, carrying the clip's label and normalized flag."""
+    """q consecutive frames of one clip, with its label and whether they are z-scored already."""
 
     frames: np.ndarray
     label: int

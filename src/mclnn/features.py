@@ -43,12 +43,11 @@ The z-score rule lives here and nowhere else.  Statistics are fitted on
 raw training frames only: ``fit_zscore`` rejects held-out and normalized
 clips.  A clip is normalized once, and a normalized clip is accepted only
 under the statistics it was normalized with; under any others it raises
-``ValidationError``.  ``apply_zscore`` normalizes a copy;
-training and prediction normalize the batches they copy from raw clips,
-with the same operations, so a caller's clips stay raw.  A feature file's
-header is the matrix shape and every other ``FeatureMatrix`` field,
-written and read from one table; ``read_feature_header`` reads it without
-the frames.
+``ValidationError``.  ``apply_zscore`` normalizes a copy; training and
+prediction normalize the batches they copy from raw clips, with the same
+operations, so a caller's clips stay raw.  A feature file's header is
+the matrix shape and every other ``FeatureMatrix`` field, written and
+read from one table; ``read_feature_header`` reads it without the frames.
 """
 
 from __future__ import annotations
@@ -575,8 +574,7 @@ def fit_zscore(training_features: list[FeatureMatrix]) -> NormStats:
 
 
 def _fit_zscore(training_features: list[FeatureMatrix], source: str = "train") -> NormStats:
-    """:func:`fit_zscore` without reading the clips' ``split`` tags, for a
-    caller whose plan decides which clips train."""
+    """:func:`fit_zscore` without reading ``split`` tags: the caller's plan picks the clips."""
     if not training_features:
         raise ContractError("fit_zscore needs at least one feature matrix")
     normalized = next((m for m in training_features if m.normalized), None)

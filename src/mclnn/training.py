@@ -234,9 +234,8 @@ def _stack(
     in ``workspace``, and labels as a length-B array.  With ``stats``, the
     rows of raw segments are normalized in the batch, never in the clips."""
     frames = stack_blocks([s.frames for s in segments], workspace, "segments")
-    raw = np.array([not s.normalized for s in segments])
-    if stats is not None and raw.any():
-        _zscore(frames, stats, True if raw.all() else raw[:, None, None])
+    if stats is not None:
+        _zscore(frames, stats, np.array([not s.normalized for s in segments])[:, None, None])
     return frames, np.array([s.label for s in segments], dtype=np.int64)
 
 
@@ -266,7 +265,9 @@ def train(
     set, the parameters restored at the end are the best-validation-loss
     snapshot, never anything worse.  The first mini-batch whose loss is
     not finite raises :class:`TrainingDivergedError` naming its epoch and
-    batch (both counted from 1), before any update from it.
+    batch (both counted from 1), before any update from it.  Segments not
+    marked ``normalized`` are z-scored under ``model.norm_stats`` batch by
+    batch; whether marked ones used those statistics is not checked here.
     """
     if not train_segments:
         raise ValidationError("training split is empty")
@@ -375,8 +376,7 @@ def predict_clip(model: TrainedModel, segments: list[Segment]) -> tuple[int, np.
     order, in forwards of at most :data:`PREDICT_CHUNK` segments, so the
     result is invariant to how the list is arranged.  Each forward is one
     :func:`model_forward_run` over the chunk's run (see :func:`_run`),
-    normalized under the model's ``norm_stats`` if the clip is raw;
-    every segment must be ``(q, l)`` for the model.
+    z-scored as in :func:`train`; every segment must be ``(q, l)`` for the model.
     """
     if not segments:
         raise ContractError("predict_clip needs at least one segment")
@@ -429,7 +429,8 @@ def evaluate(
 
     A clip whose segment list is empty cannot be predicted; it counts as
     wrong and lands in the confusion matrix's trailing "none" column so
-    row sums still equal per-class clip counts.
+    row sums still equal per-class clip counts.  Segments are z-scored
+    as in :func:`train`.
     """
     if set(segments_by_clip) != set(labels_by_clip):
         raise ContractError("segments_by_clip and labels_by_clip list different clips")

@@ -386,11 +386,13 @@ class TestStepBuffers:
         assert_array_equal(frames, np.stack([s.frames for s in segments]))
         assert_array_equal(labels, [0, 1, 2])
 
-    def test_batch_normalizes_the_raw_segments_only(self):
+    @pytest.mark.parametrize("flags", [(False,) * 5, (False, True, False, False, True), (True,) * 5],
+                             ids=["all-raw", "mixed", "all-normalized"])
+    def test_batch_normalizes_the_raw_segments_only(self, flags):
         rng = np.random.default_rng(63)
         stats = NormStats(mean=rng.standard_normal(8), std=rng.uniform(0.5, 2.0, 8),
                           source_split="train", stats_id="s63")
-        segments = [replace(s, normalized=i % 3 == 1) for i, s in enumerate(self._segments(5, 64))]
+        segments = [replace(s, normalized=f) for f, s in zip(flags, self._segments(5, 64))]
         before = [s.frames.tobytes() for s in segments]
         frames, _ = trn._stack(segments, Workspace(), stats)
         for row, s in zip(frames, segments):
