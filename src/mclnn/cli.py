@@ -17,7 +17,7 @@ import configparser
 import io
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -219,13 +219,23 @@ def _resolve_out(raw: str | None, command: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _feature_paths(directory: Path) -> list[Path]:
+def _load_clips(directory: Path, clip_ids) -> list[feat.FeatureMatrix]:
+    """The clips in ``clip_ids`` from ``directory``'s feature files, in file name order.
+
+    Every header is read and checked first: a bad file anywhere, or two
+    holding one clip id, raises before any frames are loaded."""
     if not directory.is_dir():
         raise ConfigError(f"feature directory {directory} does not exist")
     paths = sorted(directory.glob(f"*{FEATURE_SUFFIX}"))
     if not paths:
         raise ValidationError(f"no {FEATURE_SUFFIX} files under {directory}")
-    return paths
+    path_of: dict[str, Path] = {}
+    for path in paths:
+        clip_id = feat.read_feature_header(path)["clip_id"]
+        if clip_id in path_of:
+            raise ValidationError(f"{path_of[clip_id]} and {path} both hold clip {clip_id!r}")
+        path_of[clip_id] = path
+    return [feat.load_features(path) for clip_id, path in path_of.items() if clip_id in clip_ids]
 
 
 def _read_class_names(path: str | None, class_count: int) -> tuple[str, ...]:
@@ -373,15 +383,11 @@ def cmd_train(args) -> int:
         raise ConfigError("a model architecture is required: --preset or config [model] section")
     out_dir = _resolve_out(args.out, "train")
     out_dir.mkdir(parents=True, exist_ok=True)
-    # the plan and the flags are checked before any feature file is read, and
-    # every header before any payload
+    # the plan and the flags are checked before any feature file is read
     plan = ds.SplitPlan.load(args.plan)
     labels = _read_class_names(args.classes, spec.class_count)
     trn.bucket_roles(plan, args.test_fold, args.validation_fold)
-    paths = _feature_paths(Path(args.features))
-    for path in paths:
-        feat.read_feature_header(path)
-    features = [feat.load_features(path) for path in paths]
+    features = _load_clips(Path(args.features), plan.assignment)
     model, report = trn.run_experiment(
         features, plan, spec, config.training, labels, args.test_fold, args.validation_fold
     )
@@ -409,20 +415,10 @@ def _segment_hop(args, q: int) -> int:
     return args.hop
 
 
-def _checked(model: mdl.TrainedModel, fm: feat.FeatureMatrix) -> feat.FeatureMatrix:
-    """``fm``; a clip normalized under other statistics than the model's raises."""
-    if model.norm_stats is not None:
-        feat._check_zscore(fm, model.norm_stats)
-    return fm
-
-
 def cmd_eval(args) -> int:
     model = mdl.load_model(args.model)
     q = mdl.segment_size(model.spec)
     hop = _segment_hop(args, q)
-    # every header is read and checked; only the bucket's payloads are loaded
-    paths = _feature_paths(Path(args.features))
-    clip_of = {path: feat.read_feature_header(path)["clip_id"] for path in paths}
     plan = ds.SplitPlan.load(args.plan)
     bucket = args.bucket
     clip_ids = set(plan.clips_in(bucket))
@@ -431,10 +427,11 @@ def cmd_eval(args) -> int:
             f"plan has no clips in bucket {bucket!r}; the plan's buckets are "
             f"{', '.join(plan.buckets())} (pass --bucket)"
         )
-    loaded = (feat.load_features(path) for path in paths if clip_of[path] in clip_ids)
-    chosen = [_checked(model, fm) for fm in loaded]
+    chosen = _load_clips(Path(args.features), clip_ids)
     if not chosen:
         raise ValidationError(f"no feature files for bucket {bucket!r} under {args.features}")
+    for fm in chosen:
+        feat._check_zscore(fm, model.norm_stats)
     by_clip = {fm.clip_id: ds.segment_clip(fm, q, hop) for fm in chosen}
     labels_by_clip = {fm.clip_id: fm.label for fm in chosen}
     result = trn.evaluate(model, by_clip, labels_by_clip)
@@ -455,9 +452,8 @@ def cmd_predict(args) -> int:
     hop = _segment_hop(args, q)
     paths = [Path(p) for p in args.features_files]
     for path in paths:
-        fm = _checked(model, feat.load_features(path))
-        if fm.label is None:
-            fm = replace(fm, label=0)  # segmentation requires one; prediction ignores it
+        fm = feat.load_features(path)
+        feat._check_zscore(fm, model.norm_stats)
         segments = ds.segment_clip(fm, q, hop)
         if not segments:
             print(f"{fm.clip_id or path.name}\t<too short>\t-")

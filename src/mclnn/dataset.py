@@ -37,10 +37,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Segment:
-    """q consecutive frames of one clip, with its label and whether they are z-scored already."""
+    """q consecutive frames of a clip, its label or None, and whether they are z-scored already."""
 
     frames: np.ndarray
-    label: int
+    label: int | None
     clip_id: str
     start: int
     normalized: bool = False
@@ -112,6 +112,7 @@ def segment_clip(features: FeatureMatrix, q: int, hop: int) -> list[Segment]:
 
     A clip shorter than q yields no segments; that is logged rather than
     raised, since a dataset may legitimately contain a few short clips.
+    An unlabeled clip gives unlabeled segments; training rejects them.
     """
     if q < 1 or hop < 1:
         raise ValidationError(f"need q >= 1 and hop >= 1, got q={q}, hop={hop}")
@@ -122,8 +123,6 @@ def segment_clip(features: FeatureMatrix, q: int, hop: int) -> list[Segment]:
             features.clip_id, t, q,
         )
         return []
-    if features.label is None:
-        raise ValidationError(f"clip {features.clip_id!r} has no label; cannot build segments")
     return [
         Segment(
             frames=features.frames[start : start + q],

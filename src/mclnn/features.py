@@ -41,8 +41,9 @@ stacked frames bit for bit.
 
 The z-score rule lives here and nowhere else.  Statistics are fitted on
 raw training frames only: ``fit_zscore`` rejects held-out and normalized
-clips.  A clip is normalized once, and a normalized clip is accepted only
-under the statistics it was normalized with; under any others it raises
+clips.  A clip is normalized once.  ``_check_zscore`` alone decides whether
+a model takes a clip: a raw one, or one normalized under the model's own
+statistics; one normalized under other statistics, or none, raises
 ``ValidationError``.  ``apply_zscore`` normalizes a copy; training and
 prediction normalize the batches they copy from raw clips, with the same
 operations, so a caller's clips stay raw.  A feature file's header is
@@ -629,6 +630,8 @@ def _stacked_row_sum(clips: list[np.ndarray], fill) -> np.ndarray:
 
 def apply_zscore(features: FeatureMatrix, stats: NormStats | None) -> FeatureMatrix:
     """A copy of ``features`` normalized under ``stats``, or as it is if it already was."""
+    if stats is None:
+        raise ContractError("apply_zscore called with unfitted statistics")
     out = copy.copy(features)
     out.frames = features.frames.copy()
     if _check_zscore(features, stats):
@@ -644,17 +647,16 @@ def _zscore(frames: np.ndarray, stats: NormStats, where=True) -> None:
 
 
 def _check_zscore(features: FeatureMatrix, stats: NormStats | None) -> bool:
-    """True if ``features`` is raw; normalized under other statistics raises."""
-    if stats is None:
-        raise ContractError("apply_zscore called with unfitted statistics")
-    if features.feature_length != stats.mean.shape[0]:
+    """True if ``features`` is raw; normalized under other statistics, or under none, raises."""
+    if stats is not None and features.feature_length != stats.mean.shape[0]:
         raise ShapeError.mismatch(
             "features vs normalization stats", stats.mean.shape, (features.feature_length,)
         )
-    if features.normalized and features.norm_id != stats.stats_id:
+    stats_id = None if stats is None else stats.stats_id
+    if features.normalized and features.norm_id != stats_id:
         raise ValidationError(
             f"clip {features.clip_id!r} was normalized with statistics {features.norm_id!r}, "
-            f"not {stats.stats_id!r}"
+            f"not {stats_id!r}"
         )
     return not features.normalized
 

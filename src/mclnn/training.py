@@ -236,7 +236,7 @@ def _stack(
     frames = stack_blocks([s.frames for s in segments], workspace, "segments")
     if stats is not None:
         _zscore(frames, stats, np.array([not s.normalized for s in segments])[:, None, None])
-    return frames, np.array([s.label for s in segments], dtype=np.int64)
+    return frames, np.array([s.label for s in segments])
 
 
 def _dataset_loss(
@@ -265,9 +265,10 @@ def train(
     set, the parameters restored at the end are the best-validation-loss
     snapshot, never anything worse.  The first mini-batch whose loss is
     not finite raises :class:`TrainingDivergedError` naming its epoch and
-    batch (both counted from 1), before any update from it.  Segments not
-    marked ``normalized`` are z-scored under ``model.norm_stats`` batch by
-    batch; whether marked ones used those statistics is not checked here.
+    batch (both counted from 1), before any update from it; a batch with an
+    unlabeled segment raises ``ValidationError`` at the same point.  Segments
+    not marked ``normalized`` are z-scored under ``model.norm_stats`` batch
+    by batch; whether marked ones used those statistics is not checked here.
     """
     if not train_segments:
         raise ValidationError("training split is empty")

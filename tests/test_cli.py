@@ -577,6 +577,28 @@ class TestTrainEvalPredict:
         prenormalized, raw = capsys.readouterr().out.splitlines()
         assert prenormalized == raw
 
+    def test_model_without_statistics_takes_raw_files_only(self, workspace, tmp_path, capsys):
+        model = load_model(workspace / "run" / "model.mcln")
+        featdir = self._prenormalized(workspace, tmp_path, model.norm_stats)
+        norm_id = model.norm_stats.stats_id
+        model.norm_stats = None
+        save_model(model, tmp_path / "model.mcln")
+        plan = tmp_path / "plan.txt"
+        plan.write_text("drums__clip5\ttest\n")
+        for command in (["predict", str(featdir / "drums__clip5.mclf")],
+                        ["eval", "--plan", str(plan), "--features", str(featdir)]):
+            assert main([command[0], "--model", str(tmp_path / "model.mcln"), *command[1:]]) == EXIT_DATA
+            line = single_error(capsys.readouterr(), "ValidationError")
+            assert f"'drums__clip5' was normalized with statistics {norm_id!r}, not None" in line
+        raw = load_features(workspace / "features" / "drums__clip5.mclf")
+        q = segment_size(model.spec)
+        predicted, probs = predict_clip(model, segment_clip(raw, q, q))
+        assert main(["predict", "--model", str(tmp_path / "model.mcln"),
+                     str(workspace / "features" / "drums__clip5.mclf")]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"drums__clip5\t{model.labels[predicted]}\t" + " ".join(f"{p:.4f}" for p in probs) + "\n"
+        )
+
     def test_train_on_normalized_features_is_data_error(self, workspace, tmp_path, capsys):
         stats = load_model(workspace / "run" / "model.mcln").norm_stats
         featdir = tmp_path / "normalized"
@@ -606,16 +628,21 @@ class TestTrainEvalPredict:
         assert "--test-fold" in capsys.readouterr().err
 
     @staticmethod
-    def _features_with_a_truncated_file(workspace, tmp_path):
-        """A copy of the workspace features beside a truncated unrelated ``.mclf``."""
+    def _features_with(workspace, tmp_path, extra: dict[str, bytes] | None = None):
+        """A copy of the workspace features plus the files ``extra`` names."""
         featdir = tmp_path / "features"
         featdir.mkdir()
         for path in (workspace / "features").glob("*.mclf"):
             (featdir / path.name).write_bytes(path.read_bytes())
-        (featdir / "zz__unrelated.mclf").write_bytes(
-            (workspace / "features" / "drums__clip0.mclf").read_bytes()[:100]
-        )
+        for name, blob in (extra or {}).items():
+            (featdir / name).write_bytes(blob)
         return featdir
+
+    @classmethod
+    def _features_with_a_truncated_file(cls, workspace, tmp_path):
+        """A copy of the workspace features beside a truncated unrelated ``.mclf``."""
+        truncated = (workspace / "features" / "drums__clip0.mclf").read_bytes()[:100]
+        return cls._features_with(workspace, tmp_path, {"zz__unrelated.mclf": truncated})
 
     def test_train_checks_the_plan_before_any_feature_file(
         self, workspace, tmp_path, capsys, monkeypatch
@@ -647,6 +674,52 @@ class TestTrainEvalPredict:
         assert rc == EXIT_IO
         assert "zz__unrelated.mclf" in single_error(capsys.readouterr(), "TruncatedFileError")
         assert loads == []
+
+    @staticmethod
+    def _spy_loads(monkeypatch) -> list[str]:
+        """The names of the files ``load_features`` reads from here on."""
+        loaded, original = [], mclnn.features.load_features
+        monkeypatch.setattr(mclnn.features, "load_features",
+                            lambda path: loaded.append(Path(path).name) or original(path))
+        return loaded
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_two_files_holding_one_clip_is_data_error_before_any_payload(
+        self, workspace, tmp_path, capsys, monkeypatch, command
+    ):
+        # a test clip's file again under a name that sorts last
+        copy = (workspace / "features" / "drums__clip5.mclf").read_bytes()
+        featdir = self._features_with(workspace, tmp_path, {"zz__copy.mclf": copy})
+        loaded = self._spy_loads(monkeypatch)
+        config = tmp_path / "config.ini"
+        config.write_text(SMALL_INI)
+        argv = {
+            "eval": ["eval", "--model", str(workspace / "run" / "model.mcln")],
+            "train": ["train", "--config", str(config), "--out", str(tmp_path / "run")],
+        }[command]
+        rc = main(argv + ["--plan", str(workspace / "plan.txt"), "--features", str(featdir)])
+        assert rc == EXIT_DATA
+        line = single_error(capsys.readouterr(), "ValidationError")
+        assert line.endswith(f"{featdir / 'drums__clip5.mclf'} and {featdir / 'zz__copy.mclf'} "
+                             f"both hold clip 'drums__clip5'")
+        assert loaded == []
+
+    def test_train_checks_but_does_not_load_a_clip_outside_the_plan(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        fold_plan = self._fold_plan(workspace, tmp_path, capsys)
+        featdir = self._features_with(workspace, tmp_path)
+        save_features(FeatureMatrix(frames=np.ones((20, 8)), clip_id="stray__clip0", label=0),
+                      featdir / "stray__clip0.mclf")
+        loaded = self._spy_loads(monkeypatch)
+        runs = {}
+        for name, features in (("without", workspace / "features"), ("with", featdir)):
+            (tmp_path / name).mkdir()
+            loaded.clear()
+            assert self._train_on_folds(tmp_path / name, features, fold_plan) == EXIT_OK
+            assert sorted(loaded) == sorted(p.name for p in (workspace / "features").glob("*.mclf"))
+            runs[name] = (tmp_path / name / "run" / "model.mcln").read_bytes()
+        assert runs["with"] == runs["without"]
 
     @pytest.mark.parametrize("flag", ["--test-fold", "--validation-fold"])
     def test_train_fixed_plan_rejects_fold_flags(self, workspace, tmp_path, capsys, flag):
@@ -733,10 +806,7 @@ class TestTrainEvalPredict:
         self, workspace, tmp_path, capsys, monkeypatch
     ):
         fold_plan = self._fold_plan(workspace, tmp_path, capsys)
-        featdir = tmp_path / "features"
-        featdir.mkdir()
-        for path in (workspace / "features").glob("*.mclf"):
-            (featdir / path.name).write_bytes(path.read_bytes())
+        featdir = self._features_with(workspace, tmp_path)
         [unlabeled, *_] = SplitPlan.load(fold_plan).clips_in("fold1")
         rewrite_feature_header(featdir / f"{unlabeled}.mclf", lambda h: h.update(label=None))
         calls = []
@@ -804,10 +874,7 @@ class TestTrainEvalPredict:
 
     def _eval_with_one_other_file(self, workspace, tmp_path, change):
         """eval on a copy of the features where ``change`` rewrote a train clip's bytes."""
-        featdir = tmp_path / "features"
-        featdir.mkdir()
-        for path in (workspace / "features").glob("*.mclf"):
-            (featdir / path.name).write_bytes(path.read_bytes())
+        featdir = self._features_with(workspace, tmp_path)
         other = featdir / "drums__clip0.mclf"
         assert SplitPlan.load(workspace / "plan.txt").bucket("drums__clip0") != "test"
         other.write_bytes(change(other.read_bytes()))

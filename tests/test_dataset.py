@@ -1,12 +1,14 @@
 """Segmentation, fold assignment, and split planning."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mclnn.cli import main
 from mclnn.dataset import (
     SplitPlan,
     class_mapping,
@@ -19,7 +21,9 @@ from mclnn.dataset import (
     segment_count,
 )
 from mclnn.errors import ConfigError, FileFormatError, ValidationError
-from mclnn.features import FeatureMatrix
+from mclnn.features import FeatureMatrix, save_features
+from mclnn.model import LayerSpec, ModelSpec, build_model, save_model, segment_size
+from mclnn.training import TrainConfig, train
 
 
 def clip_features(t, l=4, clip_id="clip", label=1):
@@ -62,10 +66,27 @@ class TestSegmentClip:
         assert not any(s.normalized for s in segment_clip(raw, q=10, hop=5))
         assert all(s.normalized for s in segment_clip(normalized, q=10, hop=5))
 
-    def test_unlabelled_clip_rejected(self):
-        fm = FeatureMatrix(frames=np.ones((30, 4)), clip_id="c")
-        with pytest.raises(ValidationError):
-            segment_clip(fm, q=10, hop=10)
+    def test_unlabelled_clip_is_segmented_trains_nothing_and_predicts(self, tmp_path, capsys):
+        spec = ModelSpec(feature_length=4, layers=(LayerSpec(width=3, order=1),),
+                         extra_frames=1, dense_width=3, class_count=2)
+        q = segment_size(spec)
+        fm = FeatureMatrix(frames=np.random.default_rng(0).standard_normal((30, 4)), clip_id="c")
+        segments = segment_clip(fm, q=q, hop=q)
+        assert segments and all(s.label is None for s in segments)
+        model = build_model(spec, seed=1)
+        before = {key: value.tobytes() for key, value in model.parameters().items()}
+        with pytest.raises(ValidationError, match="is not one class id"):
+            train(model, segments, TrainConfig(epochs=1, batch_size=2))
+        assert {key: value.tobytes() for key, value in model.parameters().items()} == before
+        # predict prints for the unlabeled file what it prints for a labeled copy
+        save_model(model, tmp_path / "model.mcln")
+        for name, clip in (("unlabeled", fm), ("labeled", replace(fm, label=0))):
+            (tmp_path / name).mkdir()
+            save_features(clip, tmp_path / name / "c.mclf")
+            assert main(["predict", "--model", str(tmp_path / "model.mcln"),
+                         str(tmp_path / name / "c.mclf")]) == 0
+        unlabeled, labeled = capsys.readouterr().out.splitlines()
+        assert unlabeled == labeled
 
     def test_bad_parameters(self):
         with pytest.raises(ValidationError):
