@@ -222,8 +222,9 @@ def _resolve_out(raw: str | None, command: str) -> Path:
 def _load_clips(directory: Path, clip_ids) -> list[feat.FeatureMatrix]:
     """The clips in ``clip_ids`` from ``directory``'s feature files, in file name order.
 
-    Every header is read and checked first: a bad file anywhere, or two
-    holding one clip id, raises before any frames are loaded."""
+    Every header is read and checked first: a bad file anywhere, two
+    holding one clip id, or a clip in ``clip_ids`` that no file holds
+    raises before any frames are loaded."""
     if not directory.is_dir():
         raise ConfigError(f"feature directory {directory} does not exist")
     paths = sorted(directory.glob(f"*{FEATURE_SUFFIX}"))
@@ -235,6 +236,11 @@ def _load_clips(directory: Path, clip_ids) -> list[feat.FeatureMatrix]:
         if clip_id in path_of:
             raise ValidationError(f"{path_of[clip_id]} and {path} both hold clip {clip_id!r}")
         path_of[clip_id] = path
+    missing = sorted(set(clip_ids) - path_of.keys())
+    if missing:
+        raise ValidationError(
+            f"{len(missing)} plan clips have no feature file under {directory}, e.g. {missing[:3]}"
+        )
     return [feat.load_features(path) for clip_id, path in path_of.items() if clip_id in clip_ids]
 
 
@@ -428,8 +434,6 @@ def cmd_eval(args) -> int:
             f"{', '.join(plan.buckets())} (pass --bucket)"
         )
     chosen = _load_clips(Path(args.features), clip_ids)
-    if not chosen:
-        raise ValidationError(f"no feature files for bucket {bucket!r} under {args.features}")
     for fm in chosen:
         feat._check_zscore(fm, model.norm_stats)
     by_clip = {fm.clip_id: ds.segment_clip(fm, q, hop) for fm in chosen}

@@ -45,9 +45,10 @@ uses the stored weights as they are.
 :func:`block_forward` and ``backward`` keep their arrays in the
 :class:`Workspace` they are given, in buffers keyed by record name, and
 take fresh memory when given none; the forwards of the pool and the
-dense layers make a few vectors per segment and allocate them.  A training loop passes one
-workspace to every mini-batch: each batch writes into the memory the one
-before it used, a smaller batch into a prefix of it.  A first batch is
+dense layers make a few vectors per segment and allocate them.  The
+training loop passes its thread's one workspace to every mini-batch of
+every run: each batch writes into the memory the one before it used, a
+smaller batch into a prefix of it.  A first batch is
 just an empty workspace, so there is no second path for reuse.
 
 All accumulations run in a fixed order (window offset ``-n .. n``, tape

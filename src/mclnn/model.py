@@ -13,14 +13,14 @@ layer runs once over the run when that makes fewer rows than the batch
 would.  Every entry point shares the walk from the first batched layer
 on, and only :func:`model_forward_tape` records a tape.  The conditional
 layers keep their arrays in the workspace a caller passes, or in fresh
-memory: ``train`` passes one for all of its mini-batches and its
-validation.  Masks are derived from the spec, never stored: a model file
-round-trips parameters bit-exactly and regenerates masks on load.  The
-spec is stored as its dataclass fields and read back with every field
-required at its declared type.  The labels, init seed and init scheme,
-and the normalization block's source split and id, are listed in tables
-that both the writer and the typed reader walk, so a file holds exactly
-the fields the reader checks.
+memory: ``train`` passes its thread's kept one for all of its
+mini-batches and its validation.  Masks are derived from the spec, never
+stored: a model file round-trips parameters bit-exactly and regenerates
+masks on load.  The spec is stored as its dataclass fields and read back
+with every field required at its declared type.  The labels, init seed
+and init scheme, and the normalization block's source split and id, are
+listed in tables that both the writer and the typed reader walk, so a
+file holds exactly the fields the reader checks.
 """
 
 from __future__ import annotations

@@ -15,26 +15,34 @@ generator, and validation-loss early stopping that snapshots the best
 parameters.  Each mini-batch is one batched forward and one ``backward``
 from the mean cross-entropy's logit gradient.  Every batch, in training,
 validation and prediction alike, is laid out by
-:func:`~mclnn.layers.stack_blocks`.  One ``train`` call keeps a
-single :class:`~mclnn.layers.Workspace` for every mini-batch's frames,
-activations and gradients, so after the first batch a step allocates
-nothing large; the update scales each gradient in place.  Validation runs
-untaped in chunks of ``batch_size`` segments, in the same workspace, and
-a clip's segments run in chunks of :data:`PREDICT_CHUNK`.  Each chunk
-goes to the model as one run of frames in which overlapping segments
-whose frames agree share their common frames, so a conditional layer can
-run once over the run instead of once per segment.  Every reduction runs
-in a fixed order, so a (seed, config, data) triple maps to bit-identical
-parameters and reports at a fixed BLAS thread count.  The conditional
-layers may split their work over two threads (see :mod:`mclnn.layers`);
-they split only where every number stays the same, so neither a
-training run nor a prediction depends on whether they do.
+:func:`~mclnn.layers.stack_blocks`.  Each thread keeps one
+:class:`~mclnn.layers.Workspace` for every mini-batch's frames,
+activations and gradients, and every ``train`` call on that thread uses
+it, so after a thread's first batch a step allocates nothing large and a
+later run does not fault its memory in again; the update scales each
+gradient in place.  The workspace holds, under each buffer name, the
+largest batch's buffer the thread has trained (about 25 MB at ``table3``
+with batch 64) until the thread ends.  A smaller batch writes a prefix of
+it, and every buffer is written before it is read, so a run gives the
+same bits on kept memory as on fresh.  Validation runs untaped in chunks
+of ``batch_size`` segments, in the same workspace.  Prediction takes
+fresh memory, and a clip's segments run in chunks of
+:data:`PREDICT_CHUNK`.  Each chunk goes to the model as one run of frames
+in which overlapping segments whose frames agree share their common
+frames, so a conditional layer can run once over the run instead of once
+per segment.  Every reduction runs in a fixed order, so a (seed, config,
+data) triple maps to bit-identical parameters and reports at a fixed
+BLAS thread count.  The conditional layers may split their work over two
+threads (see :mod:`mclnn.layers`); they split only where every number
+stays the same, so neither a training run nor a prediction depends on
+whether they do.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import threading
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -62,6 +70,9 @@ OPTIMIZERS = ("sgd", "momentum")
 # Most segments one inference forward takes at a time; bounds the memory a
 # long clip's forward holds.
 PREDICT_CHUNK = 64
+
+# each thread's training workspace, kept from one ``train`` call to the next
+_kept = threading.local()
 
 __all__ = [
     "TrainConfig",
@@ -265,19 +276,27 @@ def train(
     set, the parameters restored at the end are the best-validation-loss
     snapshot, never anything worse.  The first mini-batch whose loss is
     not finite raises :class:`TrainingDivergedError` naming its epoch and
-    batch (both counted from 1), before any update from it; a batch with an
-    unlabeled segment raises ``ValidationError`` at the same point.  Segments
+    batch (both counted from 1), before any update from it.  A training or
+    validation segment without a class id of the model raises
+    ``ValidationError`` naming its clip before the first update.  Segments
     not marked ``normalized`` are z-scored under ``model.norm_stats`` batch
     by batch; whether marked ones used those statistics is not checked here.
+
+    Every batch's frames, activations and gradients, validation's too, live
+    in the calling thread's workspace, kept across calls: the thread holds
+    the buffers of the largest batch it has trained until it ends.
     """
     if not train_segments:
         raise ValidationError("training split is empty")
+    for segment in (*train_segments, *(validation_segments or ())):
+        _check_label(segment.clip_id, segment.label, model.spec.class_count)
     started = time.monotonic()
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
-    # every batch's frames, activations and gradients, validation's too, in one set of buffers
-    workspace = Workspace()
+    workspace = getattr(_kept, "workspace", None)
+    if workspace is None:
+        workspace = _kept.workspace = Workspace()
     report = RunReport(config=asdict(config), class_names=model.labels)
 
     best_loss = np.inf

@@ -704,6 +704,29 @@ class TestTrainEvalPredict:
                              f"both hold clip 'drums__clip5'")
         assert loaded == []
 
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_a_plan_clip_without_a_feature_file_is_data_error_before_any_payload(
+        self, workspace, tmp_path, capsys, monkeypatch, command
+    ):
+        # the four test clips' files are gone; the training clips' remain
+        featdir = self._features_with(workspace, tmp_path)
+        for clip_id in ("drums__clip4", "drums__clip5", "flute__clip4", "flute__clip5"):
+            (featdir / f"{clip_id}.mclf").unlink()
+        loaded = self._spy_loads(monkeypatch)
+        config = tmp_path / "config.ini"
+        config.write_text(SMALL_INI)
+        argv = {
+            "eval": ["eval", "--model", str(workspace / "run" / "model.mcln")],
+            "train": ["train", "--config", str(config), "--out", str(tmp_path / "run")],
+        }[command]
+        rc = main(argv + ["--plan", str(workspace / "plan.txt"), "--features", str(featdir)])
+        assert rc == EXIT_DATA
+        line = single_error(capsys.readouterr(), "ValidationError")
+        assert line.endswith(f"4 plan clips have no feature file under {featdir}, e.g. "
+                             f"['drums__clip4', 'drums__clip5', 'flute__clip4']")
+        assert loaded == []
+        assert not (tmp_path / "run" / "model.mcln").exists()
+
     def test_train_checks_but_does_not_load_a_clip_outside_the_plan(
         self, workspace, tmp_path, capsys, monkeypatch
     ):

@@ -75,7 +75,7 @@ class TestSegmentClip:
         assert segments and all(s.label is None for s in segments)
         model = build_model(spec, seed=1)
         before = {key: value.tobytes() for key, value in model.parameters().items()}
-        with pytest.raises(ValidationError, match="is not one class id"):
+        with pytest.raises(ValidationError, match=r"clip 'c' label None is not a class id"):
             train(model, segments, TrainConfig(epochs=1, batch_size=2))
         assert {key: value.tobytes() for key, value in model.parameters().items()} == before
         # predict prints for the unlabeled file what it prints for a labeled copy

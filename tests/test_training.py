@@ -1,6 +1,9 @@
 """Training loop, voting, evaluation, and the gradient checker."""
 
+import hashlib
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -236,6 +239,22 @@ class TestTrain:
         assert f"epoch 1, batch {error.batch}" in str(error)
         assert not np.isfinite(error.loss)
 
+    @pytest.mark.parametrize("where, label", [("train", None), ("train", 2), ("validation", -1)])
+    def test_a_bad_label_is_rejected_naming_its_clip_before_any_update(self, where, label):
+        # 50 labeled segments at batch_size 1, then the bad one: every
+        # training batch before it would have updated the parameters
+        segments = tiny_segments(51)
+        validation = tiny_segments(3, seed=2, clip_id_fn=lambda i: f"v{i}")
+        bad = {"train": segments, "validation": validation}[where]
+        bad[-1] = replace(bad[-1], label=label)
+        model = build_model(tiny_spec(), seed=0)
+        before = {key: value.tobytes() for key, value in model.parameters().items()}
+        with pytest.raises(ValidationError, match=(
+            rf"clip '{bad[-1].clip_id}' label {label} is not a class id in \[0, 2\)"
+        )):
+            train(model, segments, TrainConfig(epochs=1, batch_size=1, seed=1), validation)
+        assert {key: value.tobytes() for key, value in model.parameters().items()} == before
+
     def test_batch_gradient_is_mean_of_per_segment_gradients(self, small_model):
         rng = np.random.default_rng(40)
         frames = rng.standard_normal((7, 11, 8))
@@ -309,15 +328,19 @@ class TestTrain:
 
 
 
+def small_segments(count, seed):
+    """``count`` random ``small_spec`` segments, labels cycling through the 4 classes."""
+    rng = np.random.default_rng(seed)
+    return [
+        Segment(frames=rng.standard_normal((11, 8)), label=i % 4, clip_id=f"c{i}", start=0)
+        for i in range(count)
+    ]
+
+
 class TestStepBuffers:
     """One ``train`` call reuses one workspace for every mini-batch."""
 
-    def _segments(self, count, seed):
-        rng = np.random.default_rng(seed)
-        return [
-            Segment(frames=rng.standard_normal((11, 8)), label=i % 4, clip_id=f"c{i}", start=0)
-            for i in range(count)
-        ]
+    _segments = staticmethod(small_segments)
 
     def _train(self, optimizer):
         model = build_model(small_spec(), seed=50)
@@ -422,6 +445,83 @@ class TestStepBuffers:
         segments[1] = replace(segments[1], frames=segments[1].frames[:-1])
         with pytest.raises(ShapeError):
             train(build_model(small_spec(), seed=62), segments, TrainConfig(epochs=1, batch_size=4))
+
+
+def on_fresh_thread(work):
+    """``work()`` run on a new thread, which has no training workspace yet."""
+    results = []
+
+    def run():
+        assert getattr(trn._kept, "workspace", None) is None
+        results.append(work())
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and len(results) == 1
+    return results[0]
+
+
+class TestKeptWorkspace:
+    """Each thread keeps one training workspace across ``train`` calls, with unchanged bits."""
+
+    @staticmethod
+    def _run(batch_size, seed=70):
+        """md5 of the trained parameters and the report's deterministic text."""
+        model = build_model(small_spec(), seed=seed)
+        config = TrainConfig(learning_rate=0.05, epochs=2, batch_size=batch_size, seed=seed + 1,
+                             patience=2)
+        # 70 segments: a partial last batch at batch sizes 8 and 64
+        model, report = train(model, small_segments(70, seed + 2), config,
+                              small_segments(20, seed + 3))
+        params = model.parameters()
+        digest = hashlib.md5(b"".join(params[key].tobytes() for key in sorted(params)))
+        return digest.hexdigest(), report.deterministic_text()
+
+    def test_back_to_back_runs_equal_a_run_on_a_fresh_thread(self):
+        first, second = self._run(8), self._run(8)
+        space = trn._kept.workspace
+        assert first == second == on_fresh_thread(lambda: self._run(8))
+        assert trn._kept.workspace is space
+
+    def test_a_smaller_batch_after_a_larger_one_equals_it_on_a_fresh_thread(self):
+        self._run(64)
+        assert self._run(8) == on_fresh_thread(lambda: self._run(8))
+
+    def test_threads_training_at_once_keep_their_own_workspaces(self):
+        jobs = [(8, 71), (64, 72), (5, 73), (64, 74)]  # more threads than cores
+        sequential = [self._run(batch_size, seed) for batch_size, seed in jobs]
+        start = threading.Barrier(len(jobs))
+        results, spaces = [None] * len(jobs), [None] * len(jobs)
+
+        def work(i, batch_size, seed):
+            start.wait(timeout=60)
+            results[i] = [self._run(batch_size, seed) for _ in range(2)]
+            spaces[i] = trn._kept.workspace
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i, *job)) for i, job in enumerate(jobs)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len({id(space) for space in spaces}) == len(jobs)
+        assert results == [[want, want] for want in sequential]
+
+    # the layers' second thread overflows too, outside the caller's np.errstate
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_diverged_run_leaves_the_next_run_s_bits_unchanged(self):
+        model = build_model(small_spec(), seed=75)
+        config = TrainConfig(learning_rate=1e200, epochs=3, batch_size=64, seed=76,
+                             optimizer="sgd")
+        with pytest.raises(TrainingDivergedError):
+            train(model, small_segments(200, 77), config)
+        assert self._run(8) == on_fresh_thread(lambda: self._run(8))
 
 
 class TestWorkerCountKeepsTheBits:
