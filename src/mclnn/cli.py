@@ -273,7 +273,7 @@ def cmd_features_extract(args) -> int:
     inputs: dict[str, tuple[str, Path]] = {}
     for class_dir in class_dirs:
         for audio_path in sorted(
-            p for p in class_dir.iterdir() if p.suffix in (".npz", ".wav", ".au")
+            p for p in class_dir.iterdir() if p.suffix.lower() in feat.AUDIO_SUFFIXES
         ):
             clip_id = f"{class_dir.name}__{audio_path.stem}"
             if clip_id in inputs:

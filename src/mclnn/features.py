@@ -88,6 +88,8 @@ WINDOW_NAME = "hann"
 
 FEATURE_MAGIC = b"MCLF"
 FEATURE_VERSION = 1
+# the raw clip files load_audio reads, matched in any case
+AUDIO_SUFFIXES = (".npz", ".wav", ".au")
 
 # Frames per STFT pass: a 32 x 2048 windowed block and its spectrum take
 # about 1 MiB together, so each pass stays in a per-core L2 cache.
@@ -708,9 +710,13 @@ _AU_PCM = {2: ">i1", 3: ">i2", 5: ">i4"}
 
 
 def load_audio(path) -> AudioClip:
-    """Read a raw sample stream: ``.npz`` (samples + rate), PCM ``.wav`` or PCM ``.au``."""
+    """Read a raw sample stream: ``.npz`` (samples + rate), PCM ``.wav`` or PCM ``.au``.
+
+    The suffix matches in any case, so ``x.WAV`` is a ``.wav`` file.
+    """
     path = Path(path)
-    if path.suffix == ".npz":
+    suffix = path.suffix.lower()
+    if suffix == ".npz":
         try:
             with np.lib.npyio.NpzFile(path) as data:
                 if "samples" not in data or "rate" not in data:
@@ -725,7 +731,7 @@ def load_audio(path) -> AudioClip:
         if samples.dtype.kind not in "iuf":
             raise ValidationError(f"{path}: 'samples' must be real numbers, got {samples.dtype}")
         return AudioClip(samples=samples.astype(np.float64), sample_rate=int(rate))
-    if path.suffix == ".wav":
+    if suffix == ".wav":
         try:
             with wave.open(str(path), "rb") as wav:
                 rate = wav.getframerate()
@@ -738,7 +744,7 @@ def load_audio(path) -> AudioClip:
         if dtype is None:
             raise ValidationError(f"{path}: unsupported PCM sample width {width}")
         return AudioClip(samples=_pcm_samples(path, raw, dtype, channels), sample_rate=rate)
-    if path.suffix == ".au":
+    if suffix == ".au":
         return _load_au(path)
     raise ValidationError(f"unsupported audio container {path.suffix!r} for {path}")
 

@@ -32,9 +32,9 @@ used as it is; any other input is copied once, by the same builder.
 
 Gradients come from walking an :class:`ActivationTape` backwards.  The
 tape records each layer itself, conditional or dense, with its inputs,
-pre-activations and outputs, so ``backward`` has one branch for layers
-with parameters; only the weight GEMM and the input gradient depend on
-the layer's kind.  Weight gradients sum over the batch, so ``backward``
+pre-activations and outputs.  ``backward`` views a dense layer as the
+paper's order-0 conditional layer over one frame of ``B`` rows, so every
+layer takes one path.  Weight gradients sum over the batch, so ``backward``
 returns the gradient of whatever the loss gradient it starts from
 describes (a batch mean when it starts from ``(p - onehot) / B``).  A
 masked connection does not exist, so its weight is exactly zero:
@@ -55,23 +55,24 @@ All accumulations run in a fixed order (window offset ``-n .. n``, tape
 order reversed, rows frame-major), so repeated runs are bit-identical at
 a fixed BLAS thread count.
 
-A conditional layer splits its work between two Python threads where the
-split leaves every number as it was.  The forward cuts its output rows
-into two fixed slabs; each slab runs the same per-offset GEMMs, bias add
-and activation into its own rows.  The edge depends only on the row
-count: rows before it are a multiple of 48 and each slab has at least 48
-rows (a smaller layer is one slab), because OpenBLAS computes a row the
-same way in either GEMM only then.  ``backward`` runs the weight-gradient
-GEMMs and the input-gradient sum as two tasks, since neither reads the
-other; the first record has no input gradient, so its offsets form the
-two tasks.  No GEMM's operands change.  The second thread is used when
-the process has two CPUs and BLAS is pinned to one thread (the first of
+A layer splits its work between two Python threads where the split
+leaves every number as it was.  A conditional forward cuts its output rows into
+two fixed slabs; each slab runs the same per-offset GEMMs, bias add and
+activation into its own rows.  The edge depends only on the row count: rows
+before it are a multiple of 48 and each slab has at least 48 rows (a
+smaller layer is one slab), because OpenBLAS computes a row the same way
+in either GEMM only then.  ``backward`` runs every layer's weight-gradient
+GEMMs and input-gradient sum as two tasks, since neither reads the other;
+the first record has no input gradient, so its offsets form the two
+tasks.  No GEMM's operands change.  The second thread is used when the
+process has two CPUs and BLAS is pinned to one thread (the first of
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``
-that is set is ``1``), decided once at import; otherwise the tasks run
-in order on the calling thread, since a threaded BLAS already uses the
-cores.  The result never depends on which of the two happens.  Every
-:class:`Workspace` buffer is taken on the calling thread before the
-tasks start, and the tasks call only NumPy and activation methods.
+that is set is ``1``), decided once at import; otherwise the tasks run in
+order on the calling thread, since a threaded BLAS already uses the
+cores.  The result never depends on which of the two happens, and the
+second thread runs under the caller's NumPy error state.  Every
+:class:`Workspace` buffer is taken on the calling thread before the tasks
+start, and the tasks call only NumPy and activation methods.
 
 The same runner, :func:`_run_tasks`, has one other user:
 :func:`mclnn.features.stft_power` runs its two groups of spectrum blocks
@@ -407,7 +408,8 @@ def _run_tasks(tasks: list[Callable[[], None]]) -> None:
     """Run every task: the first on the calling thread, the rest on a second one.
 
     With one worker the tasks run in order on the calling thread.  Tasks
-    write disjoint memory, so the result is the same either way.
+    write disjoint memory, so the result is the same either way.  The
+    second thread runs under the caller's NumPy error state.
     """
     if _WORKERS == 1 or len(tasks) == 1:
         for task in tasks:
@@ -417,7 +419,8 @@ def _run_tasks(tasks: list[Callable[[], None]]) -> None:
     with _second_lock:
         if _second is None:
             _second = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mclnn-layers")
-        futures = [_second.submit(task) for task in tasks[1:]]
+        state = dict(np.geterr(), call=np.geterrcall())
+        futures = [_second.submit(np.errstate(**state)(task)) for task in tasks[1:]]
     try:
         tasks[0]()
     finally:
@@ -611,9 +614,9 @@ def backward(
         if not isinstance(rec, LayerRecord):
             raise ContractError(f"unknown tape record type {type(rec).__name__}")
         layer, name = rec.layer, rec.name
-        conditional = isinstance(layer, ClnnLayer)
-        # conditional layers work on their time-major memory, dense ones as recorded
-        x, pre, g = (_time_major(a) if conditional else a for a in (rec.inputs, rec.pre, g))
+        dense = isinstance(layer, DenseLayer)  # an order-0 conditional layer over one frame
+        order, weights = (0, layer.weights[None]) if dense else (layer.order, layer.weights)
+        x, pre, g = (_time_major(a[..., None, :] if dense else a) for a in (rec.inputs, rec.pre, g))
         dpre = layer.activation.derivative(pre, space.take(f"{name}.dpre", pre.shape))
         np.multiply(g, dpre, out=dpre)
         flat_dpre = dpre.reshape(-1, dpre.shape[-1])
@@ -626,54 +629,50 @@ def backward(
                 pre, g, space.take(f"{name}.scratch", pre.shape),
                 space.take(f"{name}.slopes.grad", layer.bias.shape),
             )
-        if conditional:
-            dx = product = None
-            if index > 0:
-                dx = space.take(f"{name}.inputs.grad", x.shape)
-                product = space.take(f"{name}.scratch", (flat_dpre.shape[0], x.shape[2]))
-            _run_tasks(_gradient_tasks(layer, x, flat_dpre, dw, dx, product))
-            if dx is None:
-                break
-            g = _batch_major(dx, rec.inputs.shape[:-2])
-            continue
-        np.matmul(x.reshape(-1, x.shape[-1]).T, flat_dpre, out=dw)
-        if index == 0:
+        dx = product = None
+        if index > 0:
+            dx = space.take(f"{name}.inputs.grad", x.shape)
+            product = space.take(f"{name}.scratch", (flat_dpre.shape[0], x.shape[2]))
+        _run_tasks(_gradient_tasks(
+            order, weights, layer.mask, x, flat_dpre, dw.reshape(weights.shape), dx, product
+        ))
+        if dx is None:
             break
-        g = np.matmul(
-            dpre, layer.weights.T, out=space.take(f"{name}.inputs.grad", rec.inputs.shape)
-        )
+        g = dx.transpose(1, 0, 2).reshape(rec.inputs.shape)
     return grads
 
 
 def _gradient_tasks(
-    layer: ClnnLayer, x: np.ndarray, flat_dpre: np.ndarray, dw: np.ndarray,
-    dx: np.ndarray | None, product: np.ndarray | None,
+    order: int, weights: np.ndarray, mask: BinaryMask | None, x: np.ndarray,
+    flat_dpre: np.ndarray, dw: np.ndarray, dx: np.ndarray | None, product: np.ndarray | None,
 ) -> list[Callable[[], None]]:
-    """A conditional layer's gradient GEMMs as independent tasks.
+    """A layer's gradient GEMMs as independent tasks.
 
-    One task writes ``dw``, one GEMM per window offset; the other sums the
-    input gradient into ``dx``, offsets in order, through ``product``.
-    Without ``dx`` (the first record) the weight GEMMs' offsets are split
-    into two tasks instead.
+    ``weights`` and ``dw`` are ``(2*order + 1, l, e)``, ``x`` and ``dx`` the
+    layer's time-major ``(t, B, l)`` inputs and their gradient; a dense
+    layer comes as order 0 over one frame.  One task writes ``dw``, one GEMM
+    per window offset; the other sums the input gradient into ``dx``,
+    offsets in order, through ``product``.  Without ``dx`` (the first
+    record) the weight GEMMs' offsets are split into two tasks instead.
     """
-    t_out, rows = x.shape[0] - 2 * layer.order, flat_dpre.shape[0]
-    offsets = range(2 * layer.order + 1)
+    t_out, rows = x.shape[0] - 2 * order, flat_dpre.shape[0]
+    offsets = range(2 * order + 1)
 
-    def weights(group: range) -> Callable[[], None]:
+    def weight_gemms(group: range) -> Callable[[], None]:
         def run() -> None:
             for d in group:
                 np.matmul(x[d : d + t_out].reshape(rows, -1).T, flat_dpre, out=dw[d])
-                if layer.mask is not None:
-                    dw[d] *= layer.mask.entries  # keeps masked weights exactly zero
+                if mask is not None:
+                    dw[d] *= mask.entries  # keeps masked weights exactly zero
         return run
 
     def inputs() -> None:
         dx[...] = 0.0
         for d in offsets:
-            np.matmul(flat_dpre, layer.weights[d].T, out=product)
+            np.matmul(flat_dpre, weights[d].T, out=product)
             dx[d : d + t_out] += product.reshape(t_out, x.shape[1], -1)
 
     if dx is not None:
-        return [inputs, weights(offsets)]
+        return [inputs, weight_gemms(offsets)]
     half = (len(offsets) + 1) // 2
-    return [weights(group) for group in (offsets[:half], offsets[half:]) if group]
+    return [weight_gemms(group) for group in (offsets[:half], offsets[half:]) if group]

@@ -50,7 +50,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dataset import TEST, TRAIN, VALIDATION, Segment, SplitPlan, fold_buckets, segment_clip
-from .errors import ConfigError, ContractError, TrainingDivergedError, ValidationError
+from .errors import (
+    ConfigError,
+    ContractError,
+    ShapeError,
+    TrainingDivergedError,
+    ValidationError,
+)
 from .features import FeatureMatrix, NormStats, _check_zscore, _fit_zscore, _zscore
 from .layers import PoolRecord, Workspace, backward, stack_blocks
 from .model import (
@@ -276,11 +282,13 @@ def train(
     set, the parameters restored at the end are the best-validation-loss
     snapshot, never anything worse.  The first mini-batch whose loss is
     not finite raises :class:`TrainingDivergedError` naming its epoch and
-    batch (both counted from 1), before any update from it.  A training or
-    validation segment without a class id of the model raises
-    ``ValidationError`` naming its clip before the first update.  Segments
-    not marked ``normalized`` are z-scored under ``model.norm_stats`` batch
-    by batch; whether marked ones used those statistics is not checked here.
+    batch (both counted from 1), before any update from it.  Before the
+    first update, every training and validation segment is checked: one
+    without a class id of the model raises ``ValidationError``, and one
+    whose frames are not ``(q, l)`` for the model raises ``ShapeError``,
+    each naming its clip.  Segments not marked ``normalized`` are z-scored
+    under ``model.norm_stats`` batch by batch; whether marked ones used
+    those statistics is not checked here.
 
     Every batch's frames, activations and gradients, validation's too, live
     in the calling thread's workspace, kept across calls: the thread holds
@@ -288,8 +296,13 @@ def train(
     """
     if not train_segments:
         raise ValidationError("training split is empty")
+    expected = (segment_size(model.spec), model.spec.feature_length)
     for segment in (*train_segments, *(validation_segments or ())):
         _check_label(segment.clip_id, segment.label, model.spec.class_count)
+        if np.shape(segment.frames) != expected:
+            raise ShapeError.mismatch(
+                f"clip {segment.clip_id!r} segment frames", expected, np.shape(segment.frames)
+            )
     started = time.monotonic()
     rng = np.random.default_rng(config.seed)
     params = model.parameters()

@@ -207,6 +207,22 @@ class TestFeaturesExtract:
         assert str(audio / first) in line and str(audio / second) in line
         assert not out.exists()
 
+    def test_suffixes_match_in_any_case(self, tmp_path):
+        audio = tmp_path / "audio"
+        (audio / "drums").mkdir(parents=True)
+        (audio / "drums" / "a.WAV").write_bytes(wav_bytes(1200))
+        (audio / "drums" / "b.au").write_bytes(au_bytes(bytes(2400)))
+        (audio / "drums" / "c.NPZ").write_bytes(npz_bytes(samples=np.zeros(1200), rate=2000))
+        out = tmp_path / "f"
+        assert main(["features", "extract", "--in", str(audio), "--out", str(out)]
+                    + EXTRACT_FLAGS) == EXIT_OK
+        assert (out / "manifest.tsv").read_text() == (
+            "drums__a\tdrums\ndrums__b\tdrums\ndrums__c\tdrums\n"
+        )
+        assert sorted(path.name for path in out.glob("*.mclf")) == [
+            "drums__a.mclf", "drums__b.mclf", "drums__c.mclf",
+        ]
+
     def test_no_audio_clips_names_every_container(self, tmp_path, capsys):
         (tmp_path / "audio" / "drums").mkdir(parents=True)
         (tmp_path / "audio" / "drums" / "notes.txt").write_text("no audio here")

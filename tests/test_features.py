@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import io
 import logging
 import math
 import os
@@ -814,6 +815,28 @@ class TestLoadAudio:
             expected = expected / float(2 ** (8 * width - 1))
         expected = expected.reshape(-1, channels).mean(axis=1)
         assert_array_equal(load_audio(path).samples, expected)
+
+    @pytest.mark.parametrize("upper", [".NPZ", ".WAV", ".Au"])
+    def test_a_suffix_matches_in_any_case(self, tmp_path, upper):
+        values = np.random.default_rng(33).integers(-32768, 32767, size=400).astype(np.int16)
+        buf = io.BytesIO()
+        if upper == ".NPZ":
+            np.savez(buf, samples=values / 32768.0, rate=8000)
+        elif upper == ".WAV":
+            with wave.open(buf, "wb") as handle:
+                handle.setnchannels(1)
+                handle.setsampwidth(2)
+                handle.setframerate(8000)
+                handle.writeframes(values.tobytes())
+        else:
+            buf.write(au_bytes(values.astype(">i2").tobytes(), rate=8000))
+        clips = []
+        for suffix in (upper.lower(), upper):
+            (tmp_path / f"clip{suffix}").write_bytes(buf.getvalue())
+            clips.append(load_audio(tmp_path / f"clip{suffix}"))
+        assert clips[0].sample_rate == clips[1].sample_rate == 8000
+        assert clips[0].samples.tobytes() == clips[1].samples.tobytes()
+        assert_array_equal(clips[1].samples, values / 32768.0)
 
     def test_unsupported_suffix(self, tmp_path):
         path = tmp_path / "clip.mp3"

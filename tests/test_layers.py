@@ -351,6 +351,29 @@ class TestTwoThreads:
         with pytest.raises(ValueError, match="second"):
             _run_tasks([lambda: None, fail_off_thread])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_task_runs_under_the_caller_s_error_state(self, monkeypatch, workers):
+        monkeypatch.setattr(mclnn.layers, "_WORKERS", workers)
+        default = np.geterr()
+        seen = []
+        with np.errstate(all="raise", under="ignore"):
+            _run_tasks([lambda: seen.append(np.geterr()) for _ in range(2)])
+        assert seen == [dict(divide="raise", over="raise", under="ignore", invalid="raise")] * 2
+
+        def overflow():
+            np.multiply(np.full(2, 1e308), 10.0)
+
+        for tasks in ([overflow, lambda: None], [lambda: None, overflow]):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                _run_tasks(tasks)
+        calls = []
+        with np.errstate(call=lambda kind, flag: calls.append(kind), over="call"):
+            _run_tasks([overflow, overflow])
+        assert calls == ["overflow"] * 2
+        # the second thread's own state is as it was
+        _run_tasks([lambda: None, lambda: seen.append(np.geterr())])
+        assert seen[-1] == default
+
     def _step(self, layers, frames, upstream):
         tape = ActivationTape()
         x = frames
@@ -758,6 +781,47 @@ class TestBackward:
     def test_backward_requires_records(self):
         with pytest.raises(ContractError):
             backward(ActivationTape(), np.zeros(3))
+
+
+class TestDenseBackward:
+    """``backward`` runs a dense layer as an order-0 conditional layer over one frame."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("batch", [(), (64,)], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("depth", [1, 2], ids=["dense-only", "dense-then-output"])
+    def test_gradients_are_the_dense_formulas_bit_for_bit(self, monkeypatch, workers, batch, depth):
+        rng = np.random.default_rng(90)
+        layers = [
+            DenseLayer(rng.standard_normal((12, 9)), rng.standard_normal(9),
+                       PRelu(rng.uniform(0, 0.3, 9))),
+            DenseLayer(rng.standard_normal((9, 5)), rng.standard_normal(5)),
+        ][:depth]
+        x = rng.standard_normal((*batch, 12))
+        tape = ActivationTape()
+        h = x
+        for i, layer in enumerate(layers):
+            h = dense_forward(layer, h, tape, f"dense{i}")
+        upstream = rng.standard_normal(h.shape)
+        off_thread = record_task_threads(monkeypatch, workers)
+        grads = backward(tape, upstream)
+        # the output layer splits into its input and weight tasks; the first
+        # record has no input gradient, and its one weight GEMM is one task
+        assert off_thread == [False, workers == 2, False][: 2 * depth - 1]
+
+        # the dense formulas: dW = x.T @ dpre, the input gradient dpre @ W.T
+        g = upstream
+        for rec in reversed(tape.records):
+            dpre = g * rec.layer.activation.derivative(rec.pre)
+            flat = dpre.reshape(-1, dpre.shape[-1])
+            want = rec.inputs.reshape(-1, rec.inputs.shape[-1]).T @ flat
+            name = rec.name
+            assert grads[f"{name}.weights"].shape == rec.layer.weights.shape
+            assert np.array_equal(grads[f"{name}.weights"], want), name
+            assert np.array_equal(grads[f"{name}.bias"], flat.sum(axis=0)), name
+            if isinstance(rec.layer.activation, PRelu):
+                slopes = rec.layer.activation.slope_gradient(rec.pre, g)
+                assert np.array_equal(grads[f"{name}.slopes"], slopes), name
+            g = dpre @ rec.layer.weights.T
 
 
 class TestMaskedDenseEquivalence:

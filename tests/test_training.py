@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -253,6 +254,26 @@ class TestTrain:
             rf"clip '{bad[-1].clip_id}' label {label} is not a class id in \[0, 2\)"
         )):
             train(model, segments, TrainConfig(epochs=1, batch_size=1, seed=1), validation)
+        assert {key: value.tobytes() for key, value in model.parameters().items()} == before
+
+    @pytest.mark.parametrize("where, cut", [
+        ("train", np.s_[:-1]), ("train", np.s_[:, :-1]), ("validation", np.s_[:-1]),
+    ], ids=["train-frame-short", "train-bin-short", "validation-frame-short"])
+    def test_a_misshaped_segment_is_rejected_naming_its_clip_before_any_update(self, where, cut):
+        # 40 segments at batch_size 4, then the bad one: every training
+        # batch before it would have updated the parameters
+        segments = tiny_segments(41)
+        validation = tiny_segments(3, seed=2, clip_id_fn=lambda i: f"v{i}")
+        bad = {"train": segments, "validation": validation}[where]
+        bad[-1] = replace(bad[-1], frames=bad[-1].frames[cut])
+        expected = (segment_size(tiny_spec()), tiny_spec().feature_length)
+        model = build_model(tiny_spec(), seed=0)
+        before = {key: value.tobytes() for key, value in model.parameters().items()}
+        with pytest.raises(ShapeError, match=re.escape(
+            f"clip '{bad[-1].clip_id}' segment frames: expected shape {expected}, "
+            f"got {bad[-1].frames.shape}"
+        )):
+            train(model, segments, TrainConfig(epochs=1, batch_size=4, seed=1), validation)
         assert {key: value.tobytes() for key, value in model.parameters().items()} == before
 
     def test_batch_gradient_is_mean_of_per_segment_gradients(self, small_model):
@@ -513,13 +534,11 @@ class TestKeptWorkspace:
         assert len({id(space) for space in spaces}) == len(jobs)
         assert results == [[want, want] for want in sequential]
 
-    # the layers' second thread overflows too, outside the caller's np.errstate
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_diverged_run_leaves_the_next_run_s_bits_unchanged(self):
         model = build_model(small_spec(), seed=75)
         config = TrainConfig(learning_rate=1e200, epochs=3, batch_size=64, seed=76,
                              optimizer="sgd")
-        with pytest.raises(TrainingDivergedError):
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
             train(model, small_segments(200, 77), config)
         assert self._run(8) == on_fresh_thread(lambda: self._run(8))
 
