@@ -33,7 +33,6 @@ from .features import (
 from .layers import (
     ActivationTape,
     ClnnLayer,
-    DenseLayer,
     LinearActivation,
     PRelu,
     Sigmoid,

@@ -30,25 +30,28 @@ training, validation and prediction build their batches with it.  An
 input already laid out that way, such as the previous layer's output, is
 used as it is; any other input is copied once, by the same builder.
 
-Gradients come from walking an :class:`ActivationTape` backwards.  The
-tape records each layer itself, conditional or dense, with its inputs,
-pre-activations and outputs.  ``backward`` views a dense layer as the
-paper's order-0 conditional layer over one frame of ``B`` rows, so every
-layer takes one path.  Weight gradients sum over the batch, so ``backward``
-returns the gradient of whatever the loss gradient it starts from
-describes (a batch mean when it starts from ``(p - onehot) / B``).  A
-masked connection does not exist, so its weight is exactly zero:
-:func:`check_masked_weights` guards every way weights come in,
-``backward`` gates masked gradients to keep them zero, and the forward
-uses the stored weights as they are.
+A dense layer is the paper's order-0 conditional layer, ``f(x @ W +
+bias)``: :func:`dense_forward` runs it through :func:`block_forward` over
+its ``(B, d)`` inputs as one frame of ``B`` rows.  Gradients come from
+walking an :class:`ActivationTape` backwards.  The tape records each
+layer itself with its inputs, pre-activations and outputs; a dense record
+keeps the vectors its neighbours see and the pre-activations' one-frame
+axis, and ``backward`` views every record in its pre-activations' frame
+layout, so every layer takes one path.  Weight gradients sum over the
+batch, so ``backward`` returns the gradient of whatever the loss
+gradient it starts from describes (a batch mean when it starts from
+``(p - onehot) / B``).  A masked connection does not exist, so its
+weight is exactly zero: :func:`check_masked_weights` guards every way
+weights come in, ``backward`` gates masked gradients to keep them zero,
+and the forward uses the stored weights as they are.
 
 :func:`block_forward` and ``backward`` keep their arrays in the
 :class:`Workspace` they are given, in buffers keyed by record name, and
-take fresh memory when given none; the forwards of the pool and the
-dense layers make a few vectors per segment and allocate them.  The
-training loop passes its thread's one workspace to every mini-batch of
-every run: each batch writes into the memory the one before it used, a
-smaller batch into a prefix of it.  A first batch is
+take fresh memory when given none; the pool and :func:`dense_forward`,
+which passes no workspace on, make a few vectors per segment and
+allocate them.  The training loop passes its thread's one workspace to
+every mini-batch of every run: each batch writes into the memory the one
+before it used, a smaller batch into a prefix of it.  A first batch is
 just an empty workspace, so there is no second path for reuse.
 
 All accumulations run in a fixed order (window offset ``-n .. n``, tape
@@ -61,18 +64,21 @@ two fixed slabs; each slab runs the same per-offset GEMMs, bias add and
 activation into its own rows.  The edge depends only on the row count: rows
 before it are a multiple of 48 and each slab has at least 48 rows (a
 smaller layer is one slab), because OpenBLAS computes a row the same way
-in either GEMM only then.  ``backward`` runs every layer's weight-gradient
-GEMMs and input-gradient sum as two tasks, since neither reads the other;
-the first record has no input gradient, so its offsets form the two
-tasks.  No GEMM's operands change.  The second thread is used when the
-process has two CPUs and BLAS is pinned to one thread (the first of
-``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``
-that is set is ``1``), decided once at import; otherwise the tasks run in
-order on the calling thread, since a threaded BLAS already uses the
-cores.  The result never depends on which of the two happens, and the
-second thread runs under the caller's NumPy error state.  Every
-:class:`Workspace` buffer is taken on the calling thread before the tasks
-start, and the tasks call only NumPy and activation methods.
+in either GEMM only then.  An order-0 layer is always one slab: on
+table3's dense and output shapes a split at 96 rows or more changed the
+bits, and one slab keeps them those of ``x @ W`` at every batch size.
+``backward`` runs every layer's weight-gradient GEMMs and input-gradient
+sum as two tasks, since neither reads the other; the first record has no
+input gradient, so its offsets form the two tasks.  No GEMM's operands
+change.  The second thread is used when the process has two CPUs and
+BLAS is pinned to one thread (the first of ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` that is set is ``1``),
+decided once at import; otherwise the tasks run in order on the calling
+thread, since a threaded BLAS already uses the cores.  The result never
+depends on which of the two happens, and the second thread runs under
+the caller's NumPy error state.  Every :class:`Workspace` buffer is
+taken on the calling thread before the tasks start, and the tasks call
+only NumPy and activation methods.
 
 The same runner, :func:`_run_tasks`, has one other user:
 :func:`mclnn.features.stft_power` runs its two groups of spectrum blocks
@@ -87,7 +93,6 @@ import threading
 from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -210,7 +215,9 @@ class ClnnLayer:
         order: frames considered on each side of the window's middle frame.
         weights: tensor of shape ``(2*order + 1, l, e)``; index ``d`` holds
             the matrix for window offset ``u = d - order``, so earlier
-            frames pair with lower indices.
+            frames pair with lower indices.  An order-0 layer is a fully
+            connected one and may hold its one matrix as ``(l, e)``;
+            :attr:`matrices` is always the ``(2*order + 1, l, e)`` view.
         bias: vector of length ``e``.
         mask: optional ``l x e`` binary mask shared by every weight matrix;
             construction rejects weights that are non-zero where it is 0.
@@ -228,45 +235,29 @@ class ClnnLayer:
         if self.order < 0:
             raise ContractError(f"layer order must be >= 0, got {self.order}")
         w = self.weights
-        if w.ndim != 3 or w.shape[0] != 2 * self.order + 1:
+        stacked = w.ndim == 3 and w.shape[0] == 2 * self.order + 1
+        if not (stacked or w.ndim == 2 and self.order == 0):
             raise ShapeError(
                 f"weights must have shape (2*order+1, l, e) = "
-                f"({2 * self.order + 1}, l, e), got {w.shape}"
+                f"({2 * self.order + 1}, l, e), or (l, e) at order 0, got {w.shape}"
             )
-        _check_neuron_vectors(self, w.shape[2])
-        if self.mask is not None and self.mask.entries.shape != w.shape[1:]:
-            raise ShapeError.mismatch("layer mask", w.shape[1:], self.mask.entries.shape)
-        check_masked_weights(w, self.mask)
+        width = w.shape[-1]
+        if self.bias.shape != (width,):
+            raise ShapeError.mismatch("bias", (width,), self.bias.shape)
+        if isinstance(self.activation, PRelu) and self.activation.slopes.shape != (width,):
+            raise ShapeError.mismatch("prelu slopes", (width,), self.activation.slopes.shape)
+        if self.mask is not None and self.mask.entries.shape != w.shape[-2:]:
+            raise ShapeError.mismatch("layer mask", w.shape[-2:], self.mask.entries.shape)
+        check_masked_weights(self.matrices, self.mask)
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The weights as ``(2*order + 1, l, e)``, a view."""
+        return self.weights.reshape(-1, *self.weights.shape[-2:])
 
     @property
     def input_width(self) -> int:
-        return self.weights.shape[1]
-
-
-@dataclass(eq=False)
-class DenseLayer:
-    """Per-vector fully connected layer ``y = f(x @ weights + bias)``."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-    activation: Activation = field(default_factory=LinearActivation)
-    mask: ClassVar[None] = None  # every connection exists
-
-    def __post_init__(self):
-        if self.weights.ndim != 2:
-            raise ShapeError(f"dense weights must be 2-D, got shape {self.weights.shape}")
-        _check_neuron_vectors(self, self.weights.shape[1])
-
-
-Layer = ClnnLayer | DenseLayer
-
-
-def _check_neuron_vectors(layer: Layer, width: int) -> None:
-    """The bias and any PReLU slopes hold one entry per output neuron."""
-    if layer.bias.shape != (width,):
-        raise ShapeError.mismatch("bias", (width,), layer.bias.shape)
-    if isinstance(layer.activation, PRelu) and layer.activation.slopes.shape != (width,):
-        raise ShapeError.mismatch("prelu slopes", (width,), layer.activation.slopes.shape)
+        return self.weights.shape[-2]
 
 
 def check_masked_weights(weights: np.ndarray, mask: BinaryMask | None, what: str = "weights") -> None:
@@ -316,10 +307,10 @@ class Workspace:
 @dataclass(eq=False)
 class LayerRecord:
     name: str
-    layer: Layer
-    inputs: np.ndarray      # ([B,] t, l) conditional, ([B,] in) dense
-    pre: np.ndarray         # ([B,] t - 2n, e) conditional, ([B,] out) dense
-    outputs: np.ndarray     # shaped like pre
+    layer: ClnnLayer
+    inputs: np.ndarray      # ([B,] t, l); ([B,] l) for a dense_forward record
+    pre: np.ndarray         # ([B,] t - 2n, e); ([B,] 1, e) for a dense_forward record
+    outputs: np.ndarray     # shaped like pre; ([B,] e) for a dense_forward record
 
 
 @dataclass(eq=False)
@@ -490,9 +481,10 @@ def block_forward(
     x = _time_major(block)
     if not x.flags.c_contiguous:  # one copy, so that every window below is a view
         x = _time_major(stack_blocks(block.reshape(-1, *block.shape[-2:]), space, f"{name}.inputs"))
+    weights = layer.matrices
     t_out, segments = x.shape[0] - 2 * layer.order, x.shape[1]
     rows = t_out * segments
-    pre = space.take(f"{name}.pre", (t_out, segments, layer.weights.shape[2]))
+    pre = space.take(f"{name}.pre", (t_out, segments, weights.shape[2]))
     product = space.take(f"{name}.scratch", (rows, pre.shape[2]))
     out = space.take(f"{name}.outputs", pre.shape)
     flat_x, flat_pre, flat_out = (a.reshape(-1, a.shape[2]) for a in (x, pre, out))
@@ -500,16 +492,17 @@ def block_forward(
     def slab(r0: int, r1: int) -> Callable[[], None]:
         def run() -> None:
             # bias + x_0 @ W_0 + x_1 @ W_1 + ..., added in that order
-            total = np.matmul(flat_x[r0:r1], layer.weights[0], out=flat_pre[r0:r1])
+            total = np.matmul(flat_x[r0:r1], weights[0], out=flat_pre[r0:r1])
             total += layer.bias
             for d in range(1, 2 * layer.order + 1):
                 shifted = d * segments  # offset d's rows start d frames later
-                np.matmul(flat_x[shifted + r0 : shifted + r1], layer.weights[d], out=product[r0:r1])
+                np.matmul(flat_x[shifted + r0 : shifted + r1], weights[d], out=product[r0:r1])
                 total += product[r0:r1]
             layer.activation.apply(total, flat_out[r0:r1])
         return run
 
-    edge = _slab_edge(rows)
+    # an order-0 layer is one slab: its one GEMM is then ``x @ W`` at any batch size
+    edge = _slab_edge(rows) if layer.order else None
     _run_tasks([slab(0, rows)] if edge is None else [slab(0, edge), slab(edge, rows)])
     batch = block.shape[:-2]
     out = _batch_major(out, batch)
@@ -546,19 +539,19 @@ def global_mean_pool(
 
 
 def dense_forward(
-    layer: DenseLayer,
+    layer: ClnnLayer,
     x: np.ndarray,
     tape: ActivationTape | None = None,
     name: str = "dense",
 ) -> np.ndarray:
-    """``f(x @ weights + bias)`` for a vector ``x`` or a ``(B, in)`` batch of them."""
+    """``f(x @ W + bias)`` for a vector ``x`` or a ``(B, l)`` batch of them:
+    the order-0 ``layer`` run by :func:`block_forward` over ``x`` as one frame."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != layer.weights.shape[0]:
-        raise ShapeError.mismatch("dense input", ("[B,]", layer.weights.shape[0]), x.shape)
-    pre = x @ layer.weights + layer.bias
-    out = layer.activation.apply(pre)
-    if tape is not None:
-        tape.append(LayerRecord(name, layer, x, pre, out))
+    if x.ndim not in (1, 2) or x.shape[-1] != layer.input_width:
+        raise ShapeError.mismatch("dense input", ("[B,]", layer.input_width), x.shape)
+    out = block_forward(layer, x[..., None, :], tape, name)[..., 0, :]
+    if tape is not None:  # the record keeps the vectors; only its pre has the frame axis
+        tape.records[-1].inputs, tape.records[-1].outputs = x, out
     return out
 
 
@@ -614,9 +607,12 @@ def backward(
         if not isinstance(rec, LayerRecord):
             raise ContractError(f"unknown tape record type {type(rec).__name__}")
         layer, name = rec.layer, rec.name
-        dense = isinstance(layer, DenseLayer)  # an order-0 conditional layer over one frame
-        order, weights = (0, layer.weights[None]) if dense else (layer.order, layer.weights)
-        x, pre, g = (_time_major(a[..., None, :] if dense else a) for a in (rec.inputs, rec.pre, g))
+        # every array in pre's frame layout, ([B,] t, w): a dense record's
+        # vectors gain the one-frame axis its pre has
+        batch = rec.pre.shape[:-2]
+        pre = _time_major(rec.pre)
+        x = _time_major(rec.inputs.reshape(*batch, -1, rec.inputs.shape[-1]))
+        g = _time_major(g.reshape(rec.pre.shape))
         dpre = layer.activation.derivative(pre, space.take(f"{name}.dpre", pre.shape))
         np.multiply(g, dpre, out=dpre)
         flat_dpre = dpre.reshape(-1, dpre.shape[-1])
@@ -633,9 +629,7 @@ def backward(
         if index > 0:
             dx = space.take(f"{name}.inputs.grad", x.shape)
             product = space.take(f"{name}.scratch", (flat_dpre.shape[0], x.shape[2]))
-        _run_tasks(_gradient_tasks(
-            order, weights, layer.mask, x, flat_dpre, dw.reshape(weights.shape), dx, product
-        ))
+        _run_tasks(_gradient_tasks(layer, x, flat_dpre, dw, dx, product))
         if dx is None:
             break
         g = dx.transpose(1, 0, 2).reshape(rec.inputs.shape)
@@ -643,20 +637,22 @@ def backward(
 
 
 def _gradient_tasks(
-    order: int, weights: np.ndarray, mask: BinaryMask | None, x: np.ndarray,
-    flat_dpre: np.ndarray, dw: np.ndarray, dx: np.ndarray | None, product: np.ndarray | None,
+    layer: ClnnLayer, x: np.ndarray, flat_dpre: np.ndarray, dw: np.ndarray,
+    dx: np.ndarray | None, product: np.ndarray | None,
 ) -> list[Callable[[], None]]:
     """A layer's gradient GEMMs as independent tasks.
 
-    ``weights`` and ``dw`` are ``(2*order + 1, l, e)``, ``x`` and ``dx`` the
-    layer's time-major ``(t, B, l)`` inputs and their gradient; a dense
-    layer comes as order 0 over one frame.  One task writes ``dw``, one GEMM
-    per window offset; the other sums the input gradient into ``dx``,
-    offsets in order, through ``product``.  Without ``dx`` (the first
-    record) the weight GEMMs' offsets are split into two tasks instead.
+    ``dw`` is shaped like the layer's weights, ``x`` and ``dx`` are the
+    layer's time-major ``(t, B, l)`` inputs and their gradient.  One task
+    writes ``dw``, one GEMM per window offset; the other sums the input
+    gradient into ``dx``, offsets in order, through ``product``.  Without
+    ``dx`` (the first record) the weight GEMMs' offsets are split into two
+    tasks instead.
     """
-    t_out, rows = x.shape[0] - 2 * order, flat_dpre.shape[0]
-    offsets = range(2 * order + 1)
+    weights, mask = layer.matrices, layer.mask
+    dw = dw.reshape(weights.shape)
+    t_out, rows = x.shape[0] - 2 * layer.order, flat_dpre.shape[0]
+    offsets = range(len(weights))
 
     def weight_gemms(group: range) -> Callable[[], None]:
         def run() -> None:

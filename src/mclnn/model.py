@@ -2,25 +2,28 @@
 
 A model is a stack of conditional layers (each trading 2n frames for
 temporal context), a global mean pool over the k surviving frames, one
-dense hidden layer, and a softmax output.  :meth:`TrainedModel.layers`
-names every layer with parameters in forward order (``clnn0`` ...,
-``dense``, ``output``); the forward pass, the parameter dict and the
-parameter checks all walk that one list.  The forward pass runs a whole
-``(B, q, l)`` batch of segments through every layer at once; one segment
-is a batch of one.  :func:`model_forward_run` takes overlapping segments
-as one run of frames and their offsets in it: a leading conditional
-layer runs once over the run when that makes fewer rows than the batch
-would.  Every entry point shares the walk from the first batched layer
-on, and only :func:`model_forward_tape` records a tape.  The conditional
-layers keep their arrays in the workspace a caller passes, or in fresh
-memory: ``train`` passes its thread's kept one for all of its
-mini-batches and its validation.  Masks are derived from the spec, never
-stored: a model file round-trips parameters bit-exactly and regenerates
-masks on load.  The spec is stored as its dataclass fields and read back
-with every field required at its declared type.  The labels, init seed
-and init scheme, and the normalization block's source split and id, are
-listed in tables that both the writer and the typed reader walk, so a
-file holds exactly the fields the reader checks.
+dense hidden layer, and a softmax output.  The dense and output layers
+are order-0 :class:`~mclnn.layers.ClnnLayer` objects holding one
+``(d, e)`` matrix, the shape their parameters and model-file entries keep.
+:meth:`TrainedModel.layers` names every layer with parameters in forward
+order (``clnn0`` ..., ``dense``, ``output``); the forward pass, the
+parameter dict and the parameter checks all walk that one list.  The
+forward pass runs a whole ``(B, q, l)`` batch of segments through every
+layer at once; one segment is a batch of one.  :func:`model_forward_run`
+takes overlapping segments as one run of frames and their offsets in it:
+a leading conditional layer runs once over the run when that makes fewer
+rows than the batch would.  Every entry point shares the walk from the
+first batched layer on, and only :func:`model_forward_tape` records a
+tape.  The conditional layers keep their arrays in the workspace a
+caller passes, or in fresh memory: ``train`` passes its thread's kept
+one for all of its mini-batches and its validation.  Masks are derived
+from the spec, never stored: a model file round-trips parameters
+bit-exactly and regenerates masks on load.  The spec is stored as its
+dataclass fields and read back with every field required at its declared
+type.  The labels, init seed and init scheme, and the normalization
+block's source split and id, are listed in tables that both the writer
+and the typed reader walk, so a file holds exactly the fields the reader
+checks.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ from .layers import (
     Activation,
     ActivationTape,
     ClnnLayer,
-    DenseLayer,
-    Layer,
     LinearActivation,
     PRelu,
     Sigmoid,
@@ -174,8 +175,8 @@ class TrainedModel:
 
     spec: ModelSpec
     clnn_layers: list[ClnnLayer]
-    dense: DenseLayer
-    output: DenseLayer
+    dense: ClnnLayer
+    output: ClnnLayer
     labels: tuple[str, ...]
     norm_stats: NormStats | None = None
     init_seed: int = 0
@@ -201,7 +202,7 @@ class TrainedModel:
                 )
         super().__setattr__(name, value)
 
-    def layers(self) -> list[tuple[str, Layer]]:
+    def layers(self) -> list[tuple[str, ClnnLayer]]:
         """``(name, layer)`` in forward order; the name keys parameters and tape records."""
         conditional = [(f"clnn{i}", layer) for i, layer in enumerate(self.clnn_layers)]
         return conditional + [("dense", self.dense), ("output", self.output)]
@@ -270,12 +271,14 @@ def build_model(spec: ModelSpec, seed: int, labels: tuple[str, ...] | None = Non
             )
         )
     last_width = spec.layers[-1].width
-    dense = DenseLayer(
+    dense = ClnnLayer(
+        order=0,
         weights=_glorot(rng, last_width, spec.dense_width, (last_width, spec.dense_width)),
         bias=np.zeros(spec.dense_width),
         activation=_ACTIVATIONS[spec.activation](spec.dense_width),
     )
-    output = DenseLayer(
+    output = ClnnLayer(
+        order=0,
         weights=_glorot(rng, spec.dense_width, spec.class_count, (spec.dense_width, spec.class_count)),
         bias=np.zeros(spec.class_count),
         activation=LinearActivation(),

@@ -50,22 +50,25 @@ def small_model():
 
 def record_task_threads(monkeypatch, workers: int) -> list[bool]:
     """Run the layers and the STFT with ``workers`` workers; the returned list
-    gains, for every task they run, whether it ran off the thread that
-    dispatched it."""
+    gains, for every task they run, in dispatch order, whether it ran off
+    the thread that dispatched it."""
     monkeypatch.setattr(mclnn.layers, "_WORKERS", workers)
     off_thread = []
     dispatch = mclnn.layers._run_tasks
 
     def recording(tasks):
         caller = threading.get_ident()
+        # one slot per task: the two threads may start their tasks in either order
+        flags = [None] * len(tasks)
 
-        def traced(task):
+        def traced(i, task):
             def run():
-                off_thread.append(threading.get_ident() != caller)
+                flags[i] = threading.get_ident() != caller
                 task()
             return run
 
-        dispatch([traced(task) for task in tasks])
+        dispatch([traced(i, task) for i, task in enumerate(tasks)])
+        off_thread.extend(flags)
 
     monkeypatch.setattr(mclnn.layers, "_run_tasks", recording)
     return off_thread

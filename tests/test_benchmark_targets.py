@@ -57,3 +57,20 @@ def test_model_forward_run_names_each_conditional_layer_by_keyword(monkeypatch, 
         names.clear()
         mclnn.model.model_forward_run(small_model, np.zeros((11 + 3 * hop, 8)), np.arange(4) * hop)
         assert names == ["clnn0", "clnn1"]
+
+
+def test_both_forwards_run_the_dense_layers_through_dense_forward(monkeypatch, small_model):
+    # the traced layers.dense_forward span replaces mclnn.model.dense_forward
+    names = []
+    original = mclnn.model.dense_forward
+
+    def recording(*args, **kwargs):
+        names.append(kwargs["name"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mclnn.model, "dense_forward", recording)
+    mclnn.model.model_forward_tape(small_model, np.zeros((2, 11, 8)))
+    assert names == ["dense", "output"]
+    names.clear()
+    mclnn.model.model_forward_run(small_model, np.zeros((17, 8)), np.arange(4) * 2)
+    assert names == ["dense", "output"]

@@ -17,7 +17,6 @@ from mclnn.errors import ContractError, InsufficientFramesError, ShapeError
 from mclnn.layers import (
     ActivationTape,
     ClnnLayer,
-    DenseLayer,
     LinearActivation,
     PRelu,
     Sigmoid,
@@ -78,7 +77,8 @@ class TestPrelu:
     def test_length_mismatch(self):
         # one slope per neuron, checked when the layer is built
         with pytest.raises(ShapeError, match="prelu slopes"):
-            DenseLayer(np.zeros((3, 2)), np.zeros(2), activation=PRelu(np.array([0.25])))
+            ClnnLayer(order=0, weights=np.zeros((3, 2)), bias=np.zeros(2),
+                      activation=PRelu(np.array([0.25])))
         with pytest.raises(ShapeError, match="prelu slopes"):
             ClnnLayer(order=1, weights=np.zeros((3, 3, 2)), bias=np.zeros(2),
                       activation=PRelu(np.array([0.25])))
@@ -569,7 +569,7 @@ class TestBatchAxis:
     def test_pool_dense_softmax_rows(self):
         rng = np.random.default_rng(26)
         blocks = rng.standard_normal((4, 3, 5))
-        dense = DenseLayer(rng.standard_normal((5, 2)), rng.standard_normal(2))
+        dense = ClnnLayer(order=0, weights=rng.standard_normal((5, 2)), bias=rng.standard_normal(2))
         pooled = global_mean_pool(blocks)
         logits = dense_forward(dense, pooled)
         probs = softmax(logits)
@@ -583,7 +583,7 @@ class TestBatchAxis:
         mask = generate_mask(MaskSpec(feature_length=5, hidden_width=4, bandwidth=2, overlap=0))
         layer1 = random_clnn_layer(rng, l=5, e=4, n=1, mask=mask, activation=PRelu(np.full(4, 0.25)))
         layer2 = random_clnn_layer(rng, l=4, e=3, n=1, activation=Sigmoid())
-        dense = DenseLayer(rng.standard_normal((3, 2)), rng.standard_normal(2))
+        dense = ClnnLayer(order=0, weights=rng.standard_normal((3, 2)), bias=rng.standard_normal(2))
 
         def gradients(blocks, upstream):
             tape = ActivationTape()
@@ -643,13 +643,26 @@ class TestGlobalMeanPool:
 
 
 class TestDenseForward:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 64, 95, 96, 128, 200])
+    def test_every_batch_is_the_dense_formula_bit_for_bit(self, monkeypatch, workers, batch):
+        # table3's dense shape; an order-0 layer is one slab at any batch
+        # size, since a split at 96 rows or more changes the GEMM's bits
+        rng = np.random.default_rng(15)
+        w, b = rng.standard_normal((200, 50)), rng.standard_normal(50)
+        activation = PRelu(rng.uniform(0.05, 0.5, 50))
+        x = rng.standard_normal((batch, 200))
+        monkeypatch.setattr(mclnn.layers, "_WORKERS", workers)
+        got = dense_forward(ClnnLayer(order=0, weights=w, bias=b, activation=activation), x)
+        assert np.array_equal(got, activation.apply(x @ w + b))
+
     def test_zero_parameters(self):
-        layer = DenseLayer(np.zeros((3, 2)), np.zeros(2))
+        layer = ClnnLayer(order=0, weights=np.zeros((3, 2)), bias=np.zeros(2))
         assert_array_equal(dense_forward(layer, np.ones(3)), np.zeros(2))
 
     def test_identity(self):
         x = np.array([1.0, -2.0, 3.0])
-        assert_array_equal(dense_forward(DenseLayer(np.eye(3), np.zeros(3)), x), x)
+        assert_array_equal(dense_forward(ClnnLayer(order=0, weights=np.eye(3), bias=np.zeros(3)), x), x)
 
     def test_scalar_loop_oracle(self):
         rng = np.random.default_rng(13)
@@ -657,14 +670,14 @@ class TestDenseForward:
         expected = np.array(
             [b[j] + sum(x[i] * w[i, j] for i in range(4)) for j in range(3)]
         )
-        assert_allclose(dense_forward(DenseLayer(w, b), x), expected, rtol=0, atol=1e-12)
+        assert_allclose(dense_forward(ClnnLayer(order=0, weights=w, bias=b), x), expected, rtol=0, atol=1e-12)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            dense_forward(DenseLayer(np.zeros((3, 2)), np.zeros(2)), np.ones(2))
+            dense_forward(ClnnLayer(order=0, weights=np.zeros((3, 2)), bias=np.zeros(2)), np.ones(2))
         # the bias length is the layer's to check, at construction
         with pytest.raises(ShapeError):
-            DenseLayer(np.zeros((3, 2)), np.zeros(3))
+            ClnnLayer(order=0, weights=np.zeros((3, 2)), bias=np.zeros(3))
 
 
 class TestSoftmax:
@@ -731,7 +744,7 @@ class TestBackward:
             rng, l=4, e=4, n=1, mask=mask, activation=PRelu(slopes=np.full(4, 0.25))
         )
         layer2 = random_clnn_layer(rng, l=4, e=3, n=1, activation=Sigmoid())
-        dense = DenseLayer(rng.standard_normal((3, 2)), rng.standard_normal(2))
+        dense = ClnnLayer(order=0, weights=rng.standard_normal((3, 2)), bias=rng.standard_normal(2))
         block = rng.standard_normal((7, 4))
         target = 1
 
@@ -792,9 +805,9 @@ class TestDenseBackward:
     def test_gradients_are_the_dense_formulas_bit_for_bit(self, monkeypatch, workers, batch, depth):
         rng = np.random.default_rng(90)
         layers = [
-            DenseLayer(rng.standard_normal((12, 9)), rng.standard_normal(9),
-                       PRelu(rng.uniform(0, 0.3, 9))),
-            DenseLayer(rng.standard_normal((9, 5)), rng.standard_normal(5)),
+            ClnnLayer(order=0, weights=rng.standard_normal((12, 9)), bias=rng.standard_normal(9),
+                      activation=PRelu(rng.uniform(0, 0.3, 9))),
+            ClnnLayer(order=0, weights=rng.standard_normal((9, 5)), bias=rng.standard_normal(5)),
         ][:depth]
         x = rng.standard_normal((*batch, 12))
         tape = ActivationTape()
@@ -811,7 +824,8 @@ class TestDenseBackward:
         # the dense formulas: dW = x.T @ dpre, the input gradient dpre @ W.T
         g = upstream
         for rec in reversed(tape.records):
-            dpre = g * rec.layer.activation.derivative(rec.pre)
+            pre = rec.pre.reshape(g.shape)  # a dense record's pre has a one-frame axis
+            dpre = g * rec.layer.activation.derivative(pre)
             flat = dpre.reshape(-1, dpre.shape[-1])
             want = rec.inputs.reshape(-1, rec.inputs.shape[-1]).T @ flat
             name = rec.name
@@ -819,7 +833,7 @@ class TestDenseBackward:
             assert np.array_equal(grads[f"{name}.weights"], want), name
             assert np.array_equal(grads[f"{name}.bias"], flat.sum(axis=0)), name
             if isinstance(rec.layer.activation, PRelu):
-                slopes = rec.layer.activation.slope_gradient(rec.pre, g)
+                slopes = rec.layer.activation.slope_gradient(pre, g)
                 assert np.array_equal(grads[f"{name}.slopes"], slopes), name
             g = dpre @ rec.layer.weights.T
 
@@ -901,6 +915,31 @@ class TestOrderZeroReduction:
         )
         block = rng.standard_normal((6, 4))
         out = block_forward(layer, block)
-        dense = DenseLayer(w, b, activation=PRelu(slopes=np.full(3, 0.25)))
+        dense = ClnnLayer(order=0, weights=w, bias=b, activation=PRelu(slopes=np.full(3, 0.25)))
         per_frame = np.stack([dense_forward(dense, frame) for frame in block])
         assert_allclose(out, per_frame, rtol=0, atol=1e-12)
+
+    def test_flat_and_stacked_weights_are_one_layer(self):
+        # an order-0 layer holding its matrix as (l, e) or as (1, l, e) is one layer,
+        # forward and backward
+        rng = np.random.default_rng(28)
+        w, b, slopes = rng.standard_normal((4, 3)), rng.standard_normal(3), np.full(3, 0.25)
+        blocks, upstream = rng.standard_normal((5, 6, 4)), rng.standard_normal((5, 6, 3))
+        results = []
+        for weights in (w, w[None]):
+            layer = ClnnLayer(order=0, weights=weights, bias=b, activation=PRelu(slopes))
+            assert layer.matrices.shape == (1, 4, 3) and layer.input_width == 4
+            tape = ActivationTape()
+            out = block_forward(layer, blocks, tape=tape, name="L")
+            results.append((out, backward(tape, upstream)))
+        (flat_out, flat_grads), (stacked_out, stacked_grads) = results
+        assert np.array_equal(flat_out, stacked_out)
+        assert flat_grads["L.weights"].shape == (4, 3)
+        for key, grad in flat_grads.items():
+            assert np.array_equal(grad.reshape(stacked_grads[key].shape), stacked_grads[key]), key
+
+    def test_flat_weights_need_order_zero(self):
+        with pytest.raises(ShapeError, match=r"\(l, e\) at order 0"):
+            ClnnLayer(order=1, weights=np.zeros((3, 2)), bias=np.zeros(2))
+        with pytest.raises(ShapeError):
+            ClnnLayer(order=0, weights=np.zeros((1, 1, 3, 2)), bias=np.zeros(2))

@@ -538,7 +538,6 @@ def test_types_holding_arrays_compare_by_identity():
         "BinaryMask": pair(lambda: generate_mask(MaskSpec(4, 3, 2, 1))),
         "PRelu": (models[0].dense.activation, models[1].dense.activation),
         "ClnnLayer": (models[0].clnn_layers[0], models[1].clnn_layers[0]),
-        "DenseLayer": (models[0].dense, models[1].dense),
         "LayerRecord": (records[0][0], records[1][0]),
         "PoolRecord": next((a, b) for a, b in zip(*records) if isinstance(a, PoolRecord)),
         "TrainedModel": models,

@@ -1,11 +1,14 @@
 """Training loop, voting, evaluation, and the gradient checker."""
 
+import ast
 import hashlib
+import importlib.util
 import math
 import re
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from mclnn.errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from mclnn.features import FeatureMatrix, NormStats, apply_zscore
+from mclnn.features import FeatureMatrix, NormStats, apply_zscore, fit_zscore
 import mclnn.layers
 from mclnn.layers import Workspace, backward, softmax
 from mclnn.model import (
@@ -812,6 +815,37 @@ class TestPredictClipSharing:
         assert [taped for taped, _ in walked[predicted:]] == [True] * 3 + [False] * 2
         for _, x in walked:
             assert x.ndim == 3 and x.transpose(1, 0, 2).flags.c_contiguous
+
+    @pytest.mark.parametrize("hop", [Q, Q // 2])
+    def test_mean_probabilities_match_the_benchmark_reference(self, hop):
+        # perfbench checks every predict_overlap request against its reference
+        # forward, given copy_parameters(); this catches a parameter-layout slip
+        # without a benchmark run
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        module = importlib.util.spec_from_file_location("perfbench_reference", perfbench / "reference.py")
+        reference = importlib.util.module_from_spec(module)
+        module.loader.exec_module(reference)
+        tolerance = next(
+            ast.literal_eval(node.value)
+            for node in ast.parse((perfbench / "workloads.py").read_text()).body
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "PROBABILITY_TOLERANCE"
+        )
+        rng = np.random.default_rng(54)
+        model = build_model(small_spec(), seed=55)
+        params = model.copy_parameters()
+        for key, value in params.items():
+            if key.endswith(".bias"):
+                value[...] = rng.normal(0.0, 0.1, value.shape)
+            elif key.endswith(".slopes"):
+                value[...] = rng.uniform(0.05, 0.5, value.shape)
+        model.set_parameters(params)
+        clip = FeatureMatrix(frames=rng.normal(2.0, 3.0, (300, 8)), clip_id="c", label=0)
+        model.norm_stats = stats = fit_zscore([clip])
+        _, mean_probs = predict_clip(model, segment_clip(clip, self.Q, hop))
+        expected = reference.clip_probabilities(
+            model.spec, model.copy_parameters(), clip.frames, stats.mean, stats.std, self.Q, hop
+        )
+        assert np.max(np.abs(mean_probs - expected)) <= tolerance
 
     def test_wrong_segment_shape_is_contract_error(self, small_model):
         segments = self._segments(hop=3, frames=30)
