@@ -41,8 +41,8 @@ layout, so every layer takes one path.  Weight gradients sum over the
 batch, so ``backward`` returns the gradient of whatever the loss
 gradient it starts from describes (a batch mean when it starts from
 ``(p - onehot) / B``).  A masked connection does not exist, so its
-weight is exactly zero: :func:`check_masked_weights` guards every way
-weights come in, ``backward`` gates masked gradients to keep them zero,
+weight is exactly zero: a :class:`ClnnLayer` rejects a non-zero one at
+construction, ``backward`` gates masked gradients to keep them zero,
 and the forward uses the stored weights as they are.
 
 :func:`block_forward` and ``backward`` keep their arrays in the
@@ -108,7 +108,6 @@ __all__ = [
     "Workspace",
     "stack_blocks",
     "effective_weights",
-    "check_masked_weights",
     "window_forward",
     "block_forward",
     "global_mean_pool",
@@ -246,9 +245,15 @@ class ClnnLayer:
             raise ShapeError.mismatch("bias", (width,), self.bias.shape)
         if isinstance(self.activation, PRelu) and self.activation.slopes.shape != (width,):
             raise ShapeError.mismatch("prelu slopes", (width,), self.activation.slopes.shape)
-        if self.mask is not None and self.mask.entries.shape != w.shape[-2:]:
+        if self.mask is None:
+            return
+        if self.mask.entries.shape != w.shape[-2:]:
             raise ShapeError.mismatch("layer mask", w.shape[-2:], self.mask.entries.shape)
-        check_masked_weights(self.matrices, self.mask)
+        dead = self.mask.entries == 0.0
+        # one matrix at a time: a whole-tensor gather would copy most of the weights
+        stray = sum(np.count_nonzero(matrix[dead]) for matrix in self.matrices)
+        if stray:
+            raise ContractError(f"weights: {stray} non-zero weight(s) where the mask is 0")
 
     @property
     def matrices(self) -> np.ndarray:
@@ -258,17 +263,6 @@ class ClnnLayer:
     @property
     def input_width(self) -> int:
         return self.weights.shape[-2]
-
-
-def check_masked_weights(weights: np.ndarray, mask: BinaryMask | None, what: str = "weights") -> None:
-    """Reject a ``(2n+1, l, e)`` tensor that is non-zero anywhere ``mask`` is 0."""
-    if mask is None:
-        return
-    dead = mask.entries == 0.0
-    # one matrix at a time: a whole-tensor gather would copy most of the weights
-    stray = sum(np.count_nonzero(matrix[dead]) for matrix in weights)
-    if stray:
-        raise ContractError(f"{what}: {stray} non-zero weight(s) where the mask is 0")
 
 
 def effective_weights(layer: ClnnLayer) -> np.ndarray:

@@ -2,33 +2,32 @@
 
 A model is a stack of conditional layers (each trading 2n frames for
 temporal context), a global mean pool over the k surviving frames, one
-dense hidden layer, and a softmax output.  The dense and output layers
-are order-0 :class:`~mclnn.layers.ClnnLayer` objects holding one
-``(d, e)`` matrix, the shape their parameters and model-file entries keep.
+dense hidden layer, and a softmax output.  The dense and output layers are
+order-0 :class:`~mclnn.layers.ClnnLayer` objects holding one ``(d, e)``
+matrix, the shape their parameters and model-file entries keep.
 :meth:`TrainedModel.layers` names every layer with parameters in forward
-order (``clnn0`` ..., ``dense``, ``output``); the forward pass, the
-parameter dict and the parameter checks all walk that one list.  The
-forward pass runs a whole ``(B, q, l)`` batch of segments through every
-layer at once; one segment is a batch of one.  :func:`model_forward_run`
-takes overlapping segments as one run of frames and their offsets in it:
-a leading conditional layer runs once over the run when that makes fewer
+order (``clnn0`` ..., ``dense``, ``output``).  One table derived from the
+spec lists each such layer's name, order, weight shape, mask and
+activation, so masks are never stored.  :func:`build_model` draws values
+over that table and :func:`load_model` reads them from a file, and both
+hand them to one assembler; one function checks parameter values, for the
+assembler and :meth:`TrainedModel.set_parameters` alike.  The forward pass
+runs a whole ``(B, q, l)`` batch of segments through every layer at once;
+one segment is a batch of one.  :func:`model_forward_run` takes
+overlapping segments as one run of frames and their offsets in it: a
+leading conditional layer runs once over the run when that makes fewer
 rows than the batch would.  Every entry point shares the walk from the
 first batched layer on, and only :func:`model_forward_tape` records a
-tape.  The conditional layers keep their arrays in the workspace a
-caller passes, or in fresh memory: ``train`` passes its thread's kept
-one for all of its mini-batches and its validation.  Masks are derived
-from the spec, never stored: a model file round-trips parameters
-bit-exactly and regenerates masks on load.  The spec is stored as its
-dataclass fields and read back with every field required at its declared
-type.  The labels, init seed and init scheme, and the normalization
-block's source split and id, are listed in tables that both the writer
-and the typed reader walk, so a file holds exactly the fields the reader
-checks.
+tape.  The conditional layers keep their arrays in the workspace a caller
+passes, or in fresh memory: ``train`` passes its thread's kept one for all
+of its mini-batches and its validation.  A model file round-trips
+parameters bit-exactly; its spec, labels, init seed and scheme, and
+normalization block are read back with every field required at its
+declared type, from tables that the writer walks too.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -37,7 +36,6 @@ from . import container
 from .errors import ContractError, HeaderMismatchError, ValidationError
 from .features import NormStats
 from .layers import (
-    Activation,
     ActivationTape,
     ClnnLayer,
     LinearActivation,
@@ -45,13 +43,12 @@ from .layers import (
     Sigmoid,
     Workspace,
     block_forward,
-    check_masked_weights,
     dense_forward,
     global_mean_pool,
     softmax,
     stack_blocks,
 )
-from .mask import MaskSpec, generate_mask
+from .mask import BinaryMask, MaskSpec, generate_mask
 
 MODEL_MAGIC = b"MCLN"
 MODEL_VERSION = 1
@@ -123,8 +120,8 @@ class ModelSpec:
             if layer.order < 1:
                 raise ValidationError(f"layer {i} has order {layer.order}; orders must be >= 1")
             if layer.masked:
-                # the spec of the mask build_model derives: a band that cannot fit
-                # its input fails here, where the spec is read, not at build time
+                # the spec of the mask the layer table derives: a band that cannot fit
+                # its input fails here, where the spec is read, not at build or load
                 try:
                     MaskSpec(l_in, layer.width, layer.bandwidth, layer.overlap)
                 except ValidationError as exc:
@@ -152,17 +149,66 @@ def frame_plan(spec: ModelSpec) -> list[int]:
     return plan
 
 
-# activation name -> a fresh activation for a layer of the given width
-_ACTIVATIONS: dict[str, Callable[[int], Activation]] = {
-    "prelu": lambda width: PRelu(slopes=np.full(width, INIT_SLOPE)),
-    "sigmoid": lambda width: Sigmoid(),
-    "linear": lambda width: LinearActivation(),
-}
+# activation name -> a layer's activation class; PReLU slopes are parameters
+_ACTIVATIONS = {"prelu": PRelu, "sigmoid": Sigmoid, "linear": LinearActivation}
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
+
+
+def _layer_table(spec: ModelSpec, masks: list[BinaryMask | None] | None = None) -> list[tuple]:
+    """``(name, order, weights shape, mask, activation class)`` of every layer
+    with parameters, in forward order: ``clnn0`` ..., ``dense``, ``output``.
+    A weights shape is ``(2n+1, fan_in, width)``, or ``(fan_in, width)`` at
+    order 0.  ``masks`` are the conditional layers'; None generates them.
+    """
+    widths = spec.input_widths()
+    if masks is None:
+        masks = [generate_mask(MaskSpec(l_in, layer.width, layer.bandwidth, layer.overlap))
+                 if layer.masked else None for layer, l_in in zip(spec.layers, widths)]
+    kind = _ACTIVATIONS[spec.activation]
+    table = [
+        (f"clnn{i}", layer.order, (2 * layer.order + 1, l_in, layer.width), mask, kind)
+        for i, (layer, l_in, mask) in enumerate(zip(spec.layers, widths, masks))
+    ]
+    table.append(("dense", 0, (spec.layers[-1].width, spec.dense_width), None, kind))
+    table.append(("output", 0, (spec.dense_width, spec.class_count), None, LinearActivation))
+    return table
+
+
+def _checked_layers(table: list[tuple], values: dict[str, np.ndarray]) -> list[ClnnLayer]:
+    """The layers of ``table`` over ``values``' own arrays, once every value check passes.
+
+    The one place parameter values are checked: ``values`` holds exactly
+    the keys :meth:`TrainedModel.parameters` gives the table's layers, each
+    at its shape there and finite, and each layer's construction rejects a
+    non-zero weight where its mask is 0.  A ``ContractError`` names the
+    first tensor that fails.
+    """
+    shapes = {}
+    for name, _, shape, _, kind in table:
+        shapes |= {f"{name}.weights": shape, f"{name}.bias": shape[-1:]}
+        if kind is PRelu:
+            shapes[f"{name}.slopes"] = shape[-1:]
+    if set(values) != set(shapes):
+        raise ContractError(f"parameter keys differ: {sorted(set(values) ^ set(shapes))}")
+    for key, shape in shapes.items():
+        if values[key].shape != shape:
+            raise ContractError(f"{key}: shape {values[key].shape} != {shape}")
+        # one tensor at a time, so the check's scratch stays one tensor's size
+        if not np.isfinite(values[key]).all():
+            raise ContractError(f"{key}: non-finite value(s)")
+    layers = []
+    for name, order, _, mask, kind in table:
+        activation = kind(values[f"{name}.slopes"]) if kind is PRelu else kind()
+        weights, bias = values[f"{name}.weights"], values[f"{name}.bias"]
+        try:
+            layers.append(ClnnLayer(order, weights, bias, mask, activation))
+        except ContractError as exc:  # every shape fits, so only the masked-weight check
+            raise ContractError(f"{name}.{exc}") from exc
+    return layers
 
 
 @dataclass(eq=False)
@@ -191,6 +237,8 @@ class TrainedModel:
         repeated = sorted({label for label in self.labels if self.labels.count(label) > 1})
         if repeated:
             raise ValidationError(f"class labels {repeated} name more than one class")
+        if self.init_seed < 0:
+            raise ValidationError(f"init_seed must be >= 0, got {self.init_seed}")
 
     def __setattr__(self, name, value):
         # Every assignment is checked, ``model.norm_stats = stats`` included.
@@ -221,76 +269,36 @@ class TrainedModel:
         return {k: v.copy() for k, v in self.parameters().items()}
 
     def set_parameters(self, values: dict[str, np.ndarray]) -> None:
-        """Copy ``values`` into the live tensors; a rejected call changes nothing."""
-        params = self.parameters()
-        if set(values) != set(params):
-            raise ContractError(
-                f"parameter keys differ: {sorted(set(values) ^ set(params))}"
-            )
-        for key, target in params.items():
-            if values[key].shape != target.shape:
-                raise ContractError(f"{key}: shape {values[key].shape} != {target.shape}")
-            # one tensor at a time, so the check's scratch stays one tensor's size
-            if not np.isfinite(values[key]).all():
-                raise ContractError(f"{key}: non-finite value(s)")
-        for name, layer in self.layers():
-            check_masked_weights(values[f"{name}.weights"], layer.mask, f"{name}.weights")
-        for key, target in params.items():
+        """Copy ``values`` into the live tensors once they pass a loaded model's
+        checks, against this model's own masks; a rejected call changes nothing."""
+        _checked_layers(_layer_table(self.spec, [layer.mask for layer in self.clnn_layers]), values)
+        for key, target in self.parameters().items():
             target[...] = values[key]
 
 
+def _assemble(spec: ModelSpec, table: list[tuple], values: dict, **fields) -> TrainedModel:
+    """The model whose layers hold ``values``' own arrays; build and load both end here."""
+    *clnn_layers, dense, output = _checked_layers(table, values)
+    return TrainedModel(spec, clnn_layers, dense, output, **fields)
+
+
 def build_model(spec: ModelSpec, seed: int, labels: tuple[str, ...] | None = None) -> TrainedModel:
-    """Deterministic initialization; the one mask multiply zeroes masked weights."""
+    """Deterministic initialization: each layer's Glorot-uniform weights drawn
+    from one generator in table order, its mask multiplied in once, biases at
+    zero and PReLU slopes at ``INIT_SLOPE``, all checked as a loaded model's are."""
     if labels is None:
         labels = tuple(str(i) for i in range(spec.class_count))
     rng = np.random.default_rng(seed)
-    widths = spec.input_widths()
-    clnn_layers = []
-    for layer_spec, l_in in zip(spec.layers, widths):
-        e = layer_spec.width
-        matrices = 2 * layer_spec.order + 1
-        weights = _glorot(rng, l_in, e, (matrices, l_in, e))
-        mask = None
-        if layer_spec.masked:
-            mask = generate_mask(
-                MaskSpec(
-                    feature_length=l_in,
-                    hidden_width=e,
-                    bandwidth=layer_spec.bandwidth,
-                    overlap=layer_spec.overlap,
-                )
-            )
-            weights = weights * mask.entries
-        clnn_layers.append(
-            ClnnLayer(
-                order=layer_spec.order,
-                weights=weights,
-                bias=np.zeros(e),
-                mask=mask,
-                activation=_ACTIVATIONS[spec.activation](e),
-            )
-        )
-    last_width = spec.layers[-1].width
-    dense = ClnnLayer(
-        order=0,
-        weights=_glorot(rng, last_width, spec.dense_width, (last_width, spec.dense_width)),
-        bias=np.zeros(spec.dense_width),
-        activation=_ACTIVATIONS[spec.activation](spec.dense_width),
-    )
-    output = ClnnLayer(
-        order=0,
-        weights=_glorot(rng, spec.dense_width, spec.class_count, (spec.dense_width, spec.class_count)),
-        bias=np.zeros(spec.class_count),
-        activation=LinearActivation(),
-    )
-    return TrainedModel(
-        spec=spec,
-        clnn_layers=clnn_layers,
-        dense=dense,
-        output=output,
-        labels=labels,
-        init_seed=seed,
-    )
+    table = _layer_table(spec)
+    values = {}
+    for name, _, shape, mask, kind in table:
+        weights = values[f"{name}.weights"] = _glorot(rng, *shape[-2:], shape)
+        if mask is not None:
+            weights *= mask.entries
+        values[f"{name}.bias"] = np.zeros(shape[-1])
+        if kind is PRelu:
+            values[f"{name}.slopes"] = np.full(shape[-1], INIT_SLOPE)
+    return _assemble(spec, table, values, labels=labels, init_seed=seed)
 
 
 def _walk(
@@ -433,6 +441,7 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
+    """The model a file holds, assembled over its arrays as read; nothing is drawn."""
     def shapes(header):
         declared = [tuple(entry["shape"]) for entry in header["params"]]
         if header["norm"] is not None:
@@ -444,19 +453,15 @@ def load_model(path) -> TrainedModel:
     try:
         spec = _from_header(ModelSpec, header["spec"])
         own = container.typed_fields(header, _MODEL_HEADER, "model")
-        skeleton = build_model(spec, seed=own["init_seed"], labels=tuple(own["labels"]))
-        skeleton.init_scheme = own["init_scheme"]
-        values = dict(zip((str(entry["name"]) for entry in header["params"]), arrays))
         if header["norm"] is not None:
             norm = container.typed_fields(header["norm"], _NORM_HEADER, "model.norm")
-            skeleton.norm_stats = NormStats(mean=arrays[-2], std=arrays[-1], **norm)
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
-        raise HeaderMismatchError(f"{path}: header field missing or malformed: {exc!r}") from exc
-    try:
-        skeleton.set_parameters(values)
+            own["norm_stats"] = NormStats(mean=arrays[-2], std=arrays[-1], **norm)
+        values = dict(zip((str(entry["name"]) for entry in header["params"]), arrays))
+        return _assemble(spec, _layer_table(spec), values, **own)
     except ContractError as exc:
         raise HeaderMismatchError(f"{path}: parameters do not fit the architecture: {exc}") from exc
-    return skeleton
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise HeaderMismatchError(f"{path}: header field missing or malformed: {exc!r}") from exc
 
 
 # Reference 10-class configuration: 256 mel bins in, two masked layers

@@ -18,7 +18,16 @@ from mclnn.errors import (
     VersionMismatchError,
 )
 from mclnn.features import AudioClip, FeatureMatrix, NormStats
-from mclnn.layers import PoolRecord, block_forward, dense_forward, global_mean_pool, softmax
+from mclnn.layers import (
+    ClnnLayer,
+    LinearActivation,
+    PoolRecord,
+    PRelu,
+    block_forward,
+    dense_forward,
+    global_mean_pool,
+    softmax,
+)
 from mclnn.mask import MaskSpec, generate_mask
 from mclnn.model import (
     PRESETS,
@@ -340,6 +349,21 @@ class TestSerialization:
         segment = np.random.default_rng(41).standard_normal((11, 8))
         assert model_forward(model, segment).tobytes() == model_forward(loaded, segment).tobytes()
 
+    def test_loading_draws_nothing(self, tmp_path, monkeypatch):
+        model = self._model_with_stats()
+        path = tmp_path / "model.mcln"
+        save_model(model, path)
+
+        def draw(*args):
+            raise AssertionError("load_model drew initial weights")
+
+        monkeypatch.setattr(mclnn.model, "_glorot", draw)
+        loaded = load_model(path)
+        for key, tensor in model.parameters().items():
+            assert tensor.tobytes() == loaded.parameters()[key].tobytes(), key
+        segment = np.random.default_rng(46).standard_normal((11, 8))
+        assert model_forward(model, segment).tobytes() == model_forward(loaded, segment).tobytes()
+
     def test_masks_regenerated_not_stored(self, tmp_path):
         model = self._model_with_stats()
         path = tmp_path / "model.mcln"
@@ -435,6 +459,31 @@ class TestSerialization:
         save_model(self._model_with_stats(), path)
         rewrite_model_header(path, edit)
         with pytest.raises(HeaderMismatchError):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        # a layer's own constructor accepts these three tensors; only the spec's shapes reject them
+        (lambda m: setattr(m, "dense", ClnnLayer(0, np.zeros((6, 51)), np.zeros(51),
+                                                 activation=PRelu(np.full(51, 0.25)))),
+         r"parameters do not fit the architecture: dense.weights: shape \(6, 51\) != \(6, 50\)"),
+        (lambda m: setattr(m, "output", ClnnLayer(0, np.zeros((49, 4)), np.zeros(4))),
+         r"output.weights: shape \(49, 4\) != \(50, 4\)"),
+        (lambda m: setattr(m.clnn_layers[1].activation, "slopes", np.ones(7)),
+         r"clnn1.slopes: shape \(7,\) != \(6,\)"),
+        (lambda m: setattr(m.output, "activation", PRelu(np.ones(4))),
+         r"parameter keys differ: \['output.slopes'\]"),
+        (lambda m: setattr(m.dense, "activation", LinearActivation()),
+         r"parameter keys differ: \['dense.slopes'\]"),
+        (lambda m: setattr(m, "init_seed", -1), r"init_seed must be >= 0, got -1"),
+        (dirty_masked_weight, r"clnn0.weights: 1 non-zero weight"),
+    ], ids=["dense-one-wider", "output-rows", "clnn1-slopes", "output-extra-slopes",
+            "dense-no-slopes", "seed-negative", "masked-weight"])
+    def test_file_other_than_the_spec_is_header_mismatch_naming_it(self, tmp_path, edit, named):
+        model = build_model(small_spec(dense_width=50), seed=45)
+        edit(model)
+        path = tmp_path / "model.mcln"
+        save_model(model, path)
+        with pytest.raises(HeaderMismatchError, match=named):
             load_model(path)
 
     def test_nan_weight_is_header_mismatch(self, tmp_path):

@@ -6,8 +6,10 @@ Runs one fixed ``mclnn`` command sequence with the package of git revision
 ``BASE`` (exported with ``git archive``) and with the working tree's, each
 once as it is and once pinned to one CPU.  The sequence is:
 
-- seeded tones, six 30 s clips in each of two classes, go through
-  ``features extract`` and ``dataset plan --folds 3``;
+- seeded tones, six 30 s clips at 22.05 kHz in each of two classes and one
+  37.5 s clip at 44.1 kHz in the first, go through ``features extract``,
+  which center-crops that clip to 30 s and resamples it, and ``dataset plan
+  --folds 3``;
 - ``train --preset table3 --epochs 2 --hop 13 --test-fold 1`` runs three
   times: with momentum at batch 64, with ``--optimizer sgd --batch-size 8``,
   and at ``--batch-size 128``, where a batch has more than 96 rows;
@@ -22,7 +24,7 @@ base run as it is; ``report.txt`` is compared without its wall-clock line.
 
 Exit status: 0 when every file is identical, 1 when some differ (they are
 named on stdout), 2 when a command fails.  The wall time of each run is
-printed as it ends.
+printed as it ends: about 5-6 s per run on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ REPO = Path(__file__).resolve().parents[1]
 RATE = 22050
 CLIP_SECONDS = 30
 CLIPS_PER_CLASS = 6
+# the first class's one extra clip, longer and at another rate, so that
+# ``features extract`` crops and resamples it
+RESAMPLED_RATE = 44100
+RESAMPLED_SECONDS = 37.5
 # class -> the range its clips' tone frequencies are drawn from, in Hz
 CLASSES = {"low": (150.0, 400.0), "high": (1200.0, 3000.0)}
 TRAIN = ["train", "--preset", "table3", "--epochs", "2", "--hop", "13", "--test-fold", "1",
@@ -68,20 +74,28 @@ WALL_CLOCK = b"wall_clock_seconds"
 
 
 def write_tones(audio: Path, seed: int = 0) -> None:
-    """Seeded 16-bit mono clips: a gliding tone with noise, per class directory."""
+    """Seeded clips per class directory, and the first class's resampled one."""
     rng = np.random.default_rng(seed)
-    t = np.arange(CLIP_SECONDS * RATE) / RATE
-    for name, (low, high) in CLASSES.items():
+    for name, band in CLASSES.items():
         (audio / name).mkdir(parents=True)
         for i in range(CLIPS_PER_CLASS):
-            start, end = rng.uniform(low, high, 2)
-            phase = 2 * np.pi * (start * t + (end - start) * t**2 / (2 * CLIP_SECONDS))
-            signal = 8000 * np.sin(phase) + 1000 * rng.standard_normal(t.size)
-            with wave.open(str(audio / name / f"clip{i}.wav"), "wb") as out:
-                out.setnchannels(1)
-                out.setsampwidth(2)
-                out.setframerate(RATE)
-                out.writeframes(np.round(signal).astype("<i2").tobytes())
+            write_tone(audio / name / f"clip{i}.wav", rng, band, RATE, CLIP_SECONDS)
+    first = next(iter(CLASSES))
+    write_tone(audio / first / f"clip{CLIPS_PER_CLASS}.wav", rng, CLASSES[first],
+               RESAMPLED_RATE, RESAMPLED_SECONDS)
+
+
+def write_tone(path: Path, rng: np.random.Generator, band, rate: int, seconds: float) -> None:
+    """A 16-bit mono gliding tone with noise, its start and end drawn in ``band`` Hz."""
+    t = np.arange(round(seconds * rate)) / rate
+    start, end = rng.uniform(*band, 2)
+    phase = 2 * np.pi * (start * t + (end - start) * t**2 / (2 * seconds))
+    signal = 8000 * np.sin(phase) + 1000 * rng.standard_normal(t.size)
+    with wave.open(str(path), "wb") as out:
+        out.setnchannels(1)
+        out.setsampwidth(2)
+        out.setframerate(rate)
+        out.writeframes(np.round(signal).astype("<i2").tobytes())
 
 
 def export_src(revision: str, dest: Path) -> Path:
