@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
+import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -362,7 +363,7 @@ def cmd_model_describe(args) -> int:
     if config.model_spec is None:
         raise ConfigError("model describe needs --preset or a config file with a [model] section")
     spec = config.model_spec
-    model = mdl.build_model(spec, seed=config.training.seed)
+    table = mdl._layer_table(spec)
     plan = mdl.frame_plan(spec)
     print(f"feature_length: {spec.feature_length}")
     print(f"layers: {format_layers(spec.layers)}")
@@ -370,14 +371,14 @@ def cmd_model_describe(args) -> int:
           f"classes: {spec.class_count}  activation: {spec.activation}")
     print(f"segment_size: {mdl.segment_size(spec)}")
     print(f"frame_plan: {plan}")
-    print(f"parameters: {sum(tensor.size for tensor in model.parameters().values())}")
-    for i, layer in enumerate(model.clnn_layers):
-        if layer.mask is None:
-            print(f"layer {i}: unmasked, weights {layer.weights.shape}")
+    print(f"parameters: {sum(map(math.prod, mdl._parameter_shapes(table).values()))}")
+    for i, (_, _, shape, mask, _) in enumerate(table[: len(spec.layers)]):
+        if mask is None:
+            print(f"layer {i}: unmasked, weights {shape}")
         else:
             print(
-                f"layer {i}: mask {layer.mask.shape[0]}x{layer.mask.shape[1]}, "
-                f"density {layer.mask.density():.4f}, weights {layer.weights.shape}"
+                f"layer {i}: mask {mask.shape[0]}x{mask.shape[1]}, "
+                f"density {mask.density():.4f}, weights {shape}"
             )
     return EXIT_OK
 
@@ -560,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_model = sub.add_parser("model", help="architecture tools")
     mo_sub = p_model.add_subparsers(dest="subcommand", required=True)
     p_describe = mo_sub.add_parser("describe", help="print spec, frame plan, parameter counts")
-    _add_config_flags(p_describe, ("seed",))
+    _add_config_flags(p_describe, ())
     p_describe.set_defaults(func=cmd_model_describe)
 
     p_train = sub.add_parser("train", help="train a model from feature files and a plan")

@@ -168,6 +168,8 @@ def _layer_table(spec: ModelSpec, masks: list[BinaryMask | None] | None = None) 
     if masks is None:
         masks = [generate_mask(MaskSpec(l_in, layer.width, layer.bandwidth, layer.overlap))
                  if layer.masked else None for layer, l_in in zip(spec.layers, widths)]
+    elif len(masks) != len(spec.layers):
+        raise ContractError(f"{len(masks)} conditional layers for a spec of {len(spec.layers)}")
     kind = _ACTIVATIONS[spec.activation]
     table = [
         (f"clnn{i}", layer.order, (2 * layer.order + 1, l_in, layer.width), mask, kind)
@@ -176,6 +178,17 @@ def _layer_table(spec: ModelSpec, masks: list[BinaryMask | None] | None = None) 
     table.append(("dense", 0, (spec.layers[-1].width, spec.dense_width), None, kind))
     table.append(("output", 0, (spec.dense_width, spec.class_count), None, LinearActivation))
     return table
+
+
+def _parameter_shapes(table: list[tuple]) -> dict[str, tuple]:
+    """The key and shape of every tensor :meth:`TrainedModel.parameters` gives
+    ``table``'s layers, in its key order."""
+    shapes = {}
+    for name, _, shape, _, kind in table:
+        shapes |= {f"{name}.weights": shape, f"{name}.bias": shape[-1:]}
+        if kind is PRelu:
+            shapes[f"{name}.slopes"] = shape[-1:]
+    return shapes
 
 
 def _checked_layers(table: list[tuple], values: dict[str, np.ndarray]) -> list[ClnnLayer]:
@@ -187,11 +200,7 @@ def _checked_layers(table: list[tuple], values: dict[str, np.ndarray]) -> list[C
     non-zero weight where its mask is 0.  A ``ContractError`` names the
     first tensor that fails.
     """
-    shapes = {}
-    for name, _, shape, _, kind in table:
-        shapes |= {f"{name}.weights": shape, f"{name}.bias": shape[-1:]}
-        if kind is PRelu:
-            shapes[f"{name}.slopes"] = shape[-1:]
+    shapes = _parameter_shapes(table)
     if set(values) != set(shapes):
         raise ContractError(f"parameter keys differ: {sorted(set(values) ^ set(shapes))}")
     for key, shape in shapes.items():
@@ -268,10 +277,14 @@ class TrainedModel:
     def copy_parameters(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.parameters().items()}
 
+    def _table(self) -> list[tuple]:
+        """:func:`_layer_table` over this model's own masks; none is regenerated."""
+        return _layer_table(self.spec, [layer.mask for layer in self.clnn_layers])
+
     def set_parameters(self, values: dict[str, np.ndarray]) -> None:
         """Copy ``values`` into the live tensors once they pass a loaded model's
         checks, against this model's own masks; a rejected call changes nothing."""
-        _checked_layers(_layer_table(self.spec, [layer.mask for layer in self.clnn_layers]), values)
+        _checked_layers(self._table(), values)
         for key, target in self.parameters().items():
             target[...] = values[key]
 
@@ -426,7 +439,21 @@ _NORM_HEADER = {f.name: f.type for f in fields(NormStats) if f.name in ("source_
 
 
 def save_model(model: TrainedModel, path) -> None:
-    """Binary model file; masks are regenerated from the architecture on load."""
+    """Binary model file; masks are regenerated from the architecture on load.
+
+    Before the file is opened, the model goes through the assembly that
+    :func:`load_model` ends in, over its own masks: the value check, the
+    labels, the init seed and the statistics' length.  A model that a load
+    would reject raises its ``ContractError`` or ``ValidationError`` here,
+    and no file is written.
+    """
+    _assemble(model.spec, model._table(), model.parameters(), labels=model.labels,
+              norm_stats=model.norm_stats, init_seed=model.init_seed)
+    container.write(path, MODEL_MAGIC, MODEL_VERSION, *_file_contents(model))
+
+
+def _file_contents(model: TrainedModel) -> tuple[dict, list[np.ndarray]]:
+    """The header and arrays of ``model``'s file, as :func:`save_model` writes them."""
     params = model.parameters()
     arrays = list(params.values())
     manifest = [{"name": k, "shape": list(v.shape)} for k, v in params.items()]
@@ -437,7 +464,7 @@ def save_model(model: TrainedModel, path) -> None:
         header["norm"] = {name: getattr(stats, name) for name in _NORM_HEADER}
         header["norm"]["length"] = int(stats.mean.shape[0])
         arrays += [stats.mean, stats.std]
-    container.write(path, MODEL_MAGIC, MODEL_VERSION, header, arrays)
+    return header, arrays
 
 
 def load_model(path) -> TrainedModel:
@@ -456,7 +483,11 @@ def load_model(path) -> TrainedModel:
         if header["norm"] is not None:
             norm = container.typed_fields(header["norm"], _NORM_HEADER, "model.norm")
             own["norm_stats"] = NormStats(mean=arrays[-2], std=arrays[-1], **norm)
-        values = dict(zip((str(entry["name"]) for entry in header["params"]), arrays))
+        names = [str(entry["name"]) for entry in header["params"]]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise HeaderMismatchError(f"{path}: parameters {repeated} are listed more than once")
+        values = dict(zip(names, arrays))
         return _assemble(spec, _layer_table(spec), values, **own)
     except ContractError as exc:
         raise HeaderMismatchError(f"{path}: parameters do not fit the architecture: {exc}") from exc

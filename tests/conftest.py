@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mclnn.layers
+import mclnn.model
 from mclnn import container
 from mclnn.features import FEATURE_MAGIC, FEATURE_VERSION, FeatureMatrix
 from mclnn.layers import ClnnLayer, LinearActivation, PRelu
@@ -87,6 +88,11 @@ def dirty_masked_weight(model):
     """Set one masked clnn0 weight to 1.0, bypassing every check."""
     dead = np.argwhere(model.clnn_layers[0].mask.entries == 0.0)[0]
     model.clnn_layers[0].weights[2, dead[0], dead[1]] = 1.0
+
+
+def write_model_unchecked(model, path):
+    """The bytes ``save_model`` would write for ``model``, written without its checks."""
+    container.write(path, MODEL_MAGIC, MODEL_VERSION, *mclnn.model._file_contents(model))
 
 
 def _rewrite_header(path, magic, version, shapes, edit):

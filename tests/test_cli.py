@@ -60,6 +60,7 @@ from conftest import (
     dirty_masked_weight,
     rewrite_feature_header,
     rewrite_model_header,
+    write_model_unchecked,
 )
 
 
@@ -450,7 +451,7 @@ class TestTrainEvalPredict:
         model = load_model(workspace / "run" / "model.mcln")
         dirty_masked_weight(model)
         dirty = tmp_path / "dirty.mcln"
-        save_model(model, dirty)
+        write_model_unchecked(model, dirty)
         rc = main(["predict", "--model", str(dirty),
                    str(workspace / "features" / "drums__clip5.mclf")])
         assert rc == EXIT_IO
@@ -463,7 +464,7 @@ class TestTrainEvalPredict:
         short = NormStats(mean=np.zeros(3), std=np.ones(3), source_split="train", stats_id="s")
         object.__setattr__(model, "norm_stats", short)  # bypasses the check
         path = tmp_path / "short_norm.mcln"
-        save_model(model, path)
+        write_model_unchecked(model, path)
         rc = main(["predict", "--model", str(path),
                    str(workspace / "features" / "drums__clip5.mclf")])
         assert rc == EXIT_IO
@@ -473,7 +474,7 @@ class TestTrainEvalPredict:
         model = load_model(workspace / "run" / "model.mcln")
         model.output.weights[0, 0] = np.nan
         path = tmp_path / "nan.mcln"
-        save_model(model, path)
+        write_model_unchecked(model, path)
         rc = main(["predict", "--model", str(path),
                    str(workspace / "features" / "drums__clip5.mclf")])
         assert rc == EXIT_IO
@@ -1073,10 +1074,8 @@ class TestUsageAndGradcheck:
         line = single_error(capsys.readouterr(), "ValidationError")
         assert "tolerance must be positive and finite" in line
 
-    @pytest.mark.parametrize("command", [["model", "describe", "--preset", "table3"],
-                                         ["gradcheck"]])
-    def test_negative_seed_is_config_error(self, capsys, command):
-        assert main(command + ["--seed", "-1"]) == EXIT_CONFIG
+    def test_negative_seed_is_config_error(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == EXIT_CONFIG
         line = single_error(capsys.readouterr(), "ConfigError")
         assert line.endswith("[training] seed must be >= 0, got -1")
 
@@ -1140,12 +1139,14 @@ class TestConfigFlags:
         report = (out / "report.txt").read_text()
         assert all(f"\n{name} = {value!r}\n" in report for name, value in self.TRAINING.items())
 
-    @pytest.mark.parametrize("command", [["model", "describe"], ["gradcheck"]])
-    def test_describe_and_gradcheck_take_seed_and_no_other_training_flag(self, command, capsys):
-        config = load_experiment_config(build_parser().parse_args(command + ["--seed", "3"]))
-        assert config.training == TrainConfig(seed=3)
+    @pytest.mark.parametrize("command, takes", [(["model", "describe"], ()),
+                                                (["gradcheck"], ("seed",))])
+    def test_gradcheck_takes_seed_and_describe_no_training_flag(self, command, takes, capsys):
+        if takes:
+            config = load_experiment_config(build_parser().parse_args(command + ["--seed", "3"]))
+            assert config.training == TrainConfig(seed=3)
         for name, value in self.TRAINING.items():
-            if name != "seed":
+            if name not in takes:
                 assert main(command + ["--preset", "table3", flag(name), str(value)]) == EXIT_USAGE
                 assert f"unrecognized arguments: {flag(name)}" in capsys.readouterr().err
 

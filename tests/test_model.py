@@ -44,7 +44,7 @@ from mclnn.model import (
 )
 from mclnn.training import EvalResult, RunReport
 
-from conftest import dirty_masked_weight, rewrite_model_header, small_spec
+from conftest import dirty_masked_weight, rewrite_model_header, small_spec, write_model_unchecked
 
 
 def uniform_order_spec(n, m, k, width=4, feature_length=4):
@@ -319,6 +319,36 @@ class TestForwardRun:
             model_forward_run(small_model, frames, starts)
 
 
+def _repeat_output_bias(header):
+    """Declare the norm block's 16 values as four more ``output.bias`` entries,
+    each at its spec shape, so the file's payload still fits its header."""
+    header["norm"] = None
+    header["params"] += [{"name": "output.bias", "shape": [4]}] * 4
+
+
+SHORT_NORM = NormStats(mean=np.zeros(3), std=np.ones(3), source_split="train", stats_id="s")
+FIT = "parameters do not fit the architecture: "
+# edits of a small_spec(dense_width=50) model that its file fails to load
+# with, and what the error names
+SPEC_FAULTS = [
+    # a layer's own constructor accepts these three tensors; only the spec's shapes reject them
+    pytest.param(lambda m: setattr(m, "dense", ClnnLayer(0, np.zeros((6, 51)), np.zeros(51),
+                                                         activation=PRelu(np.full(51, 0.25)))),
+                 FIT + r"dense.weights: shape \(6, 51\) != \(6, 50\)", id="dense-one-wider"),
+    pytest.param(lambda m: setattr(m, "output", ClnnLayer(0, np.zeros((49, 4)), np.zeros(4))),
+                 r"output.weights: shape \(49, 4\) != \(50, 4\)", id="output-rows"),
+    pytest.param(lambda m: setattr(m.clnn_layers[1].activation, "slopes", np.ones(7)),
+                 r"clnn1.slopes: shape \(7,\) != \(6,\)", id="clnn1-slopes"),
+    pytest.param(lambda m: setattr(m.output, "activation", PRelu(np.ones(4))),
+                 r"parameter keys differ: \['output.slopes'\]", id="output-extra-slopes"),
+    pytest.param(lambda m: setattr(m.dense, "activation", LinearActivation()),
+                 r"parameter keys differ: \['dense.slopes'\]", id="dense-no-slopes"),
+    pytest.param(lambda m: setattr(m, "init_seed", -1), r"init_seed must be >= 0, got -1",
+                 id="seed-negative"),
+    pytest.param(dirty_masked_weight, r"clnn0.weights: 1 non-zero weight", id="masked-weight"),
+]
+
+
 class TestSerialization:
     def _model_with_stats(self, seed=40):
         model = build_model(small_spec(), seed=seed, labels=("w", "x", "y", "z"))
@@ -412,7 +442,7 @@ class TestSerialization:
         model = self._model_with_stats()
         dirty_masked_weight(model)
         path = tmp_path / "dirty.mcln"
-        save_model(model, path)
+        write_model_unchecked(model, path)
         with pytest.raises(HeaderMismatchError, match=r"clnn0.weights: 1 non-zero weight"):
             load_model(path)
 
@@ -430,6 +460,7 @@ class TestSerialization:
         lambda h: h.update(init_seed="seven"),
         lambda h: h.update(init_seed=-1),
         lambda h: h["params"][0].pop("name"),
+        _repeat_output_bias,
         lambda h: h["norm"].pop("stats_id"),
         lambda h: h["norm"].update(stats_id=7),
         lambda h: h["norm"].update(stats_id=None),
@@ -449,7 +480,7 @@ class TestSerialization:
         "no-spec", "spec-list", "spec-width-text", "layer-no-order", "dense-width-0",
         "no-labels", "labels-int", "labels-count", "labels-repeated",
         "no-seed", "seed-text", "seed-negative",
-        "param-no-name", "norm-no-id", "norm-id-int", "norm-id-null", "norm-split-list",
+        "param-no-name", "param-repeated", "norm-no-id", "norm-id-int", "norm-id-null", "norm-split-list",
         "layer-width-float", "layer-bandwidth-float", "layer-overlap-bool",
         "class-count-text", "seed-float", "seed-bool",
         "labels-text", "labels-not-strings", "init-scheme-list", "no-init-scheme",
@@ -461,36 +492,47 @@ class TestSerialization:
         with pytest.raises(HeaderMismatchError):
             load_model(path)
 
-    @pytest.mark.parametrize("edit, named", [
-        # a layer's own constructor accepts these three tensors; only the spec's shapes reject them
-        (lambda m: setattr(m, "dense", ClnnLayer(0, np.zeros((6, 51)), np.zeros(51),
-                                                 activation=PRelu(np.full(51, 0.25)))),
-         r"parameters do not fit the architecture: dense.weights: shape \(6, 51\) != \(6, 50\)"),
-        (lambda m: setattr(m, "output", ClnnLayer(0, np.zeros((49, 4)), np.zeros(4))),
-         r"output.weights: shape \(49, 4\) != \(50, 4\)"),
-        (lambda m: setattr(m.clnn_layers[1].activation, "slopes", np.ones(7)),
-         r"clnn1.slopes: shape \(7,\) != \(6,\)"),
-        (lambda m: setattr(m.output, "activation", PRelu(np.ones(4))),
-         r"parameter keys differ: \['output.slopes'\]"),
-        (lambda m: setattr(m.dense, "activation", LinearActivation()),
-         r"parameter keys differ: \['dense.slopes'\]"),
-        (lambda m: setattr(m, "init_seed", -1), r"init_seed must be >= 0, got -1"),
-        (dirty_masked_weight, r"clnn0.weights: 1 non-zero weight"),
-    ], ids=["dense-one-wider", "output-rows", "clnn1-slopes", "output-extra-slopes",
-            "dense-no-slopes", "seed-negative", "masked-weight"])
+    def test_a_parameter_listed_twice_is_header_mismatch_naming_it(self, tmp_path):
+        path = tmp_path / "model.mcln"
+        save_model(self._model_with_stats(), path)
+        rewrite_model_header(path, _repeat_output_bias)
+        with pytest.raises(HeaderMismatchError, match=r"\['output.bias'\] are listed more than once"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, named", SPEC_FAULTS)
     def test_file_other_than_the_spec_is_header_mismatch_naming_it(self, tmp_path, edit, named):
         model = build_model(small_spec(dense_width=50), seed=45)
         edit(model)
         path = tmp_path / "model.mcln"
-        save_model(model, path)
+        write_model_unchecked(model, path)
         with pytest.raises(HeaderMismatchError, match=named):
             load_model(path)
+
+    @pytest.mark.parametrize("edit, named", SPEC_FAULTS + [
+        pytest.param(lambda m: setattr(m, "clnn_layers", m.clnn_layers[:1]),
+                     r"1 conditional layers for a spec of 2", id="clnn1-dropped"),
+        pytest.param(lambda m: m.dense.weights.__setitem__((1, 2), np.nan),
+                     r"dense.weights: non-finite value", id="nan-weight"),
+        pytest.param(lambda m: setattr(m, "labels", ("only-one",)),
+                     r"1 labels for 4 classes", id="labels-count"),
+        pytest.param(lambda m: object.__setattr__(m, "norm_stats", SHORT_NORM),  # bypasses the check
+                     r"normalization length 3", id="norm-short"),
+    ])
+    def test_a_model_that_would_not_load_raises_on_save_and_writes_nothing(
+        self, tmp_path, edit, named
+    ):
+        model = build_model(small_spec(dense_width=50), seed=45)
+        edit(model)
+        path = tmp_path / "model.mcln"
+        with pytest.raises((ContractError, ValidationError), match=named.removeprefix(FIT)):
+            save_model(model, path)
+        assert not path.exists()
 
     def test_nan_weight_is_header_mismatch(self, tmp_path):
         model = self._model_with_stats()
         model.dense.weights[1, 2] = np.nan
         path = tmp_path / "nan.mcln"
-        save_model(model, path)
+        write_model_unchecked(model, path)
         with pytest.raises(HeaderMismatchError, match=r"dense.weights: non-finite value"):
             load_model(path)
 
@@ -515,18 +557,16 @@ class TestSerialization:
 
     def test_norm_length_other_than_feature_length_is_header_mismatch(self, tmp_path):
         model = build_model(small_spec(), seed=43)
-        short = NormStats(mean=np.zeros(3), std=np.ones(3), source_split="train", stats_id="s")
-        object.__setattr__(model, "norm_stats", short)  # bypasses the check
+        object.__setattr__(model, "norm_stats", SHORT_NORM)  # bypasses the check
         path = tmp_path / "model.mcln"
-        save_model(model, path)
+        write_model_unchecked(model, path)
         with pytest.raises(HeaderMismatchError, match="normalization length 3"):
             load_model(path)
 
     def test_assigned_norm_stats_are_length_checked(self):
         model = build_model(small_spec(), seed=44)
-        short = NormStats(mean=np.zeros(3), std=np.ones(3), source_split="train", stats_id="s")
         with pytest.raises(ValidationError, match="normalization length 3"):
-            model.norm_stats = short
+            model.norm_stats = SHORT_NORM
         assert model.norm_stats is None
 
 

@@ -25,6 +25,11 @@ base run as it is; ``report.txt`` is compared without its wall-clock line.
 Exit status: 0 when every file is identical, 1 when some differ (they are
 named on stdout), 2 when a command fails.  The wall time of each run is
 printed as it ends: about 5-6 s per run on a 2-core machine.
+
+CI runs it on every push and pull request.  A pull request's ``BASE`` is
+its target's commit.  A push's is the pushed commit itself, so its four
+runs are independent executions of one tree: they check that a rerun and a
+single CPU give the same bits.
 """
 
 from __future__ import annotations
