@@ -53,7 +53,6 @@ read from one table; ``read_feature_header`` reads it without the frames.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import logging
@@ -63,7 +62,7 @@ import wave
 import weakref
 import zipfile
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -145,7 +144,7 @@ class AudioClip:
         return self.samples.size / self.sample_rate
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """Per-clip time x frequency feature frames with provenance."""
 
@@ -159,9 +158,9 @@ class FeatureMatrix:
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float64)
-        self.frames = frames
-        if frames.ndim != 2 or frames.shape[0] < 1:
-            raise ShapeError(f"feature frames must be (t >= 1, l), got shape {frames.shape}")
+        object.__setattr__(self, "frames", frames)
+        if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
+            raise ShapeError(f"feature frames must be (t >= 1, l >= 1), got shape {frames.shape}")
         if not np.all(np.isfinite(frames)):
             raise ValidationError(f"feature matrix for clip {self.clip_id!r} has non-finite values")
         if self.normalized and not self.norm_id:
@@ -185,7 +184,7 @@ _FEATURE_HEADER = {"t": "int", "l": "int", **_FEATURE_FIELDS}
 
 @dataclass(frozen=True, eq=False)
 class NormStats:
-    """Per-dimension mean/std fitted on one source split."""
+    """Per-dimension mean/std fitted on one source split; finite, std positive."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -195,6 +194,8 @@ class NormStats:
     def __post_init__(self):
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise ShapeError.mismatch("normalization vectors", self.mean.shape, self.std.shape)
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()):
+            raise ValidationError("normalization mean and std entries must be finite")
         if np.any(self.std <= 0):
             raise ValidationError("normalization std entries must be positive")
 
@@ -634,12 +635,11 @@ def apply_zscore(features: FeatureMatrix, stats: NormStats | None) -> FeatureMat
     """A copy of ``features`` normalized under ``stats``, or as it is if it already was."""
     if stats is None:
         raise ContractError("apply_zscore called with unfitted statistics")
-    out = copy.copy(features)
-    out.frames = features.frames.copy()
-    if _check_zscore(features, stats):
-        _zscore(out.frames, stats)
-        out.norm_id, out.normalized = stats.stats_id, True
-    return out
+    frames = features.frames.copy()
+    if not _check_zscore(features, stats):
+        return replace(features, frames=frames)
+    _zscore(frames, stats)
+    return replace(features, frames=frames, normalized=True, norm_id=stats.stats_id)
 
 
 def _zscore(frames: np.ndarray, stats: NormStats, where=True) -> None:

@@ -92,7 +92,7 @@ import os
 import threading
 from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
@@ -126,11 +126,31 @@ __all__ = [
 _ONE_BITS = np.float64(1.0).view(np.int64)
 
 
+class _Fixed:
+    """Fields set once: a field that holds an object may be set again only to
+    that same object, and none is deleted; either attempt raises
+    ``FrozenInstanceError``.
+
+    Array contents still change in place, and ``layer.weights -= step``
+    rebinds the array it updated, so it passes.  ``frozen=True`` would
+    refuse that statement too.
+    """
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__ and self.__dict__[name] is not value:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 @dataclass(eq=False)
-class PRelu:
+class PRelu(_Fixed):
     """Learnable rectifier: ``z`` where ``z > 0``, ``slopes * z`` elsewhere.
 
-    ``slopes`` has one entry per neuron; the owning layer checks its length.
+    ``slopes`` has one entry per neuron; the owning layer checks its length,
+    and the field is never set to another array (see :class:`_Fixed`).
     Each method writes into ``out`` when one is given.
     """
 
@@ -169,7 +189,7 @@ class PRelu:
         return np.sum(terms.reshape(-1, z.shape[-1]), axis=0, out=out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sigmoid:
     def apply(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.negative(z, out=np.empty(np.shape(z)) if out is None else out)
@@ -183,7 +203,7 @@ class Sigmoid:
         return s
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearActivation:
     def apply(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
@@ -207,8 +227,11 @@ Activation = PRelu | Sigmoid | LinearActivation
 
 
 @dataclass(eq=False)
-class ClnnLayer:
+class ClnnLayer(_Fixed):
     """One conditional layer; its weights are exactly zero wherever its mask is 0.
+
+    Construction checks every field, and no field is set to another object
+    afterwards (see :class:`_Fixed`); training changes the arrays in place.
 
     Attributes:
         order: frames considered on each side of the window's middle frame.

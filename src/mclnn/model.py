@@ -42,6 +42,7 @@ from .layers import (
     PRelu,
     Sigmoid,
     Workspace,
+    _Fixed,
     block_forward,
     dense_forward,
     global_mean_pool,
@@ -221,15 +222,17 @@ def _checked_layers(table: list[tuple], values: dict[str, np.ndarray]) -> list[C
 
 
 @dataclass(eq=False)
-class TrainedModel:
+class TrainedModel(_Fixed):
     """Architecture plus every parameter tensor and data-side statistics.
 
     Immutable during inference; training updates the arrays in place and
-    needs exclusive access.
+    needs exclusive access.  Every field is checked at construction and is
+    then fixed (see :class:`~mclnn.layers._Fixed`), except ``norm_stats``,
+    which may be set again through its length check.
     """
 
     spec: ModelSpec
-    clnn_layers: list[ClnnLayer]
+    clnn_layers: tuple[ClnnLayer, ...]
     dense: ClnnLayer
     output: ClnnLayer
     labels: tuple[str, ...]
@@ -238,7 +241,8 @@ class TrainedModel:
     init_scheme: str = "glorot-uniform"
 
     def __post_init__(self):
-        self.labels = tuple(self.labels)
+        object.__setattr__(self, "clnn_layers", tuple(self.clnn_layers))
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != self.spec.class_count:
             raise ValidationError(
                 f"{len(self.labels)} labels for {self.spec.class_count} classes"
@@ -250,14 +254,14 @@ class TrainedModel:
             raise ValidationError(f"init_seed must be >= 0, got {self.init_seed}")
 
     def __setattr__(self, name, value):
-        # Every assignment is checked, ``model.norm_stats = stats`` included.
-        if name == "norm_stats" and value is not None:
-            if value.mean.shape[0] != self.spec.feature_length:
-                raise ValidationError(
-                    f"normalization length {value.mean.shape[0]} "
-                    f"!= feature length {self.spec.feature_length}"
-                )
-        super().__setattr__(name, value)
+        if name != "norm_stats":
+            return super().__setattr__(name, value)
+        if value is not None and value.mean.shape[0] != self.spec.feature_length:
+            raise ValidationError(
+                f"normalization length {value.mean.shape[0]} "
+                f"!= feature length {self.spec.feature_length}"
+            )
+        object.__setattr__(self, name, value)
 
     def layers(self) -> list[tuple[str, ClnnLayer]]:
         """``(name, layer)`` in forward order; the name keys parameters and tape records."""

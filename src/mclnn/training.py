@@ -314,8 +314,6 @@ def train(
 
     best_loss = np.inf
     best_params: dict[str, np.ndarray] | None = None
-    best_epoch: int | None = None
-    epochs_since_best = 0
 
     order = np.arange(len(train_segments))
     for epoch in range(1, config.epochs + 1):
@@ -356,18 +354,14 @@ def train(
         if monitored < best_loss:
             best_loss = monitored
             best_params = model.copy_parameters()
-            best_epoch = epoch
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= config.patience:
-                report.stopped_early = True
-                logger.info("early stop at epoch %d (best epoch %d)", epoch, best_epoch)
-                break
+            report.best_epoch = epoch
+        elif epoch - report.best_epoch >= config.patience:
+            report.stopped_early = True
+            logger.info("early stop at epoch %d (best epoch %d)", epoch, report.best_epoch)
+            break
 
     if best_params is not None:
         model.set_parameters(best_params)
-    report.best_epoch = best_epoch
     report.wall_clock_seconds = time.monotonic() - started
     return model, report
 
@@ -435,7 +429,7 @@ def predict_clip(model: TrainedModel, segments: list[Segment]) -> tuple[int, np.
     return int(tied[np.argmax(mean_probs[tied])]), mean_probs
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EvalResult:
     clip_accuracy: float
     confusion: np.ndarray  # c x (c+1); last column: clips with no segments
@@ -666,13 +660,18 @@ def grad_check(
     untouched.  Relative error per entry is |a - n| / max(|a|, |n|, 1e-3);
     the floor keeps finite-difference noise on near-zero gradients from
     drowning the signal without hiding real disagreements.  ``tolerance``
-    must be positive and finite.
+    must be positive and finite, and so must every entry of ``segment``.
+    A NaN on either side of an entry makes its error NaN, and the report
+    fails.
     """
     if not 0 < tolerance < math.inf:
         raise ValidationError(f"tolerance must be positive and finite, got {tolerance}")
+    segment = np.asarray(segment, dtype=np.float64)
+    if not np.isfinite(segment).all():
+        raise ValidationError("grad_check segment has non-finite values")
     snapshot = model.copy_parameters()
     try:
-        segment = _nudge_kinks(model, np.asarray(segment, dtype=np.float64))
+        segment = _nudge_kinks(model, segment)
         probs, tape = model_forward_tape(model, segment[None])
         analytic = backward(tape, cross_entropy_grad(probs, [target]))
 
@@ -696,10 +695,10 @@ def grad_check(
                 numeric = (up - down) / (2.0 * _FD_STEP)
                 a = grad_flat[i]
                 rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
-                worst = max(worst, rel)
-            per_tensor[key] = worst
+                worst = np.maximum(worst, rel)  # keeps a NaN, which max(0.0, nan) drops
+            per_tensor[key] = float(worst)
         return GradCheckReport(
-            max_relative_error=max(per_tensor.values()),
+            max_relative_error=float(np.max(list(per_tensor.values()))),
             per_tensor=per_tensor,
             tolerance=tolerance,
         )

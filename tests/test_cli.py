@@ -470,6 +470,18 @@ class TestTrainEvalPredict:
         assert rc == EXIT_IO
         assert "normalization length 3 != feature length 8" in capsys.readouterr().err
 
+    def test_predict_model_with_nan_norm_mean_is_io_error(self, workspace, tmp_path, capsys):
+        model = load_model(workspace / "run" / "model.mcln")
+        model.norm_stats.mean[2] = np.nan
+        path = tmp_path / "nan_norm.mcln"
+        write_model_unchecked(model, path)
+        rc = main(["predict", "--model", str(path),
+                   str(workspace / "features" / "drums__clip5.mclf")])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert "normalization mean and std entries must be finite" in err
+        assert "Traceback" not in err
+
     def test_predict_model_with_nan_weight_is_io_error(self, workspace, tmp_path, capsys):
         model = load_model(workspace / "run" / "model.mcln")
         model.output.weights[0, 0] = np.nan
@@ -1623,7 +1635,7 @@ def test_stale_split_tags_in_the_files_do_not_change_the_run(workspace, tmp_path
     for path in sorted((workspace / "features").glob("*.mclf")):
         fm = load_features(path)
         assert fm.split is None
-        fm.split = stale[plan.bucket(fm.clip_id)]
+        fm = replace(fm, split=stale[plan.bucket(fm.clip_id)])
         save_features(fm, featdir / path.name)
     out = tmp_path / "run"
     assert main(["train", "--config", str(workspace / "config.ini"), "--features", str(featdir),
@@ -1663,7 +1675,8 @@ def test_run_experiment_rejected_before_training_changes_no_frame(workspace, mon
     if case == "repeated-labels":
         labels, match = ("drums", "drums"), "class labels \\['drums'\\] name more than one class"
     elif case == "label-out-of-range":
-        features[0].label, match = 2, "label 2 is not a class id in \\[0, 2\\)"
+        features[0] = replace(features[0], label=2)
+        match = "label 2 is not a class id in \\[0, 2\\)"
     else:
         features.append(load_features(workspace / "features" / "drums__clip0.mclf"))
         match = "feature clips \\['drums__clip0'\\] are given more than once"

@@ -34,6 +34,7 @@ from mclnn.features import (
     AudioClip,
     FeatureMatrix,
     FeatureParams,
+    NormStats,
     apply_zscore,
     extract_chunk,
     extract_features,
@@ -551,6 +552,17 @@ class TestZScore:
             for i in range(count)
         ]
 
+    @pytest.mark.parametrize("mean, std, match", [
+        ([0.0, np.nan], [1.0, 1.0], "must be finite"),
+        ([0.0, -np.inf], [1.0, 1.0], "must be finite"),
+        ([0.0, 0.0], [np.nan, 1.0], "must be finite"),
+        ([0.0, 0.0], [1.0, np.inf], "must be finite"),
+        ([0.0, 0.0], [1.0, 0.0], "std entries must be positive"),
+    ])
+    def test_statistics_are_finite_with_positive_std(self, mean, std, match):
+        with pytest.raises(ValidationError, match=match):
+            NormStats(np.array(mean), np.array(std), "train", "s")
+
     def test_self_normalization_is_tight(self):
         rng = np.random.default_rng(3)
         mats = self._train_matrices(rng)
@@ -745,6 +757,12 @@ class TestFeatureIO:
         path.write_bytes(blob[:-9])
         with pytest.raises(TruncatedFileError):
             load_features(path)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+    def test_a_matrix_without_frames_or_columns_is_refused(self, shape):
+        # a file declaring either count as 0 does not load, so none is made to write one
+        with pytest.raises(ShapeError, match=r"must be \(t >= 1, l >= 1\)"):
+            FeatureMatrix(frames=np.zeros(shape), clip_id="empty")
 
     def test_header_read_types_fields_without_the_frames(self, tmp_path):
         path = tmp_path / "clip.mclf"

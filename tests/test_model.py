@@ -1,5 +1,7 @@
 """Architecture assembly, frame arithmetic, initialization, serialization."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from mclnn.model import (
     PRESETS,
     LayerSpec,
     ModelSpec,
+    TrainedModel,
     build_model,
     frame_plan,
     load_model,
@@ -329,22 +332,24 @@ def _repeat_output_bias(header):
 SHORT_NORM = NormStats(mean=np.zeros(3), std=np.ones(3), source_split="train", stats_id="s")
 FIT = "parameters do not fit the architecture: "
 # edits of a small_spec(dense_width=50) model that its file fails to load
-# with, and what the error names
+# with, and what the error names; each edit bypasses the fields' set-once rule
 SPEC_FAULTS = [
     # a layer's own constructor accepts these three tensors; only the spec's shapes reject them
-    pytest.param(lambda m: setattr(m, "dense", ClnnLayer(0, np.zeros((6, 51)), np.zeros(51),
-                                                         activation=PRelu(np.full(51, 0.25)))),
+    pytest.param(lambda m: object.__setattr__(
+                     m, "dense", ClnnLayer(0, np.zeros((6, 51)), np.zeros(51),
+                                           activation=PRelu(np.full(51, 0.25)))),
                  FIT + r"dense.weights: shape \(6, 51\) != \(6, 50\)", id="dense-one-wider"),
-    pytest.param(lambda m: setattr(m, "output", ClnnLayer(0, np.zeros((49, 4)), np.zeros(4))),
+    pytest.param(lambda m: object.__setattr__(
+                     m, "output", ClnnLayer(0, np.zeros((49, 4)), np.zeros(4))),
                  r"output.weights: shape \(49, 4\) != \(50, 4\)", id="output-rows"),
-    pytest.param(lambda m: setattr(m.clnn_layers[1].activation, "slopes", np.ones(7)),
+    pytest.param(lambda m: object.__setattr__(m.clnn_layers[1].activation, "slopes", np.ones(7)),
                  r"clnn1.slopes: shape \(7,\) != \(6,\)", id="clnn1-slopes"),
-    pytest.param(lambda m: setattr(m.output, "activation", PRelu(np.ones(4))),
+    pytest.param(lambda m: object.__setattr__(m.output, "activation", PRelu(np.ones(4))),
                  r"parameter keys differ: \['output.slopes'\]", id="output-extra-slopes"),
-    pytest.param(lambda m: setattr(m.dense, "activation", LinearActivation()),
+    pytest.param(lambda m: object.__setattr__(m.dense, "activation", LinearActivation()),
                  r"parameter keys differ: \['dense.slopes'\]", id="dense-no-slopes"),
-    pytest.param(lambda m: setattr(m, "init_seed", -1), r"init_seed must be >= 0, got -1",
-                 id="seed-negative"),
+    pytest.param(lambda m: object.__setattr__(m, "init_seed", -1),
+                 r"init_seed must be >= 0, got -1", id="seed-negative"),
     pytest.param(dirty_masked_weight, r"clnn0.weights: 1 non-zero weight", id="masked-weight"),
 ]
 
@@ -509,11 +514,11 @@ class TestSerialization:
             load_model(path)
 
     @pytest.mark.parametrize("edit, named", SPEC_FAULTS + [
-        pytest.param(lambda m: setattr(m, "clnn_layers", m.clnn_layers[:1]),
+        pytest.param(lambda m: object.__setattr__(m, "clnn_layers", m.clnn_layers[:1]),
                      r"1 conditional layers for a spec of 2", id="clnn1-dropped"),
         pytest.param(lambda m: m.dense.weights.__setitem__((1, 2), np.nan),
                      r"dense.weights: non-finite value", id="nan-weight"),
-        pytest.param(lambda m: setattr(m, "labels", ("only-one",)),
+        pytest.param(lambda m: object.__setattr__(m, "labels", ("only-one",)),
                      r"1 labels for 4 classes", id="labels-count"),
         pytest.param(lambda m: object.__setattr__(m, "norm_stats", SHORT_NORM),  # bypasses the check
                      r"normalization length 3", id="norm-short"),
@@ -638,3 +643,58 @@ def test_types_holding_arrays_compare_by_identity():
         both = [first, second]
         assert both.index(second) == 1 and second in both, name
         assert first not in [second] and first != second, name
+
+
+# every field that is checked when its object is made, by type; none is set again
+FIXED_FIELDS = {
+    TrainedModel: ("spec", "clnn_layers", "dense", "output", "labels", "init_seed", "init_scheme"),
+    ClnnLayer: ("order", "weights", "bias", "mask", "activation"),
+    PRelu: ("slopes",),
+    FeatureMatrix: ("frames", "clip_id", "label", "split", "normalized", "norm_id", "meta"),
+    EvalResult: ("clip_accuracy", "confusion", "per_clip"),
+}
+
+
+def _holder(kind):
+    model = build_model(small_spec(), seed=0)
+    return {
+        TrainedModel: model,
+        ClnnLayer: model.clnn_layers[0],
+        PRelu: model.clnn_layers[0].activation,
+        FeatureMatrix: FeatureMatrix(np.zeros((3, 2)), clip_id="c", label=1, meta={"k": 1}),
+        EvalResult: EvalResult(1.0, np.zeros((2, 3)), {"c": 0}),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind, name", [
+    pytest.param(kind, name, id=f"{kind.__name__}.{name}")
+    for kind, names in FIXED_FIELDS.items() for name in names
+])
+def test_a_checked_field_is_not_set_again(kind, name):
+    holder = _holder(kind)
+    held = getattr(holder, name)
+    with pytest.raises(FrozenInstanceError):
+        setattr(holder, name, object())
+    with pytest.raises(FrozenInstanceError):
+        delattr(holder, name)
+    assert getattr(holder, name) is held
+
+
+def test_arrays_change_in_place_and_norm_stats_is_set_through_its_check():
+    model = build_model(small_spec(), seed=0)
+    layer = model.clnn_layers[0]
+    weights, slopes = layer.weights, layer.activation.slopes
+    expected_weights, expected_slopes = weights - 0.5 * layer.mask.entries, slopes - 0.125
+    layer.weights -= 0.5 * layer.mask.entries
+    layer.activation.slopes -= 0.125
+    assert layer.weights is weights and layer.activation.slopes is slopes
+    assert layer.weights.tobytes() == expected_weights.tobytes()
+    assert layer.activation.slopes.tobytes() == expected_slopes.tobytes()
+    stats = NormStats(np.zeros(8), np.ones(8), "train", "s")
+    model.norm_stats = stats
+    assert model.norm_stats is stats
+    with pytest.raises(ValidationError, match="normalization length 3 != feature length 8"):
+        model.norm_stats = SHORT_NORM
+    assert model.norm_stats is stats
+    model.norm_stats = None
+    assert model.norm_stats is None

@@ -1001,6 +1001,31 @@ class TestGradCheck:
             grad_check(small_model, np.zeros((11, 8)), target=1, tolerance=tolerance)
         assert calls == []
 
+    def test_non_finite_segment_is_rejected_before_any_differencing(self, small_model, monkeypatch):
+        calls = []
+        true_forward = trn.model_forward
+        monkeypatch.setattr(trn, "model_forward", lambda *a: calls.append(1) or true_forward(*a))
+        segment = np.random.default_rng(75).standard_normal((11, 8))
+        segment[4, 2] = np.nan
+        with pytest.raises(ValidationError, match="segment has non-finite values"):
+            grad_check(small_model, segment, target=1)
+        assert calls == []
+
+    def test_one_nan_analytic_entry_fails(self, small_model, monkeypatch):
+        true_backward = trn.backward
+
+        def one_nan(tape, loss_gradient):
+            grads = true_backward(tape, loss_gradient)
+            grads["dense.bias"][1] = np.nan
+            return grads
+
+        monkeypatch.setattr(trn, "backward", one_nan)
+        report = grad_check(small_model, np.random.default_rng(76).standard_normal((11, 8)), target=2)
+        assert not report.passed
+        assert math.isnan(report.per_tensor["dense.bias"]) and math.isnan(report.max_relative_error)
+        assert report.to_text().startswith("FAIL")
+        assert report.per_tensor["dense.weights"] < report.tolerance
+
     def test_report_text_lists_every_tensor(self, small_model):
         rng = np.random.default_rng(73)
         report = grad_check(small_model, rng.standard_normal((11, 8)), target=0)

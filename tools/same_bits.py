@@ -14,7 +14,9 @@ once as it is and once pinned to one CPU.  The sequence is:
   times: with momentum at batch 64, with ``--optimizer sgd --batch-size 8``,
   and at ``--batch-size 128``, where a batch has more than 96 rows;
 - ``eval --bucket fold1 --hop 13 --out`` and ``predict`` at hop 13 and at the
-  default hop run on the batch-64 model.
+  default hop run on the batch-64 model;
+- ``model describe --preset table3`` and ``gradcheck``, which print what the
+  layer table and the gradient check give; they read no file of the run.
 
 Every command runs through ``python -m mclnn.cli`` with ``PYTHONPATH`` at the
 tree's ``src`` and ``OPENBLAS_NUM_THREADS=1``, in its run's directory, with
@@ -24,7 +26,7 @@ base run as it is; ``report.txt`` is compared without its wall-clock line.
 
 Exit status: 0 when every file is identical, 1 when some differ (they are
 named on stdout), 2 when a command fails.  The wall time of each run is
-printed as it ends: about 5-6 s per run on a 2-core machine.
+printed as it ends: about 6-8 s per run on a 2-core machine.
 
 CI runs it on every push and pull request.  A pull request's ``BASE`` is
 its target's commit.  A push's is the pushed commit itself, so its four
@@ -74,6 +76,8 @@ STEPS = [
                     "--bucket", "fold1", "--hop", "13", "--out", "eval-hop13.txt"]),
     ("predict-hop13", ["predict", "--model", MODEL, "--hop", "13", "FEATURES"]),
     ("predict", ["predict", "--model", MODEL, "FEATURES"]),
+    ("describe", ["model", "describe", "--preset", "table3"]),
+    ("gradcheck", ["gradcheck"]),
 ]
 WALL_CLOCK = b"wall_clock_seconds"
 
