@@ -7,7 +7,7 @@ writes the fully resolved config beside its outputs.
 
 Exit codes: 0 success; 1 gradcheck found a failure; 2 usage;
 3 config error; 4 file/format error; 5 data or shape validation error;
-6 training divergence.
+6 training divergence; 141 stdout was closed by its reader.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ EXIT_CONFIG = 3
 EXIT_IO = 4
 EXIT_DATA = 5
 EXIT_DIVERGED = 6
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +274,12 @@ def cmd_features_extract(args) -> int:
     # clip id -> (class name, audio file); a clip id names one feature file
     inputs: dict[str, tuple[str, Path]] = {}
     for class_dir in class_dirs:
+        ds.check_name(class_dir.name, "class directory")
         for audio_path in sorted(
             p for p in class_dir.iterdir() if p.suffix.lower() in feat.AUDIO_SUFFIXES
         ):
             clip_id = f"{class_dir.name}__{audio_path.stem}"
+            ds.check_name(clip_id, f"clip id of {audio_path}")
             if clip_id in inputs:
                 raise ValidationError(
                     f"{inputs[clip_id][1]} and {audio_path} would both be clip {clip_id!r}; "
@@ -598,6 +601,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout raises here, not in the flush at exit
+    except BrokenPipeError:
+        # the reader of stdout has gone: stop quietly, as a process killed by
+        # SIGPIPE would, and point stdout at the null device so that the
+        # interpreter's own flush at exit has nowhere to fail
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return EXIT_PIPE
+    return code
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -605,6 +623,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise
     except ConfigError as exc:
         return _fail(exc, EXIT_CONFIG)
     except TrainingDivergedError as exc:

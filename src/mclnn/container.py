@@ -13,7 +13,10 @@ array shapes, so shape errors surface as header mismatches rather than
 silent misreads.  The writer writes each array's payload from the
 array's own buffer and holds no copy of the file in memory; only an
 array that is not already C-ordered little-endian float64 is converted
-first.  The reader owns dimension validation: every declared dimension
+first.  One function encodes a header and one decodes it; before it
+opens the file, the writer can run a file format's own reader on the
+header decoded from the bytes it is about to write and on the arrays as
+written.  The reader owns dimension validation: every declared dimension
 must be a non-negative ``int`` (not a bool, float or string), and the
 declared payload must fill the file exactly; both are checked before any
 payload byte is read, and :func:`read_header` stops there.
@@ -32,7 +35,9 @@ import numpy as np
 from .errors import (
     FileFormatError,
     HeaderMismatchError,
+    ShapeError,
     TruncatedFileError,
+    ValidationError,
     VersionMismatchError,
 )
 
@@ -51,20 +56,55 @@ _HEADER_TYPES = {
 }
 
 
-def write(path, magic: bytes, version: int, header: dict, arrays: list[np.ndarray]) -> None:
+def write(
+    path, magic: bytes, version: int, header: dict, arrays: list[np.ndarray], check=None
+) -> None:
     """Write a container, each array's payload straight from its own buffer.
 
     Every array is converted to C-ordered ``<f8`` and the header encoded
     before the file is opened, so a bad array or header raises with no
-    file written; an array already in that layout is not copied.
+    file written; an array already in that layout is not copied.  A header
+    value JSON cannot encode raises ``ValidationError`` naming its field.
+
+    ``check(parsed, arrays)``, if given, is the file format's reader: it
+    gets the header decoded from the bytes about to be written, as
+    :func:`read` would return it, and the arrays as written, and runs
+    before the file is opened.  A ``KeyError``, ``TypeError``,
+    ``ValueError`` or ``ShapeError`` it raises becomes a ``ValidationError``
+    with its message; any other error passes as it is.
     """
     arrays = [np.ascontiguousarray(array, dtype="<f8") for array in arrays]
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    header_bytes = _encode(header)
+    if check is not None:
+        try:
+            check(_decode(header_bytes), arrays)
+        except (KeyError, TypeError, ValueError, ShapeError) as exc:
+            raise ValidationError(f"{path}: its reader would refuse the file: {exc!r}") from exc
     with open(path, "wb") as handle:
         handle.write(_FIXED.pack(magic, version, len(header_bytes)))
         handle.write(header_bytes)
         for array in arrays:
             handle.write(array.data)
+
+
+def _encode(header: dict) -> bytes:
+    """``header`` as a container holds it: UTF-8 JSON with sorted keys."""
+    try:
+        return json.dumps(header, sort_keys=True).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        for name, value in header.items():
+            try:
+                json.dumps(value, sort_keys=True)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"header field {name!r} cannot be written as JSON: {exc}"
+                ) from exc
+        raise
+
+
+def _decode(header_bytes: bytes) -> dict:
+    """The header a container's header bytes hold."""
+    return json.loads(header_bytes.decode("utf-8"))
 
 
 def read_header(path, magic: bytes, version: int, shapes_from_header) -> dict:
@@ -112,7 +152,7 @@ def _header(handle, path, magic, version, shapes_from_header) -> tuple[dict, lis
     if size < header_end:
         raise TruncatedFileError(f"{path}: header runs past end of file")
     try:
-        header = json.loads(handle.read(header_len).decode("utf-8"))
+        header = _decode(handle.read(header_len))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path}: header is not valid JSON: {exc}") from exc
     try:

@@ -32,6 +32,7 @@ __all__ = [
     "load_manifest",
     "class_mapping",
     "read_text",
+    "check_name",
 ]
 
 
@@ -55,8 +56,8 @@ class SplitPlan:
 
     def __post_init__(self):
         for clip_id, bucket in self.assignment.items():
-            if not bucket:
-                raise ValidationError(f"clip {clip_id!r} assigned to an empty bucket name")
+            check_name(clip_id, "clip id")
+            check_name(bucket, f"bucket of clip {clip_id!r}")
 
     def bucket(self, clip_id: str) -> str:
         if clip_id not in self.assignment:
@@ -245,6 +246,30 @@ def load_manifest(path) -> list[tuple[str, str]]:
 def class_mapping(class_names) -> dict[str, int]:
     """Stable label ids: alphabetical order of class names."""
     return {name: i for i, name in enumerate(sorted(set(class_names)))}
+
+
+def check_name(name: str, what: str) -> None:
+    """Refuse a name that a text artifact would not give back as written.
+
+    ``manifest.tsv``, ``plan.txt`` and ``classes.txt`` hold one name per
+    field; their readers split lines as ``str.splitlines`` does and strip
+    each line, and the manifest and plan readers skip a line starting with
+    ``#`` and split on tabs.  So a name is a non-empty ``str``, holds no
+    tab and no line break, has no leading or trailing whitespace, and does
+    not start with ``#``.  ``what`` says what the name names, for the
+    error message.
+    """
+    if (
+        not isinstance(name, str)
+        or name.splitlines() != [name]
+        or "\t" in name
+        or name != name.strip()
+        or name.startswith("#")
+    ):
+        raise ValidationError(
+            f"{what} {name!r} cannot be written to a text file and read back: a name is "
+            "non-empty, without tabs, line breaks, leading or trailing whitespace or a leading '#'"
+        )
 
 
 def read_text(path, error: type[MclnnError] = FileFormatError) -> str:

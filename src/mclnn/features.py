@@ -49,6 +49,8 @@ prediction normalize the batches they copy from raw clips, with the same
 operations, so a caller's clips stay raw.  A feature file's header is
 the matrix shape and every other ``FeatureMatrix`` field, written and
 read from one table; ``read_feature_header`` reads it without the frames.
+``save_features`` runs ``load_features``'s own code on what it is about to
+write, so it writes no file that a load would reject.
 """
 
 from __future__ import annotations
@@ -161,7 +163,9 @@ class FeatureMatrix:
         object.__setattr__(self, "frames", frames)
         if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
             raise ShapeError(f"feature frames must be (t >= 1, l >= 1), got shape {frames.shape}")
-        if not np.all(np.isfinite(frames)):
+        # the min or max is NaN or infinite exactly when some entry is; unlike
+        # np.isfinite, the two reductions allocate no scratch array
+        if not (np.isfinite(frames.min()) and np.isfinite(frames.max())):
             raise ValidationError(f"feature matrix for clip {self.clip_id!r} has non-finite values")
         if self.normalized and not self.norm_id:
             raise ValidationError("normalized features must record their statistics id")
@@ -669,36 +673,58 @@ def _check_zscore(features: FeatureMatrix, stats: NormStats | None) -> bool:
 
 
 def save_features(features: FeatureMatrix, path) -> None:
-    """Write one clip's features as a binary container."""
+    """Write one clip's features as a binary container.
+
+    Before the file is opened, what :func:`load_features` does with a file
+    after reading it runs on the header as it will be read back and the
+    frames as written; a clip that a load would reject raises
+    ``ValidationError``, and no file is written.
+    """
     t, l = features.frames.shape
     header = {"t": t, "l": l, **{name: getattr(features, name) for name in _FEATURE_FIELDS}}
-    container.write(path, FEATURE_MAGIC, FEATURE_VERSION, header, [features.frames])
+    container.write(path, FEATURE_MAGIC, FEATURE_VERSION, header, [features.frames],
+                    check=_from_file)
 
 
 def read_feature_header(path) -> dict:
     """A feature file's typed header fields; its size is checked, its frames not read."""
     header = container.read_header(path, FEATURE_MAGIC, FEATURE_VERSION, _feature_shape)
-    return _typed_feature_header(path, header)
+    try:
+        return _typed_feature_header(header)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise HeaderMismatchError(f"{path}: header field missing or malformed: {exc!r}") from exc
 
 
 def load_features(path) -> FeatureMatrix:
     header, arrays = container.read(path, FEATURE_MAGIC, FEATURE_VERSION, _feature_shape)
-    values = _typed_feature_header(path, header)
-    del values["t"], values["l"]
-    return FeatureMatrix(frames=arrays[0], **values)
+    try:
+        return _from_file(header, arrays)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise HeaderMismatchError(f"{path}: header field missing or malformed: {exc!r}") from exc
 
 
 def _feature_shape(header: dict) -> list[tuple]:
     return [(header["t"], header["l"])]
 
 
-def _typed_feature_header(path, header: dict) -> dict:
-    try:
-        values = container.typed_fields(header, _FEATURE_HEADER, "feature header")
-    except (KeyError, TypeError) as exc:
-        raise HeaderMismatchError(f"{path}: header field missing or malformed: {exc!r}") from exc
+def _from_file(header: dict, arrays: list[np.ndarray]) -> FeatureMatrix:
+    """The clip a parsed file's header and frames make; the one definition of a
+    loadable feature file, run by :func:`load_features` and, before it
+    writes, by :func:`save_features`."""
+    values = _typed_feature_header(header)
+    del values["t"], values["l"]
+    return FeatureMatrix(frames=arrays[0], **values)
+
+
+def _typed_feature_header(header: dict) -> dict:
+    """Every header field, each at its declared type, of a non-empty matrix.
+
+    Raises ``KeyError`` or ``TypeError`` for a missing or mistyped field,
+    and ``ValueError`` for an empty matrix.
+    """
+    values = container.typed_fields(header, _FEATURE_HEADER, "feature header")
     if values["t"] < 1 or values["l"] < 1:
-        raise HeaderMismatchError(f"feature file {path} declares an empty matrix")
+        raise ValueError(f"the header declares an empty {values['t']}x{values['l']} matrix")
     return values
 
 

@@ -23,7 +23,9 @@ passes, or in fresh memory: ``train`` passes its thread's kept one for all
 of its mini-batches and its validation.  A model file round-trips
 parameters bit-exactly; its spec, labels, init seed and scheme, and
 normalization block are read back with every field required at its
-declared type, from tables that the writer walks too.
+declared type, from tables that the writer walks too.  One function turns
+a parsed file into a model; :func:`save_model` runs it on what it is about
+to write, so it writes no file that :func:`load_model` would reject.
 """
 
 from __future__ import annotations
@@ -281,14 +283,11 @@ class TrainedModel(_Fixed):
     def copy_parameters(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.parameters().items()}
 
-    def _table(self) -> list[tuple]:
-        """:func:`_layer_table` over this model's own masks; none is regenerated."""
-        return _layer_table(self.spec, [layer.mask for layer in self.clnn_layers])
-
     def set_parameters(self, values: dict[str, np.ndarray]) -> None:
         """Copy ``values`` into the live tensors once they pass a loaded model's
         checks, against this model's own masks; a rejected call changes nothing."""
-        _checked_layers(self._table(), values)
+        masks = [layer.mask for layer in self.clnn_layers]
+        _checked_layers(_layer_table(self.spec, masks), values)
         for key, target in self.parameters().items():
             target[...] = values[key]
 
@@ -445,15 +444,15 @@ _NORM_HEADER = {f.name: f.type for f in fields(NormStats) if f.name in ("source_
 def save_model(model: TrainedModel, path) -> None:
     """Binary model file; masks are regenerated from the architecture on load.
 
-    Before the file is opened, the model goes through the assembly that
-    :func:`load_model` ends in, over its own masks: the value check, the
-    labels, the init seed and the statistics' length.  A model that a load
-    would reject raises its ``ContractError`` or ``ValidationError`` here,
-    and no file is written.
+    Before the file is opened, what :func:`load_model` does with a file
+    after reading it runs on the header as it will be read back and the
+    arrays as written, over the model's own masks.  A model that a load
+    would reject raises ``ContractError`` for a parameter value and
+    ``ValidationError`` for anything else, and no file is written.
     """
-    _assemble(model.spec, model._table(), model.parameters(), labels=model.labels,
-              norm_stats=model.norm_stats, init_seed=model.init_seed)
-    container.write(path, MODEL_MAGIC, MODEL_VERSION, *_file_contents(model))
+    masks = [layer.mask for layer in model.clnn_layers]
+    container.write(path, MODEL_MAGIC, MODEL_VERSION, *_file_contents(model),
+                    check=lambda header, arrays: _from_file(header, arrays, masks))
 
 
 def _file_contents(model: TrainedModel) -> tuple[dict, list[np.ndarray]]:
@@ -471,6 +470,27 @@ def _file_contents(model: TrainedModel) -> tuple[dict, list[np.ndarray]]:
     return header, arrays
 
 
+def _from_file(header: dict, arrays: list[np.ndarray], masks=None) -> TrainedModel:
+    """The model a parsed file's header and arrays make; the one definition of a
+    loadable model file, run by :func:`load_model` and, before it writes, by
+    :func:`save_model`.  ``masks`` are the conditional layers'; None generates them.
+
+    Raises ``ContractError`` for a parameter that does not fit, ``KeyError``,
+    ``TypeError`` or ``ValueError`` for a missing, mistyped or repeated
+    field, and ``ValidationError`` for a value out of bounds.
+    """
+    spec = _from_header(ModelSpec, header["spec"])
+    own = container.typed_fields(header, _MODEL_HEADER, "model")
+    if header["norm"] is not None:
+        norm = container.typed_fields(header["norm"], _NORM_HEADER, "model.norm")
+        own["norm_stats"] = NormStats(mean=arrays[-2], std=arrays[-1], **norm)
+    names = [str(entry["name"]) for entry in header["params"]]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"parameters {repeated} are listed more than once")
+    return _assemble(spec, _layer_table(spec, masks), dict(zip(names, arrays)), **own)
+
+
 def load_model(path) -> TrainedModel:
     """The model a file holds, assembled over its arrays as read; nothing is drawn."""
     def shapes(header):
@@ -482,17 +502,7 @@ def load_model(path) -> TrainedModel:
 
     header, arrays = container.read(path, MODEL_MAGIC, MODEL_VERSION, shapes)
     try:
-        spec = _from_header(ModelSpec, header["spec"])
-        own = container.typed_fields(header, _MODEL_HEADER, "model")
-        if header["norm"] is not None:
-            norm = container.typed_fields(header["norm"], _NORM_HEADER, "model.norm")
-            own["norm_stats"] = NormStats(mean=arrays[-2], std=arrays[-1], **norm)
-        names = [str(entry["name"]) for entry in header["params"]]
-        repeated = sorted({name for name in names if names.count(name) > 1})
-        if repeated:
-            raise HeaderMismatchError(f"{path}: parameters {repeated} are listed more than once")
-        values = dict(zip(names, arrays))
-        return _assemble(spec, _layer_table(spec), values, **own)
+        return _from_file(header, arrays)
     except ContractError as exc:
         raise HeaderMismatchError(f"{path}: parameters do not fit the architecture: {exc}") from exc
     except (KeyError, TypeError, ValueError, ValidationError) as exc:

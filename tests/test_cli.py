@@ -4,7 +4,10 @@ import argparse
 import configparser
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import wave
@@ -208,6 +211,24 @@ class TestFeaturesExtract:
         assert str(audio / first) in line and str(audio / second) in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("clips, named", [
+        (["#rock/clip0", "#rock/clip1", "#rock/clip2"], "class directory '#rock'"),
+        (["pop/clip3 "], "clip id of .* 'pop__clip3 '"),
+    ], ids=["class-comment", "clip-trailing-space"])
+    def test_a_name_the_text_artifacts_cannot_hold_is_data_error_before_any_file(
+        self, tmp_path, capsys, clips, named
+    ):
+        # listed in manifest.tsv, such clips would leave every plan made from it
+        audio = tmp_path / "audio"
+        for name in clips + ["pop/clip0", "pop/clip1", "pop/clip2"]:
+            (audio / name).parent.mkdir(parents=True, exist_ok=True)
+            (audio / f"{name}.wav").write_bytes(wav_bytes(1200))
+        out = tmp_path / "f"
+        rc = main(["features", "extract", "--in", str(audio), "--out", str(out)] + EXTRACT_FLAGS)
+        assert rc == EXIT_DATA
+        assert re.search(named, single_error(capsys.readouterr(), "ValidationError"))
+        assert not out.exists()
+
     def test_suffixes_match_in_any_case(self, tmp_path):
         audio = tmp_path / "audio"
         (audio / "drums").mkdir(parents=True)
@@ -294,6 +315,17 @@ class TestDatasetPlan:
 
     def test_neither_mode_given(self, tmp_path):
         assert main(["dataset", "plan", "--out", str(tmp_path / "p.txt")]) == EXIT_CONFIG
+
+    def test_a_list_id_the_plan_file_cannot_hold_is_data_error(self, workspace, tmp_path, capsys):
+        # written, "#x" would be a comment line: the plan would read back one clip short
+        train = tmp_path / "train.txt"
+        train.write_text((workspace / "train.txt").read_text() + "#x\n")
+        out = tmp_path / "p.txt"
+        rc = main(["dataset", "plan", "--train-list", str(train),
+                   "--test-list", str(workspace / "test.txt"), "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert "clip id '#x'" in single_error(capsys.readouterr(), "ValidationError")
+        assert not out.exists()
 
 
 class TestMaskDump:
@@ -1051,6 +1083,22 @@ class TestConfigHandling:
 
 
 class TestUsageAndGradcheck:
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_a_closed_stdout_ends_the_command_quietly_with_141(self, unbuffered):
+        source = str(Path(mclnn.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        read, write = os.pipe()
+        os.close(read)  # closed before the command writes, so every write fails
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "mclnn.cli", "model", "describe", "--preset", "table3"],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (141, b"")
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
         capsys.readouterr()

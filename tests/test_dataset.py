@@ -238,6 +238,27 @@ class TestSplitPlan:
         with pytest.raises(FileFormatError, match="not UTF-8 text"):
             SplitPlan.load(path)
 
+    def test_a_clip_id_with_leading_space_is_refused(self):
+        # saved, it would read back as "a"
+        with pytest.raises(ValidationError, match=r"clip id ' a' cannot be written"):
+            SplitPlan({" a": "train"})
+
+    @pytest.mark.parametrize("name", [
+        "", " a", "a ", "#a", "a\tb", "a\nb", "a\rb", "a\x0bb", "a\u2028b", "\u3000a",
+    ])
+    def test_names_a_plan_file_would_not_give_back_are_refused(self, name):
+        with pytest.raises(ValidationError, match="cannot be written to a text file"):
+            SplitPlan({name: "train"})
+        with pytest.raises(ValidationError, match="cannot be written to a text file"):
+            SplitPlan({"a": name})
+
+    @pytest.mark.parametrize("name", ["a b", "hip hop", "a#b", "caf\u00e9", "x__y.z"])
+    def test_names_a_plan_file_gives_back_round_trip(self, tmp_path, name):
+        plan = SplitPlan({name: name, "other": "train"}, seed=3)
+        path = tmp_path / "plan.txt"
+        plan.save(path)
+        assert SplitPlan.load(path) == plan
+
     def test_unknown_clip_lookup(self):
         plan = SplitPlan(assignment={"a": "train"})
         with pytest.raises(ValidationError):

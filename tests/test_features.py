@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -18,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import mclnn
@@ -790,6 +793,98 @@ class TestFeatureIO:
         path.write_bytes(bytes(blob))
         with pytest.raises(FileFormatError):
             load_features(path)
+
+
+# clips whose files the parent's save_features wrote and its load_features
+# refused; what the save's error names
+UNLOADABLE_CLIPS = [
+    pytest.param({"clip_id": 5}, r"feature header.clip_id = 5 is not of type str", id="clip-id-int"),
+    pytest.param({"split": 3}, r"feature header.split = 3 is not of type str \| None", id="split-int"),
+    pytest.param({"label": True}, r"feature header.label = True is not of type int \| None",
+                 id="label-bool"),
+    pytest.param({"meta": (1,)}, r"feature header.meta = \[1\] is not of type dict", id="meta-tuple"),
+    pytest.param({"label": np.int64(2)}, r"header field 'label' cannot be written as JSON", id="label-int64"),
+]
+
+
+class TestSaveRunsTheReader:
+    @pytest.mark.parametrize("fields, named", UNLOADABLE_CLIPS)
+    def test_a_clip_whose_file_would_not_load_raises_validation_error_on_save(
+        self, tmp_path, fields, named
+    ):
+        path = tmp_path / "clip.mclf"
+        with pytest.raises(ValidationError, match=named):
+            save_features(FeatureMatrix(frames=np.ones((3, 4)), **fields), path)
+        assert not path.exists()
+
+    def test_frames_made_non_finite_in_place_are_refused_on_save(self, tmp_path):
+        fm = FeatureMatrix(frames=np.ones((3, 4)), clip_id="c")
+        fm.frames[1, 2] = np.inf
+        path = tmp_path / "clip.mclf"
+        with pytest.raises(ValidationError, match="non-finite"):
+            save_features(fm, path)
+        assert not path.exists()
+
+    def test_numpy_strings_round_trip_as_text(self, tmp_path):
+        fm = FeatureMatrix(frames=np.ones((3, 4)), clip_id=np.str_("c"), split=np.str_("train"))
+        path = tmp_path / "clip.mclf"
+        save_features(fm, path)
+        loaded = load_features(path)
+        assert (loaded.clip_id, loaded.split) == ("c", "train")
+        assert type(loaded.clip_id) is str and type(loaded.split) is str
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_the_frames_check_sees_any_non_finite_entry(self, value):
+        for index in [(0, 0), (4, 2), (6, 4)]:
+            frames = np.zeros((7, 5))
+            frames[index] = value
+            with pytest.raises(ValidationError, match="non-finite"):
+                FeatureMatrix(frames=frames)
+
+
+_TEXT = st.text(max_size=6)
+_TEXT_INT_OR_NONE = st.one_of(_TEXT, st.integers(-5, 5), st.none())
+_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), _TEXT)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    clip_id=st.one_of(_TEXT, _TEXT.map(np.str_), st.integers(-5, 5)),
+    label=st.one_of(st.none(), st.integers(-5, 5), st.booleans(), st.integers(-5, 5).map(np.int64),
+                    _TEXT),
+    split=_TEXT_INT_OR_NONE,
+    norm_id=_TEXT_INT_OR_NONE,
+    meta=st.one_of(st.dictionaries(_TEXT, _JSON_SCALAR, max_size=3),
+                   st.lists(st.integers(), max_size=2), st.lists(st.integers(), max_size=2).map(tuple)),
+    poison=st.one_of(st.none(), st.sampled_from([np.nan, np.inf, -np.inf])),
+)
+def test_a_saved_clip_loads_as_it_was_or_is_refused_leaving_no_file(
+    clip_id, label, split, norm_id, meta, poison
+):
+    frames = np.random.default_rng(len(str(meta))).standard_normal((5, 3))
+    fm = FeatureMatrix(frames=frames, clip_id=clip_id, label=label, split=split,
+                       norm_id=norm_id, meta=meta)
+    if poison is not None:
+        fm.frames[2, 1] = poison
+    loadable = (
+        isinstance(clip_id, str)
+        and (label is None or type(label) is int)
+        and all(value is None or isinstance(value, str) for value in (split, norm_id))
+        and isinstance(meta, dict)
+        and poison is None
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clip.mclf"
+        try:
+            save_features(fm, path)
+        except (ContractError, ValidationError):
+            assert not loadable and not path.exists()
+            return
+        loaded = load_features(path)
+    assert loadable
+    assert loaded.frames.tobytes() == fm.frames.tobytes()
+    for name in ("clip_id", "label", "split", "normalized", "norm_id", "meta"):
+        assert getattr(loaded, name) == getattr(fm, name), name
 
 
 class TestLoadAudio:

@@ -1,6 +1,8 @@
 """Architecture assembly, frame arithmetic, initialization, serialization."""
 
+import tempfile
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -573,6 +575,113 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="normalization length 3"):
             model.norm_stats = SHORT_NORM
         assert model.norm_stats is None
+
+
+def _with_stats(model, **fields):
+    """``model`` with z-score statistics over its 8 bins, ``fields`` over the defaults."""
+    model.norm_stats = NormStats(mean=np.zeros(8), std=np.ones(8),
+                                 **{"source_split": "train", "stats_id": "s", **fields})
+    return model
+
+
+def _nan_mean_in_place():
+    model = _with_stats(build_model(small_spec(), seed=46))
+    model.norm_stats.mean[0] = np.nan
+    return model
+
+
+# models that build, and whose files the parent's save_model wrote and its
+# load_model refused; what the save's error names
+UNLOADABLE_FILES = [
+    pytest.param(lambda: build_model(small_spec(), 46, labels=(0, 1, 2, 3)),
+                 r"model.labels = \[0, 1, 2, 3\] is not of type tuple\[str, ...\]", id="labels-int"),
+    pytest.param(lambda: _with_stats(build_model(small_spec(), 46), stats_id=7),
+                 r"model.norm.stats_id = 7 is not of type str", id="stats-id-int"),
+    pytest.param(_nan_mean_in_place, r"normalization mean and std entries must be finite",
+                 id="norm-mean-nan-in-place"),
+    pytest.param(lambda: build_model(small_spec(), np.int64(3)),
+                 r"header field 'init_seed' cannot be written as JSON", id="seed-int64"),
+]
+
+
+class TestSaveRunsTheReader:
+    @pytest.mark.parametrize("make, named", UNLOADABLE_FILES)
+    def test_a_model_whose_file_would_not_load_raises_validation_error_on_save(
+        self, tmp_path, make, named
+    ):
+        path = tmp_path / "model.mcln"
+        with pytest.raises(ValidationError, match=named):
+            save_model(make(), path)
+        assert not path.exists()
+
+    def test_numpy_string_labels_round_trip_as_text(self, tmp_path):
+        labels = tuple(np.str_(name) for name in "wxyz")
+        model = _with_stats(build_model(small_spec(), 47, labels=labels), stats_id=np.str_("s"))
+        path = tmp_path / "model.mcln"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.labels == ("w", "x", "y", "z")
+        assert all(type(label) is str for label in loaded.labels)
+        assert type(loaded.norm_stats.stats_id) is str
+
+    def test_save_checks_against_the_model_own_masks_without_generating_any(
+        self, tmp_path, monkeypatch
+    ):
+        model = build_model(small_spec(), seed=48)
+
+        def generate(spec):
+            raise AssertionError("save_model generated a mask")
+
+        monkeypatch.setattr(mclnn.model, "generate_mask", generate)
+        save_model(model, tmp_path / "model.mcln")
+
+
+_TEXT = st.text(max_size=6)
+_TEXT_INT_OR_NONE = st.one_of(_TEXT, st.integers(-5, 5), st.none())
+_POISON = st.one_of(st.none(), st.tuples(st.sampled_from(["mean", "std"]), st.integers(0, 7),
+                                         st.sampled_from([np.nan, np.inf, -np.inf])))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    labels=st.lists(st.one_of(_TEXT, st.integers(-5, 5), st.booleans(), _TEXT.map(np.str_)),
+                    min_size=4, max_size=4, unique=True),
+    seed=st.one_of(st.integers(0, 2**40), st.integers(0, 2**40).map(np.int64)),
+    norm=st.one_of(st.none(), st.tuples(_TEXT_INT_OR_NONE, _TEXT_INT_OR_NONE, _POISON)),
+)
+def test_a_saved_model_loads_as_it_was_or_is_refused_leaving_no_file(labels, seed, norm):
+    model = build_model(small_spec(), seed, labels=tuple(labels))
+    loadable = all(isinstance(label, str) for label in labels) and type(seed) is int
+    if norm is not None:
+        source_split, stats_id, poison = norm
+        rng = np.random.default_rng(seed % 1000)
+        model.norm_stats = NormStats(mean=rng.standard_normal(8), std=rng.uniform(0.5, 2.0, 8),
+                                     source_split=source_split, stats_id=stats_id)
+        loadable &= isinstance(source_split, str) and isinstance(stats_id, str) and poison is None
+        if poison is not None:
+            vector, index, value = poison
+            getattr(model.norm_stats, vector)[index] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.mcln"
+        try:
+            save_model(model, path)
+        except (ContractError, ValidationError):
+            assert not loadable and not path.exists()
+            return
+        loaded = load_model(path)
+    assert loadable
+    assert (loaded.spec, loaded.labels, loaded.init_seed, loaded.init_scheme) == (
+        model.spec, model.labels, model.init_seed, model.init_scheme
+    )
+    for key, tensor in model.parameters().items():
+        assert loaded.parameters()[key].tobytes() == tensor.tobytes(), key
+    if norm is None:
+        assert loaded.norm_stats is None
+    else:
+        ours, theirs = model.norm_stats, loaded.norm_stats
+        assert (theirs.source_split, theirs.stats_id) == (ours.source_split, ours.stats_id)
+        assert theirs.mean.tobytes() == ours.mean.tobytes()
+        assert theirs.std.tobytes() == ours.std.tobytes()
 
 
 class TestParameters:
