@@ -689,16 +689,19 @@ def save_features(features: FeatureMatrix, path) -> None:
 def read_feature_header(path) -> dict:
     """A feature file's typed header fields; its size is checked, its frames not read."""
     header = container.read_header(path, FEATURE_MAGIC, FEATURE_VERSION, _feature_shape)
-    try:
-        return _typed_feature_header(header)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise HeaderMismatchError(f"{path}: header field missing or malformed: {exc!r}") from exc
+    return _parsed(path, _typed_feature_header, header)
 
 
 def load_features(path) -> FeatureMatrix:
     header, arrays = container.read(path, FEATURE_MAGIC, FEATURE_VERSION, _feature_shape)
+    return _parsed(path, _from_file, header, arrays)
+
+
+def _parsed(path, parse, *args):
+    """``parse(*args)`` for the file at ``path``; a missing or malformed
+    header field is a ``HeaderMismatchError`` naming the file."""
     try:
-        return _from_file(header, arrays)
+        return parse(*args)
     except (KeyError, TypeError, ValueError) as exc:
         raise HeaderMismatchError(f"{path}: header field missing or malformed: {exc!r}") from exc
 

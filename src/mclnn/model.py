@@ -25,7 +25,9 @@ parameters bit-exactly; its spec, labels, init seed and scheme, and
 normalization block are read back with every field required at its
 declared type, from tables that the writer walks too.  One function turns
 a parsed file into a model; :func:`save_model` runs it on what it is about
-to write, so it writes no file that :func:`load_model` would reject.
+to write, over the model's own masks in place of the ones a load generates.
+Each mask must have the :class:`MaskSpec` its spec layer names, and
+:func:`generate_mask` makes one mask per ``MaskSpec``.
 """
 
 from __future__ import annotations
@@ -165,14 +167,20 @@ def _layer_table(spec: ModelSpec, masks: list[BinaryMask | None] | None = None) 
     """``(name, order, weights shape, mask, activation class)`` of every layer
     with parameters, in forward order: ``clnn0`` ..., ``dense``, ``output``.
     A weights shape is ``(2n+1, fan_in, width)``, or ``(fan_in, width)`` at
-    order 0.  ``masks`` are the conditional layers'; None generates them.
+    order 0.  ``masks`` are the conditional layers'; None generates them,
+    and given ones must be the masks the spec's layers name.
     """
     widths = spec.input_widths()
+    named = [MaskSpec(l_in, layer.width, layer.bandwidth, layer.overlap) if layer.masked else None
+             for layer, l_in in zip(spec.layers, widths)]
     if masks is None:
-        masks = [generate_mask(MaskSpec(l_in, layer.width, layer.bandwidth, layer.overlap))
-                 if layer.masked else None for layer, l_in in zip(spec.layers, widths)]
+        masks = [None if mask_spec is None else generate_mask(mask_spec) for mask_spec in named]
     elif len(masks) != len(spec.layers):
         raise ContractError(f"{len(masks)} conditional layers for a spec of {len(spec.layers)}")
+    for i, (mask, mask_spec) in enumerate(zip(masks, named)):
+        if (None if mask is None else mask.spec) != mask_spec:
+            held = "no mask" if mask is None else f"a mask of {mask.spec}"
+            raise ContractError(f"clnn{i} holds {held} where the spec names {mask_spec}")
     kind = _ACTIVATIONS[spec.activation]
     table = [
         (f"clnn{i}", layer.order, (2 * layer.order + 1, l_in, layer.width), mask, kind)
@@ -446,8 +454,9 @@ def save_model(model: TrainedModel, path) -> None:
 
     Before the file is opened, what :func:`load_model` does with a file
     after reading it runs on the header as it will be read back and the
-    arrays as written, over the model's own masks.  A model that a load
-    would reject raises ``ContractError`` for a parameter value and
+    arrays as written, over the model's own masks, each of which must have
+    the :class:`MaskSpec` its spec layer names.  A model that this check
+    rejects raises ``ContractError`` for a parameter value and
     ``ValidationError`` for anything else, and no file is written.
     """
     masks = [layer.mask for layer in model.clnn_layers]

@@ -535,6 +535,27 @@ class TestSerialization:
             save_model(model, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("mask, named", [
+        (None, r"clnn0 holds no mask where the spec names MaskSpec"),
+        (generate_mask(MaskSpec(8, 6, 4, 1)), r"clnn0 holds a mask of MaskSpec\(.*bandwidth=4"),
+    ], ids=["no-mask", "other-band"])
+    def test_a_layer_whose_mask_the_spec_does_not_name_raises_on_save(self, tmp_path, mask, named):
+        # built through the public constructors: a load regenerates the spec's
+        # own mask, under which these weights are non-zero outside the band
+        model = build_model(small_spec(), seed=46)
+        first = model.clnn_layers[0]
+        weights = np.full_like(first.weights, 0.5) * (1.0 if mask is None else mask.entries)
+        layer = ClnnLayer(first.order, weights, first.bias.copy(), mask, first.activation)
+        built = TrainedModel(model.spec, [layer, *model.clnn_layers[1:]], model.dense, model.output,
+                             labels=model.labels, init_seed=model.init_seed)
+        path = tmp_path / "model.mcln"
+        with pytest.raises(ContractError, match=named):
+            save_model(built, path)
+        assert not path.exists()
+        write_model_unchecked(built, path)
+        with pytest.raises(HeaderMismatchError, match=r"clnn0.weights"):
+            load_model(path)
+
     def test_nan_weight_is_header_mismatch(self, tmp_path):
         model = self._model_with_stats()
         model.dense.weights[1, 2] = np.nan
