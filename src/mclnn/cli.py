@@ -521,8 +521,17 @@ def _add_config_flags(p: argparse.ArgumentParser, keys=None) -> None:
     _add_section_flags(p, "training", keys)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help fails as any other output does:
+    argparse's own ``print_help`` swallows an ``OSError`` from its write,
+    so help on a closed, unbuffered stdout would exit 0, not 141."""
+
+    def print_help(self, file=None):
+        (sys.stdout if file is None else file).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mclnn",
         description="Masked conditional neural networks for temporal-signal classification.",
     )

@@ -13,20 +13,25 @@ array shapes, so shape errors surface as header mismatches rather than
 silent misreads.  The writer writes each array's payload from the
 array's own buffer and holds no copy of the file in memory; only an
 array that is not already C-ordered little-endian float64 is converted
-first.  One function encodes a header and one decodes it; before it
-opens the file, the writer can run a file format's own reader on the
-header decoded from the bytes it is about to write and on the arrays as
-written.  The reader owns dimension validation: every declared dimension
-must be a non-negative ``int`` (not a bool, float or string), and the
-declared payload must fill the file exactly; both are checked before any
-payload byte is read, and :func:`read_header` stops there.
-:func:`typed_fields` reads the other header fields, each at the exact JSON
-type of the dataclass field it fills.
+first.  One function encodes a header and one decodes it.  Each file
+format has one parser, which makes its object from a header and arrays
+as read; the writer runs it on the header decoded from the bytes it is
+about to write and on the arrays as written before it opens the file,
+and the reader returns what it makes.  What a parser refuses becomes an
+error here and nowhere else: a ``ValidationError`` on write, a
+``HeaderMismatchError`` naming the file on read.  The reader owns
+dimension validation: every declared dimension must be a non-negative
+``int`` (not a bool, float or string), and the declared payload must fill
+the file exactly; both are checked before any payload byte is read, and
+:func:`read_header` stops there.  :func:`typed_fields` reads the other
+header fields, each at the exact JSON type of the dataclass field it
+fills.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -35,6 +40,7 @@ import numpy as np
 from .errors import (
     FileFormatError,
     HeaderMismatchError,
+    MclnnError,
     ShapeError,
     TruncatedFileError,
     ValidationError,
@@ -56,9 +62,7 @@ _HEADER_TYPES = {
 }
 
 
-def write(
-    path, magic: bytes, version: int, header: dict, arrays: list[np.ndarray], check=None
-) -> None:
+def write(path, magic: bytes, version: int, header: dict, arrays: list[np.ndarray], parse) -> None:
     """Write a container, each array's payload straight from its own buffer.
 
     Every array is converted to C-ordered ``<f8`` and the header encoded
@@ -66,20 +70,19 @@ def write(
     file written; an array already in that layout is not copied.  A header
     value JSON cannot encode raises ``ValidationError`` naming its field.
 
-    ``check(parsed, arrays)``, if given, is the file format's reader: it
-    gets the header decoded from the bytes about to be written, as
-    :func:`read` would return it, and the arrays as written, and runs
-    before the file is opened.  A ``KeyError``, ``TypeError``,
-    ``ValueError`` or ``ShapeError`` it raises becomes a ``ValidationError``
-    with its message; any other error passes as it is.
+    ``parse(parsed, arrays)`` is the file format's parser, as :func:`read`
+    runs it: it gets the header decoded from the bytes about to be
+    written and the arrays as written, and runs before the file is
+    opened.  A ``KeyError``, ``TypeError``, ``ValueError`` or ``ShapeError``
+    it raises becomes a ``ValidationError`` with its message; any other
+    error passes as it is.
     """
     arrays = [np.ascontiguousarray(array, dtype="<f8") for array in arrays]
     header_bytes = _encode(header)
-    if check is not None:
-        try:
-            check(_decode(header_bytes), arrays)
-        except (KeyError, TypeError, ValueError, ShapeError) as exc:
-            raise ValidationError(f"{path}: its reader would refuse the file: {exc!r}") from exc
+    try:
+        parse(_decode(header_bytes), arrays)
+    except (KeyError, TypeError, ValueError, ShapeError) as exc:
+        raise ValidationError(f"{path}: its reader would refuse the file: {exc!r}") from exc
     with open(path, "wb") as handle:
         handle.write(_FIXED.pack(magic, version, len(header_bytes)))
         handle.write(header_bytes)
@@ -91,11 +94,11 @@ def _encode(header: dict) -> bytes:
     """``header`` as a container holds it: UTF-8 JSON with sorted keys."""
     try:
         return json.dumps(header, sort_keys=True).encode("utf-8")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         for name, value in header.items():
             try:
-                json.dumps(value, sort_keys=True)
-            except (TypeError, ValueError):
+                json.dumps({name: value}, sort_keys=True)  # at its depth in the header
+            except (TypeError, ValueError, RecursionError):
                 raise ValidationError(
                     f"header field {name!r} cannot be written as JSON: {exc}"
                 ) from exc
@@ -107,18 +110,21 @@ def _decode(header_bytes: bytes) -> dict:
     return json.loads(header_bytes.decode("utf-8"))
 
 
-def read_header(path, magic: bytes, version: int, shapes_from_header) -> dict:
-    """A container's header, its declared payload checked against the file's size.
+def read_header(path, magic: bytes, version: int, shapes_from_header, parse):
+    """``parse(header)`` of a container's header, its declared payload checked
+    against the file's size.
 
     Raises every error :func:`read` raises, except for a failed payload
     read; the payload itself is not read.
     """
     with open(path, "rb") as handle:
-        return _header(handle, path, magic, version, shapes_from_header)[0]
+        header = _header(handle, path, magic, version, shapes_from_header)[0]
+    return _parsed(path, parse, header)
 
 
-def read(path, magic: bytes, version: int, shapes_from_header) -> tuple[dict, list[np.ndarray]]:
-    """Parse a container; ``shapes_from_header(header)`` lists expected shapes.
+def read(path, magic: bytes, version: int, shapes_from_header, parse):
+    """``parse(header, arrays)`` of a container; ``shapes_from_header(header)``
+    lists the arrays' expected shapes.
 
     Each array is allocated at its declared shape and the payload is read
     straight into it, so the file's bytes are never held a second time.
@@ -129,7 +135,16 @@ def read(path, magic: bytes, version: int, shapes_from_header) -> tuple[dict, li
         for array in arrays:
             if handle.readinto(array) != array.nbytes:
                 raise TruncatedFileError(f"{path}: payload ends early; the file shrank while read")
-    return header, arrays
+    return _parsed(path, parse, header, arrays)
+
+
+def _parsed(path, parse, *args):
+    """``parse(*args)`` for the file at ``path``; the one place a reader's refusal
+    becomes an error, a ``HeaderMismatchError`` naming the file."""
+    try:
+        return parse(*args)
+    except (KeyError, TypeError, ValueError, MclnnError) as exc:
+        raise HeaderMismatchError(f"{path}: its reader refuses the file: {exc!r}") from exc
 
 
 def _header(handle, path, magic, version, shapes_from_header) -> tuple[dict, list[tuple]]:
@@ -153,20 +168,16 @@ def _header(handle, path, magic, version, shapes_from_header) -> tuple[dict, lis
         raise TruncatedFileError(f"{path}: header runs past end of file")
     try:
         header = _decode(handle.read(header_len))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FileFormatError(f"{path}: header is not valid JSON: {exc}") from exc
-    try:
-        shapes = shapes_from_header(header)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise HeaderMismatchError(f"{path}: header is missing fields: {exc}") from exc
+    shapes = _parsed(path, shapes_from_header, header)
     offset = header_end
     for shape in shapes:
         if not all(isinstance(d, int) and not isinstance(d, bool) for d in shape):
             raise HeaderMismatchError(f"{path}: declared shape {shape} has a non-integer dimension")
         if any(d < 0 for d in shape):
             raise HeaderMismatchError(f"{path}: declared shape {shape} has a negative dimension")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 8
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > size:
             raise TruncatedFileError(
                 f"{path}: payload ends early; wanted {nbytes} bytes for shape {shape}"

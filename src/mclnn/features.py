@@ -50,7 +50,8 @@ operations, so a caller's clips stay raw.  A feature file's header is
 the matrix shape and every other ``FeatureMatrix`` field, written and
 read from one table; ``read_feature_header`` reads it without the frames.
 ``save_features`` runs ``load_features``'s own code on what it is about to
-write, so it writes no file that a load would reject.
+write, so it writes no file that a load would reject, nor one whose
+``meta`` would load back changed.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ from . import container, layers
 from .errors import (
     ContractError,
     FileFormatError,
-    HeaderMismatchError,
     InsufficientAudioError,
     ShapeError,
     TruncatedFileError,
@@ -677,33 +677,32 @@ def save_features(features: FeatureMatrix, path) -> None:
 
     Before the file is opened, what :func:`load_features` does with a file
     after reading it runs on the header as it will be read back and the
-    frames as written; a clip that a load would reject raises
-    ``ValidationError``, and no file is written.
+    frames as written; a clip that a load would reject, or whose ``meta``
+    would load back other than ``==`` to it (a non-``str`` key, a tuple, a
+    NaN), raises ``ValidationError``, and no file is written.
     """
     t, l = features.frames.shape
     header = {"t": t, "l": l, **{name: getattr(features, name) for name in _FEATURE_FIELDS}}
-    container.write(path, FEATURE_MAGIC, FEATURE_VERSION, header, [features.frames],
-                    check=_from_file)
+
+    def parse(parsed: dict, arrays: list[np.ndarray]) -> None:
+        meta = _from_file(parsed, arrays).meta
+        if meta != features.meta:
+            raise ValidationError(f"{path}: meta {features.meta!r} would load as {meta!r}")
+
+    container.write(path, FEATURE_MAGIC, FEATURE_VERSION, header, [features.frames], parse)
 
 
 def read_feature_header(path) -> dict:
     """A feature file's typed header fields; its size is checked, its frames not read."""
-    header = container.read_header(path, FEATURE_MAGIC, FEATURE_VERSION, _feature_shape)
-    return _parsed(path, _typed_feature_header, header)
+    return container.read_header(
+        path, FEATURE_MAGIC, FEATURE_VERSION, _feature_shape, _typed_feature_header
+    )
 
 
 def load_features(path) -> FeatureMatrix:
-    header, arrays = container.read(path, FEATURE_MAGIC, FEATURE_VERSION, _feature_shape)
-    return _parsed(path, _from_file, header, arrays)
-
-
-def _parsed(path, parse, *args):
-    """``parse(*args)`` for the file at ``path``; a missing or malformed
-    header field is a ``HeaderMismatchError`` naming the file."""
-    try:
-        return parse(*args)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise HeaderMismatchError(f"{path}: header field missing or malformed: {exc!r}") from exc
+    """The clip a feature file holds; a file that :func:`_from_file` refuses
+    is a ``HeaderMismatchError`` naming it, raised by :func:`mclnn.container.read`."""
+    return container.read(path, FEATURE_MAGIC, FEATURE_VERSION, _feature_shape, _from_file)
 
 
 def _feature_shape(header: dict) -> list[tuple]:

@@ -24,8 +24,10 @@ of its mini-batches and its validation.  A model file round-trips
 parameters bit-exactly; its spec, labels, init seed and scheme, and
 normalization block are read back with every field required at its
 declared type, from tables that the writer walks too.  One function turns
-a parsed file into a model; :func:`save_model` runs it on what it is about
-to write, over the model's own masks in place of the ones a load generates.
+a parsed file into a model; :func:`load_model` hands it to the container
+reader, which maps what it refuses, and :func:`save_model` runs it on what
+it is about to write, over the model's own masks in place of the ones a
+load generates.
 Each mask must have the :class:`MaskSpec` its spec layer names, and
 :func:`generate_mask` makes one mask per ``MaskSpec``.
 """
@@ -37,7 +39,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import container
-from .errors import ContractError, HeaderMismatchError, ValidationError
+from .errors import ContractError, ValidationError
 from .features import NormStats
 from .layers import (
     ActivationTape,
@@ -461,7 +463,7 @@ def save_model(model: TrainedModel, path) -> None:
     """
     masks = [layer.mask for layer in model.clnn_layers]
     container.write(path, MODEL_MAGIC, MODEL_VERSION, *_file_contents(model),
-                    check=lambda header, arrays: _from_file(header, arrays, masks))
+                    lambda header, arrays: _from_file(header, arrays, masks))
 
 
 def _file_contents(model: TrainedModel) -> tuple[dict, list[np.ndarray]]:
@@ -501,7 +503,11 @@ def _from_file(header: dict, arrays: list[np.ndarray], masks=None) -> TrainedMod
 
 
 def load_model(path) -> TrainedModel:
-    """The model a file holds, assembled over its arrays as read; nothing is drawn."""
+    """The model a file holds, assembled over its arrays as read; nothing is drawn.
+
+    A file that :func:`_from_file` refuses is a ``HeaderMismatchError``
+    naming it, raised by :func:`mclnn.container.read`.
+    """
     def shapes(header):
         declared = [tuple(entry["shape"]) for entry in header["params"]]
         if header["norm"] is not None:
@@ -509,13 +515,7 @@ def load_model(path) -> TrainedModel:
             declared += [(n,), (n,)]
         return declared
 
-    header, arrays = container.read(path, MODEL_MAGIC, MODEL_VERSION, shapes)
-    try:
-        return _from_file(header, arrays)
-    except ContractError as exc:
-        raise HeaderMismatchError(f"{path}: parameters do not fit the architecture: {exc}") from exc
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
-        raise HeaderMismatchError(f"{path}: header field missing or malformed: {exc!r}") from exc
+    return container.read(path, MODEL_MAGIC, MODEL_VERSION, shapes, _from_file)
 
 
 # Reference 10-class configuration: 256 mel bins in, two masked layers

@@ -90,29 +90,39 @@ def dirty_masked_weight(model):
     model.clnn_layers[0].weights[2, dead[0], dead[1]] = 1.0
 
 
+def accept_any(header, arrays=None):
+    """A container parser that accepts every file: the header, with the
+    arrays when it is given them, as read."""
+    return header if arrays is None else (header, arrays)
+
+
 def write_model_unchecked(model, path):
     """The bytes ``save_model`` would write for ``model``, written without its checks."""
-    container.write(path, MODEL_MAGIC, MODEL_VERSION, *mclnn.model._file_contents(model))
+    container.write(path, MODEL_MAGIC, MODEL_VERSION, *mclnn.model._file_contents(model),
+                    accept_any)
 
 
-def _rewrite_header(path, magic, version, shapes, edit):
-    header, arrays = container.read(path, magic, version, shapes)
+def _rewrite_header(path, magic, version, shapes, edit, payload):
+    header, arrays = container.read(path, magic, version, shapes, accept_any)
     edit(header)
-    container.write(path, magic, version, header, arrays)
+    container.write(path, magic, version, header, arrays if payload else [], accept_any)
 
 
-def rewrite_model_header(path, edit):
-    """Re-write a model file after ``edit(header)`` changed its JSON header."""
+def rewrite_model_header(path, edit, payload=True):
+    """Re-write a model file after ``edit(header)`` changed its JSON header;
+    ``payload=False`` drops every array."""
     def shapes(header):
         norm = [(header["norm"]["length"],)] * 2 if header["norm"] else []
         return [tuple(entry["shape"]) for entry in header["params"]] + norm
 
-    _rewrite_header(path, MODEL_MAGIC, MODEL_VERSION, shapes, edit)
+    _rewrite_header(path, MODEL_MAGIC, MODEL_VERSION, shapes, edit, payload)
 
 
-def rewrite_feature_header(path, edit):
-    """Re-write a feature file after ``edit(header)`` changed its JSON header."""
-    _rewrite_header(path, FEATURE_MAGIC, FEATURE_VERSION, lambda h: [(h["t"], h["l"])], edit)
+def rewrite_feature_header(path, edit, payload=True):
+    """Re-write a feature file after ``edit(header)`` changed its JSON header;
+    ``payload=False`` drops the frames."""
+    _rewrite_header(path, FEATURE_MAGIC, FEATURE_VERSION, lambda h: [(h["t"], h["l"])],
+                    edit, payload)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import contextlib
 import io
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -42,6 +43,8 @@ from mclnn.cli import (
 from mclnn.dataset import SplitPlan, segment_clip
 from mclnn.errors import ConfigError, ValidationError
 from mclnn.features import (
+    FEATURE_MAGIC,
+    FEATURE_VERSION,
     FeatureMatrix,
     FeatureParams,
     NormStats,
@@ -49,7 +52,16 @@ from mclnn.features import (
     load_features,
     save_features,
 )
-from mclnn.model import PRESETS, LayerSpec, build_model, load_model, save_model, segment_size
+from mclnn.model import (
+    MODEL_MAGIC,
+    MODEL_VERSION,
+    PRESETS,
+    LayerSpec,
+    build_model,
+    load_model,
+    save_model,
+    segment_size,
+)
 from mclnn.training import (
     TrainConfig,
     confusion_lines,
@@ -539,7 +551,7 @@ class TestTrainEvalPredict:
                     "--features", str(features)]
         assert main(argv) == EXIT_IO
         err = capsys.readouterr().err
-        assert "header field missing or malformed: KeyError('spec')" in err
+        assert "its reader refuses the file: KeyError('spec')" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("edit", [
@@ -557,7 +569,7 @@ class TestTrainEvalPredict:
                    str(workspace / "features" / "drums__clip5.mclf")])
         assert rc == EXIT_IO
         line = single_error(capsys.readouterr(), "HeaderMismatchError")
-        assert "header field missing or malformed" in line and "model.norm." in line
+        assert "its reader refuses the file" in line and "model.norm." in line
 
     def test_model_header_with_legacy_allow_order_zero_predicts_unchanged(
         self, workspace, tmp_path, capsys
@@ -591,7 +603,7 @@ class TestTrainEvalPredict:
         assert rc == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("error: HeaderMismatchError: ") and err.count("\n") == 1
-        assert "header field missing or malformed" in err
+        assert "its reader refuses the file" in err
         assert "Traceback" not in err
 
     def _prenormalized(self, workspace, tmp_path, stats):
@@ -1083,8 +1095,14 @@ class TestConfigHandling:
 
 
 class TestUsageAndGradcheck:
-    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
-    def test_a_closed_stdout_ends_the_command_quietly_with_141(self, unbuffered):
+    # argparse writes help itself, so --help takes another path to the closed stdout
+    @pytest.mark.parametrize("argv, unbuffered", [
+        (["model", "describe", "--preset", "table3"], "1"),
+        (["model", "describe", "--preset", "table3"], ""),
+        (["--help"], "1"),
+        (["--help"], ""),
+    ], ids=["unbuffered", "buffered", "help-unbuffered", "help-buffered"])
+    def test_a_closed_stdout_ends_the_command_quietly_with_141(self, argv, unbuffered):
         source = str(Path(mclnn.cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
@@ -1092,7 +1110,7 @@ class TestUsageAndGradcheck:
         os.close(read)  # closed before the command writes, so every write fails
         try:
             result = subprocess.run(
-                [sys.executable, "-m", "mclnn.cli", "model", "describe", "--preset", "table3"],
+                [sys.executable, "-m", "mclnn.cli", *argv],
                 stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
             )
         finally:
@@ -1573,6 +1591,70 @@ def test_missing_or_mistyped_header_field_exits_4_with_one_error_line(
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def _edited(edit, payload=True):
+    """A spoiler that edits the file's header, and keeps its payload or drops it."""
+    return lambda path, magic, version, rewrite: rewrite(path, edit, payload)
+
+
+def _nan_payload(path, magic, version, rewrite):
+    path.write_bytes(path.read_bytes()[:-8] + np.array([np.nan]).tobytes())
+
+
+def _nested_header(path, magic, version, rewrite):
+    header = b"[" * 200_000 + b"]" * 200_000
+    path.write_bytes(struct.pack("<4sIQ", magic, version, len(header)) + header)
+
+
+# (file, case, spoiler): each spoiler makes a good file one its reader refuses
+REFUSED_FILES = [
+    ("model", "missing-field", _edited(lambda h: h.pop("labels"))),
+    ("model", "mistyped-field", _edited(lambda h: h.update(init_seed="seven"))),
+    ("model", "out-of-bounds", _edited(lambda h: h.update(init_seed=-1))),
+    ("model", "nan-payload", _nan_payload),
+    ("model", "int64-overflowing-shape", _edited(lambda h: h["norm"].update(length=2**70))),
+    ("model", "nested-header", _nested_header),
+    ("features", "missing-field", _edited(lambda h: h.pop("clip_id"))),
+    ("features", "mistyped-field", _edited(lambda h: h.update(clip_id=5))),
+    ("features", "out-of-bounds", _edited(lambda h: h.update(normalized=True, norm_id=None))),
+    ("features", "nan-payload", _nan_payload),
+    # over no payload: the int64 product of the two wraps to 0, which matched it
+    ("features", "int64-overflowing-shape",
+     _edited(lambda h: h.update(t=2**32, l=2**32), payload=False)),
+    ("features", "nested-header", _nested_header),
+]
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+@pytest.mark.parametrize("which, spoil", [
+    pytest.param(which, spoil, id=f"{which}-{case}") for which, case, spoil in REFUSED_FILES
+])
+def test_a_file_its_reader_refuses_exits_4_with_one_error_line_naming_it(
+    workspace, tmp_path, capsys, command, which, spoil
+):
+    model = tmp_path / "model.mcln"
+    model.write_bytes((workspace / "run" / "model.mcln").read_bytes())
+    features = tmp_path / "features"
+    features.mkdir()
+    for path in (workspace / "features").iterdir():
+        (features / path.name).write_bytes(path.read_bytes())
+    if which == "model":
+        bad, magic, version, rewrite = model, MODEL_MAGIC, MODEL_VERSION, rewrite_model_header
+    else:
+        bad = features / "drums__clip5.mclf"  # a test clip, which eval loads
+        magic, version, rewrite = FEATURE_MAGIC, FEATURE_VERSION, rewrite_feature_header
+    spoil(bad, magic, version, rewrite)
+    if command == "predict":
+        argv = ["predict", "--model", str(model), str(features / "drums__clip5.mclf")]
+    else:
+        argv = ["eval", "--model", str(model), "--plan", str(workspace / "plan.txt"),
+                "--features", str(features)]
+    assert main(argv) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(bad) in lines[0], lines
 
 
 @pytest.mark.parametrize("plan_kind", ["folds", "fixed"])

@@ -14,6 +14,8 @@ from mclnn import container
 from mclnn.errors import FileFormatError, HeaderMismatchError, TruncatedFileError
 from mclnn.features import FeatureMatrix, save_features
 
+from conftest import accept_any
+
 MAGIC, VERSION = b"TEST", 1
 
 
@@ -25,8 +27,8 @@ def test_round_trip():
     arrays = [np.arange(6.0).reshape(2, 3), np.array(7.0), np.zeros((0, 4))]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.bin"
-        container.write(path, MAGIC, VERSION, {"shapes": [[2, 3], [], [0, 4]]}, arrays)
-        header, got = container.read(path, MAGIC, VERSION, declared)
+        container.write(path, MAGIC, VERSION, {"shapes": [[2, 3], [], [0, 4]]}, arrays, accept_any)
+        header, got = container.read(path, MAGIC, VERSION, declared, accept_any)
     assert header == {"shapes": [[2, 3], [], [0, 4]]}
     for want, array in zip(arrays, got):
         assert array.shape == want.shape and array.tobytes() == want.tobytes()
@@ -36,9 +38,9 @@ def test_round_trip():
 def test_negative_dimension_is_header_mismatch(shape):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.bin"
-        container.write(path, MAGIC, VERSION, {"shapes": [shape]}, [np.zeros(2)])
+        container.write(path, MAGIC, VERSION, {"shapes": [shape]}, [np.zeros(2)], accept_any)
         with pytest.raises(HeaderMismatchError, match="negative dimension"):
-            container.read(path, MAGIC, VERSION, declared)
+            container.read(path, MAGIC, VERSION, declared, accept_any)
 
 
 # a declared dimension: small integers, or JSON values that are not integers
@@ -54,9 +56,9 @@ DIMENSIONS = st.one_of(
 def test_non_integer_dimension_is_header_mismatch(shape):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.bin"
-        container.write(path, MAGIC, VERSION, {"shapes": [shape]}, [np.zeros(48)])
+        container.write(path, MAGIC, VERSION, {"shapes": [shape]}, [np.zeros(48)], accept_any)
         with pytest.raises(HeaderMismatchError, match="non-integer dimension"):
-            container.read(path, MAGIC, VERSION, declared)
+            container.read(path, MAGIC, VERSION, declared, accept_any)
 
 
 @settings(derandomize=True, max_examples=300)
@@ -75,9 +77,10 @@ def test_declared_shapes_load_or_raise_file_format_error(shapes, exact, extra):
     count = needed if exact and needed >= 0 else extra
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.bin"
-        container.write(path, MAGIC, VERSION, {"shapes": shapes}, [np.arange(float(count))])
+        container.write(path, MAGIC, VERSION, {"shapes": shapes}, [np.arange(float(count))],
+                        accept_any)
         try:
-            _, arrays = container.read(path, MAGIC, VERSION, declared)
+            _, arrays = container.read(path, MAGIC, VERSION, declared, accept_any)
         except FileFormatError:
             return
     assert integral
@@ -88,8 +91,8 @@ def test_read_returns_writeable_arrays_that_own_their_memory():
     arrays = [np.arange(6.0).reshape(2, 3), np.array(7.0)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.bin"
-        container.write(path, MAGIC, VERSION, {"shapes": [[2, 3], []]}, arrays)
-        _, got = container.read(path, MAGIC, VERSION, declared)
+        container.write(path, MAGIC, VERSION, {"shapes": [[2, 3], []]}, arrays, accept_any)
+        _, got = container.read(path, MAGIC, VERSION, declared, accept_any)
     for array in got:
         assert array.flags.writeable and array.flags.owndata and array.base is None
         assert array.dtype == np.float64
@@ -102,13 +105,14 @@ def test_read_returns_writeable_arrays_that_own_their_memory():
 def test_read_header_checks_the_declared_size_as_read_does(cut, error, message):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.bin"
-        container.write(path, MAGIC, VERSION, {"shapes": [[2, 3]]}, [np.zeros((2, 3))])
-        assert container.read_header(path, MAGIC, VERSION, declared) == {"shapes": [[2, 3]]}
+        container.write(path, MAGIC, VERSION, {"shapes": [[2, 3]]}, [np.zeros((2, 3))], accept_any)
+        header = container.read_header(path, MAGIC, VERSION, declared, accept_any)
+        assert header == {"shapes": [[2, 3]]}
         blob = path.read_bytes()
         path.write_bytes(blob[:cut] if cut < 0 else blob + bytes(cut))
         for reader in (container.read, container.read_header):
             with pytest.raises(error, match=message):
-                reader(path, MAGIC, VERSION, declared)
+                reader(path, MAGIC, VERSION, declared, accept_any)
 
 
 _VALUES = np.arange(24.0).reshape(4, 6) / 7.0
@@ -127,9 +131,9 @@ def test_write_stores_the_c_ordered_little_endian_float64_bytes(array):
     header = {"shapes": [list(array.shape)]}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.bin"
-        container.write(path, MAGIC, VERSION, header, [array])
+        container.write(path, MAGIC, VERSION, header, [array], accept_any)
         blob = path.read_bytes()
-        _, (got,) = container.read(path, MAGIC, VERSION, declared)
+        _, (got,) = container.read(path, MAGIC, VERSION, declared, accept_any)
     assert blob.endswith(expected) and len(blob) > len(expected)
     assert got.shape == array.shape and got.tobytes() == expected
 
@@ -138,7 +142,7 @@ def test_write_lays_out_magic_version_header_and_payload():
     header = {"shapes": [[2], []], "name": "x"}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.bin"
-        container.write(path, MAGIC, 3, header, [np.array([1.0, -2.5]), np.array(0.25)])
+        container.write(path, MAGIC, 3, header, [np.array([1.0, -2.5]), np.array(0.25)], accept_any)
         blob = path.read_bytes()
     header_json = b'{"name": "x", "shapes": [[2], []]}'
     assert blob == (
@@ -153,7 +157,7 @@ def test_write_raises_before_opening_the_file():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.bin"
         with pytest.raises(ValueError):
-            container.write(path, MAGIC, VERSION, {"shapes": [[1]]}, [np.array(["a"])])
+            container.write(path, MAGIC, VERSION, {"shapes": [[1]]}, [np.array(["a"])], accept_any)
         assert not path.exists()
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -28,6 +28,7 @@ from mclnn import features
 from mclnn.errors import (
     ContractError,
     FileFormatError,
+    HeaderMismatchError,
     InsufficientAudioError,
     ShapeError,
     TruncatedFileError,
@@ -779,7 +780,7 @@ class TestFeatureIO:
         blob[-8:] = np.array([np.nan]).tobytes()
         path.write_bytes(bytes(blob))
         assert read_feature_header(path)["clip_id"] == "clip-1"
-        with pytest.raises(ValidationError, match="non-finite"):
+        with pytest.raises(HeaderMismatchError, match="non-finite"):
             load_features(path)
         path.write_bytes(bytes(blob[:-1]))
         with pytest.raises(TruncatedFileError):
@@ -795,8 +796,16 @@ class TestFeatureIO:
             load_features(path)
 
 
+def _nested(depth):
+    """A list nested ``depth`` lists deep."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 # clips whose files the parent's save_features wrote and its load_features
-# refused; what the save's error names
+# refused, and one it raised RecursionError for; what the save's error names
 UNLOADABLE_CLIPS = [
     pytest.param({"clip_id": 5}, r"feature header.clip_id = 5 is not of type str", id="clip-id-int"),
     pytest.param({"split": 3}, r"feature header.split = 3 is not of type str \| None", id="split-int"),
@@ -804,6 +813,8 @@ UNLOADABLE_CLIPS = [
                  id="label-bool"),
     pytest.param({"meta": (1,)}, r"feature header.meta = \[1\] is not of type dict", id="meta-tuple"),
     pytest.param({"label": np.int64(2)}, r"header field 'label' cannot be written as JSON", id="label-int64"),
+    pytest.param({"meta": {"deep": _nested(100_000)}}, r"header field 'meta' cannot be written as JSON",
+                 id="meta-too-deep"),
 ]
 
 
@@ -844,7 +855,7 @@ class TestSaveRunsTheReader:
 
 _TEXT = st.text(max_size=6)
 _TEXT_INT_OR_NONE = st.one_of(_TEXT, st.integers(-5, 5), st.none())
-_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), _TEXT)
+_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _TEXT)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -854,10 +865,16 @@ _JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allo
                     _TEXT),
     split=_TEXT_INT_OR_NONE,
     norm_id=_TEXT_INT_OR_NONE,
-    meta=st.one_of(st.dictionaries(_TEXT, _JSON_SCALAR, max_size=3),
+    meta=st.one_of(st.dictionaries(st.one_of(_TEXT, st.integers(-5, 5)),
+                                   st.one_of(_JSON_SCALAR, st.tuples(st.floats())), max_size=3),
                    st.lists(st.integers(), max_size=2), st.lists(st.integers(), max_size=2).map(tuple)),
     poison=st.one_of(st.none(), st.sampled_from([np.nan, np.inf, -np.inf])),
 )
+# metas that JSON does not give back equal, and infinities, which it does
+@example(clip_id="c", label=None, split=None, norm_id=None, meta={1: (2, 3)}, poison=None)
+@example(clip_id="c", label=None, split=None, norm_id=None, meta={"k": (1.5,)}, poison=None)
+@example(clip_id="c", label=None, split=None, norm_id=None, meta={"x": np.nan}, poison=None)
+@example(clip_id="c", label=None, split=None, norm_id=None, meta={"x": -np.inf}, poison=None)
 def test_a_saved_clip_loads_as_it_was_or_is_refused_leaving_no_file(
     clip_id, label, split, norm_id, meta, poison
 ):
@@ -871,6 +888,9 @@ def test_a_saved_clip_loads_as_it_was_or_is_refused_leaving_no_file(
         and (label is None or type(label) is int)
         and all(value is None or isinstance(value, str) for value in (split, norm_id))
         and isinstance(meta, dict)
+        # JSON gives a key back as a str, a tuple as a list and NaN as another NaN
+        and all(type(key) is str and type(value) is not tuple and value == value
+                for key, value in meta.items())
         and poison is None
     )
     with tempfile.TemporaryDirectory() as tmp:

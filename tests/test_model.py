@@ -332,7 +332,7 @@ def _repeat_output_bias(header):
 
 
 SHORT_NORM = NormStats(mean=np.zeros(3), std=np.ones(3), source_split="train", stats_id="s")
-FIT = "parameters do not fit the architecture: "
+FIT = r"its reader refuses the file: ContractError\('"
 # edits of a small_spec(dense_width=50) model that its file fails to load
 # with, and what the error names; each edit bypasses the fields' set-once rule
 SPEC_FAULTS = [
