@@ -58,6 +58,7 @@ from .training import (
     GradCheckReport,
     RunReport,
     TrainConfig,
+    clip_segments,
     cross_entropy,
     evaluate,
     grad_check,

@@ -18,6 +18,7 @@ import io
 import math
 import os
 import sys
+import warnings
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -398,9 +399,12 @@ def cmd_train(args) -> int:
     labels = _read_class_names(args.classes, spec.class_count)
     trn.bucket_roles(plan, args.test_fold, args.validation_fold)
     features = _load_clips(Path(args.features), plan.assignment)
-    model, report = trn.run_experiment(
-        features, plan, spec, config.training, labels, args.test_fold, args.validation_fold
-    )
+    with warnings.catch_warnings():
+        # a diverging run overflows; its TrainingDivergedError is the one report of it
+        warnings.filterwarnings("ignore", category=RuntimeWarning, module=r"mclnn\.")
+        model, report = trn.run_experiment(
+            features, plan, spec, config.training, labels, args.test_fold, args.validation_fold
+        )
 
     mdl.save_model(model, out_dir / f"model{MODEL_SUFFIX}")
     (out_dir / "report.txt").write_text(report.to_text())
@@ -416,19 +420,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _segment_hop(args, q: int) -> int:
-    """``--hop`` of eval and predict: q when not given, and at least 1."""
-    if args.hop is None:
-        return q
-    if args.hop < 1:
+def _segment_hop(args) -> int | None:
+    """``--hop`` of eval and predict: None (q) when not given, else at least 1."""
+    if args.hop is not None and args.hop < 1:
         raise ConfigError(f"--hop must be >= 1, got {args.hop}")
     return args.hop
 
 
 def cmd_eval(args) -> int:
     model = mdl.load_model(args.model)
-    q = mdl.segment_size(model.spec)
-    hop = _segment_hop(args, q)
+    hop = _segment_hop(args)
     plan = ds.SplitPlan.load(args.plan)
     bucket = args.bucket
     clip_ids = set(plan.clips_in(bucket))
@@ -438,9 +439,7 @@ def cmd_eval(args) -> int:
             f"{', '.join(plan.buckets())} (pass --bucket)"
         )
     chosen = _load_clips(Path(args.features), clip_ids)
-    for fm in chosen:
-        feat._check_zscore(fm, model.norm_stats)
-    by_clip = {fm.clip_id: ds.segment_clip(fm, q, hop) for fm in chosen}
+    by_clip = {fm.clip_id: trn.clip_segments(model, fm, hop) for fm in chosen}
     labels_by_clip = {fm.clip_id: fm.label for fm in chosen}
     result = trn.evaluate(model, by_clip, labels_by_clip)
     print(f"clips: {len(labels_by_clip)}  accuracy: {result.clip_accuracy:.4f}")
@@ -456,13 +455,10 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model = mdl.load_model(args.model)
-    q = mdl.segment_size(model.spec)
-    hop = _segment_hop(args, q)
-    paths = [Path(p) for p in args.features_files]
-    for path in paths:
+    hop = _segment_hop(args)
+    for path in map(Path, args.features_files):
         fm = feat.load_features(path)
-        feat._check_zscore(fm, model.norm_stats)
-        segments = ds.segment_clip(fm, q, hop)
+        segments = trn.clip_segments(model, fm, hop)
         if not segments:
             print(f"{fm.clip_id or path.name}\t<too short>\t-")
             continue

@@ -25,7 +25,10 @@ dimension validation: every declared dimension must be a non-negative
 the file exactly; both are checked before any payload byte is read, and
 :func:`read_header` stops there.  :func:`typed_fields` reads the other
 header fields, each at the exact JSON type of the dataclass field it
-fills.
+fills.  A header nests at most :data:`MAX_HEADER_LEVELS` dicts and lists,
+itself included: the writer refuses a deeper field with a
+``ValidationError`` naming it, and the reader a deeper header with a
+``FileFormatError``.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ from .errors import (
 
 _FIXED = struct.Struct("<4sIQ")
 
+# most dicts and lists a header may nest, itself included; the package's own
+# headers reach 4, and the bound holds at any stack depth of the caller
+MAX_HEADER_LEVELS = 32
+
 # JSON types a header value may have, by the declared type of the field it
 # fills; exact types, so a bool is not an int and nothing is coerced
 _HEADER_TYPES = {
@@ -68,7 +75,8 @@ def write(path, magic: bytes, version: int, header: dict, arrays: list[np.ndarra
     Every array is converted to C-ordered ``<f8`` and the header encoded
     before the file is opened, so a bad array or header raises with no
     file written; an array already in that layout is not copied.  A header
-    value JSON cannot encode raises ``ValidationError`` naming its field.
+    value JSON cannot encode, or one that nests too deeply, raises
+    ``ValidationError`` naming its field.
 
     ``parse(parsed, arrays)`` is the file format's parser, as :func:`read`
     runs it: it gets the header decoded from the bytes about to be
@@ -92,17 +100,34 @@ def write(path, magic: bytes, version: int, header: dict, arrays: list[np.ndarra
 
 def _encode(header: dict) -> bytes:
     """``header`` as a container holds it: UTF-8 JSON with sorted keys."""
+    for name, value in header.items():
+        if _levels(value) >= MAX_HEADER_LEVELS:
+            raise ValidationError(f"header field {name!r} cannot be written as JSON: "
+                                  f"it nests deeper than {MAX_HEADER_LEVELS} levels")
     try:
         return json.dumps(header, sort_keys=True).encode("utf-8")
-    except (TypeError, ValueError, RecursionError) as exc:
+    except (TypeError, ValueError) as exc:
         for name, value in header.items():
             try:
-                json.dumps({name: value}, sort_keys=True)  # at its depth in the header
-            except (TypeError, ValueError, RecursionError):
+                json.dumps(value, sort_keys=True)
+            except (TypeError, ValueError):
                 raise ValidationError(
                     f"header field {name!r} cannot be written as JSON: {exc}"
                 ) from exc
         raise
+
+
+def _levels(value) -> int:
+    """How many dicts and lists (tuples too) ``value`` nests, itself included;
+    counted level by level, without recursion, up to one past the bound."""
+    levels, level = 0, [value]
+    while levels <= MAX_HEADER_LEVELS:
+        nested = [v for v in level if isinstance(v, (dict, list, tuple))]
+        if not nested:
+            break
+        levels += 1
+        level = [item for v in nested for item in (v.values() if isinstance(v, dict) else v)]
+    return levels
 
 
 def _decode(header_bytes: bytes) -> dict:
@@ -170,6 +195,8 @@ def _header(handle, path, magic, version, shapes_from_header) -> tuple[dict, lis
         header = _decode(handle.read(header_len))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FileFormatError(f"{path}: header is not valid JSON: {exc}") from exc
+    if _levels(header) > MAX_HEADER_LEVELS:
+        raise FileFormatError(f"{path}: header nests deeper than {MAX_HEADER_LEVELS} levels")
     shapes = _parsed(path, shapes_from_header, header)
     offset = header_end
     for shape in shapes:

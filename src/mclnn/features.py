@@ -44,9 +44,11 @@ raw training frames only: ``fit_zscore`` rejects held-out and normalized
 clips.  A clip is normalized once.  ``_check_zscore`` alone decides whether
 a model takes a clip: a raw one, or one normalized under the model's own
 statistics; one normalized under other statistics, or none, raises
-``ValidationError``.  ``apply_zscore`` normalizes a copy; training and
-prediction normalize the batches they copy from raw clips, with the same
-operations, so a caller's clips stay raw.  A feature file's header is
+``ValidationError``.  Its callers are ``apply_zscore`` and
+:func:`mclnn.training.clip_segments`, the one way a clip reaches a model
+for training, evaluation or prediction.  ``apply_zscore`` normalizes a
+copy; training and prediction normalize the batches they copy from raw
+clips, with the same operations, so a caller's clips stay raw.  A feature file's header is
 the matrix shape and every other ``FeatureMatrix`` field, written and
 read from one table; ``read_feature_header`` reads it without the frames.
 ``save_features`` runs ``load_features``'s own code on what it is about to

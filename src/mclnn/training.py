@@ -2,12 +2,13 @@
 
 :func:`run_experiment` is one training run of the paper's protocol on
 loaded clips: give each plan bucket its role (a fold plan's from the
-test and validation fold numbers), check and split the clips, segment
-them, build the model, fit the z-score statistics on the training split,
-check every clip against them, train, and vote per clip on the test
-split.  It writes nothing onto the clips, so one loaded list serves any
-number of runs.  ``mclnn train`` reads its inputs, calls it and writes
-what it returns.
+test and validation fold numbers), check and split the clips, build the
+model, fit the z-score statistics on the training split, check every
+clip against them and segment it with :func:`clip_segments`, train, and
+vote per clip on the test split.  It writes nothing onto the clips, so
+one loaded list serves any number of runs.  ``mclnn train`` reads its
+inputs, calls it and writes what it returns; ``mclnn eval`` and ``mclnn
+predict`` take each clip into a model by :func:`clip_segments` too.
 
 The optimizer is deliberately plain: mini-batch gradient descent with
 optional classical momentum, a fixed shuffle per epoch from one seeded
@@ -93,6 +94,7 @@ __all__ = [
     "EvalResult",
     "run_experiment",
     "bucket_roles",
+    "clip_segments",
     "grad_check",
     "GradCheckReport",
 ]
@@ -306,7 +308,8 @@ def train(
     started = time.monotonic()
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
-    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    momentum = config.optimizer == "momentum"  # SGD keeps no velocity
+    velocity = {k: np.zeros_like(v) for k, v in params.items()} if momentum else {}
     workspace = getattr(_kept, "workspace", None)
     if workspace is None:
         workspace = _kept.workspace = Workspace()
@@ -334,7 +337,7 @@ def train(
             for key in params:
                 step = grads[key]
                 step *= config.learning_rate  # the gradient is not needed again
-                if config.optimizer == "momentum":
+                if momentum:
                     velocity[key] *= config.momentum
                     velocity[key] -= step
                     params[key] += velocity[key]
@@ -487,6 +490,22 @@ def evaluate(
     )
 
 
+def clip_segments(
+    model: TrainedModel, clip: FeatureMatrix, hop: int | None = None
+) -> list[Segment]:
+    """The segments by which ``model`` scores ``clip``: q frames each, ``hop``
+    (default q) apart.
+
+    The clip must be raw or normalized under ``model.norm_stats``, and as
+    wide as those statistics; any other clip raises, as
+    :func:`~mclnn.features.apply_zscore` does.  A clip shorter than q
+    gives no segments.
+    """
+    _check_zscore(clip, model.norm_stats)
+    q = segment_size(model.spec)
+    return segment_clip(clip, q, q if hop is None else hop)
+
+
 def bucket_roles(
     plan: SplitPlan, test_fold: int | None, validation_fold: int | None
 ) -> dict[str, str]:
@@ -520,19 +539,19 @@ def run_experiment(
     test_fold: int | None = None,
     validation_fold: int | None = None,
 ) -> tuple[TrainedModel, RunReport]:
-    """One training run: split, segment, normalize, train, and vote on the test split.
+    """One training run: split, fit the statistics, segment, train, and vote on the test split.
 
     A fold plan (buckets ``fold1..foldN``) needs ``test_fold`` and takes
     an optional ``validation_fold`` (default: the fold after the test
     fold); a plan of train/validation/test buckets takes neither.  The
     plan gives each clip its role; a clip's ``split`` tag is not read.
-    Every clip is segmented (hop ``config.hop`` or q), and the model's
-    ``norm_stats`` are fitted on the training clips, which must be raw.
-    A clip normalized under other statistics raises ``ValidationError``
-    before training.  Batches are normalized as they are built, so the
-    clips are left as given and a second run on them gives the same
-    bytes.  A test split is voted on into the report's test accuracy and
-    confusion.
+    The model's ``norm_stats`` are fitted on the training clips, which
+    must be raw; then :func:`clip_segments` checks every clip against them
+    and segments it (hop ``config.hop`` or q), so a clip normalized under
+    other statistics raises ``ValidationError`` before training.  Batches
+    are normalized as they are built, so the clips are left as given and a
+    second run on them gives the same bytes.  A test split is voted on
+    into the report's test accuracy and confusion.
     """
     roles = bucket_roles(plan, test_fold, validation_fold)
     missing = [fm.clip_id for fm in features if fm.clip_id not in plan.assignment]
@@ -557,18 +576,15 @@ def run_experiment(
     if not groups[TRAIN]:
         raise ValidationError("plan leaves the training split empty")
 
+    model = build_model(spec, config.seed, labels)
+    model.norm_stats = _fit_zscore(groups[TRAIN])
     q = segment_size(spec)
-    hop = config.hop or q
-    segments = {fm.clip_id: segment_clip(fm, q, hop) for fm in features}
+    segments = {fm.clip_id: clip_segments(model, fm, config.hop) for fm in features}
     train_segments, val_segments = (
         [s for fm in groups[role] for s in segments[fm.clip_id]] for role in (TRAIN, VALIDATION)
     )
     if not train_segments:
-        raise ValidationError(f"training clips yielded no segments at q={q}, hop={hop}")
-    model = build_model(spec, config.seed, labels)
-    model.norm_stats = _fit_zscore(groups[TRAIN])
-    for fm in features:
-        _check_zscore(fm, model.norm_stats)
+        raise ValidationError(f"training clips are all shorter than the segment size q={q}")
     model, report = train(model, train_segments, config, val_segments or None)
     if groups[TEST]:
         by_clip = {fm.clip_id: segments[fm.clip_id] for fm in groups[TEST]}

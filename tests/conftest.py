@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import struct
 import threading
 
@@ -123,6 +124,27 @@ def rewrite_feature_header(path, edit, payload=True):
     ``payload=False`` drops the frames."""
     _rewrite_header(path, FEATURE_MAGIC, FEATURE_VERSION, lambda h: [(h["t"], h["l"])],
                     edit, payload)
+
+
+def rewrite_header_by_hand(path, edit):
+    """Re-write a container file after ``edit(header)`` changed its JSON header,
+    by hand: none of the writer's checks runs, its bound on nesting included."""
+    blob = path.read_bytes()
+    magic, version, size = struct.unpack_from("<4sIQ", blob)
+    start = struct.calcsize("<4sIQ")
+    header = json.loads(blob[start : start + size])
+    edit(header)
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(struct.pack("<4sIQ", magic, version, len(encoded)) + encoded
+                     + blob[start + size :])
+
+
+def nested_lists(depth):
+    """A list nested ``depth`` lists deep."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
 
 
 # ---------------------------------------------------------------------------

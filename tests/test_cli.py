@@ -26,6 +26,7 @@ import mclnn.features
 import mclnn.model
 import mclnn.training
 from mclnn import container
+from mclnn.container import MAX_HEADER_LEVELS
 from mclnn.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -73,7 +74,9 @@ from mclnn.training import (
 from conftest import (
     au_bytes,
     dirty_masked_weight,
+    nested_lists,
     rewrite_feature_header,
+    rewrite_header_by_hand,
     rewrite_model_header,
     write_model_unchecked,
 )
@@ -639,6 +642,23 @@ class TestTrainEvalPredict:
         assert rc == EXIT_DATA
         assert "'other0000000'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_a_clip_of_another_width_is_data_error(self, workspace, tmp_path, capsys, command):
+        featdir = tmp_path / "narrow"
+        featdir.mkdir()
+        fm = load_features(workspace / "features" / "drums__clip5.mclf")
+        save_features(replace(fm, frames=fm.frames[:, :7]), featdir / "drums__clip5.mclf")
+        model = str(workspace / "run" / "model.mcln")
+        if command == "eval":
+            plan = tmp_path / "plan.txt"
+            plan.write_text("drums__clip5\ttest\n")
+            argv = ["eval", "--model", model, "--plan", str(plan), "--features", str(featdir)]
+        else:
+            argv = ["predict", "--model", model, str(featdir / "drums__clip5.mclf")]
+        assert main(argv) == EXIT_DATA
+        line = single_error(capsys.readouterr(), "ShapeError")
+        assert "expected shape (8,), got (7,)" in line
+
     def test_predict_accepts_features_normalized_with_the_model_statistics(
         self, workspace, tmp_path, capsys
     ):
@@ -685,6 +705,24 @@ class TestTrainEvalPredict:
         assert rc == EXIT_DATA
         line = single_error(capsys.readouterr(), "ValidationError")
         assert f"already normalized with statistics {stats.stats_id!r}" in line
+        assert not (tmp_path / "run" / "model.mcln").exists()
+
+    def test_a_diverging_train_exits_6_with_one_error_line_and_no_model(self, workspace, tmp_path):
+        # run as a command: NumPy's overflow warnings would reach its stderr
+        config = tmp_path / "config.ini"
+        config.write_text(SMALL_INI.replace("learning_rate = 0.05", "learning_rate = 1e300"))
+        source = str(Path(mclnn.cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "mclnn.cli", "train", "--config", str(config),
+             "--features", str(workspace / "features"), "--plan", str(workspace / "plan.txt"),
+             "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (EXIT_DIVERGED, ""), result.stderr
+        assert re.fullmatch(r"error: TrainingDivergedError: training diverged at epoch \d+"
+                            r"(, batch \d+)?: loss = \S+\n", result.stderr), result.stderr
         assert not (tmp_path / "run" / "model.mcln").exists()
 
     def test_train_fold_plan_requires_test_fold(self, workspace, tmp_path, capsys):
@@ -1607,6 +1645,12 @@ def _nested_header(path, magic, version, rewrite):
     path.write_bytes(struct.pack("<4sIQ", magic, version, len(header)) + header)
 
 
+def _header_past_the_bound(path, magic, version, rewrite):
+    """A field one level past the nesting bound, written by hand; the file
+    would load without the bound, as neither reader reads the field."""
+    rewrite_header_by_hand(path, lambda h: h.update(deep=nested_lists(MAX_HEADER_LEVELS)))
+
+
 # (file, case, spoiler): each spoiler makes a good file one its reader refuses
 REFUSED_FILES = [
     ("model", "missing-field", _edited(lambda h: h.pop("labels"))),
@@ -1615,6 +1659,7 @@ REFUSED_FILES = [
     ("model", "nan-payload", _nan_payload),
     ("model", "int64-overflowing-shape", _edited(lambda h: h["norm"].update(length=2**70))),
     ("model", "nested-header", _nested_header),
+    ("model", "header-past-the-bound", _header_past_the_bound),
     ("features", "missing-field", _edited(lambda h: h.pop("clip_id"))),
     ("features", "mistyped-field", _edited(lambda h: h.update(clip_id=5))),
     ("features", "out-of-bounds", _edited(lambda h: h.update(normalized=True, norm_id=None))),
@@ -1623,6 +1668,7 @@ REFUSED_FILES = [
     ("features", "int64-overflowing-shape",
      _edited(lambda h: h.update(t=2**32, l=2**32), payload=False)),
     ("features", "nested-header", _nested_header),
+    ("features", "header-past-the-bound", _header_past_the_bound),
 ]
 
 
@@ -1817,6 +1863,36 @@ def test_run_experiment_rejected_before_training_changes_no_frame(workspace, mon
                        TrainConfig(batch_size=4, epochs=1), labels)
     assert [fm.frames.tobytes() for fm in features] == before
     assert not any(fm.normalized for fm in features)
+
+
+@pytest.mark.parametrize("case", ["clip-outside-the-plan", "other-feature-width",
+                                  "no-training-clips", "training-clips-shorter-than-q"])
+def test_run_experiment_refuses_before_any_epoch_runs(workspace, monkeypatch, case):
+    spec = mclnn.model.ModelSpec(
+        feature_length=8, layers=parse_layers("6:2:3:1, 6:2:3:1"),
+        extra_frames=3, dense_width=5, class_count=2,
+    )
+    features = [load_features(path) for path in sorted((workspace / "features").glob("*.mclf"))]
+    plan = SplitPlan.load(workspace / "plan.txt")
+    if case == "clip-outside-the-plan":
+        features.append(replace(features[0], clip_id="drums__stray"))
+        match = r"1 feature clips are not in the plan, e.g. \['drums__stray'\]"
+    elif case == "other-feature-width":
+        features[0] = replace(features[0], frames=features[0].frames[:, :7])
+        match = r"feature widths \[7, 8\] do not match model feature_length 8"
+    elif case == "no-training-clips":
+        plan = SplitPlan({clip: "test" if bucket == "train" else bucket
+                          for clip, bucket in plan.assignment.items()})
+        match = "plan leaves the training split empty"
+    else:
+        q = segment_size(spec)
+        features = [replace(fm, frames=fm.frames[: q - 1]) if plan.bucket(fm.clip_id) == "train"
+                    else fm for fm in features]
+        match = f"training clips are all shorter than the segment size q={q}"
+    monkeypatch.setattr(mclnn.training, "train", lambda *args: pytest.fail("train was called"))
+    with pytest.raises(ValidationError, match=match):
+        run_experiment(features, plan, spec, TrainConfig(batch_size=4, epochs=1),
+                       ("drums", "flute"))
 
 
 @pytest.mark.parametrize("case", ["repeated-labels", "normalized-training-clip"])

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclnn import container
-from mclnn.errors import FileFormatError, HeaderMismatchError, TruncatedFileError
+from mclnn.container import MAX_HEADER_LEVELS
+from mclnn.errors import FileFormatError, HeaderMismatchError, TruncatedFileError, ValidationError
 from mclnn.features import FeatureMatrix, save_features
 
-from conftest import accept_any
+from conftest import accept_any, nested_lists, rewrite_header_by_hand
 
 MAGIC, VERSION = b"TEST", 1
 
@@ -175,3 +176,22 @@ def test_save_features_holds_no_copy_of_the_payload():
             tracemalloc.stop()
         assert path.read_bytes().endswith(frames.tobytes())
     assert peak < 0.1 * frames.nbytes, (peak, frames.nbytes)
+
+
+# a field nested one level short of the bound: the header itself is the last level
+@pytest.mark.parametrize("field", [
+    pytest.param(nested_lists(MAX_HEADER_LEVELS - 1), id="lists"),
+    pytest.param({"k": nested_lists(MAX_HEADER_LEVELS - 2)}, id="dict-of-lists"),
+])
+def test_a_header_nests_at_most_the_bound_on_write_and_on_read(tmp_path, field):
+    at_bound = {"shapes": [], "x": field}
+    path = tmp_path / "c.bin"
+    container.write(path, MAGIC, VERSION, at_bound, [], accept_any)
+    assert container.read(path, MAGIC, VERSION, declared, accept_any) == (at_bound, [])
+    deeper = tmp_path / "d.bin"
+    with pytest.raises(ValidationError, match=f"header field 'x' .* deeper than {MAX_HEADER_LEVELS}"):
+        container.write(deeper, MAGIC, VERSION, {**at_bound, "x": [field]}, [], accept_any)
+    assert not deeper.exists()
+    rewrite_header_by_hand(path, lambda h: h.update(x=[h["x"]]))
+    with pytest.raises(FileFormatError, match=f"nests deeper than {MAX_HEADER_LEVELS} levels"):
+        container.read(path, MAGIC, VERSION, declared, accept_any)

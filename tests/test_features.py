@@ -25,6 +25,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import mclnn
 from mclnn import features
+from mclnn.container import MAX_HEADER_LEVELS
 from mclnn.errors import (
     ContractError,
     FileFormatError,
@@ -56,7 +57,7 @@ from mclnn.features import (
     stft_power,
 )
 
-from conftest import au_bytes, record_task_threads
+from conftest import au_bytes, nested_lists, record_task_threads, rewrite_header_by_hand
 
 RATE = 22050
 
@@ -796,14 +797,6 @@ class TestFeatureIO:
             load_features(path)
 
 
-def _nested(depth):
-    """A list nested ``depth`` lists deep."""
-    value = []
-    for _ in range(depth):
-        value = [value]
-    return value
-
-
 # clips whose files the parent's save_features wrote and its load_features
 # refused, and one it raised RecursionError for; what the save's error names
 UNLOADABLE_CLIPS = [
@@ -813,7 +806,7 @@ UNLOADABLE_CLIPS = [
                  id="label-bool"),
     pytest.param({"meta": (1,)}, r"feature header.meta = \[1\] is not of type dict", id="meta-tuple"),
     pytest.param({"label": np.int64(2)}, r"header field 'label' cannot be written as JSON", id="label-int64"),
-    pytest.param({"meta": {"deep": _nested(100_000)}}, r"header field 'meta' cannot be written as JSON",
+    pytest.param({"meta": {"deep": nested_lists(100_000)}}, r"header field 'meta' cannot be written as JSON",
                  id="meta-too-deep"),
 ]
 
@@ -853,22 +846,68 @@ class TestSaveRunsTheReader:
                 FeatureMatrix(frames=frames)
 
 
+class TestHeaderNestingBound:
+    """A feature header nests at most ``MAX_HEADER_LEVELS`` dicts and lists,
+    itself included, on save and on load alike."""
+
+    @staticmethod
+    def _clip(levels):
+        # the header, its meta, then lists
+        return FeatureMatrix(frames=np.ones((3, 4)), clip_id="c",
+                             meta={"deep": nested_lists(levels - 2)})
+
+    def test_a_meta_at_the_bound_round_trips(self, tmp_path):
+        fm = self._clip(MAX_HEADER_LEVELS)
+        save_features(fm, tmp_path / "clip.mclf")
+        assert load_features(tmp_path / "clip.mclf").meta == fm.meta
+
+    def test_one_level_deeper_is_refused_on_save_leaving_no_file(self, tmp_path):
+        path = tmp_path / "clip.mclf"
+        with pytest.raises(ValidationError, match="header field 'meta' cannot be written as "
+                           f"JSON: it nests deeper than {MAX_HEADER_LEVELS} levels"):
+            save_features(self._clip(MAX_HEADER_LEVELS + 1), path)
+        assert not path.exists()
+
+    def test_one_level_deeper_written_by_hand_is_refused_on_load(self, tmp_path):
+        path = tmp_path / "clip.mclf"
+        save_features(self._clip(MAX_HEADER_LEVELS), path)
+        rewrite_header_by_hand(path, lambda h: h["meta"].update(deep=[h["meta"]["deep"]]))
+        for read in (load_features, read_feature_header):
+            with pytest.raises(FileFormatError, match=f"nests deeper than {MAX_HEADER_LEVELS}"):
+                read(path)
+
+
 _TEXT = st.text(max_size=6)
-_TEXT_INT_OR_NONE = st.one_of(_TEXT, st.integers(-5, 5), st.none())
-_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _TEXT)
+# a JSON scalar that loads back equal: no NaN
+_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), _TEXT)
+
+
+def _valid_or_not(valid, invalid):
+    """A field's value: ``invalid`` behind the field's own booleans, all three
+    True, else ``valid``.  A field is spoiled in about one example in eight,
+    so about half of the examples load, and each save-side check is the only
+    one an example trips in a few of them."""
+    spoiled = st.tuples(st.booleans(), st.booleans(), st.booleans()).map(all)
+    return spoiled.flatmap(lambda bad: invalid if bad else valid)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(
-    clip_id=st.one_of(_TEXT, _TEXT.map(np.str_), st.integers(-5, 5)),
-    label=st.one_of(st.none(), st.integers(-5, 5), st.booleans(), st.integers(-5, 5).map(np.int64),
-                    _TEXT),
-    split=_TEXT_INT_OR_NONE,
-    norm_id=_TEXT_INT_OR_NONE,
-    meta=st.one_of(st.dictionaries(st.one_of(_TEXT, st.integers(-5, 5)),
-                                   st.one_of(_JSON_SCALAR, st.tuples(st.floats())), max_size=3),
-                   st.lists(st.integers(), max_size=2), st.lists(st.integers(), max_size=2).map(tuple)),
-    poison=st.one_of(st.none(), st.sampled_from([np.nan, np.inf, -np.inf])),
+    clip_id=_valid_or_not(st.one_of(_TEXT, _TEXT.map(np.str_)), st.integers(-5, 5)),
+    label=_valid_or_not(st.one_of(st.none(), st.integers(-5, 5)),
+                        st.one_of(st.booleans(), st.integers(-5, 5).map(np.int64), _TEXT)),
+    split=_valid_or_not(st.one_of(st.none(), _TEXT), st.integers(-5, 5)),
+    norm_id=_valid_or_not(st.one_of(st.none(), _TEXT), st.integers(-5, 5)),
+    meta=_valid_or_not(
+        st.dictionaries(_TEXT, _JSON_SCALAR, max_size=3),
+        # JSON gives a key back as a str, a tuple as a list and NaN as another NaN
+        st.one_of(st.dictionaries(st.integers(-5, 5), _JSON_SCALAR, min_size=1, max_size=3),
+                  st.dictionaries(_TEXT, st.one_of(st.tuples(st.floats()), st.just(np.nan)),
+                                  min_size=1, max_size=3),
+                  st.lists(st.integers(), max_size=2),
+                  st.lists(st.integers(), max_size=2).map(tuple)),
+    ),
+    poison=_valid_or_not(st.none(), st.sampled_from([np.nan, np.inf, -np.inf])),
 )
 # metas that JSON does not give back equal, and infinities, which it does
 @example(clip_id="c", label=None, split=None, norm_id=None, meta={1: (2, 3)}, poison=None)

@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from mclnn.training import (
     TrainConfig,
     confusion_lines,
     cross_entropy,
+    clip_segments,
     cross_entropy_grad,
     evaluate,
     grad_check,
@@ -243,6 +245,18 @@ class TestTrain:
         assert f"epoch 1, batch {error.batch}" in str(error)
         assert not np.isfinite(error.loss)
 
+    def test_a_non_finite_validation_loss_names_its_epoch_and_no_batch(self):
+        model = build_model(tiny_spec(), seed=0)
+        [validation] = tiny_segments(1, seed=2)
+        poisoned = replace(validation, frames=np.full_like(validation.frames, np.nan))
+        with pytest.raises(TrainingDivergedError) as excinfo:
+            # one training batch, finite; the validation forward is not
+            train(model, tiny_segments(4), TrainConfig(epochs=3, batch_size=4, seed=1),
+                  [poisoned])
+        error = excinfo.value
+        assert (error.epoch, error.batch) == (1, None)
+        assert "training diverged at epoch 1: loss = nan" in str(error)
+
     @pytest.mark.parametrize("where, label", [("train", None), ("train", 2), ("validation", -1)])
     def test_a_bad_label_is_rejected_naming_its_clip_before_any_update(self, where, label):
         # 50 labeled segments at batch_size 1, then the bad one: every
@@ -330,6 +344,29 @@ class TestTrain:
             )
             assert report.epochs[-1].train_loss < report.epochs[0].train_loss
 
+    def test_sgd_keeps_no_velocity(self):
+        spec = ModelSpec(feature_length=32, layers=(LayerSpec(width=48, order=2, bandwidth=8,
+                                                              overlap=2),),
+                         extra_frames=3, dense_width=16, class_count=4)
+        model = build_model(spec, seed=33)
+        rng = np.random.default_rng(34)
+        segments = [Segment(frames=rng.standard_normal((segment_size(spec), 32)), label=i % 4,
+                            clip_id=f"c{i}", start=0) for i in range(8)]
+
+        def peak(optimizer):
+            config = TrainConfig(learning_rate=0.01, epochs=1, batch_size=8, seed=35,
+                                 optimizer=optimizer)
+            tracemalloc.start()
+            try:
+                train(model, segments, config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("momentum")  # the thread's workspace takes this batch's buffers; kept, not counted
+        parameter_bytes = sum(v.nbytes for v in model.parameters().values())
+        assert peak("momentum") - peak("sgd") >= parameter_bytes
+
     def test_optimizer_names_are_one_tuple(self):
         assert OPTIMIZERS == ("sgd", "momentum")
         assert [TrainConfig(optimizer=name).optimizer for name in OPTIMIZERS] == list(OPTIMIZERS)
@@ -359,6 +396,53 @@ def small_segments(count, seed):
         Segment(frames=rng.standard_normal((11, 8)), label=i % 4, clip_id=f"c{i}", start=0)
         for i in range(count)
     ]
+
+
+class TestClipSegments:
+    """``clip_segments`` checks a clip against a model's statistics and cuts it
+    into q-frame segments, ``hop`` apart (default q)."""
+
+    @staticmethod
+    def _model_and_clip(frames=40, seed=90):
+        model = build_model(small_spec(), seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        clip = FeatureMatrix(frames=rng.standard_normal((frames, 8)), clip_id="c", label=1)
+        model.norm_stats = fit_zscore([clip])
+        return model, clip
+
+    @pytest.mark.parametrize("hop", [None, 1, 5, 11, 40])
+    def test_a_raw_clip_is_cut_as_segment_clip_cuts_it(self, hop):
+        model, clip = self._model_and_clip()
+        q = segment_size(model.spec)
+        got, want = clip_segments(model, clip, hop), segment_clip(clip, q, hop or q)
+        assert [(s.start, s.frames.tobytes(), s.normalized) for s in got] == \
+            [(s.start, s.frames.tobytes(), s.normalized) for s in want]
+
+    def test_a_clip_normalized_under_the_model_s_statistics_is_taken(self):
+        model, clip = self._model_and_clip()
+        segments = clip_segments(model, apply_zscore(clip, model.norm_stats))
+        assert len(segments) == 40 // 11 and all(s.normalized for s in segments)
+
+    def test_a_short_clip_gives_no_segments(self):
+        model, clip = self._model_and_clip(frames=10)
+        assert clip_segments(model, clip) == []
+
+    def test_a_zero_hop_is_refused_not_read_as_q(self):
+        model, clip = self._model_and_clip()
+        with pytest.raises(ValidationError, match="hop >= 1"):
+            clip_segments(model, clip, 0)
+
+    def test_a_clip_under_other_statistics_or_of_another_width_is_refused(self):
+        model, clip = self._model_and_clip()
+        other = NormStats(mean=np.zeros(8), std=np.full(8, 2.0), source_split="train",
+                          stats_id="other0000000")
+        with pytest.raises(ValidationError, match="'other0000000', not "):
+            clip_segments(model, apply_zscore(clip, other))
+        with pytest.raises(ShapeError):
+            clip_segments(model, replace(clip, frames=clip.frames[:, :7]))
+        model.norm_stats = None
+        with pytest.raises(ValidationError, match="not None"):
+            clip_segments(model, apply_zscore(clip, other))
 
 
 class TestStepBuffers:
