@@ -367,7 +367,7 @@ def cmd_model_describe(args) -> int:
     if config.model_spec is None:
         raise ConfigError("model describe needs --preset or a config file with a [model] section")
     spec = config.model_spec
-    table = mdl._layer_table(spec)
+    table = mdl.layer_table(spec)
     plan = mdl.frame_plan(spec)
     print(f"feature_length: {spec.feature_length}")
     print(f"layers: {format_layers(spec.layers)}")
@@ -375,7 +375,7 @@ def cmd_model_describe(args) -> int:
           f"classes: {spec.class_count}  activation: {spec.activation}")
     print(f"segment_size: {mdl.segment_size(spec)}")
     print(f"frame_plan: {plan}")
-    print(f"parameters: {sum(map(math.prod, mdl._parameter_shapes(table).values()))}")
+    print(f"parameters: {sum(map(math.prod, mdl.parameter_shapes(table).values()))}")
     for i, (_, _, shape, mask, _) in enumerate(table[: len(spec.layers)]):
         if mask is None:
             print(f"layer {i}: unmasked, weights {shape}")

@@ -99,22 +99,20 @@ def write(path, magic: bytes, version: int, header: dict, arrays: list[np.ndarra
 
 
 def _encode(header: dict) -> bytes:
-    """``header`` as a container holds it: UTF-8 JSON with sorted keys."""
+    """``header`` as a container holds it: UTF-8 JSON with sorted keys.  Each
+    field is checked alone first, its nesting and then its encoding, so the
+    error names it."""
     for name, value in header.items():
         if _levels(value) >= MAX_HEADER_LEVELS:
             raise ValidationError(f"header field {name!r} cannot be written as JSON: "
                                   f"it nests deeper than {MAX_HEADER_LEVELS} levels")
-    try:
-        return json.dumps(header, sort_keys=True).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        for name, value in header.items():
-            try:
-                json.dumps(value, sort_keys=True)
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"header field {name!r} cannot be written as JSON: {exc}"
-                ) from exc
-        raise
+        try:
+            json.dumps(value, sort_keys=True)  # sorted, as below: mixed key types fail only so
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"header field {name!r} cannot be written as JSON: {exc}"
+            ) from exc
+    return json.dumps(header, sort_keys=True).encode("utf-8")
 
 
 def _levels(value) -> int:

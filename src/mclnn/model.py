@@ -11,7 +11,9 @@ spec lists each such layer's name, order, weight shape, mask and
 activation, so masks are never stored.  :func:`build_model` draws values
 over that table and :func:`load_model` reads them from a file, and both
 hand them to one assembler; one function checks parameter values, for the
-assembler and :meth:`TrainedModel.set_parameters` alike.  The forward pass
+assembler and :meth:`TrainedModel.set_parameters` alike, and a
+:class:`TrainedModel` checks its layers' masks, activations, keys and
+shapes against the table when it is made.  The forward pass
 runs a whole ``(B, q, l)`` batch of segments through every layer at once;
 one segment is a batch of one.  :func:`model_forward_run` takes
 overlapping segments as one run of frames and their offsets in it: a
@@ -68,6 +70,8 @@ __all__ = [
     "TrainedModel",
     "segment_size",
     "frame_plan",
+    "layer_table",
+    "parameter_shapes",
     "build_model",
     "model_forward",
     "model_forward_tape",
@@ -165,7 +169,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _layer_table(spec: ModelSpec, masks: list[BinaryMask | None] | None = None) -> list[tuple]:
+def layer_table(spec: ModelSpec, masks: list[BinaryMask | None] | None = None) -> list[tuple]:
     """``(name, order, weights shape, mask, activation class)`` of every layer
     with parameters, in forward order: ``clnn0`` ..., ``dense``, ``output``.
     A weights shape is ``(2n+1, fan_in, width)``, or ``(fan_in, width)`` at
@@ -193,7 +197,7 @@ def _layer_table(spec: ModelSpec, masks: list[BinaryMask | None] | None = None) 
     return table
 
 
-def _parameter_shapes(table: list[tuple]) -> dict[str, tuple]:
+def parameter_shapes(table: list[tuple]) -> dict[str, tuple]:
     """The key and shape of every tensor :meth:`TrainedModel.parameters` gives
     ``table``'s layers, in its key order."""
     shapes = {}
@@ -201,6 +205,19 @@ def _parameter_shapes(table: list[tuple]) -> dict[str, tuple]:
         shapes |= {f"{name}.weights": shape, f"{name}.bias": shape[-1:]}
         if kind is PRelu:
             shapes[f"{name}.slopes"] = shape[-1:]
+    return shapes
+
+
+def _checked_shapes(table: list[tuple], values: dict[str, np.ndarray]) -> dict[str, tuple]:
+    """:func:`parameter_shapes` of ``table``, once ``values`` holds exactly its
+    keys, each at its shape there; else a ``ContractError`` naming the first
+    that does not fit."""
+    shapes = parameter_shapes(table)
+    if set(values) != set(shapes):
+        raise ContractError(f"parameter keys differ: {sorted(set(values) ^ set(shapes))}")
+    for key, shape in shapes.items():
+        if values[key].shape != shape:
+            raise ContractError(f"{key}: shape {values[key].shape} != {shape}")
     return shapes
 
 
@@ -213,12 +230,7 @@ def _checked_layers(table: list[tuple], values: dict[str, np.ndarray]) -> list[C
     non-zero weight where its mask is 0.  A ``ContractError`` names the
     first tensor that fails.
     """
-    shapes = _parameter_shapes(table)
-    if set(values) != set(shapes):
-        raise ContractError(f"parameter keys differ: {sorted(set(values) ^ set(shapes))}")
-    for key, shape in shapes.items():
-        if values[key].shape != shape:
-            raise ContractError(f"{key}: shape {values[key].shape} != {shape}")
+    for key in _checked_shapes(table, values):
         # one tensor at a time, so the check's scratch stays one tensor's size
         if not np.isfinite(values[key]).all():
             raise ContractError(f"{key}: non-finite value(s)")
@@ -240,7 +252,13 @@ class TrainedModel(_Fixed):
     Immutable during inference; training updates the arrays in place and
     needs exclusive access.  Every field is checked at construction and is
     then fixed (see :class:`~mclnn.layers._Fixed`), except ``norm_stats``,
-    which may be set again through its length check.
+    which may be set again through its length check.  The layers must be
+    the ones :func:`layer_table` lists for the spec over their own masks:
+    each mask of the ``MaskSpec`` its spec layer names, each layer of the
+    spec's activation class, and every parameter key and shape as the table
+    gives them, else ``ContractError``.  Parameter values are checked by
+    what sets them, :func:`build_model`, :func:`load_model` and
+    :meth:`set_parameters`, and again by :func:`save_model`.
     """
 
     spec: ModelSpec
@@ -264,6 +282,12 @@ class TrainedModel(_Fixed):
             raise ValidationError(f"class labels {repeated} name more than one class")
         if self.init_seed < 0:
             raise ValidationError(f"init_seed must be >= 0, got {self.init_seed}")
+        table = layer_table(self.spec, [layer.mask for layer in self.clnn_layers])
+        for (name, *_, kind), (_, layer) in zip(table, self.layers()):
+            if type(layer.activation) is not kind:
+                raise ContractError(f"{name} holds {type(layer.activation).__name__} "
+                                    f"where the spec names {kind.__name__}")
+        _checked_shapes(table, self.parameters())
 
     def __setattr__(self, name, value):
         if name != "norm_stats":
@@ -297,7 +321,7 @@ class TrainedModel(_Fixed):
         """Copy ``values`` into the live tensors once they pass a loaded model's
         checks, against this model's own masks; a rejected call changes nothing."""
         masks = [layer.mask for layer in self.clnn_layers]
-        _checked_layers(_layer_table(self.spec, masks), values)
+        _checked_layers(layer_table(self.spec, masks), values)
         for key, target in self.parameters().items():
             target[...] = values[key]
 
@@ -315,7 +339,7 @@ def build_model(spec: ModelSpec, seed: int, labels: tuple[str, ...] | None = Non
     if labels is None:
         labels = tuple(str(i) for i in range(spec.class_count))
     rng = np.random.default_rng(seed)
-    table = _layer_table(spec)
+    table = layer_table(spec)
     values = {}
     for name, _, shape, mask, kind in table:
         weights = values[f"{name}.weights"] = _glorot(rng, *shape[-2:], shape)
@@ -499,7 +523,7 @@ def _from_file(header: dict, arrays: list[np.ndarray], masks=None) -> TrainedMod
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"parameters {repeated} are listed more than once")
-    return _assemble(spec, _layer_table(spec, masks), dict(zip(names, arrays)), **own)
+    return _assemble(spec, layer_table(spec, masks), dict(zip(names, arrays)), **own)
 
 
 def load_model(path) -> TrainedModel:

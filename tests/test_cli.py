@@ -381,6 +381,22 @@ class TestModelDescribe:
         assert "weights (9, 256, 220)" in out
         assert "layer 1: mask 220x200" in out
 
+    def test_config_with_an_unmasked_layer(self, tmp_path, capsys):
+        config = tmp_path / "config.ini"
+        config.write_text(SMALL_INI.replace("layers = 6:2:3:1, 6:2:3:1", "layers = 6:1, 6:2:3:1"))
+        assert main(["model", "describe", "--config", str(config)]) == EXIT_OK
+        # parameters: clnn0 3*8*6 + 6 + 6, clnn1 5*6*6 + 6 + 6, dense 6*5 + 5 + 5, output 5*2 + 2
+        assert capsys.readouterr().out == (
+            "feature_length: 8\n"
+            "layers: 6:1, 6:2:3:1\n"
+            "extra_frames: 3  dense_width: 5  classes: 2  activation: prelu\n"
+            "segment_size: 9\n"
+            "frame_plan: [9, 7, 3]\n"
+            "parameters: 400\n"
+            "layer 0: unmasked, weights (3, 8, 6)\n"
+            "layer 1: mask 6x6, density 0.4167, weights (5, 6, 6)\n"
+        )
+
     def test_without_architecture_is_config_error(self, capsys):
         assert main(["model", "describe"]) == EXIT_CONFIG
 

@@ -1,7 +1,7 @@
 """Architecture assembly, frame arithmetic, initialization, serialization."""
 
 import tempfile
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +196,43 @@ class TestBuildModel:
             build_model(PRESETS["table3"], 0, labels=("a",) * 10)
         with pytest.raises(ValidationError, match=r"\['x', 'y'\] name more than one class"):
             build_model(small_spec(), seed=5, labels=("y", "x", "x", "y"))
+
+
+def _layers_of(model):
+    return {"clnn_layers": model.clnn_layers, "dense": model.dense, "output": model.output}
+
+
+# (spec, edit of the built model's layers, the error the constructor raises)
+MISFIT_LAYERS = [
+    pytest.param(PRESETS["table3"], lambda m: {"clnn_layers": m.clnn_layers[::-1]},
+                 r"clnn0 holds a mask of MaskSpec\(feature_length=220", id="table3-layers-swapped"),
+    pytest.param(replace(PRESETS["table3"], activation="sigmoid"),
+                 lambda m: {"dense": ClnnLayer(0, m.dense.weights, m.dense.bias)},
+                 r"dense holds LinearActivation where the spec names Sigmoid", id="sigmoid-dense-linear"),
+    pytest.param(small_spec(), lambda m: {"output": ClnnLayer(0, m.output.weights, m.output.bias,
+                                                              activation=PRelu(np.ones(4)))},
+                 r"output holds PRelu where the spec names LinearActivation", id="output-prelu"),
+    pytest.param(small_spec(), lambda m: {"dense": ClnnLayer(0, np.zeros((6, 6)), np.zeros(6),
+                                                             activation=PRelu(np.ones(6)))},
+                 r"dense.weights: shape \(6, 6\) != \(6, 5\)", id="dense-one-wider"),
+    pytest.param(small_spec(), lambda m: {"clnn_layers": m.clnn_layers[:1]},
+                 r"1 conditional layers for a spec of 2", id="clnn1-dropped"),
+]
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("spec, edit, named", MISFIT_LAYERS)
+    def test_layers_other_than_the_spec_names_raise_when_made(self, spec, edit, named):
+        model = build_model(spec, seed=0, labels=tuple("abcdefghij"[: spec.class_count]))
+        layers = _layers_of(model) | edit(model)
+        with pytest.raises(ContractError, match=named):
+            TrainedModel(spec, **layers, labels=model.labels)
+
+    def test_the_layers_a_build_gives_make_the_model_again(self):
+        model = build_model(replace(small_spec(), activation="sigmoid", layers=(
+            LayerSpec(width=6, order=1), LayerSpec(width=5, order=2, bandwidth=3, overlap=1))), seed=3)
+        again = TrainedModel(model.spec, **_layers_of(model), labels=model.labels)
+        assert again.parameters().keys() == model.parameters().keys()
 
 
 class TestModelForward:
@@ -539,20 +576,23 @@ class TestSerialization:
         (None, r"clnn0 holds no mask where the spec names MaskSpec"),
         (generate_mask(MaskSpec(8, 6, 4, 1)), r"clnn0 holds a mask of MaskSpec\(.*bandwidth=4"),
     ], ids=["no-mask", "other-band"])
-    def test_a_layer_whose_mask_the_spec_does_not_name_raises_on_save(self, tmp_path, mask, named):
-        # built through the public constructors: a load regenerates the spec's
-        # own mask, under which these weights are non-zero outside the band
+    def test_a_layer_whose_mask_the_spec_does_not_name_is_refused(self, tmp_path, mask, named):
+        # the constructor refuses the layer, so it is set past it for save and
+        # load; a load regenerates the spec's own mask, under which these
+        # weights are non-zero outside the band
         model = build_model(small_spec(), seed=46)
         first = model.clnn_layers[0]
         weights = np.full_like(first.weights, 0.5) * (1.0 if mask is None else mask.entries)
         layer = ClnnLayer(first.order, weights, first.bias.copy(), mask, first.activation)
-        built = TrainedModel(model.spec, [layer, *model.clnn_layers[1:]], model.dense, model.output,
-                             labels=model.labels, init_seed=model.init_seed)
+        with pytest.raises(ContractError, match=named):
+            TrainedModel(model.spec, [layer, *model.clnn_layers[1:]], model.dense, model.output,
+                         labels=model.labels, init_seed=model.init_seed)
+        object.__setattr__(model, "clnn_layers", (layer, *model.clnn_layers[1:]))
         path = tmp_path / "model.mcln"
         with pytest.raises(ContractError, match=named):
-            save_model(built, path)
+            save_model(model, path)
         assert not path.exists()
-        write_model_unchecked(built, path)
+        write_model_unchecked(model, path)
         with pytest.raises(HeaderMismatchError, match=r"clnn0.weights"):
             load_model(path)
 

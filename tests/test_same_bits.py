@@ -1,7 +1,14 @@
-"""The comparison of ``tools/same_bits.py``; CI runs the whole sequence."""
+"""The inputs and the comparison of ``tools/same_bits.py``; CI runs the whole sequence."""
 
+import argparse
+import dataclasses
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from mclnn.cli import load_experiment_config
+from mclnn.model import PRESETS
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "same_bits.py"
 
@@ -36,3 +43,29 @@ def test_differing_missing_and_extra_files_are_named(tmp_path):
     b = _run(tmp_path / "b", {"same.txt": "1", "changed.mcln": "2", "new/extra.txt": "1"})
     names = same_bits.differences(same_bits.digests(a), same_bits.digests(b))
     assert names == ["changed.mcln", "gone.txt", "new/extra.txt"]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("same-bits")
+    _load().write_inputs(root)
+    return root
+
+
+def _ids(path: Path) -> list[str]:
+    return path.read_text().splitlines()
+
+
+def test_the_fixed_lists_split_the_tones_by_class(inputs):
+    made = {f"{wav.parent.name}__{wav.stem}" for wav in (inputs / "audio").glob("*/*.wav")}
+    train, test = _ids(inputs / "train.txt"), _ids(inputs / "test.txt")
+    assert set(train) <= made and set(test) <= made
+    assert not set(train) & set(test)
+    for ids in (train, test):
+        assert len(set(ids)) == len(ids)
+        assert {clip.split("__")[0] for clip in ids} == set(_load().CLASSES)
+
+
+def test_the_ini_is_table3_at_two_classes(inputs):
+    config = load_experiment_config(argparse.Namespace(config=str(inputs / "two_class.ini")))
+    assert config.model_spec == dataclasses.replace(PRESETS["table3"], class_count=2)

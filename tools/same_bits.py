@@ -2,34 +2,42 @@
 
     python tools/same_bits.py BASE
 
-Runs one fixed ``mclnn`` command sequence with the package of git revision
-``BASE`` (exported with ``git archive``) and with the working tree's, each
-once as it is and once pinned to one CPU.  The sequence is:
+Runs one fixed ``mclnn`` command sequence, README's two protocols on a
+small stand-in, three times: with the package of git revision ``BASE``
+(exported with ``git archive``), with the working tree's, and with the
+working tree's pinned to one CPU.  The sequence is:
 
 - seeded tones, six 30 s clips at 22.05 kHz in each of two classes and one
   37.5 s clip at 44.1 kHz in the first, go through ``features extract``,
-  which center-crops that clip to 30 s and resamples it, and ``dataset plan
-  --folds 3``;
-- ``train --preset table3 --epochs 2 --hop 13 --test-fold 1`` runs three
-  times: with momentum at batch 64, with ``--optimizer sgd --batch-size 8``,
-  and at ``--batch-size 128``, where a batch has more than 96 rows;
-- ``eval --bucket fold1 --hop 13 --out`` and ``predict`` at hop 13 and at the
-  default hop run on the batch-64 model;
+  which center-crops that clip to 30 s and resamples it;
+- the fold protocol: ``dataset plan --folds 3``, then ``train --preset
+  table3 --epochs 2 --hop 13 --test-fold 1`` three times: with momentum at
+  batch 64, with ``--optimizer sgd --batch-size 8``, and at ``--batch-size
+  128``, where a batch has more than 96 rows; ``eval --bucket fold1 --hop
+  13 --out`` and ``predict`` at hop 13 and at the default hop run on the
+  batch-64 model;
+- the fixed protocol: ``dataset plan --train-list --test-list
+  --validation-fraction 0.25`` over two clip lists (each class's first
+  four native clips train, its other two test, and the resampled clip is
+  in neither), ``train --config --classes --epochs 2 --hop 13`` under a
+  two-class ``[model]`` INI, and ``eval --out`` on the default ``test``
+  bucket;
 - ``model describe --preset table3`` and ``gradcheck``, which print what the
   layer table and the gradient check give; they read no file of the run.
 
-Every command runs through ``python -m mclnn.cli`` with ``PYTHONPATH`` at the
+The tones, the lists and the INI are written once, beside the runs.  Every
+command runs through ``python -m mclnn.cli`` with ``PYTHONPATH`` at the
 tree's ``src`` and ``OPENBLAS_NUM_THREADS=1``, in its run's directory, with
 relative paths, so no path differs between runs.  Its stdout is kept as a
 file of the run.  Every file of every run is then compared by md5 with the
-base run as it is; ``report.txt`` is compared without its wall-clock line.
+base run's; ``report.txt`` is compared without its wall-clock line.
 
 Exit status: 0 when every file is identical, 1 when some differ (they are
 named on stdout), 2 when a command fails.  The wall time of each run is
-printed as it ends: about 6-8 s per run on a 2-core machine.
+printed as it ends: about 6-9 s per run on a 2-core machine.
 
 CI runs it on every push and pull request.  A pull request's ``BASE`` is
-its target's commit.  A push's is the pushed commit itself, so its four
+its target's commit.  A push's is the pushed commit itself, so its three
 runs are independent executions of one tree: they check that a rerun and a
 single CPU give the same bits.
 """
@@ -76,14 +84,41 @@ STEPS = [
                     "--bucket", "fold1", "--hop", "13", "--out", "eval-hop13.txt"]),
     ("predict-hop13", ["predict", "--model", MODEL, "--hop", "13", "FEATURES"]),
     ("predict", ["predict", "--model", MODEL, "FEATURES"]),
+    ("plan-fixed", ["dataset", "plan", "--train-list", "../train.txt", "--test-list", "../test.txt",
+                    "--validation-fraction", "0.25", "--manifest", "features/manifest.tsv",
+                    "--out", "fixed.txt"]),
+    ("train-fixed", ["train", "--config", "../two_class.ini", "--classes", "features/classes.txt",
+                     "--epochs", "2", "--hop", "13", "--features", "features", "--plan", "fixed.txt",
+                     "--out", "fixed"]),
+    ("eval-fixed", ["eval", "--model", "fixed/model.mcln", "--plan", "fixed.txt",
+                    "--features", "features", "--out", "eval-fixed.txt"]),
     ("describe", ["model", "describe", "--preset", "table3"]),
     ("gradcheck", ["gradcheck"]),
 ]
 WALL_CLOCK = b"wall_clock_seconds"
+# the fixed protocol's lists: each class's first four native clips train and
+# its other two test; the resampled clip is in neither, so train checks its
+# file but loads no frame of it
+TRAIN_IDS = [f"{name}__clip{i}" for name in CLASSES for i in range(4)]
+TEST_IDS = [f"{name}__clip{i}" for name in CLASSES for i in range(4, CLIPS_PER_CLASS)]
+# README's table3 ``[model]`` block at two classes
+TWO_CLASS_INI = """\
+[model]
+feature_length = 256
+layers = 220:4:40:-10, 200:4:10:3
+extra_frames = 10
+dense_width = 50
+class_count = 2
+"""
 
 
-def write_tones(audio: Path, seed: int = 0) -> None:
-    """Seeded clips per class directory, and the first class's resampled one."""
+def write_inputs(root: Path, seed: int = 0) -> None:
+    """Under ``root / "audio"``, seeded clips per class directory and the first
+    class's resampled one; beside it, the fixed protocol's lists and INI."""
+    (root / "train.txt").write_text("".join(f"{clip}\n" for clip in TRAIN_IDS))
+    (root / "test.txt").write_text("".join(f"{clip}\n" for clip in TEST_IDS))
+    (root / "two_class.ini").write_text(TWO_CLASS_INI)
+    audio = root / "audio"
     rng = np.random.default_rng(seed)
     for name, band in CLASSES.items():
         (audio / name).mkdir(parents=True)
@@ -168,22 +203,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="same-bits-") as scratch:
         root = Path(scratch)
-        write_tones(root / "audio")
-        trees = {"base": export_src(args.base, root / "base"), "work": REPO / "src"}
+        write_inputs(root)
+        base = export_src(args.base, root / "base")
         runs = {}
-        for one_cpu in (False, True):
-            for tree, src in trees.items():
-                name = f"{tree}-{'one-cpu' if one_cpu else 'as-is'}"
-                started = time.perf_counter()
-                run_sequence(src, root / name, one_cpu)
-                print(f"{name}: {time.perf_counter() - started:.1f} s", flush=True)
-                runs[name] = digests(root / name)
-        reference_name = "base-as-is"
-        reference = runs.pop(reference_name)
+        for name, src, one_cpu in (("base-as-is", base, False), ("work-as-is", REPO / "src", False),
+                                   ("work-one-cpu", REPO / "src", True)):
+            started = time.perf_counter()
+            run_sequence(src, root / name, one_cpu)
+            print(f"{name}: {time.perf_counter() - started:.1f} s", flush=True)
+            runs[name] = digests(root / name)
+        reference = runs.pop("base-as-is")
         failed = False
         for name, run in runs.items():
             for path in differences(reference, run):
-                print(f"differs: {name}/{path} (against {reference_name})")
+                print(f"differs: {name}/{path} (against base-as-is)")
                 failed = True
         print(f"{len(reference)} files per run; " + ("some differ" if failed else "all identical"))
         return 1 if failed else 0
